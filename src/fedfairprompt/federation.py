@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -534,10 +533,6 @@ def server_refine(
     return refined
 
 
-def _utcnow() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def _encoder_rows(encoder: VisionEncoder, dataset: Dataset) -> np.ndarray:
     if dataset.kind == "features":
         return dataset.features
@@ -593,7 +588,6 @@ def load_splits(config: Config) -> tuple[Dataset, Dataset, Dataset]:
 
 def run_federation(config: Config) -> FairnessReport:
     """Full multi-round run; returns the complete (or flagged) report."""
-    started = _utcnow()
     enc_cfg = EncoderConfig(
         seed=config.encoder_seed,
         mlp_ratio=config.mlp_ratio,
@@ -744,8 +738,6 @@ def run_federation(config: Config) -> FairnessReport:
         config=config,
         backbone_hash=backbone_hash,
         rounds=rounds,
-        started=started,
-        finished=_utcnow(),
         incomplete=bool(failure),
         failure=failure,
     )

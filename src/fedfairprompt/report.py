@@ -1,9 +1,8 @@
 """Run reports: per-round records, the report container, and file emission.
 
-The CSV and markdown outputs are byte-deterministic functions of the
-report's records so reruns can be compared with ``cmp``. Wall-clock
-timestamps therefore live only in the report object and its JSON dump,
-never in the CSV or markdown.
+Every emitted file is a byte-deterministic function of the report's
+records and config, so reruns can be compared with ``cmp``: no file
+carries a wall-clock timestamp or a machine-specific value.
 """
 
 from __future__ import annotations
@@ -74,8 +73,6 @@ class FairnessReport:
     config: Config
     backbone_hash: str
     rounds: list[RoundRecord]
-    started: str = ""
-    finished: str = ""
     incomplete: bool = False
     failure: str = ""
 
@@ -182,8 +179,6 @@ def _json_payload(report: FairnessReport) -> dict:
         "config_hash": report.config_hash,
         "master_seed": report.config.master_seed,
         "backbone_hash": report.backbone_hash,
-        "started": report.started,
-        "finished": report.finished,
         "incomplete": report.incomplete,
         "failure": report.failure,
         "summary": report.summary(),
@@ -209,8 +204,7 @@ def _json_payload(report: FairnessReport) -> dict:
 def emit_report(report: FairnessReport, out_dir: str) -> dict[str, str]:
     """Write rounds.csv, summary.md, config.txt and report.json.
 
-    Returns the written paths. Everything except report.json is a pure
-    function of the report's records and config.
+    Returns the written paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {

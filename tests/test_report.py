@@ -46,8 +46,6 @@ def _report(n_rounds=3, phi_eqs=None):
         config=Config(),
         backbone_hash="cafe" * 4,
         rounds=rounds,
-        started="2026-01-01T00:00:00+00:00",
-        finished="2026-01-01T00:05:00+00:00",
     )
 
 
