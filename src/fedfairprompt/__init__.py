@@ -45,8 +45,10 @@ from .encoder import (
     build_prompt_templates,
 )
 from .federation import (
+    ClientShard,
     EvalBundle,
     FederationError,
+    PromptedModel,
     client_update,
     evaluate_prompts,
     fuse_prompts,
@@ -55,7 +57,6 @@ from .federation import (
     load_splits,
     refinement_loss,
     run_federation,
-    score_prompt,
     server_refine,
 )
 from .harness import PRESETS, run_experiment, run_preset, sweep
@@ -99,8 +100,10 @@ __all__ = [
     "PromptTemplates",
     "VisionEncoder",
     "build_prompt_templates",
+    "ClientShard",
     "EvalBundle",
     "FederationError",
+    "PromptedModel",
     "client_update",
     "evaluate_prompts",
     "fuse_prompts",
@@ -109,7 +112,6 @@ __all__ = [
     "load_splits",
     "refinement_loss",
     "run_federation",
-    "score_prompt",
     "server_refine",
     "PRESETS",
     "run_experiment",

@@ -4,7 +4,8 @@ The sensitive directions are estimated once from the demographic text
 prompts, image embeddings are split into a bias component (inside the
 subspace) and a debiased remainder (orthogonal complement), and the
 losses combine a hinge that caps similarity to any demographic prompt
-with a symmetric two-term contrastive alignment objective.
+with a two-term (image-to-text and text-to-image) contrastive
+alignment objective.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .tensor import Tensor
 
 __all__ = [
     "DemographicSubspace",
-    "LossBreakdown",
     "build_subspace",
     "project_out",
     "fairness_loss",
@@ -66,10 +66,6 @@ class DemographicSubspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    @property
-    def category_count(self) -> int:
-        return self.templates.shape[0]
 
 
 def build_subspace(encoder, templates: Sequence[str], k: int = 1,
@@ -142,15 +138,12 @@ def fairness_loss(z_debiased: Tensor | np.ndarray, sub: DemographicSubspace,
 
 
 def task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
-              temperature: float, as_printed: bool = False,
-              symmetric: bool = False) -> Tensor:
+              temperature: float) -> Tensor:
     """Two-term in-batch contrastive alignment loss.
 
     Term one aligns each debiased image embedding with its own target
     text against the other samples' targets; term two runs the reverse
-    direction (text against images) on the raw embeddings, or on the
-    debiased ones when ``symmetric`` is set. ``as_printed`` flips the
-    overall sign for auditing the source formula as written.
+    direction (text against images) on the raw embeddings.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
@@ -172,28 +165,14 @@ def task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
     logits_i2t = T.scale(T.matmul(image_rows, text), inv_t)
     term1 = T.scale(T.reduce_mean(T.take_per_row(T.log_softmax(logits_i2t, axis=1), diag)), -1.0)
 
-    second = image_rows if symmetric else T.l2_normalize(z_raw)
-    logits_t2i = T.scale(T.matmul(second, text), inv_t)
+    logits_t2i = T.scale(T.matmul(T.l2_normalize(z_raw), text), inv_t)
     term2 = T.scale(T.reduce_mean(T.take_per_row(T.log_softmax(logits_t2i, axis=0), diag)), -1.0)
-
-    loss = T.add(term1, term2)
-    return T.scale(loss, -1.0) if as_printed else loss
+    return T.add(term1, term2)
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Joint objective split into its reported components."""
-
-    l_vlm: Tensor
-    l_fair: Tensor
-    l_final: Tensor
-    lam1: float
-
-
-def joint_loss(task: Tensor, fair_per_sample: Tensor, lam1: float) -> LossBreakdown:
-    """Combine task and fairness terms: final = task + lam1 * mean(fair)."""
+def joint_loss(task: Tensor, fair_per_sample: Tensor, lam1: float) -> Tensor:
+    """Combine task and fairness terms: task + lam1 * mean(fair)."""
     if lam1 < 0.0:
         raise ValueError("lam1 must be >= 0")
     l_fair = T.reduce_mean(fair_per_sample) if fair_per_sample.ndim else fair_per_sample
-    l_final = T.add(task, T.scale(l_fair, float(lam1)))
-    return LossBreakdown(l_vlm=task, l_fair=l_fair, l_final=l_final, lam1=float(lam1))
+    return T.add(task, T.scale(l_fair, float(lam1)))

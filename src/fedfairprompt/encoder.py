@@ -12,7 +12,7 @@ re-fed), optionally refined by the cross-layer residual before entry.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,7 +137,6 @@ class PromptSet:
 
     tokens: list[Tensor]
     queries: list[Tensor]
-    categories: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.tokens:
@@ -170,8 +169,7 @@ class PromptSet:
         return len(self.tokens)
 
     @staticmethod
-    def initialize(config: EncoderConfig, categories: list[str] | None = None,
-                   seed: int = 0, sigma: float = 0.02) -> "PromptSet":
+    def initialize(config: EncoderConfig, seed: int = 0, sigma: float = 0.02) -> "PromptSet":
         """Seeded normal token blocks; zero queries (uniform mixing)."""
         k, d = config.prompt_tokens, config.embed_dim
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -183,11 +181,7 @@ class PromptSet:
             Tensor(np.zeros(d), trainable=True, name=f"query{l}")
             for l in range(1, config.layers)
         ]
-        if categories is None:
-            categories = [f"group{i}" for i in range(k)]
-        if len(categories) != k:
-            raise ValueError(f"{k} token rows need {k} category labels, got {len(categories)}")
-        return PromptSet(tokens=tokens, queries=queries, categories=list(categories))
+        return PromptSet(tokens=tokens, queries=queries)
 
     def parameters(self) -> dict[str, Tensor]:
         named = {f"tokens{l}": t for l, t in enumerate(self.tokens)}
@@ -208,7 +202,6 @@ class PromptSet:
         return PromptSet(
             tokens=[Tensor(t.data.copy(), trainable=True, name=t.name) for t in self.tokens],
             queries=[Tensor(q.data.copy(), trainable=True, name=q.name) for q in self.queries],
-            categories=list(self.categories),
         )
 
 

@@ -7,6 +7,10 @@ weighted, or uniform for the baseline), optionally refine the fused
 prompts on the server, then evaluate the new global prompts on the
 held-out test set.
 
+The frozen half of the pipeline is one :class:`PromptedModel`: the
+encoder, the class text rows, and the method's CDFP and DSOP switches.
+Every stage takes that object plus the prompt set it adapts.
+
 All randomness is derived from (master_seed, purpose, round, client),
 so any execution order of the per-client work produces identical
 results. The frozen backbone is hashed at the start and checked every
@@ -16,7 +20,7 @@ round; prompt training must never touch it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,20 +54,18 @@ from .metrics import (
     eod_global,
     equalized_odds,
 )
-from .optim import AdamWState, adamw_init, adamw_step
+from .optim import adamw_init, adamw_step
 from .report import FairnessReport, RoundRecord
 
 __all__ = [
     "FederationError",
     "EvalBundle",
-    "FederationContext",
-    "ClientState",
-    "RoundResult",
+    "PromptedModel",
+    "ClientShard",
     "client_update",
     "evaluate_prompts",
     "predict",
     "score_from_record",
-    "score_prompt",
     "fusion_weights",
     "fuse_prompts",
     "fuse_uniform",
@@ -99,11 +101,13 @@ def derive_seed(master_seed: int, *tags: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
-def client_stream(master_seed: int, round_index: int, client_id: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(
-        (int(master_seed), _SEED_CLIENT, int(round_index), int(client_id))
-    )
+def _stream(master_seed: int, *tags: int) -> np.random.Generator:
+    ss = np.random.SeedSequence((int(master_seed),) + tuple(int(t) for t in tags))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def client_stream(master_seed: int, round_index: int, client_id: int) -> np.random.Generator:
+    return _stream(master_seed, _SEED_CLIENT, round_index, client_id)
 
 
 @dataclass(frozen=True)
@@ -119,118 +123,88 @@ class EvalBundle:
 
 
 @dataclass(frozen=True)
-class FederationContext:
-    """Shared immutable state every client sees: model, losses, val split."""
+class ClientShard:
+    """One client's embedded training rows and their annotations."""
+
+    client_id: int
+    features: np.ndarray  # (n, rows, d)
+    labels: np.ndarray
+    groups: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class PromptedModel:
+    """The frozen pipeline a prompt set adapts.
+
+    ``cdfp_enabled`` turns on cross-layer prompt mixing and ``compound``
+    feeds the mixed blocks into the history; ``subspace`` is the
+    demographic subspace embeddings are debiased against, or None when
+    DSOP is off. Nothing here is ever trained.
+    """
 
     encoder: VisionEncoder
     class_text: np.ndarray  # (C, d) unit rows, class index = row index
-    subspace: DemographicSubspace | None
     temperature: float
-    cdfp_enabled: bool
-    compound: bool
-    mu: float
-    lam1: float
-    val: EvalBundle
+    subspace: DemographicSubspace | None = None
+    cdfp_enabled: bool = True
+    compound: bool = True
+
+    def embed(self, prompts: PromptSet, rows: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Unit image embeddings and their debiased part, (z, z_debiased).
+
+        Without a subspace ``z_debiased`` is ``z`` itself.
+        """
+        z, _ = self.encoder.encode_image(
+            rows, prompts, cdfp_enabled=self.cdfp_enabled, compound=self.compound
+        )
+        if self.subspace is None:
+            return z, z
+        return z, project_out(z, self.subspace)[0]
+
+    def local_loss(self, prompts: PromptSet, rows: np.ndarray, targets: np.ndarray,
+                   mu: float, lam1: float) -> Tensor:
+        """Client objective: the contrastive task loss, plus ``lam1``
+        times the fairness hinge when a subspace is set."""
+        z, z_debiased = self.embed(prompts, rows)
+        task = task_loss(z_debiased, z, targets, self.temperature)
+        if self.subspace is None:
+            return task
+        return joint_loss(task, fairness_loss(z_debiased, self.subspace, mu), lam1)
+
+    def trainable(self, prompts: PromptSet) -> dict[str, Tensor]:
+        """The prompt parameters that receive gradient under this model."""
+        # mixing queries only receive gradient when cross-layer mixing runs
+        return {
+            name: p
+            for name, p in prompts.parameters().items()
+            if self.cdfp_enabled or name.startswith("tokens")
+        }
 
 
-@dataclass
-class ClientState:
-    """One client's shard and per-round working state.
-
-    ``stream`` must be (re)derived from (master_seed, round, client_id)
-    before each call to client_update; the orchestrator owns that.
-    """
-
-    client_id: int
-    features: np.ndarray  # (n, rows, d) embedded shard
-    labels: np.ndarray
-    groups: np.ndarray
-    ctx: FederationContext
-    stream: np.random.Generator | None = None
-    prompts: PromptSet | None = None
-    opt_state: AdamWState | None = None
-    val_confusion: GroupConfusion | None = None
-
-
-@dataclass(frozen=True)
-class RoundResult:
-    """Everything one round produced, before report conversion."""
-
-    client_prompts: list[PromptSet]
-    client_records: list[MetricRecord]
-    scores: list[float]
-    weights: list[float]
-    fused: PromptSet
-    refined: PromptSet
-
-    def __post_init__(self):
-        n = len(self.client_prompts)
-        if not (len(self.client_records) == len(self.scores) == len(self.weights) == n):
-            raise ValueError("per-client lists must share one length")
-        if self.weights:
-            total = sum(self.weights)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"fusion weights sum to {total!r}, not 1")
-            if min(self.weights) < 0.0:
-                raise ValueError("negative fusion weight")
-
-
-def predict(
-    encoder: VisionEncoder,
-    prompts: PromptSet,
-    features: np.ndarray,
-    class_text: np.ndarray,
-    *,
-    cdfp_enabled: bool = True,
-    compound: bool = True,
-    subspace: DemographicSubspace | None = None,
-) -> np.ndarray:
+def predict(model: PromptedModel, prompts: PromptSet, features: np.ndarray) -> np.ndarray:
     """Class predictions by nearest class template in embedding space.
 
-    When a subspace is given the demographic component is projected out
-    first, i.e. prediction runs on the same debiased embedding the
-    training loss sees. The argmax over fixed unit text rows is scale
-    invariant, so the debiased embedding needs no re-normalization.
+    Prediction runs on the same debiased embedding the training loss
+    sees. The argmax over fixed unit text rows is scale invariant, so
+    the debiased embedding needs no re-normalization.
     """
     preds = []
     with no_grad():
         for lo in range(0, features.shape[0], _EVAL_CHUNK):
-            z, _ = encoder.encode_image(
-                features[lo : lo + _EVAL_CHUNK],
-                prompts,
-                cdfp_enabled=cdfp_enabled,
-                compound=compound,
-            )
-            if subspace is not None:
-                z = project_out(z, subspace)[0]
-            preds.append(np.argmax(z.data @ class_text.T, axis=1))
+            _, z = model.embed(prompts, features[lo : lo + _EVAL_CHUNK])
+            preds.append(np.argmax(z.data @ model.class_text.T, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
 def evaluate_prompts(
-    encoder: VisionEncoder,
-    prompts: PromptSet,
-    bundle: EvalBundle,
-    class_text: np.ndarray,
-    *,
-    cdfp_enabled: bool = True,
-    compound: bool = True,
-    subspace: DemographicSubspace | None = None,
+    model: PromptedModel, prompts: PromptSet, bundle: EvalBundle
 ) -> tuple[MetricRecord, GroupConfusion]:
     """All five report metrics of one prompt set on one split.
 
     ``f_global`` here is the single-confusion specialization of the
     cross-client recall-parity aggregate (one participant).
     """
-    preds = predict(
-        encoder,
-        prompts,
-        bundle.features,
-        class_text,
-        cdfp_enabled=cdfp_enabled,
-        compound=compound,
-        subspace=subspace,
-    )
+    preds = predict(model, prompts, bundle.features)
     conf = confusion_by_group(preds, bundle.labels, bundle.groups)
     record = MetricRecord(
         a_b=balanced_accuracy(conf),
@@ -248,132 +222,72 @@ def score_from_record(record: MetricRecord, bias_metric: str = "eq") -> float:
     The accuracy-gap bias lives in [0, 2], so its discount is floored
     at zero to keep scores in [0, 1].
     """
-    bias = {
-        "eq": record.phi_eq,
-        "demo": record.phi_demo,
-        "a": record.phi_a,
-    }[bias_metric]
+    bias = {"eq": record.phi_eq, "demo": record.phi_demo, "a": record.phi_a}[bias_metric]
     return record.a_b * max(0.0, 1.0 - bias)
 
 
-def score_prompt(
-    encoder: VisionEncoder,
-    prompts: PromptSet,
-    val: EvalBundle,
-    class_text: np.ndarray,
-    *,
-    bias_metric: str = "eq",
-    cdfp_enabled: bool = True,
-    compound: bool = True,
-    subspace: DemographicSubspace | None = None,
-) -> tuple[float, float, float]:
-    """Evaluate on the validation split; returns (score, accuracy, bias)."""
-    record, _ = evaluate_prompts(
-        encoder,
-        prompts,
-        val,
-        class_text,
-        cdfp_enabled=cdfp_enabled,
-        compound=compound,
-        subspace=subspace,
-    )
-    score = score_from_record(record, bias_metric)
-    bias = {"eq": record.phi_eq, "demo": record.phi_demo, "a": record.phi_a}[bias_metric]
-    return score, record.a_b, bias
+def _fit(model: PromptedModel, prompts: PromptSet, steps, lr: float, who: str) -> None:
+    """AdamW on ``prompts`` in place, one step per ``(where, loss_fn)``.
 
-
-def _local_loss(ctx: FederationContext, prompts: PromptSet, rows: np.ndarray,
-                targets: np.ndarray) -> Tensor:
-    z, _ = ctx.encoder.encode_image(
-        rows, prompts, cdfp_enabled=ctx.cdfp_enabled, compound=ctx.compound
-    )
-    if ctx.subspace is None:
-        return task_loss(z, z, targets, ctx.temperature)
-    z_debiased, _ = project_out(z, ctx.subspace)
-    fair = fairness_loss(z_debiased, ctx.subspace, ctx.mu)
-    task = task_loss(z_debiased, z, targets, ctx.temperature)
-    return joint_loss(task, fair, ctx.lam1).l_final
-
-
-def _trainable(prompts: PromptSet, cdfp_enabled: bool) -> dict[str, Tensor]:
-    # mixing queries only receive gradient when cross-layer mixing runs
-    return {
-        name: p
-        for name, p in prompts.parameters().items()
-        if cdfp_enabled or name.startswith("tokens")
-    }
+    Moments start fresh. A non-finite loss or gradient raises a
+    FederationError naming ``who`` and, for the loss, ``where``.
+    """
+    trainable = model.trainable(prompts)
+    opt_state = adamw_init({k: p.data for k, p in trainable.items()})
+    for where, loss_fn in steps:
+        try:
+            loss = loss_fn()
+        except NonFiniteError as exc:
+            raise FederationError(f"{who}: {exc} {where}") from None
+        if not np.isfinite(loss.data):
+            raise FederationError(f"{who}: non-finite loss {where}")
+        reached = T.backward(loss)
+        grads = {k: reached[p] for k, p in trainable.items()}
+        try:
+            arrays, opt_state = adamw_step(
+                {k: p.data for k, p in trainable.items()}, grads, opt_state, lr=lr
+            )
+        except FloatingPointError as exc:
+            raise FederationError(f"{who}: {exc}") from None
+        for name, p in trainable.items():
+            p.data = arrays[name]
+            p.grad = None
 
 
 def client_update(
-    state: ClientState,
-    global_prompts: PromptSet,
-    epochs: int = 1,
-    batch_size: int = 16,
-    lr: float = 2e-4,
-) -> tuple[PromptSet, MetricRecord]:
+    shard: ClientShard,
+    model: PromptedModel,
+    prompts: PromptSet,
+    val: EvalBundle,
+    rng: np.random.Generator,
+    config: Config,
+) -> tuple[PromptSet, MetricRecord, GroupConfusion]:
     """Local prompt tuning from the broadcast global prompts.
 
-    Copies the global prompts, runs ``epochs`` shuffled mini-batch
+    Copies the prompts, runs ``config.local_epochs`` shuffled mini-batch
     passes of AdamW on the joint objective, then evaluates the result
-    on the shared validation split. Optimizer moments start fresh each
-    round: they describe the previous local trajectory, which fusion
-    has invalidated. A non-finite loss or gradient aborts the round.
+    on the shared validation split. Returns the tuned prompts with
+    their validation record and confusion. Optimizer moments start
+    fresh each round: they describe the previous local trajectory,
+    which fusion has invalidated. A non-finite loss or gradient aborts
+    the round.
     """
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if state.labels.shape[0] == 0:
-        raise ValueError(f"client {state.client_id} has an empty shard")
-    if state.stream is None:
-        raise ValueError(f"client {state.client_id} has no derived stream for this round")
-    ctx = state.ctx
-    prompts = global_prompts.copy()
-    trainable = _trainable(prompts, ctx.cdfp_enabled)
-    state.opt_state = adamw_init({k: p.data for k, p in trainable.items()})
-    n = state.labels.shape[0]
-    targets = ctx.class_text[state.labels]
-    for epoch in range(epochs):
-        order = state.stream.permutation(n)
-        for lo in range(0, n, batch_size):
-            batch = order[lo : lo + batch_size]
-            try:
-                loss = _local_loss(ctx, prompts, state.features[batch], targets[batch])
-            except NonFiniteError as exc:
-                raise FederationError(
-                    f"client {state.client_id}: {exc} (epoch {epoch}, batch offset {lo})"
-                ) from None
-            if not np.isfinite(loss.data):
-                raise FederationError(
-                    f"client {state.client_id}: non-finite loss "
-                    f"(epoch {epoch}, batch offset {lo})"
+    prompts = prompts.copy()
+    targets = model.class_text[shard.labels]
+    n, size = shard.labels.shape[0], config.batch_size
+
+    def steps():
+        for epoch in range(config.local_epochs):
+            order = rng.permutation(n)
+            for lo in range(0, n, size):
+                rows = order[lo : lo + size]
+                yield f"(epoch {epoch}, batch offset {lo})", lambda: model.local_loss(
+                    prompts, shard.features[rows], targets[rows], config.mu, config.lambda1
                 )
-            reached = T.backward(loss)
-            grads = {k: reached[p] for k, p in trainable.items()}
-            try:
-                arrays, state.opt_state = adamw_step(
-                    {k: p.data for k, p in trainable.items()},
-                    grads,
-                    state.opt_state,
-                    lr=lr,
-                )
-            except FloatingPointError as exc:
-                raise FederationError(f"client {state.client_id}: {exc}") from None
-            for name, p in trainable.items():
-                p.data = arrays[name]
-                p.grad = None
-    record, conf = evaluate_prompts(
-        ctx.encoder,
-        prompts,
-        ctx.val,
-        ctx.class_text,
-        cdfp_enabled=ctx.cdfp_enabled,
-        compound=ctx.compound,
-        subspace=ctx.subspace,
-    )
-    state.prompts = prompts
-    state.val_confusion = conf
-    return prompts, record
+
+    _fit(model, prompts, steps(), config.lr, f"client {shard.client_id}")
+    record, conf = evaluate_prompts(model, prompts, val)
+    return prompts, record, conf
 
 
 def fusion_weights(scores) -> np.ndarray:
@@ -413,24 +327,16 @@ def fuse_prompts(prompt_sets: list[PromptSet], scores) -> PromptSet:
 
 def fuse_uniform(prompt_sets: list[PromptSet]) -> PromptSet:
     """Unweighted mean; the equal-score special case of fuse_prompts."""
-    if not prompt_sets:
-        raise ValueError("no prompt sets to fuse")
     return fuse_prompts(prompt_sets, [1.0] * len(prompt_sets))
 
 
 def refinement_loss(
+    model: PromptedModel,
     prompts: PromptSet,
     features: np.ndarray,
     labels: np.ndarray,
     groups: np.ndarray,
-    *,
-    encoder: VisionEncoder,
-    class_text: np.ndarray,
-    temperature: float,
     lam2: float,
-    subspace: DemographicSubspace | None = None,
-    cdfp_enabled: bool = True,
-    compound: bool = True,
 ) -> Tensor:
     """Differentiable server objective on one batch.
 
@@ -448,11 +354,11 @@ def refinement_loss(
         if count == 0.0:
             raise ValueError("refinement batch needs both groups")
         masks.append(Tensor(sel / count))
-    z, _ = encoder.encode_image(
-        features, prompts, cdfp_enabled=cdfp_enabled, compound=compound
+    z, z_debiased = model.embed(prompts, features)
+    emb = z if z_debiased is z else T.l2_normalize(z_debiased)
+    logits = T.scale(
+        T.matmul(emb, Tensor(model.class_text.T)), 1.0 / float(model.temperature)
     )
-    emb = z if subspace is None else T.l2_normalize(project_out(z, subspace)[0])
-    logits = T.scale(T.matmul(emb, Tensor(class_text.T)), 1.0 / float(temperature))
     nll = T.scale(
         T.reduce_mean(T.take_per_row(T.log_softmax(logits, axis=1), labels)), -1.0
     )
@@ -463,74 +369,45 @@ def refinement_loss(
 
 
 def server_refine(
+    model: PromptedModel,
     prompts: PromptSet,
     val: EvalBundle,
-    lam2: float,
-    steps: int,
-    lr: float,
-    *,
-    encoder: VisionEncoder,
-    class_text: np.ndarray,
-    temperature: float,
     rng: np.random.Generator,
-    batch_size: int = 64,
-    subspace: DemographicSubspace | None = None,
-    cdfp_enabled: bool = True,
-    compound: bool = True,
+    config: Config,
 ) -> PromptSet:
     """Polish fused prompts on the validation split.
 
-    Runs AdamW on ``refinement_loss`` over group-balanced batches so
-    the gap term is always defined.
+    Runs ``config.refine_steps`` AdamW steps on ``refinement_loss`` over
+    group-balanced batches of ``config.refine_batch`` rows, so the gap
+    term is always defined.
     """
-    if lam2 < 0.0:
-        raise ValueError("lam2 must be >= 0")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
     refined = prompts.copy()
-    if steps == 0:
-        return refined
     group_rows = [np.flatnonzero(val.groups == g) for g in (0, 1)]
     if not group_rows[0].size or not group_rows[1].size:
         raise ValueError("refinement needs both groups in the validation split")
-    per = min(batch_size // 2, group_rows[0].size, group_rows[1].size)
-    trainable = _trainable(refined, cdfp_enabled)
-    opt_state = adamw_init({k: p.data for k, p in trainable.items()})
+    per = min(config.refine_batch // 2, group_rows[0].size, group_rows[1].size)
     batch_groups = np.repeat(np.array([0, 1]), per)
-    for step in range(steps):
-        idx = np.concatenate(
-            [rng.choice(rows, size=per, replace=False) for rows in group_rows]
-        )
-        try:
-            loss = refinement_loss(
-                refined,
-                val.features[idx],
-                val.labels[idx],
-                batch_groups,
-                encoder=encoder,
-                class_text=class_text,
-                temperature=temperature,
-                lam2=lam2,
-                subspace=subspace,
-                cdfp_enabled=cdfp_enabled,
-                compound=compound,
+
+    def steps():
+        for step in range(config.refine_steps):
+            idx = np.concatenate(
+                [rng.choice(rows, size=per, replace=False) for rows in group_rows]
             )
-        except NonFiniteError as exc:
-            raise FederationError(f"server refinement: {exc} at step {step}") from None
-        if not np.isfinite(loss.data):
-            raise FederationError(f"server refinement: non-finite loss at step {step}")
-        reached = T.backward(loss)
-        grads = {k: reached[p] for k, p in trainable.items()}
-        try:
-            arrays, opt_state = adamw_step(
-                {k: p.data for k, p in trainable.items()}, grads, opt_state, lr=lr
+            yield f"at step {step}", lambda: refinement_loss(
+                model, refined, val.features[idx], val.labels[idx], batch_groups,
+                config.lambda2,
             )
-        except FloatingPointError as exc:
-            raise FederationError(f"server refinement: {exc}") from None
-        for name, p in trainable.items():
-            p.data = arrays[name]
-            p.grad = None
+
+    _fit(model, refined, steps(), config.refine_lr, "server refinement")
     return refined
+
+
+def _encoder_config(config: Config) -> EncoderConfig:
+    return EncoderConfig(
+        seed=config.encoder_seed,
+        mlp_ratio=config.mlp_ratio,
+        prompt_tokens=config.prompt_tokens,
+    )
 
 
 def _encoder_rows(encoder: VisionEncoder, dataset: Dataset) -> np.ndarray:
@@ -539,27 +416,42 @@ def _encoder_rows(encoder: VisionEncoder, dataset: Dataset) -> np.ndarray:
     return encoder.embed_patches(dataset.features)
 
 
+def _load_split(config: Config, name: str) -> Dataset:
+    """One ingested split, rejected up front if no run could use it."""
+    path = os.path.join(config.data_dir, f"{name}.emb")
+    data = load_embeddings(path)
+    dim, want = data.features.shape[2], _encoder_config(config).embed_dim
+    if dim != want:
+        raise ValueError(f"{path}: embedding dim {dim} != encoder embed_dim {want}")
+    if name == "train" and len(data) < config.clients:
+        raise ValueError(f"{path}: {len(data)} rows cannot cover {config.clients} clients")
+    for label, group in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        if name != "train" and not data.cell_indices(label, group).size:
+            raise ValueError(f"{path}: no rows in cell (label={label}, group={group})")
+    return data
+
+
 def load_splits(config: Config) -> tuple[Dataset, Dataset, Dataset]:
-    """Resolve (train, val, test) from data_dir files or synthetic draws."""
+    """Resolve (train, val, test) from data_dir files or synthetic draws.
+
+    Ingested files are checked before any run starts: the embedding dim
+    must match the encoder, train must cover the clients, and val and
+    test must hold every (label, group) cell. The error names the file.
+    """
     if config.data_dir:
-        paths = {
-            name: os.path.join(config.data_dir, f"{name}.emb")
-            for name in ("train", "val", "test")
-        }
-        return tuple(load_embeddings(paths[name]) for name in ("train", "val", "test"))
+        return tuple(_load_split(config, name) for name in ("train", "val", "test"))
     master = config.master_seed
-    train = generate_synthetic(
-        SyntheticSpec(
-            n=config.n_train,
-            label_signal=config.label_signal,
-            group_signal=config.group_signal,
-            noise_sigma=config.noise_sigma,
-            spurious_strength=config.spurious_strength,
-            minority_attenuation=config.minority_attenuation,
-            group_cue_rotation=config.group_cue_rotation,
-            seed=derive_seed(master, _SEED_TRAIN),
-        )
+    spec = SyntheticSpec(
+        n=config.n_train,
+        label_signal=config.label_signal,
+        group_signal=config.group_signal,
+        noise_sigma=config.noise_sigma,
+        spurious_strength=config.spurious_strength,
+        minority_attenuation=config.minority_attenuation,
+        group_cue_rotation=config.group_cue_rotation,
+        seed=derive_seed(master, _SEED_TRAIN),
     )
+    train = generate_synthetic(spec)
     # evaluation pools are generated unbiased (rho=0): pixel content given
     # (y, g) does not depend on rho, and a biased pool starves the
     # minority cells that balanced sampling needs
@@ -569,16 +461,7 @@ def load_splits(config: Config) -> tuple[Dataset, Dataset, Dataset]:
         (config.n_test, _SEED_TEST_POOL, _SEED_TEST_PICK),
     ):
         pool = generate_synthetic(
-            SyntheticSpec(
-                n=2 * n,
-                label_signal=config.label_signal,
-                group_signal=config.group_signal,
-                noise_sigma=config.noise_sigma,
-                spurious_strength=0.0,
-                minority_attenuation=config.minority_attenuation,
-            group_cue_rotation=config.group_cue_rotation,
-                seed=derive_seed(master, pool_tag),
-            )
+            replace(spec, n=2 * n, spurious_strength=0.0, seed=derive_seed(master, pool_tag))
         )
         picked = balanced_test_sample(pool, n, seed=derive_seed(master, pick_tag))
         splits.append(pool.subset(picked))
@@ -588,86 +471,48 @@ def load_splits(config: Config) -> tuple[Dataset, Dataset, Dataset]:
 
 def run_federation(config: Config) -> FairnessReport:
     """Full multi-round run; returns the complete (or flagged) report."""
-    enc_cfg = EncoderConfig(
-        seed=config.encoder_seed,
-        mlp_ratio=config.mlp_ratio,
-        prompt_tokens=config.prompt_tokens,
-    )
+    enc_cfg = _encoder_config(config)
     encoder = VisionEncoder(enc_cfg)
     backbone_hash = encoder.backbone_hash()
     templates = build_prompt_templates(config.task, config.attribute)
-    class_text = np.stack([encoder.encode_text(s) for s in templates.class_templates])
-    subspace = (
-        build_subspace(
-            encoder,
-            templates.group_templates,
-            k=config.subspace_rank,
-            attribute=config.attribute,
-        )
-        if config.dsop_enabled
-        else None
+    model = PromptedModel(
+        encoder=encoder,
+        class_text=np.stack([encoder.encode_text(s) for s in templates.class_templates]),
+        temperature=enc_cfg.temperature,
+        subspace=build_subspace(encoder, templates.group_templates, k=config.subspace_rank,
+                                attribute=config.attribute) if config.dsop_enabled else None,
+        cdfp_enabled=config.cdfp_enabled,
+        compound=config.cdfp_compound,
     )
 
     train, val, test = load_splits(config)
     val_bundle = EvalBundle(_encoder_rows(encoder, val), val.labels, val.groups)
     test_bundle = EvalBundle(_encoder_rows(encoder, test), test.labels, test.groups)
-    ctx = FederationContext(
-        encoder=encoder,
-        class_text=class_text,
-        subspace=subspace,
-        temperature=enc_cfg.temperature,
-        cdfp_enabled=config.cdfp_enabled,
-        compound=config.cdfp_compound,
-        mu=config.mu,
-        lam1=config.lambda1,
-        val=val_bundle,
-    )
 
     partition = dirichlet_partition(
         train, config.clients, config.alpha, seed=derive_seed(config.master_seed, _SEED_PARTITION)
     )
     train_rows = _encoder_rows(encoder, train)
-    states = [
-        ClientState(
-            client_id=i,
-            features=train_rows[shard],
-            labels=train.labels[shard],
-            groups=train.groups[shard],
-            ctx=ctx,
-        )
-        for i, shard in enumerate(partition.shards)
+    shards = [
+        ClientShard(i, train_rows[idx], train.labels[idx], train.groups[idx])
+        for i, idx in enumerate(partition.shards)
     ]
 
     global_prompts = PromptSet.initialize(
         enc_cfg, seed=derive_seed(config.master_seed, _SEED_PROMPTS)
     )
-    eval_flags = dict(
-        cdfp_enabled=config.cdfp_enabled, compound=config.cdfp_compound, subspace=subspace
-    )
-    initial_record, _ = evaluate_prompts(
-        encoder, global_prompts, test_bundle, class_text, **eval_flags
-    )
+    initial_record, _ = evaluate_prompts(model, global_prompts, test_bundle)
     rounds = [RoundRecord(0, [], [], [], initial_record)]
     failure = ""
     try:
         for round_index in range(1, config.rounds + 1):
-            client_prompts: list[PromptSet] = []
-            client_records: list[MetricRecord] = []
-            client_confs: list[GroupConfusion] = []
-            for state in states:
-                state.stream = client_stream(
-                    config.master_seed, round_index, state.client_id
-                )
-                local_prompts, local_record = client_update(
-                    state,
-                    global_prompts,
-                    epochs=config.local_epochs,
-                    batch_size=config.batch_size,
-                    lr=config.lr,
-                )
-                client_prompts.append(local_prompts)
-                client_records.append(local_record)
-                client_confs.append(state.val_confusion)
+            updates = [
+                client_update(shard, model, global_prompts, val_bundle,
+                              client_stream(config.master_seed, round_index, shard.client_id),
+                              config)
+                for shard in shards
+            ]
+            client_prompts, client_records, client_confs = map(list, zip(*updates))
             scores = [
                 score_from_record(rec, config.bias_metric) for rec in client_records
             ]
@@ -677,33 +522,12 @@ def run_federation(config: Config) -> FairnessReport:
                     fused = fuse_prompts(client_prompts, scores)
                 except ValueError as exc:
                     raise FederationError(f"round {round_index}: {exc}") from None
-                global_prompts = server_refine(
-                    fused,
-                    val_bundle,
-                    config.lambda2,
-                    config.refine_steps,
-                    config.refine_lr,
-                    encoder=encoder,
-                    class_text=class_text,
-                    temperature=enc_cfg.temperature,
-                    rng=np.random.Generator(
-                        np.random.PCG64(
-                            np.random.SeedSequence(
-                                (config.master_seed, _SEED_REFINE, round_index)
-                            )
-                        )
-                    ),
-                    batch_size=config.refine_batch,
-                    subspace=subspace,
-                    cdfp_enabled=config.cdfp_enabled,
-                    compound=config.cdfp_compound,
-                )
+                rng = _stream(config.master_seed, _SEED_REFINE, round_index)
+                global_prompts = server_refine(model, fused, val_bundle, rng, config)
             else:
-                weights = np.full(len(states), 1.0 / len(states))
+                weights = np.full(len(shards), 1.0 / len(shards))
                 global_prompts = fuse_uniform(client_prompts)
-            global_eval, _ = evaluate_prompts(
-                encoder, global_prompts, test_bundle, class_text, **eval_flags
-            )
+            global_eval, _ = evaluate_prompts(model, global_prompts, test_bundle)
             try:
                 cross_f, excluded = eod_global(client_confs)
             except ValueError as exc:
@@ -714,20 +538,12 @@ def run_federation(config: Config) -> FairnessReport:
                     client_records=client_records,
                     scores=scores,
                     weights=[float(w) for w in weights],
-                    global_record=MetricRecord(
-                        a_b=global_eval.a_b,
-                        phi_a=global_eval.phi_a,
-                        phi_demo=global_eval.phi_demo,
-                        phi_eq=global_eval.phi_eq,
-                        f_global=cross_f,
-                    ),
+                    global_record=replace(global_eval, f_global=cross_f),
                     f_global_excluded=excluded,
                 )
             )
             if encoder.backbone_hash() != backbone_hash:
-                raise FederationError(
-                    f"round {round_index}: frozen backbone hash changed"
-                )
+                raise FederationError(f"round {round_index}: frozen backbone hash changed")
     except FederationError as exc:
         failure = str(exc)
     except NonFiniteError as exc:

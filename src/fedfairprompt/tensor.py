@@ -3,7 +3,7 @@
 The kernel vocabulary is deliberately small: matmul, elementwise
 add/sub/mul, scalar scale, softmax, log-softmax, layer norm, GELU,
 concat, slice, stack, reshape, axis swaps, reductions, L2
-normalization, dot, log, relu (hinge), abs, per-row gather and a
+normalization, dot, relu (hinge), abs, per-row gather and a
 leading-axis tile. Every kernel is pure (identical inputs give
 bit-identical outputs), validates its output for NaN/Inf, and records
 just enough structure to replay the chain rule. Gradients flow only
@@ -32,7 +32,6 @@ __all__ = [
     "gelu",
     "relu",
     "abs_value",
-    "log",
     "l2_normalize",
     "concat",
     "stack",
@@ -42,7 +41,6 @@ __all__ = [
     "reduce_sum",
     "reduce_mean",
     "dot",
-    "cosine",
     "take_per_row",
     "tile_leading",
 ]
@@ -121,31 +119,6 @@ class Tensor:
         tag = f" '{self.name}'" if self.name else ""
         kind = "param" if self.trainable else "const"
         return f"Tensor{tag}({kind}, shape={self.shape})"
-
-    # Operator sugar; all routes through the module-level kernels.
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
 
 
 def _lift(x) -> Tensor:
@@ -307,18 +280,6 @@ def abs_value(x: Tensor) -> Tensor:
     return _node(out, (x,), vjp, "abs")
 
 
-def log(x: Tensor) -> Tensor:
-    x = _lift(x)
-    if np.any(x.data <= 0.0):
-        raise ValueError("log requires strictly positive inputs")
-    out = np.log(x.data)
-
-    def vjp(g):
-        return (g / x.data,)
-
-    return _node(out, (x,), vjp, "log")
-
-
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = _lift(x)
@@ -389,11 +350,6 @@ def l2_normalize(x: Tensor, eps: float = 0.0) -> Tensor:
         return ((g - out * inner) / norm,)
 
     return _node(out, (x,), vjp, "l2_normalize")
-
-
-def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two vectors (composite of kernels)."""
-    return dot(l2_normalize(a), l2_normalize(b))
 
 
 # ---------------------------------------------------------------------------

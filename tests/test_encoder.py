@@ -257,7 +257,7 @@ def test_templates_exact_strings():
 
 def test_prompt_set_shapes_copy_and_round_trip():
     cfg = EncoderConfig(seed=27)
-    ps = PromptSet.initialize(cfg, categories=["man", "woman"], seed=28)
+    ps = PromptSet.initialize(cfg, seed=28)
     assert ps.depth == cfg.layers and ps.token_count == 2 and ps.dim == 32
     assert all(np.all(q.data == 0.0) for q in ps.queries)  # uniform mixing at init
     assert all(t.trainable for t in ps.tokens)
@@ -268,13 +268,10 @@ def test_prompt_set_shapes_copy_and_round_trip():
 
     arrays = ps.to_arrays()
     assert set(arrays) == {"tokens0", "tokens1", "tokens2", "tokens3", "query1", "query2", "query3"}
-    blank = PromptSet.initialize(cfg, categories=["man", "woman"], seed=99)
+    blank = PromptSet.initialize(cfg, seed=99)
     blank.load_arrays(arrays)
     for name, t in blank.parameters().items():
         assert np.array_equal(t.data, arrays[name])
-
-    with pytest.raises(ValueError):
-        PromptSet.initialize(cfg, categories=["only-one"], seed=0)
 
 
 def test_config_validation():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fedfairprompt.config import Config
-from fedfairprompt.data import SyntheticSpec, generate_synthetic
+from fedfairprompt.data import Dataset, SyntheticSpec, generate_synthetic, save_embeddings
 from fedfairprompt.debias import build_subspace
 from fedfairprompt.encoder import (
     EncoderConfig,
@@ -21,18 +21,21 @@ from fedfairprompt.encoder import (
     build_prompt_templates,
 )
 from fedfairprompt.federation import (
+    ClientShard,
     EvalBundle,
     FederationError,
+    PromptedModel,
     client_stream,
+    client_update,
     derive_seed,
     evaluate_prompts,
     fuse_prompts,
     fuse_uniform,
     fusion_weights,
+    load_splits,
     refinement_loss,
     run_federation,
     score_from_record,
-    score_prompt,
     server_refine,
 )
 from fedfairprompt.metrics import MetricRecord, eod_global
@@ -54,6 +57,11 @@ def encoder(enc_cfg):
 def class_text(encoder):
     templates = build_prompt_templates("smiling", "gender")
     return np.stack([encoder.encode_text(s) for s in templates.class_templates])
+
+
+@pytest.fixture(scope="module")
+def model(encoder, class_text, enc_cfg):
+    return PromptedModel(encoder, class_text, enc_cfg.temperature)
 
 
 @pytest.fixture(scope="module")
@@ -193,32 +201,38 @@ def test_score_from_record_floors_at_zero():
     assert score_from_record(rec, "eq") == 0.0
 
 
-def test_score_prompt_agrees_with_evaluate(encoder, class_text, val_bundle, enc_cfg):
-    prompts = PromptSet.initialize(enc_cfg, seed=3)
-    record, _conf = evaluate_prompts(
-        encoder, prompts, val_bundle, class_text,
-        cdfp_enabled=True, compound=True, subspace=None,
-    )
-    score, acc, bias = score_prompt(
-        encoder, prompts, val_bundle, class_text, bias_metric="eq",
-        cdfp_enabled=True, compound=True, subspace=None,
-    )
-    assert acc == record.a_b
-    assert bias == record.phi_eq
-    assert score == score_from_record(record, "eq")
-
-
-def test_evaluate_prompts_f_global_is_single_client_aggregate(
-    encoder, class_text, val_bundle, enc_cfg
-):
+def test_evaluate_prompts_f_global_is_single_client_aggregate(model, val_bundle, enc_cfg):
     prompts = PromptSet.initialize(enc_cfg, seed=4)
-    record, conf = evaluate_prompts(
-        encoder, prompts, val_bundle, class_text,
-        cdfp_enabled=True, compound=True, subspace=None,
-    )
+    record, conf = evaluate_prompts(model, prompts, val_bundle)
     value, excluded = eod_global([conf])
     assert record.f_global == value
     assert excluded == []
+
+
+# ---------------------------------------------------------------------------
+# local update
+
+
+def test_client_update_is_pure_and_deterministic(model, val_bundle, enc_cfg):
+    data = generate_synthetic(SyntheticSpec(n=24, seed=31))
+    shard = ClientShard(2, model.encoder.embed_patches(data.features), data.labels, data.groups)
+    prompts = PromptSet.initialize(enc_cfg, seed=6)
+    before = prompts.to_arrays()
+    config = Config(batch_size=8, lr=2e-3)
+
+    def go():
+        return client_update(
+            shard, model, prompts, val_bundle, client_stream(0, 1, shard.client_id), config
+        )
+
+    (first, record, conf), (second, _, _) = go(), go()
+    a, b = first.to_arrays(), second.to_arrays()
+    assert all(np.array_equal(a[k], b[k]) for k in a)
+    assert all(np.array_equal(prompts.to_arrays()[k], before[k]) for k in before)
+    assert any(not np.array_equal(a[k], before[k]) for k in a)
+    oracle_record, oracle_conf = evaluate_prompts(model, first, val_bundle)
+    assert record == oracle_record
+    assert np.array_equal(conf.counts, oracle_conf.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +258,10 @@ def test_refinement_loss_gradients_reach_all_prompt_parameters():
         k=1, attribute="gender",
     )
 
+    model = PromptedModel(encoder, class_text, cfg.temperature, subspace=subspace)
+
     def loss():
-        return refinement_loss(
-            prompts, features, labels, groups,
-            encoder=encoder, class_text=class_text,
-            temperature=cfg.temperature, lam2=0.7, subspace=subspace,
-        )
+        return refinement_loss(model, prompts, features, labels, groups, lam2=0.7)
 
     # tau=0.07 softmax is stiff: a smaller step keeps truncation under tol
     assert_grads_match(loss, prompts.parameters().values(), step=1e-4)
@@ -258,37 +270,37 @@ def test_refinement_loss_gradients_reach_all_prompt_parameters():
 def test_refinement_loss_needs_both_groups():
     cfg, encoder, class_text, features, labels, _ = _tiny_refine_setup()
     prompts = PromptSet.initialize(cfg, seed=8)
+    model = PromptedModel(encoder, class_text, cfg.temperature)
     with pytest.raises(ValueError, match="both groups"):
         refinement_loss(
-            prompts, features, labels, np.zeros(6, dtype=np.int64),
-            encoder=encoder, class_text=class_text,
-            temperature=cfg.temperature, lam2=1.0,
+            model, prompts, features, labels, np.zeros(6, dtype=np.int64), lam2=1.0
         )
 
 
-def test_server_refine_zero_steps_is_copy(encoder, class_text, val_bundle, enc_cfg):
+def _refine_config(**over):
+    base = dict(lambda2=1.0, refine_lr=1e-3, refine_batch=32)
+    base.update(over)
+    return Config(**base)
+
+
+def test_server_refine_zero_steps_is_copy(model, val_bundle, enc_cfg):
     prompts = PromptSet.initialize(enc_cfg, seed=5)
     out = server_refine(
-        prompts, val_bundle, lam2=1.0, steps=0, lr=1e-3,
-        encoder=encoder, class_text=class_text, temperature=enc_cfg.temperature,
-        rng=np.random.Generator(np.random.PCG64(0)),
+        model, prompts, val_bundle, np.random.Generator(np.random.PCG64(0)),
+        _refine_config(refine_steps=0),
     )
     assert out is not prompts
     a, b = prompts.to_arrays(), out.to_arrays()
     assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
-def test_server_refine_deterministic_and_moves_prompts(
-    encoder, class_text, val_bundle, enc_cfg
-):
+def test_server_refine_deterministic_and_moves_prompts(model, val_bundle, enc_cfg):
     prompts = PromptSet.initialize(enc_cfg, seed=5)
 
     def go():
         return server_refine(
-            prompts, val_bundle, lam2=1.0, steps=3, lr=1e-3,
-            encoder=encoder, class_text=class_text,
-            temperature=enc_cfg.temperature,
-            rng=np.random.Generator(np.random.PCG64(42)), batch_size=16,
+            model, prompts, val_bundle, np.random.Generator(np.random.PCG64(42)),
+            _refine_config(refine_steps=3, refine_batch=16),
         ).to_arrays()
 
     first, second = go(), go()
@@ -297,22 +309,20 @@ def test_server_refine_deterministic_and_moves_prompts(
     assert any(not np.array_equal(first[k], original[k]) for k in first)
 
 
-def test_server_refine_reduces_its_objective(encoder, class_text, val_bundle, enc_cfg):
+def test_server_refine_reduces_its_objective(model, val_bundle, enc_cfg):
     prompts = PromptSet.initialize(enc_cfg, seed=5)
 
     def objective(ps):
         return float(
             refinement_loss(
-                ps, val_bundle.features, val_bundle.labels, val_bundle.groups,
-                encoder=encoder, class_text=class_text,
-                temperature=enc_cfg.temperature, lam2=1.0,
+                model, ps, val_bundle.features, val_bundle.labels, val_bundle.groups,
+                lam2=1.0,
             ).data
         )
 
     refined = server_refine(
-        prompts, val_bundle, lam2=1.0, steps=25, lr=5e-3,
-        encoder=encoder, class_text=class_text, temperature=enc_cfg.temperature,
-        rng=np.random.Generator(np.random.PCG64(7)), batch_size=48,
+        model, prompts, val_bundle, np.random.Generator(np.random.PCG64(7)),
+        _refine_config(refine_steps=25, refine_lr=5e-3, refine_batch=48),
     )
     assert objective(refined) < objective(prompts)
 
@@ -360,7 +370,6 @@ def test_baseline_uses_uniform_weights():
 def test_methods_disagree_once_trained():
     full = run_federation(_tiny_config())
     base = run_federation(_tiny_config(method="fedavg_baseline"))
-    assert full.rounds[0].global_record != base.rounds[0].global_record or True
     assert full.rounds[-1].global_record != base.rounds[-1].global_record
 
 
@@ -370,3 +379,50 @@ def test_non_finite_loss_becomes_flagged_failure():
     assert "non-finite" in rep.failure or "client" in rep.failure
     # partial rounds are kept, contiguous from 0
     assert [r.round for r in rep.rounds] == list(range(len(rep.rounds)))
+
+
+# ---------------------------------------------------------------------------
+# ingested splits
+
+
+def _write_split(path, labels, groups, dim=32):
+    rng = np.random.Generator(np.random.PCG64(len(labels)))
+    save_embeddings(
+        Dataset(features=rng.standard_normal((len(labels), 1, dim)), labels=labels,
+                groups=groups, kind="features"),
+        str(path),
+    )
+
+
+def _write_splits(data_dir, train_rows=12, val_groups=(0, 1, 0, 1), val_dim=32):
+    data_dir.mkdir()
+    _write_split(data_dir / "train.emb", np.arange(train_rows) % 2, np.arange(train_rows) // 2 % 2)
+    _write_split(data_dir / "val.emb", [0, 0, 1, 1], list(val_groups), dim=val_dim)
+    _write_split(data_dir / "test.emb", [0, 0, 1, 1], [0, 1, 0, 1])
+    return _tiny_config(data_dir=str(data_dir))
+
+
+def test_load_splits_reads_valid_files(tmp_path):
+    train, val, test = load_splits(_write_splits(tmp_path / "emb"))
+    assert (len(train), len(val), len(test)) == (12, 4, 4)
+
+
+def test_load_splits_rejects_wrong_embedding_dim(tmp_path):
+    config = _write_splits(tmp_path / "emb", val_dim=16)
+    with pytest.raises(ValueError, match=r"val\.emb: embedding dim 16 != encoder embed_dim 32"):
+        load_splits(config)
+
+
+def test_load_splits_rejects_missing_eval_cell(tmp_path):
+    config = _write_splits(tmp_path / "emb", val_groups=(0, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"val\.emb: no rows in cell \(label=0, group=1\)"):
+        load_splits(config)
+    # rejected before any round runs, not as a failure inside one
+    with pytest.raises(ValueError, match=r"val\.emb"):
+        run_federation(config)
+
+
+def test_load_splits_rejects_train_smaller_than_clients(tmp_path):
+    config = _write_splits(tmp_path / "emb", train_rows=2)
+    with pytest.raises(ValueError, match=r"train\.emb: 2 rows cannot cover 3 clients"):
+        load_splits(config)

@@ -146,11 +146,6 @@ def test_l2_normalize_unit_rows_and_zero_error():
         T.l2_normalize(Tensor(np.zeros(4)))
 
 
-def test_cosine_of_parallel_and_orthogonal_vectors():
-    assert abs(float(T.cosine(Tensor([2.0, 0.0]), Tensor([5.0, 0.0]))) - 1.0) < 1e-12
-    assert abs(float(T.cosine(Tensor([1.0, 0.0]), Tensor([0.0, 3.0])))) < 1e-12
-
-
 def test_take_per_row_picks_and_validates():
     m = Tensor(np.arange(12.0).reshape(3, 4))
     got = T.take_per_row(m, np.array([0, 3, 1]))
@@ -200,8 +195,6 @@ def test_non_finite_inputs_are_rejected():
         big = Tensor(np.full((2, 2), 1e308))  # finite, but sums past the float cap
         with pytest.raises(NonFiniteError):
             T.matmul(big, big)  # overflow to inf inside the kernel
-    with pytest.raises(ValueError):
-        T.log(Tensor([1.0, -2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +272,6 @@ def test_gradients_match_finite_differences_composites():
     b = Tensor(rng.standard_normal(6) - 3.0, trainable=True)
     assert_grads_match(lambda: T.reduce_sum(T.relu(T.mul(a, a))), [a])
     assert_grads_match(lambda: T.reduce_sum(T.abs_value(b)), [b])
-    assert_grads_match(lambda: T.reduce_sum(T.log(T.add(T.mul(a, a), Tensor(np.ones(6))))), [a])
 
     m = Tensor(rng.standard_normal((4, 3)), trainable=True)
     idx = np.array([0, 2, 1, 2])
@@ -298,7 +290,6 @@ def test_gradients_match_finite_differences_composites():
     u = Tensor(rng.standard_normal(5), trainable=True)
     v = Tensor(rng.standard_normal(5), trainable=True)
     assert_grads_match(lambda: T.dot(u, v), [u, v])
-    assert_grads_match(lambda: T.cosine(u, v), [u, v])
 
 
 def test_stack_and_swap_gradients():
