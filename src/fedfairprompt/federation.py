@@ -425,9 +425,9 @@ def _load_split(config: Config, name: str) -> Dataset:
         raise ValueError(f"{path}: embedding dim {dim} != encoder embed_dim {want}")
     if name == "train" and len(data) < config.clients:
         raise ValueError(f"{path}: {len(data)} rows cannot cover {config.clients} clients")
-    for label, group in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        if name != "train" and not data.cell_indices(label, group).size:
-            raise ValueError(f"{path}: no rows in cell (label={label}, group={group})")
+    empty = [(y, g) for y in (0, 1) for g in (0, 1) if not data.cell_indices(y, g).size]
+    if name != "train" and empty:
+        raise ValueError(f"{path}: no rows in (label, group) cells {empty}")
     return data
 
 
