@@ -132,7 +132,7 @@ class ClientShard:
     groups: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PromptedModel:
     """The frozen pipeline a prompt set adapts.
 
@@ -229,7 +229,9 @@ def score_from_record(record: MetricRecord, bias_metric: str = "eq") -> float:
 def _fit(model: PromptedModel, prompts: PromptSet, steps, lr: float, who: str) -> None:
     """AdamW on ``prompts`` in place, one step per ``(where, loss_fn)``.
 
-    Moments start fresh. A non-finite loss or gradient raises a
+    ``steps`` is read lazily: each ``loss_fn`` runs before the next item
+    is drawn, so a generator may draw its batches from a stream in step
+    order. Moments start fresh. A non-finite loss or gradient raises a
     FederationError naming ``who`` and, for the loss, ``where``.
     """
     trainable = model.trainable(prompts)
@@ -403,11 +405,8 @@ def server_refine(
 
 
 def _encoder_config(config: Config) -> EncoderConfig:
-    return EncoderConfig(
-        seed=config.encoder_seed,
-        mlp_ratio=config.mlp_ratio,
-        prompt_tokens=config.prompt_tokens,
-    )
+    return EncoderConfig(seed=config.encoder_seed, mlp_ratio=config.mlp_ratio,
+                         prompt_tokens=config.prompt_tokens)
 
 
 def _encoder_rows(encoder: VisionEncoder, dataset: Dataset) -> np.ndarray:
