@@ -23,10 +23,10 @@ prompts = PromptSet.initialize(cfg, seed=42)
 print(f"prompt stack: {prompts.depth} layers x {prompts.token_count} tokens,"
       f" {sum(t.data.size for t in prompts.tokens) + sum(q.data.size for q in prompts.queries)} trainable floats")
 
-# Forward pass returns the pooled image embedding and the per-layer
-# prompt outputs the pooling read from.
-emb, history = enc.encode_image(rows, prompts)
-print("image embedding:", emb.shape, "| prompt history entries:", len(history))
+# Forward pass returns one embedding per image: the final CLS row,
+# layer-normed and projected into the shared text space.
+emb = enc.encode_image(rows, prompts)
+print("image embedding:", emb.shape, "(batch, dim)")
 
 # The embedding is unit length: similarity against text rows is cosine.
 print("embedding norms:", np.linalg.norm(emb.data, axis=-1).round(6))
@@ -45,12 +45,19 @@ for i, row in enumerate(logits):
 # so a row-constant shift would be invisible downstream.)
 before = emb.data.copy()
 prompts.tokens[0].data[0] += np.random.Generator(np.random.PCG64(1)).standard_normal(cfg.embed_dim)
-after, _ = enc.encode_image(rows, prompts)
+after = enc.encode_image(rows, prompts)
 print("\nembedding shift after editing one layer-0 token:",
       float(np.abs(after.data - before).max()))
 print("backbone hash unchanged:", enc.backbone_hash()[:16] + "...")
 
-# Disabling the cross-layer pool collapses each layer to its own block.
-plain, _ = enc.encode_image(rows, prompts, cdfp_enabled=True, compound=False)
-print("compound vs per-layer pooling differ:",
-      bool(np.abs(after.data - plain.data).max() > 1e-9))
+# compound=False keeps the pooling on but changes what it reads: the
+# history holds each layer's raw block instead of its mixed block.
+raw_history = enc.encode_image(rows, prompts, cdfp_enabled=True, compound=False)
+print("mixed vs raw-block history differ:",
+      bool(np.abs(after.data - raw_history.data).max() > 1e-9))
+
+# cdfp_enabled=False switches the pooling off: each layer reads only
+# its own block.
+no_pool = enc.encode_image(rows, prompts, cdfp_enabled=False)
+print("pooled vs unpooled differ:",
+      bool(np.abs(after.data - no_pool.data).max() > 1e-9))

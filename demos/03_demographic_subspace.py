@@ -24,9 +24,11 @@ enc = VisionEncoder(EncoderConfig(seed=7))
 templates = build_prompt_templates("smiling", "gender")
 print("group templates:", templates.group_templates)
 
-sub = build_subspace(enc, templates.group_templates, k=1, attribute="gender")
+sub = build_subspace(enc, templates.group_templates, k=1)
+# the share of the template rows' energy the basis captures
+energy = np.linalg.norm(sub.templates @ sub.basis.T) ** 2 / np.linalg.norm(sub.templates) ** 2
 print(f"subspace: rank {sub.basis.shape[0]}, dim {sub.basis.shape[1]},"
-      f" retained energy {sub.retained:.3f}")
+      f" retained energy {energy:.3f}")
 
 # The basis rows are orthonormal.
 gram = sub.basis @ sub.basis.T
@@ -36,7 +38,7 @@ print("basis gram matrix:\n", gram.round(12))
 data = generate_synthetic(SyntheticSpec(n=400, seed=3))
 rows = enc.embed_patches(data.features)
 prompts = PromptSet.initialize(EncoderConfig(seed=7), seed=0)
-emb, _ = enc.encode_image(rows, prompts)
+emb = enc.encode_image(rows, prompts)
 clean, removed = project_out(emb.data, sub)
 
 # Three invariants: the result is orthogonal to every basis row, the

@@ -46,13 +46,11 @@ from .encoder import (
 )
 from .federation import (
     ClientShard,
-    EvalBundle,
     FederationError,
     PromptedModel,
     client_update,
     evaluate_prompts,
     fuse_prompts,
-    fuse_uniform,
     fusion_weights,
     load_splits,
     refinement_loss,
@@ -101,13 +99,11 @@ __all__ = [
     "VisionEncoder",
     "build_prompt_templates",
     "ClientShard",
-    "EvalBundle",
     "FederationError",
     "PromptedModel",
     "client_update",
     "evaluate_prompts",
     "fuse_prompts",
-    "fuse_uniform",
     "fusion_weights",
     "load_splits",
     "refinement_loss",

@@ -15,9 +15,10 @@ from dataclasses import replace
 
 from .config import Config, parse_config, parse_value
 from .data import Dataset, save_embeddings
-from .encoder import EncoderConfig, VisionEncoder
-from .federation import load_splits
+from .encoder import VisionEncoder
+from .federation import encoder_config, load_splits
 from .harness import PRESETS, SWEEP_AXES, run_experiment, run_preset, sweep
+from .metrics import METRIC_NAMES
 
 __all__ = ["main"]
 
@@ -63,9 +64,7 @@ def _build_config(args: argparse.Namespace) -> Config:
 
 
 def _print_summary(summary: dict) -> None:
-    keys = ("method", "rounds_completed", "a_b", "phi_a", "phi_demo", "phi_eq",
-            "f_global")
-    for key in keys:
+    for key in ("method", "rounds_completed", *METRIC_NAMES):
         value = summary[key]
         text = f"{value:.6f}" if isinstance(value, float) else str(value)
         print(f"{key}: {text}")
@@ -73,13 +72,7 @@ def _print_summary(summary: dict) -> None:
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     config = replace(_build_config(args), data_dir="")
-    encoder = VisionEncoder(
-        EncoderConfig(
-            seed=config.encoder_seed,
-            mlp_ratio=config.mlp_ratio,
-            prompt_tokens=config.prompt_tokens,
-        )
-    )
+    encoder = VisionEncoder(encoder_config(config))
     os.makedirs(config.out_dir, exist_ok=True)
     for name, split in zip(("train", "val", "test"), load_splits(config)):
         # one frozen-encoder feature row per image: the mean patch
@@ -110,14 +103,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if bool(args.preset) == bool(args.axis):
         raise ValueError("sweep needs exactly one of --preset or --axis/--values")
+    config = _build_config(args)
     if args.preset:
-        config = _build_config(args)
-        result = run_preset(
-            args.preset,
-            master_seed=config.master_seed,
-            out_dir=config.out_dir,
-            replicates=args.replicates,
-        )
+        result = run_preset(args.preset, config, args.replicates)
         print(result.table(), end="")
         if result.failed:
             print(f"preset {args.preset} had failed cells", file=sys.stderr)
@@ -125,7 +113,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0
     if not args.values:
         raise ValueError("--axis needs --values (comma separated)")
-    config = _build_config(args)
     values = [parse_value(args.axis, v) for v in args.values.split(",")]
     result = sweep(config, args.axis, values, replicates=args.replicates)
     print(result.table(), end="")
@@ -136,7 +123,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    run_dir = args.out or "runs"
+    run_dir = args.out
     json_path = os.path.join(run_dir, "report.json")
     md_path = os.path.join(run_dir, "summary.md")
     if not os.path.exists(json_path):
@@ -176,7 +163,8 @@ def _parser() -> argparse.ArgumentParser:
     sw.set_defaults(func=_cmd_sweep)
 
     rep = sub.add_parser("report", help="print the summary of a finished run")
-    _add_common_flags(rep)
+    rep.add_argument("--out", metavar="DIR", default="runs",
+                     help="run directory (default runs)")
     rep.set_defaults(func=_cmd_report)
 
     return parser

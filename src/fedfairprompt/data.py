@@ -135,8 +135,7 @@ class SyntheticSpec:
     Default amplitudes make the class cue noise-limited and the group
     marker highly salient: a prompt tuned on task loss alone plateaus
     around 0.75 balanced accuracy with a large equalized-odds gap,
-    leaving headroom the fairness machinery has to close. Pass
-    ``group_signal=None`` to match the class-cue amplitude instead.
+    leaving headroom the fairness machinery has to close.
     """
 
     n: int = 4000
@@ -144,7 +143,7 @@ class SyntheticSpec:
     spurious_strength: float = 0.8
     noise_sigma: float = 0.3
     seed: int = 0
-    group_signal: float | None = 2.0
+    group_signal: float = 2.0
     minority_attenuation: float = 0.5
     group_cue_rotation: float = 0.0
 
@@ -159,10 +158,6 @@ class SyntheticSpec:
             raise ValueError("minority_attenuation must lie in [0, 1)")
         if not 0.0 <= self.group_cue_rotation <= 1.0:
             raise ValueError("group_cue_rotation must lie in [0, 1]")
-
-    @property
-    def effective_group_signal(self) -> float:
-        return self.label_signal if self.group_signal is None else self.group_signal
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -198,7 +193,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     images = np.full((n, _IMAGE_SIZE, _IMAGE_SIZE), 0.5)
     images += (amp * (1 - groups))[:, None, None] * label_pat
     images += (amp * groups)[:, None, None] * minority_pat
-    images += 0.25 * spec.effective_group_signal * groups[:, None, None].astype(np.float64) * group_pat
+    images += 0.25 * spec.group_signal * groups[:, None, None].astype(np.float64) * group_pat
     images += rng.normal(scale=spec.noise_sigma, size=images.shape) if spec.noise_sigma else 0.0
     np.clip(images, 0.0, 1.0, out=images)
     return Dataset(features=images, labels=labels, groups=groups, kind="pixels")
@@ -209,7 +204,6 @@ class Partition:
     """Disjoint covering index shards, one per client."""
 
     shards: tuple[np.ndarray, ...]
-    alpha: float
 
     def __post_init__(self):
         shards = tuple(np.asarray(s, dtype=np.int64) for s in self.shards)
@@ -223,13 +217,6 @@ class Partition:
             seen |= ids
             s.setflags(write=False)
         object.__setattr__(self, "shards", shards)
-
-    @property
-    def client_count(self) -> int:
-        return len(self.shards)
-
-    def covered(self) -> np.ndarray:
-        return np.sort(np.concatenate(self.shards))
 
 
 def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:
@@ -279,27 +266,22 @@ def dirichlet_partition(dataset: Dataset, n_clients: int, alpha: float,
         needy = sizes.index(0)
         donor = int(np.argmax(sizes))
         shards[needy].append(shards[donor].pop())
-    return Partition(
-        shards=tuple(np.sort(np.array(s, dtype=np.int64)) for s in shards),
-        alpha=float(alpha),
-    )
+    return Partition(shards=tuple(np.sort(np.array(s, dtype=np.int64)) for s in shards))
 
 
-def balanced_test_sample(dataset: Dataset, size: int, seed: int,
-                         exclude: Sequence[int] = ()) -> np.ndarray:
+def balanced_test_sample(dataset: Dataset, size: int, seed: int) -> np.ndarray:
     """Equal-count per (label, group) cell sample, without replacement.
 
-    Returns sorted indices into ``dataset``, never touching ``exclude``.
+    Returns sorted indices into ``dataset``.
     """
     if size < 4 or size % 4 != 0:
         raise ValueError(f"size {size} not divisible across 4 (label, group) cells")
     per_cell = size // 4
-    excluded = set(int(i) for i in np.asarray(exclude, dtype=np.int64).ravel())
     rng = np.random.Generator(np.random.PCG64(seed))
     chosen: list[np.ndarray] = []
     for y in (0, 1):
         for g in (0, 1):
-            cell = np.array([i for i in dataset.cell_indices(y, g) if int(i) not in excluded])
+            cell = dataset.cell_indices(y, g)
             if cell.size < per_cell:
                 raise ValueError(
                     f"cell (label={y}, group={g}) has {cell.size} available samples, "

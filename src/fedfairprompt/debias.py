@@ -38,11 +38,8 @@ class DemographicSubspace:
     demographic category, in template order). Immutable and shareable.
     """
 
-    attribute: str
     basis: np.ndarray
     templates: np.ndarray
-    retained: int
-    completed: int = 0
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=np.float64)
@@ -53,8 +50,6 @@ class DemographicSubspace:
             raise ValueError(
                 f"basis dim {basis.shape[1]} != template dim {templates.shape[1]}"
             )
-        if self.retained != basis.shape[0]:
-            raise ValueError(f"retained={self.retained} but basis has {basis.shape[0]} rows")
         gram = basis @ basis.T
         if not np.allclose(gram, np.eye(basis.shape[0]), atol=1e-9):
             raise ValueError("basis rows are not orthonormal")
@@ -68,8 +63,7 @@ class DemographicSubspace:
         return self.basis.shape[1]
 
 
-def build_subspace(encoder, templates: Sequence[str], k: int = 1,
-                   attribute: str = "") -> DemographicSubspace:
+def build_subspace(encoder, templates: Sequence[str], k: int = 1) -> DemographicSubspace:
     """Estimate the top-k demographic directions from template strings.
 
     Each template is embedded with the frozen text tower; the stacked
@@ -81,60 +75,42 @@ def build_subspace(encoder, templates: Sequence[str], k: int = 1,
     if not 1 <= k <= len(templates):
         raise ValueError(f"k={k} outside [1, {len(templates)}]")
     rows = np.stack([encoder.encode_text(s) for s in templates])
-    basis = top_right_singular_vectors(rows, k)
-    return DemographicSubspace(
-        attribute=attribute,
-        basis=basis.vectors,
-        templates=rows,
-        retained=k,
-        completed=basis.completed,
-    )
+    return DemographicSubspace(basis=top_right_singular_vectors(rows, k).vectors, templates=rows)
+
+
+def _batch(z: Tensor | np.ndarray, sub: DemographicSubspace) -> Tensor:
+    z = z if isinstance(z, Tensor) else Tensor(z)
+    if z.ndim != 2 or z.shape[1] != sub.dim:
+        raise ValueError(f"embeddings of shape {z.shape} do not match subspace dim {sub.dim}")
+    return z
 
 
 def project_out(z: Tensor | np.ndarray, sub: DemographicSubspace) -> tuple[Tensor, Tensor]:
-    """Split embeddings into (debiased, bias) parts against the subspace.
+    """Split (B, d) embeddings into (debiased, bias) parts against the subspace.
 
-    ``z`` is (d,) or (B, d). The bias part is the orthogonal projection
-    onto the basis rows; debiased + bias reconstructs the input exactly
-    and the split is differentiable.
+    The bias part is the orthogonal projection onto the basis rows;
+    debiased + bias reconstructs the input exactly and the split is
+    differentiable.
     """
-    z = z if isinstance(z, Tensor) else Tensor(z)
-    single = z.ndim == 1
-    if single:
-        z = T.reshape(z, (1, z.shape[0]))
-    if z.ndim != 2 or z.shape[1] != sub.dim:
-        raise ValueError(f"embeddings of shape {z.shape} do not match subspace dim {sub.dim}")
+    z = _batch(z, sub)
     coeffs = T.matmul(z, Tensor(sub.basis.T))
     bias = T.matmul(coeffs, Tensor(sub.basis))
-    debiased = T.sub(z, bias)
-    if single:
-        d = sub.dim
-        return T.reshape(debiased, (d,)), T.reshape(bias, (d,))
-    return debiased, bias
+    return T.sub(z, bias), bias
 
 
 def fairness_loss(z_debiased: Tensor | np.ndarray, sub: DemographicSubspace,
                   mu: float) -> Tensor:
     """Hinge on similarity to every demographic prompt, per sample.
 
-    Returns the per-sample sum over categories of max(0, cos - mu):
-    scalar for a single vector, (B,) for a batch. The gradient vanishes
-    once every cosine is at or below the margin.
+    Takes (B, d) embeddings and returns the (B,) per-sample sums over
+    categories of max(0, cos - mu). The gradient vanishes once every
+    cosine is at or below the margin.
     """
     if not 0.0 <= mu < 1.0:
         raise ValueError(f"margin mu={mu} outside [0, 1)")
-    z = z_debiased if isinstance(z_debiased, Tensor) else Tensor(z_debiased)
-    single = z.ndim == 1
-    if single:
-        z = T.reshape(z, (1, z.shape[0]))
-    if z.ndim != 2 or z.shape[1] != sub.dim:
-        raise ValueError(f"embeddings of shape {z.shape} do not match subspace dim {sub.dim}")
-    unit = T.l2_normalize(z)  # raises on a zero-norm (fully projected-out) row
+    unit = T.l2_normalize(_batch(z_debiased, sub))  # raises on a zero-norm row
     cos = T.matmul(unit, Tensor(sub.templates.T))
-    per_sample = T.reduce_sum(T.relu(T.sub(cos, Tensor(float(mu)))), axis=1)
-    if single:
-        return T.reshape(per_sample, ())
-    return per_sample
+    return T.reduce_sum(T.relu(T.sub(cos, Tensor(float(mu)))), axis=1)
 
 
 def task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
@@ -171,8 +147,7 @@ def task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
 
 
 def joint_loss(task: Tensor, fair_per_sample: Tensor, lam1: float) -> Tensor:
-    """Combine task and fairness terms: task + lam1 * mean(fair)."""
+    """Combine task and (B,) fairness terms: task + lam1 * mean(fair)."""
     if lam1 < 0.0:
         raise ValueError("lam1 must be >= 0")
-    l_fair = T.reduce_mean(fair_per_sample) if fair_per_sample.ndim else fair_per_sample
-    return T.add(task, T.scale(l_fair, float(lam1)))
+    return T.add(task, T.scale(T.reduce_mean(fair_per_sample), float(lam1)))

@@ -276,11 +276,8 @@ class VisionEncoder:
         return self.backbone.content_hash()
 
     def embed_patches(self, images: np.ndarray) -> np.ndarray:
-        """Affine patch embedding: (..., H, W) pixels -> (..., J, d) rows."""
+        """Affine patch embedding: (B, H, W) pixels -> (B, J, d) rows."""
         imgs = np.asarray(images, dtype=np.float64)
-        single = imgs.ndim == 2
-        if single:
-            imgs = imgs[None]
         size, patch = self.config.image_size, self.config.patch_size
         if imgs.ndim != 3 or imgs.shape[1:] != (size, size):
             raise ValueError(f"expected (B, {size}, {size}) images, got {imgs.shape}")
@@ -291,8 +288,7 @@ class VisionEncoder:
             .transpose(0, 1, 3, 2, 4)
             .reshape(n, self.config.patch_count, self.config.patch_pixels)
         )
-        e0 = rows @ self.backbone.patch_w + self.backbone.patch_b
-        return e0[0] if single else e0
+        return rows @ self.backbone.patch_w + self.backbone.patch_b
 
     def _token_vector(self, token: str) -> np.ndarray:
         digest = hashlib.sha256(f"{self.config.seed}:{token}".encode("utf-8")).digest()
@@ -342,24 +338,20 @@ class VisionEncoder:
 
     def encode_image(
         self,
-        e0: np.ndarray | Tensor,
+        e0: np.ndarray,
         prompts: PromptSet,
         cdfp_enabled: bool = True,
         compound: bool = True,
-    ) -> tuple[Tensor, list[Tensor]]:
+    ) -> Tensor:
         """Embed patch rows with prompt blocks threaded through every layer.
 
-        ``e0`` is (J, d) or (B, J, d). Patch position rows are added only
-        when the row count matches the configured patch grid; ingested
-        single-row feature datasets carry no spatial layout. Returns the
-        unit-norm image embedding(s) and the per-layer prompt blocks that
-        actually entered the sequence.
+        ``e0`` is (B, J, d). Patch position rows are added only when the
+        row count matches the configured patch grid; ingested single-row
+        feature datasets carry no spatial layout. Returns the (B, d)
+        unit-norm image embeddings.
         """
         cfg = self.config
-        data = e0.data if isinstance(e0, Tensor) else np.asarray(e0, dtype=np.float64)
-        single = data.ndim == 2
-        if single:
-            data = data[None]
+        data = np.asarray(e0, dtype=np.float64)
         if data.ndim != 3 or data.shape[-1] != cfg.embed_dim:
             raise ValueError(f"expected (B, J, {cfg.embed_dim}) patch rows, got {data.shape}")
         if prompts.depth != cfg.layers or prompts.dim != cfg.embed_dim:
@@ -377,7 +369,6 @@ class VisionEncoder:
         mix = cdfp_enabled and k > 0
 
         used = prompts.tokens[0]
-        states = [used]
         history = [used]
         seq = T.concat([cls_rows, T.tile_leading(used, batch), patches], axis=1)
         for layer in range(1, cfg.layers + 1):
@@ -386,7 +377,6 @@ class VisionEncoder:
                 break
             base = prompts.tokens[layer]
             used = apply_cross_layer(base, history, prompts.queries[layer - 1]) if mix else base
-            states.append(used)
             history.append(used if compound else base)
             seq = T.concat(
                 [
@@ -398,7 +388,4 @@ class VisionEncoder:
             )
 
         cls_final = T.reshape(T.slice_axis(seq, 1, 0, 1), (batch, cfg.embed_dim))
-        z = T.l2_normalize(T.matmul(T.layernorm(cls_final, self._lnf_g, self._lnf_b), self._out_proj))
-        if single:
-            z = T.reshape(z, (cfg.embed_dim,))
-        return z, states
+        return T.l2_normalize(T.matmul(T.layernorm(cls_final, self._lnf_g, self._lnf_b), self._out_proj))

@@ -3,8 +3,8 @@
 One round: broadcast the global prompt set, run local prompt tuning on
 every client shard, evaluate each client's result on the server's
 balanced validation split, fuse the client prompts (fairness-score
-weighted, or uniform for the baseline), optionally refine the fused
-prompts on the server, then evaluate the new global prompts on the
+weighted under FPF, equal weights otherwise), refine the fused prompts
+on the server under FPF, then evaluate the new global prompts on the
 held-out test set.
 
 The frozen half of the pipeline is one :class:`PromptedModel`: the
@@ -59,7 +59,6 @@ from .report import FairnessReport, RoundRecord
 
 __all__ = [
     "FederationError",
-    "EvalBundle",
     "PromptedModel",
     "ClientShard",
     "client_update",
@@ -68,10 +67,10 @@ __all__ = [
     "score_from_record",
     "fusion_weights",
     "fuse_prompts",
-    "fuse_uniform",
     "refinement_loss",
     "server_refine",
     "run_federation",
+    "encoder_config",
     "load_splits",
     "derive_seed",
     "client_stream",
@@ -111,18 +110,6 @@ def client_stream(master_seed: int, round_index: int, client_id: int) -> np.rand
 
 
 @dataclass(frozen=True)
-class EvalBundle:
-    """Encoder-ready evaluation split: embedded rows plus annotations."""
-
-    features: np.ndarray  # (n, rows, d)
-    labels: np.ndarray
-    groups: np.ndarray
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass(frozen=True)
 class ClientShard:
     """One client's embedded training rows and their annotations."""
 
@@ -154,7 +141,7 @@ class PromptedModel:
 
         Without a subspace ``z_debiased`` is ``z`` itself.
         """
-        z, _ = self.encoder.encode_image(
+        z = self.encoder.encode_image(
             rows, prompts, cdfp_enabled=self.cdfp_enabled, compound=self.compound
         )
         if self.subspace is None:
@@ -197,15 +184,15 @@ def predict(model: PromptedModel, prompts: PromptSet, features: np.ndarray) -> n
 
 
 def evaluate_prompts(
-    model: PromptedModel, prompts: PromptSet, bundle: EvalBundle
+    model: PromptedModel, prompts: PromptSet, split: Dataset
 ) -> tuple[MetricRecord, GroupConfusion]:
-    """All five report metrics of one prompt set on one split.
+    """All five report metrics of one prompt set on one embedded split.
 
     ``f_global`` here is the single-confusion specialization of the
     cross-client recall-parity aggregate (one participant).
     """
-    preds = predict(model, prompts, bundle.features)
-    conf = confusion_by_group(preds, bundle.labels, bundle.groups)
+    preds = predict(model, prompts, split.features)
+    conf = confusion_by_group(preds, split.labels, split.groups)
     record = MetricRecord(
         a_b=balanced_accuracy(conf),
         phi_a=accuracy_gap(conf),
@@ -260,7 +247,7 @@ def client_update(
     shard: ClientShard,
     model: PromptedModel,
     prompts: PromptSet,
-    val: EvalBundle,
+    val: Dataset,
     rng: np.random.Generator,
     config: Config,
 ) -> tuple[PromptSet, MetricRecord, GroupConfusion]:
@@ -305,13 +292,15 @@ def fusion_weights(scores) -> np.ndarray:
     return s / total
 
 
-def fuse_prompts(prompt_sets: list[PromptSet], scores) -> PromptSet:
-    """Score-weighted elementwise average of client prompt sets."""
+def fuse_prompts(prompt_sets: list[PromptSet], weights) -> PromptSet:
+    """Weighted elementwise sum of client prompt sets.
+
+    ``weights`` come from :func:`fusion_weights` and are used as given.
+    """
     if not prompt_sets:
         raise ValueError("no prompt sets to fuse")
-    if len(scores) != len(prompt_sets):
-        raise ValueError(f"{len(prompt_sets)} prompt sets but {len(scores)} scores")
-    weights = fusion_weights(scores)
+    if len(weights) != len(prompt_sets):
+        raise ValueError(f"{len(prompt_sets)} prompt sets but {len(weights)} weights")
     base = prompt_sets[0].to_arrays()
     fused = {name: weights[0] * arr for name, arr in base.items()}
     for w, ps in zip(weights[1:], prompt_sets[1:]):
@@ -325,11 +314,6 @@ def fuse_prompts(prompt_sets: list[PromptSet], scores) -> PromptSet:
     out = prompt_sets[0].copy()
     out.load_arrays(fused)
     return out
-
-
-def fuse_uniform(prompt_sets: list[PromptSet]) -> PromptSet:
-    """Unweighted mean; the equal-score special case of fuse_prompts."""
-    return fuse_prompts(prompt_sets, [1.0] * len(prompt_sets))
 
 
 def refinement_loss(
@@ -373,7 +357,7 @@ def refinement_loss(
 def server_refine(
     model: PromptedModel,
     prompts: PromptSet,
-    val: EvalBundle,
+    val: Dataset,
     rng: np.random.Generator,
     config: Config,
 ) -> PromptSet:
@@ -404,22 +388,25 @@ def server_refine(
     return refined
 
 
-def _encoder_config(config: Config) -> EncoderConfig:
+def encoder_config(config: Config) -> EncoderConfig:
+    """The frozen encoder's shape and seed under ``config``."""
     return EncoderConfig(seed=config.encoder_seed, mlp_ratio=config.mlp_ratio,
                          prompt_tokens=config.prompt_tokens)
 
 
-def _encoder_rows(encoder: VisionEncoder, dataset: Dataset) -> np.ndarray:
+def _embedded(encoder: VisionEncoder, dataset: Dataset) -> Dataset:
+    """The split as encoder-ready feature rows; feature splits pass through."""
     if dataset.kind == "features":
-        return dataset.features
-    return encoder.embed_patches(dataset.features)
+        return dataset
+    return Dataset(encoder.embed_patches(dataset.features), dataset.labels, dataset.groups,
+                   kind="features")
 
 
 def _load_split(config: Config, name: str) -> Dataset:
     """One ingested split, rejected up front if no run could use it."""
     path = os.path.join(config.data_dir, f"{name}.emb")
     data = load_embeddings(path)
-    dim, want = data.features.shape[2], _encoder_config(config).embed_dim
+    dim, want = data.features.shape[2], encoder_config(config).embed_dim
     if dim != want:
         raise ValueError(f"{path}: embedding dim {dim} != encoder embed_dim {want}")
     if name == "train" and len(data) < config.clients:
@@ -470,7 +457,7 @@ def load_splits(config: Config) -> tuple[Dataset, Dataset, Dataset]:
 
 def run_federation(config: Config) -> FairnessReport:
     """Full multi-round run; returns the complete (or flagged) report."""
-    enc_cfg = _encoder_config(config)
+    enc_cfg = encoder_config(config)
     encoder = VisionEncoder(enc_cfg)
     backbone_hash = encoder.backbone_hash()
     templates = build_prompt_templates(config.task, config.attribute)
@@ -478,35 +465,31 @@ def run_federation(config: Config) -> FairnessReport:
         encoder=encoder,
         class_text=np.stack([encoder.encode_text(s) for s in templates.class_templates]),
         temperature=enc_cfg.temperature,
-        subspace=build_subspace(encoder, templates.group_templates, k=config.subspace_rank,
-                                attribute=config.attribute) if config.dsop_enabled else None,
+        subspace=(build_subspace(encoder, templates.group_templates, k=config.subspace_rank)
+                  if config.dsop_enabled else None),
         cdfp_enabled=config.cdfp_enabled,
         compound=config.cdfp_compound,
     )
 
-    train, val, test = load_splits(config)
-    val_bundle = EvalBundle(_encoder_rows(encoder, val), val.labels, val.groups)
-    test_bundle = EvalBundle(_encoder_rows(encoder, test), test.labels, test.groups)
-
+    train, val, test = (_embedded(encoder, split) for split in load_splits(config))
     partition = dirichlet_partition(
         train, config.clients, config.alpha, seed=derive_seed(config.master_seed, _SEED_PARTITION)
     )
-    train_rows = _encoder_rows(encoder, train)
     shards = [
-        ClientShard(i, train_rows[idx], train.labels[idx], train.groups[idx])
+        ClientShard(i, train.features[idx], train.labels[idx], train.groups[idx])
         for i, idx in enumerate(partition.shards)
     ]
 
     global_prompts = PromptSet.initialize(
         enc_cfg, seed=derive_seed(config.master_seed, _SEED_PROMPTS)
     )
-    initial_record, _ = evaluate_prompts(model, global_prompts, test_bundle)
+    initial_record, _ = evaluate_prompts(model, global_prompts, test)
     rounds = [RoundRecord(0, [], [], [], initial_record)]
     failure = ""
     try:
         for round_index in range(1, config.rounds + 1):
             updates = [
-                client_update(shard, model, global_prompts, val_bundle,
+                client_update(shard, model, global_prompts, val,
                               client_stream(config.master_seed, round_index, shard.client_id),
                               config)
                 for shard in shards
@@ -515,18 +498,15 @@ def run_federation(config: Config) -> FairnessReport:
             scores = [
                 score_from_record(rec, config.bias_metric) for rec in client_records
             ]
+            try:
+                weights = fusion_weights(scores if config.fpf_enabled else [1.0] * len(shards))
+                global_prompts = fuse_prompts(client_prompts, weights)
+            except ValueError as exc:
+                raise FederationError(f"round {round_index}: {exc}") from None
             if config.fpf_enabled:
-                try:
-                    weights = fusion_weights(scores)
-                    fused = fuse_prompts(client_prompts, scores)
-                except ValueError as exc:
-                    raise FederationError(f"round {round_index}: {exc}") from None
                 rng = _stream(config.master_seed, _SEED_REFINE, round_index)
-                global_prompts = server_refine(model, fused, val_bundle, rng, config)
-            else:
-                weights = np.full(len(shards), 1.0 / len(shards))
-                global_prompts = fuse_uniform(client_prompts)
-            global_eval, _ = evaluate_prompts(model, global_prompts, test_bundle)
+                global_prompts = server_refine(model, global_prompts, val, rng, config)
+            global_eval, _ = evaluate_prompts(model, global_prompts, test)
             try:
                 cross_f, excluded = eod_global(client_confs)
             except ValueError as exc:

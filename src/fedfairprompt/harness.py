@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import Config
 from .federation import derive_seed, run_federation
+from .metrics import METRIC_NAMES
 from .report import FairnessReport, emit_report
 
 __all__ = [
@@ -33,7 +34,6 @@ SWEEP_AXES = ("alpha", "clients", "method", "mu", "lambda1")
 
 # stable tags for sub-seed derivation; order must never change
 _AXIS_TAGS = {axis: 1000 + i for i, axis in enumerate(SWEEP_AXES)}
-_SUMMARY_METRICS = ("a_b", "phi_a", "phi_demo", "phi_eq", "f_global")
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class SweepResult:
         ]
         if not rows:
             raise ValueError(f"no completed cells at {self.axis}={value!r}")
-        return {m: float(np.mean([r[m] for r in rows])) for m in _SUMMARY_METRICS}
+        return {m: float(np.mean([r[m] for r in rows])) for m in METRIC_NAMES}
 
     def table(self) -> str:
         """Markdown comparison table, one column per swept value."""
@@ -84,7 +84,7 @@ class SweepResult:
                 columns.append(self.mean_summary(v))
             except ValueError:
                 columns.append(None)
-        for metric in _SUMMARY_METRICS:
+        for metric in METRIC_NAMES:
             cells = [
                 "failed" if col is None else f"{col[metric]:.4f}" for col in columns
             ]
@@ -186,32 +186,37 @@ class PresetResult:
     def table(self) -> str:
         """Combined markdown table: one row per (method, swept value)."""
         lines = [
-            "| method | cell | " + " | ".join(_SUMMARY_METRICS) + " |",
-            "| --- | --- |" + " --- |" * len(_SUMMARY_METRICS),
+            "| method | cell | " + " | ".join(METRIC_NAMES) + " |",
+            "| --- | --- |" + " --- |" * len(METRIC_NAMES),
         ]
         for method, sw in self.sweeps.items():
             for value in sw.values:
                 label = f"{sw.axis}={value}"
                 try:
                     row = sw.mean_summary(value)
-                    cells = [f"{row[m]:.4f}" for m in _SUMMARY_METRICS]
+                    cells = [f"{row[m]:.4f}" for m in METRIC_NAMES]
                 except ValueError:
-                    cells = ["failed"] * len(_SUMMARY_METRICS)
+                    cells = ["failed"] * len(METRIC_NAMES)
                 lines.append(f"| {method} | {label} | " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
 
 
-def run_preset(name: str, master_seed: int = 0, out_dir: str = "runs",
-               replicates: int = 3) -> PresetResult:
-    """Run one named preset; per-method sweeps land in subdirectories."""
+def run_preset(name: str, config: Config, replicates: int = 3) -> PresetResult:
+    """Run one named preset; per-method sweeps land in subdirectories.
+
+    Every cell starts from ``config`` with the preset's overrides, its
+    method and its swept value applied on top; results go under
+    ``config.out_dir/<name>``.
+    """
     if name not in PRESETS:
         raise ValueError(f"unknown preset '{name}'; expected one of {sorted(PRESETS)}")
     spec = PRESETS[name]
+    out_dir = config.out_dir
     sweeps: dict[str, SweepResult] = {}
     for method in spec["methods"]:
-        base = Config(
+        base = replace(
+            config,
             method=method,
-            master_seed=master_seed,
             out_dir=os.path.join(out_dir, name, method),
             **spec["overrides"],
         )

@@ -8,7 +8,7 @@ defaulting to zero: a silent zero would read as perfect fairness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "GroupConfusion",
     "MetricRecord",
+    "METRIC_NAMES",
     "confusion_by_group",
     "balanced_accuracy",
     "demographic_parity",
@@ -176,3 +177,7 @@ class MetricRecord:
         for name, (value, upper) in bounds.items():
             if not 0.0 <= value <= upper:
                 raise ValueError(f"{name}={value} outside [0, {upper}]")
+
+
+# the report, sweep-table and CLI metric columns, in field order
+METRIC_NAMES = tuple(f.name for f in fields(MetricRecord))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config, config_hash, config_lines
-from .metrics import MetricRecord
+from .metrics import METRIC_NAMES, MetricRecord
 
 __all__ = [
     "RoundRecord",
@@ -24,12 +24,10 @@ __all__ = [
     "SUMMARY_WINDOW",
 ]
 
-CSV_HEADER = "round,client,a_b,phi_a,phi_demo,phi_eq,f_global,score,weight"
+CSV_HEADER = ",".join(("round", "client", *METRIC_NAMES, "score", "weight"))
 
 # headline numbers average the global record over this many final rounds
 SUMMARY_WINDOW = 5
-
-_METRIC_COLUMNS = ("a_b", "phi_a", "phi_demo", "phi_eq", "f_global")
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ class FairnessReport:
             "incomplete": self.incomplete,
             **{
                 name: float(np.mean([getattr(r, name) for r in records]))
-                for name in _METRIC_COLUMNS
+                for name in METRIC_NAMES
             },
         }
 
@@ -137,11 +135,11 @@ def _csv_text(report: FairnessReport) -> str:
             zip(rec.client_records, rec.scores, rec.weights)
         ):
             cells = [str(rec.round), str(cid)]
-            cells += [_fmt(getattr(metrics, name)) for name in _METRIC_COLUMNS]
+            cells += [_fmt(getattr(metrics, name)) for name in METRIC_NAMES]
             cells += [_fmt(score), _fmt(weight)]
             lines.append(",".join(cells))
         cells = [str(rec.round), "global"]
-        cells += [_fmt(getattr(rec.global_record, name)) for name in _METRIC_COLUMNS]
+        cells += [_fmt(getattr(rec.global_record, name)) for name in METRIC_NAMES]
         cells += ["", ""]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -167,7 +165,7 @@ def _markdown_text(report: FairnessReport) -> str:
         "| --- | --- | --- | --- | --- | --- |",
         "| {} | {} | {} | {} | {} | {} |".format(
             report.config.method,
-            *(_fmt(summary[name]) for name in _METRIC_COLUMNS),
+            *(_fmt(summary[name]) for name in METRIC_NAMES),
         ),
         "",
     ]
@@ -186,13 +184,13 @@ def _json_payload(report: FairnessReport) -> dict:
             {
                 "round": rec.round,
                 "clients": [
-                    {name: getattr(m, name) for name in _METRIC_COLUMNS}
+                    {name: getattr(m, name) for name in METRIC_NAMES}
                     for m in rec.client_records
                 ],
                 "scores": list(rec.scores),
                 "weights": list(rec.weights),
                 "global": {
-                    name: getattr(rec.global_record, name) for name in _METRIC_COLUMNS
+                    name: getattr(rec.global_record, name) for name in METRIC_NAMES
                 },
                 "f_global_excluded": list(rec.f_global_excluded),
             }

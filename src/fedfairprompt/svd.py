@@ -18,20 +18,15 @@ __all__ = ["TopKBasis", "top_right_singular_vectors"]
 
 _MAX_ROWS = 16
 _SIGN_EPS = 1e-12
+_RANK_TOL = 1e-10  # singular values at or below this share of the largest count as zero
 
 
 @dataclass(frozen=True)
 class TopKBasis:
-    """Orthonormal rows spanning the top singular directions.
-
-    ``completed`` counts trailing rows that were filled by deterministic
-    orthonormal completion because ``k`` exceeded the numerical rank;
-    their singular values are reported as 0.
-    """
+    """Orthonormal rows spanning the top singular directions."""
 
     vectors: np.ndarray  # (k, d), orthonormal rows
     singular_values: np.ndarray  # (k,), descending
-    completed: int
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -41,13 +36,13 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def top_right_singular_vectors(m: np.ndarray, k: int, rank_tol: float = 1e-10) -> TopKBasis:
+def top_right_singular_vectors(m: np.ndarray, k: int) -> TopKBasis:
     """Return the top-``k`` right singular vectors of ``m`` as rows.
 
     ``m`` has one row per embedding (at most 16) and ``d`` columns.
-    Requires ``1 <= k <= min(rows, d)``. When ``k`` exceeds the
-    numerical rank, the remaining rows are completed to an orthonormal
-    set from canonical basis vectors and flagged via ``completed``.
+    Requires ``1 <= k <= min(rows, d)`` and ``k`` no larger than the
+    numerical rank of ``m``: a direction with a zero singular value is
+    not determined by the data, so it is rejected, never made up.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -67,32 +62,9 @@ def top_right_singular_vectors(m: np.ndarray, k: int, rank_tol: float = 1e-10) -
     eigvecs = eigvecs[:, order]
     sigma = np.sqrt(np.clip(eigvals, 0.0, None))
 
-    cutoff = rank_tol * (sigma[0] if sigma[0] > 0.0 else 1.0)
-    vectors = np.zeros((k, d))
-    values = np.zeros(k)
-    filled = 0
-    for i in range(k):
-        if sigma[i] <= cutoff:
-            break
-        vectors[filled] = _fix_sign((m.T @ eigvecs[:, i]) / sigma[i])
-        values[filled] = sigma[i]
-        filled += 1
-
-    completed = k - filled
-    if completed:
-        # Deterministic completion: Gram-Schmidt canonical basis vectors
-        # against everything accepted so far.
-        for j in range(d):
-            if filled == k:
-                break
-            cand = np.zeros(d)
-            cand[j] = 1.0
-            cand -= vectors[:filled].T @ (vectors[:filled] @ cand)
-            norm = np.linalg.norm(cand)
-            if norm > 0.5:
-                vectors[filled] = _fix_sign(cand / norm)
-                filled += 1
-        if filled != k:
-            raise RuntimeError("orthonormal completion failed")
-
-    return TopKBasis(vectors=vectors, singular_values=values, completed=completed)
+    cutoff = _RANK_TOL * (sigma[0] if sigma[0] > 0.0 else 1.0)
+    rank = int(np.count_nonzero(sigma > cutoff))
+    if k > rank:
+        raise ValueError(f"k={k} exceeds the numerical rank {rank} of the input")
+    vectors = np.stack([_fix_sign((m.T @ eigvecs[:, i]) / sigma[i]) for i in range(k)])
+    return TopKBasis(vectors=vectors, singular_values=sigma[:k].copy())

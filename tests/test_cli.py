@@ -110,6 +110,14 @@ def test_report_missing_dir_exits_two(tmp_path, capsys):
     assert "report.json" in capsys.readouterr().err
 
 
+def test_report_rejects_run_flags(tmp_path, capsys):
+    # report only reads a finished run; a run flag would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--alpha", "7", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
 def test_sweep_axis_prints_comparison_table(tmp_path, capsys):
     rc = main(["sweep", "--config", _cfg_file(tmp_path), "--method",
                "fedavg_baseline", "--axis", "clients", "--values", "2,3",
@@ -124,6 +132,19 @@ def test_sweep_needs_exactly_one_mode(tmp_path, capsys):
     rc = main(["sweep", "--out", str(tmp_path)])
     assert rc == 2
     assert "exactly one" in capsys.readouterr().err
+
+
+def test_sweep_preset_honours_config_and_flags(tmp_path, capsys):
+    out = tmp_path / "pre"
+    rc = main(["sweep", "--preset", "table1", "--config", _cfg_file(tmp_path),
+               "--rounds", "1", "--clients", "3", "--replicates", "1", "--out", str(out)])
+    assert rc == 0
+    assert "fvlfp" in capsys.readouterr().out
+    cell = out / "table1" / "fvlfp" / "method=fvlfp" / "rep0" / "config.txt"
+    lines = cell.read_text().splitlines()
+    assert "clients=3" in lines  # flag
+    assert "n_train=160" in lines  # config file
+    assert "lr=0.002" in lines  # the preset's own override
 
 
 def test_sweep_rejects_unknown_preset(tmp_path):

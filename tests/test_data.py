@@ -99,15 +99,15 @@ def test_spec_validation():
 def test_single_client_gets_everything():
     ds = generate_synthetic(SyntheticSpec(n=50, seed=0))
     part = dirichlet_partition(ds, 1, alpha=1.0, seed=0)
-    assert part.client_count == 1
-    np.testing.assert_array_equal(part.covered(), np.arange(50))
+    assert len(part.shards) == 1
+    np.testing.assert_array_equal(part.shards[0], np.arange(50))
 
 
 def test_partition_disjoint_and_covering():
     ds = generate_synthetic(SyntheticSpec(n=400, seed=1))
     for n_clients, alpha, seed in [(3, 0.1, 0), (5, 1.0, 1), (7, 100.0, 2), (10, 0.5, 3)]:
         part = dirichlet_partition(ds, n_clients, alpha, seed)
-        np.testing.assert_array_equal(part.covered(), np.arange(400))
+        np.testing.assert_array_equal(np.sort(np.concatenate(part.shards)), np.arange(400))
         assert all(s.size > 0 for s in part.shards)
 
 
@@ -138,7 +138,7 @@ def test_empty_shard_repair():
     for seed in range(10):
         part = dirichlet_partition(ds, 8, alpha=0.01, seed=seed)
         assert all(s.size >= 1 for s in part.shards)
-        np.testing.assert_array_equal(part.covered(), np.arange(24))
+        np.testing.assert_array_equal(np.sort(np.concatenate(part.shards)), np.arange(24))
 
 
 def test_partition_determinism_and_errors():
@@ -154,9 +154,9 @@ def test_partition_determinism_and_errors():
     with pytest.raises(ValueError):
         dirichlet_partition(ds, 101, 1.0, 0)
     with pytest.raises(ValueError):
-        Partition(shards=(np.array([0, 1]), np.array([1, 2])), alpha=1.0)
+        Partition(shards=(np.array([0, 1]), np.array([1, 2])))
     with pytest.raises(ValueError):
-        Partition(shards=(np.array([0]), np.array([], dtype=np.int64)), alpha=1.0)
+        Partition(shards=(np.array([0]), np.array([], dtype=np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +174,12 @@ def test_balanced_sample_equal_cells():
     assert np.unique(idx).size == 400  # without replacement
 
 
-def test_balanced_sample_respects_exclusion_and_seed():
-    # rho=0 keeps all four cells at ~25% so enough survives the exclusion
+def test_balanced_sample_is_seeded():
     ds = generate_synthetic(SyntheticSpec(n=2000, spurious_strength=0.0, seed=7))
-    train_ids = np.arange(0, 1500)
-    idx = balanced_test_sample(ds, 200, seed=3, exclude=train_ids)
-    assert np.intersect1d(idx, train_ids).size == 0
-    again = balanced_test_sample(ds, 200, seed=3, exclude=train_ids)
+    idx = balanced_test_sample(ds, 200, seed=3)
+    again = balanced_test_sample(ds, 200, seed=3)
     np.testing.assert_array_equal(idx, again)
-    other = balanced_test_sample(ds, 200, seed=4, exclude=train_ids)
+    other = balanced_test_sample(ds, 200, seed=4)
     assert not np.array_equal(idx, other)
 
 

@@ -36,12 +36,10 @@ def _random_orthonormal(rng, k, d):
     return q.T[:k]
 
 
-def _make_subspace(basis, templates, attribute="attr"):
+def _make_subspace(basis, templates):
     basis = np.atleast_2d(np.asarray(basis, dtype=np.float64))
     templates = np.atleast_2d(np.asarray(templates, dtype=np.float64))
-    return DemographicSubspace(
-        attribute=attribute, basis=basis, templates=templates, retained=basis.shape[0]
-    )
+    return DemographicSubspace(basis=basis, templates=templates)
 
 
 # ---------------------------------------------------------------------------
@@ -51,21 +49,21 @@ def _make_subspace(basis, templates, attribute="attr"):
 def test_build_subspace_identical_templates_recovers_direction():
     enc = VisionEncoder(EncoderConfig())
     text = "a photo of a man"
-    sub = build_subspace(enc, [text, text], k=1, attribute="gender")
+    sub = build_subspace(enc, [text, text], k=1)
     t = enc.encode_text(text)
     row = sub.basis[0]
     # sign convention: first non-negligible coordinate positive
     lead = row[np.flatnonzero(np.abs(row) > 1e-12)[0]]
     assert lead > 0
     np.testing.assert_allclose(np.abs(row @ t), 1.0, atol=1e-10)
-    assert sub.retained == 1 and sub.completed == 0
+    assert sub.basis.shape == (1, EncoderConfig().embed_dim)
     assert sub.templates.shape == (2, EncoderConfig().embed_dim)
 
 
 def test_build_subspace_matches_eigendecomposition_oracle():
     enc = VisionEncoder(EncoderConfig())
     templates = ["a photo of a man", "a photo of a woman"]
-    sub = build_subspace(enc, templates, k=1, attribute="gender")
+    sub = build_subspace(enc, templates, k=1)
     rows = np.stack([enc.encode_text(s) for s in templates])
     evals, evecs = np.linalg.eigh(rows.T @ rows)
     dominant = evecs[:, -1]
@@ -76,7 +74,7 @@ def test_build_subspace_matches_eigendecomposition_oracle():
 def test_build_subspace_full_rank_spans_templates():
     enc = VisionEncoder(EncoderConfig())
     templates = ["a photo of a man", "a photo of a woman"]
-    sub = build_subspace(enc, templates, k=2, attribute="gender")
+    sub = build_subspace(enc, templates, k=2)
     rows = sub.templates
     proj = sub.basis.T @ sub.basis
     # projector onto span(rows), computed independently
@@ -108,14 +106,14 @@ def test_subspace_rejects_non_orthonormal_basis():
 
 def test_project_out_axis_aligned_case():
     sub = _make_subspace([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
-    deb, bias = project_out(np.array([3.0, 4.0, 0.0]), sub)
-    np.testing.assert_array_equal(deb.data, [0.0, 4.0, 0.0])
-    np.testing.assert_array_equal(bias.data, [3.0, 0.0, 0.0])
+    deb, bias = project_out(np.array([[3.0, 4.0, 0.0]]), sub)
+    np.testing.assert_array_equal(deb.data, [[0.0, 4.0, 0.0]])
+    np.testing.assert_array_equal(bias.data, [[3.0, 0.0, 0.0]])
 
 
 def test_project_out_orthogonal_input_passes_through():
     sub = _make_subspace([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
-    z = np.array([0.0, 2.0, -1.0])
+    z = np.array([[0.0, 2.0, -1.0]])
     deb, bias = project_out(z, sub)
     np.testing.assert_allclose(deb.data, z, atol=1e-15)
     np.testing.assert_allclose(bias.data, 0.0, atol=1e-15)
@@ -137,17 +135,19 @@ def test_project_out_properties_random():
     deb2, bias2 = project_out(deb, sub)
     np.testing.assert_allclose(deb2.data, deb.data, atol=1e-12)
     np.testing.assert_allclose(bias2.data, 0.0, atol=1e-12)
-    # batch equals the per-sample loop
+    # batch equals the per-row loop
     for i in range(z.shape[0]):
-        di, bi = project_out(z[i], sub)
-        np.testing.assert_allclose(di.data, deb.data[i], atol=1e-13)
-        np.testing.assert_allclose(bi.data, bias.data[i], atol=1e-13)
+        di, bi = project_out(z[i : i + 1], sub)
+        np.testing.assert_allclose(di.data[0], deb.data[i], atol=1e-13)
+        np.testing.assert_allclose(bi.data[0], bias.data[i], atol=1e-13)
 
 
 def test_project_out_shape_mismatch():
     sub = _make_subspace([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
-        project_out(np.zeros(4), sub)
+        project_out(np.zeros((2, 4)), sub)
+    with pytest.raises(ValueError):
+        project_out(np.zeros(3), sub)  # a batch axis is required
 
 
 def test_project_out_gradients():
@@ -169,7 +169,7 @@ def test_project_out_gradients():
 
 def test_fairness_loss_inactive_below_margin():
     sub = _make_subspace([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    z = Tensor(_unit([0.1, 0.1, 1.0]), trainable=True)
+    z = Tensor(_unit([0.1, 0.1, 1.0])[None], trainable=True)
     loss = fairness_loss(z, sub, mu=0.5)
     assert loss.item() == 0.0
     grads = backward(loss)
@@ -179,7 +179,7 @@ def test_fairness_loss_inactive_below_margin():
 def test_fairness_loss_single_template_frozen_value():
     sub = _make_subspace([[1.0, 0.0]], [[1.0, 0.0]])
     # unit vector with cosine exactly 0.9 against the template
-    z = np.array([0.9, math.sqrt(1.0 - 0.81)])
+    z = np.array([[0.9, math.sqrt(1.0 - 0.81)]])
     loss = fairness_loss(z, sub, mu=0.3)
     assert abs(loss.item() - 0.6) < 1e-12
 
@@ -217,11 +217,13 @@ def test_fairness_loss_monotone_in_margin():
 def test_fairness_loss_errors():
     sub = _make_subspace([[1.0, 0.0]], [[1.0, 0.0]])
     with pytest.raises(ValueError):
-        fairness_loss(np.array([1.0, 0.0]), sub, mu=1.0)
+        fairness_loss(np.array([[1.0, 0.0]]), sub, mu=1.0)
     with pytest.raises(ValueError):
-        fairness_loss(np.array([1.0, 0.0]), sub, mu=-0.1)
+        fairness_loss(np.array([[1.0, 0.0]]), sub, mu=-0.1)
     with pytest.raises(ValueError):
-        fairness_loss(np.zeros(2), sub, mu=0.3)  # zero-norm input
+        fairness_loss(np.zeros((1, 2)), sub, mu=0.3)  # zero-norm input
+    with pytest.raises(ValueError):
+        fairness_loss(np.array([1.0, 0.0]), sub, mu=0.3)  # a batch axis is required
 
 
 def test_fairness_loss_gradient_off_kinks():
@@ -357,12 +359,11 @@ def test_losses_backpropagate_into_prompts():
     rng = np.random.default_rng(2)
     e0 = enc.embed_patches(rng.normal(size=(3, 16, 16)))
     prompts = PromptSet.initialize(cfg, seed=4)
-    sub = build_subspace(enc, ["a photo of a man", "a photo of a woman"],
-                         k=1, attribute="gender")
+    sub = build_subspace(enc, ["a photo of a man", "a photo of a woman"], k=1)
     targets = np.stack([enc.encode_text("a photo of a person who is smiling")] * 3)
 
     def run():
-        z, _ = enc.encode_image(e0, prompts)
+        z = enc.encode_image(e0, prompts)
         deb, _ = project_out(z, sub)
         fair = fairness_loss(deb, sub, mu=0.3)
         task = task_loss(deb, z, targets, cfg.temperature)

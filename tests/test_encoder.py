@@ -95,30 +95,28 @@ def _random_prompts(cfg, seed=0, sigma=0.5):
 def test_forward_matches_numpy_oracle_with_and_without_mixing():
     enc = VisionEncoder(SMALL)
     rng = _rng(1)
-    img = rng.random((16, 16))
+    img = rng.random((1, 16, 16))
     e0 = enc.embed_patches(img)
     ps = _random_prompts(SMALL, seed=2)
     blocks = [t.data for t in ps.tokens]
     queries = [q.data for q in ps.queries]
     for cdfp in (True, False):
         for compound in (True, False):
-            z, _ = enc.encode_image(e0, ps, cdfp_enabled=cdfp, compound=compound)
-            ref = _numpy_forward(enc, e0, blocks, queries, cdfp=cdfp, compound=compound)
-            np.testing.assert_allclose(z.data, ref, rtol=1e-10, atol=1e-12)
+            z = enc.encode_image(e0, ps, cdfp_enabled=cdfp, compound=compound)
+            ref = _numpy_forward(enc, e0[0], blocks, queries, cdfp=cdfp, compound=compound)
+            np.testing.assert_allclose(z.data[0], ref, rtol=1e-10, atol=1e-12)
 
 
 def test_forward_matches_oracle_on_default_sized_config():
     cfg = EncoderConfig(seed=3)
     enc = VisionEncoder(cfg)
     rng = _rng(4)
-    img = rng.random((32, 32))
+    img = rng.random((1, 32, 32))
     e0 = enc.embed_patches(img)
     ps = _random_prompts(cfg, seed=5, sigma=0.3)
-    z, states = enc.encode_image(e0, ps)
-    ref = _numpy_forward(enc, e0, [t.data for t in ps.tokens], [q.data for q in ps.queries])
-    np.testing.assert_allclose(z.data, ref, rtol=1e-10, atol=1e-12)
-    assert len(states) == cfg.layers
-    assert all(s.shape == (cfg.prompt_tokens, cfg.embed_dim) for s in states)
+    z = enc.encode_image(e0, ps)
+    ref = _numpy_forward(enc, e0[0], [t.data for t in ps.tokens], [q.data for q in ps.queries])
+    np.testing.assert_allclose(z.data[0], ref, rtol=1e-10, atol=1e-12)
 
 
 def test_batched_forward_matches_per_sample():
@@ -126,36 +124,36 @@ def test_batched_forward_matches_per_sample():
     rng = _rng(6)
     imgs = rng.random((3, 16, 16))
     ps = _random_prompts(SMALL, seed=7)
-    z_batch, _ = enc.encode_image(enc.embed_patches(imgs), ps)
+    z_batch = enc.encode_image(enc.embed_patches(imgs), ps)
     for i in range(3):
-        z_one, _ = enc.encode_image(enc.embed_patches(imgs[i]), ps)
-        np.testing.assert_allclose(z_batch.data[i], z_one.data, rtol=1e-9, atol=1e-11)
+        z_one = enc.encode_image(enc.embed_patches(imgs[i : i + 1]), ps)
+        np.testing.assert_allclose(z_batch.data[i], z_one.data[0], rtol=1e-9, atol=1e-11)
 
 
 def test_embedding_is_unit_norm_and_deterministic():
     cfg = EncoderConfig(seed=9)
     rng = _rng(8)
-    img = rng.random((32, 32))
+    img = rng.random((1, 32, 32))
     ps = _random_prompts(cfg, seed=10)
-    z1, _ = VisionEncoder(cfg).encode_image(VisionEncoder(cfg).embed_patches(img), ps)
-    z2, _ = VisionEncoder(cfg).encode_image(VisionEncoder(cfg).embed_patches(img), ps)
+    z1 = VisionEncoder(cfg).encode_image(VisionEncoder(cfg).embed_patches(img), ps)
+    z2 = VisionEncoder(cfg).encode_image(VisionEncoder(cfg).embed_patches(img), ps)
     assert abs(np.linalg.norm(z1.data) - 1.0) <= 1e-12
     assert np.array_equal(z1.data, z2.data)
 
 
 def test_zero_image_patch_rows_equal_frozen_bias():
     enc = VisionEncoder(EncoderConfig(seed=12))
-    e0 = enc.embed_patches(np.zeros((32, 32)))
-    assert e0.shape == (16, 32)
-    np.testing.assert_array_equal(e0, np.broadcast_to(enc.backbone.patch_b, (16, 32)))
+    e0 = enc.embed_patches(np.zeros((1, 32, 32)))
+    assert e0.shape == (1, 16, 32)
+    np.testing.assert_array_equal(e0, np.broadcast_to(enc.backbone.patch_b, (1, 16, 32)))
 
 
 def test_patch_embedding_is_affine_in_pixels():
     enc = VisionEncoder(EncoderConfig(seed=13))
     rng = _rng(14)
-    a, b = rng.random((32, 32)), rng.random((32, 32))
+    a, b = rng.random((2, 32, 32)), rng.random((2, 32, 32))
     lhs = enc.embed_patches(a + b)
-    rhs = enc.embed_patches(a) + enc.embed_patches(b) - enc.embed_patches(np.zeros((32, 32)))
+    rhs = enc.embed_patches(a) + enc.embed_patches(b) - enc.embed_patches(np.zeros((2, 32, 32)))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
 
@@ -166,20 +164,20 @@ def test_zero_prompts_match_promptless_pass_under_neutralized_attention():
     for w in backbone.layers:
         w["wv"] = np.zeros_like(w["wv"])  # attention writes nothing back
     enc = VisionEncoder(cfg, backbone=backbone)
-    img = _rng(16).random((16, 16))
+    img = _rng(16).random((1, 16, 16))
     e0 = enc.embed_patches(img)
 
     zero_ps = PromptSet.initialize(cfg, seed=0, sigma=0.0)
-    z_zero, _ = enc.encode_image(e0, zero_ps, cdfp_enabled=False)
+    z_zero = enc.encode_image(e0, zero_ps, cdfp_enabled=False)
     none_cfg = EncoderConfig(**{**cfg.__dict__, "prompt_tokens": 0})
-    z_none, _ = enc.encode_image(e0, PromptSet.initialize(none_cfg, seed=0), cdfp_enabled=False)
+    z_none = enc.encode_image(e0, PromptSet.initialize(none_cfg, seed=0), cdfp_enabled=False)
     np.testing.assert_allclose(z_zero.data, z_none.data, atol=1e-12)
 
     # With generic weights the zero tokens still participate in attention
     # normalization, so the two passes differ.
     enc_full = VisionEncoder(cfg)
-    z_zero_full, _ = enc_full.encode_image(e0, zero_ps, cdfp_enabled=False)
-    z_none_full, _ = enc_full.encode_image(e0, PromptSet.initialize(none_cfg, seed=0), cdfp_enabled=False)
+    z_zero_full = enc_full.encode_image(e0, zero_ps, cdfp_enabled=False)
+    z_none_full = enc_full.encode_image(e0, PromptSet.initialize(none_cfg, seed=0), cdfp_enabled=False)
     assert np.abs(z_zero_full.data - z_none_full.data).max() > 1e-9
 
 
@@ -191,7 +189,7 @@ def test_gradients_flow_only_to_prompt_leaves_and_match_fd():
     probe = rng.standard_normal((2, SMALL.embed_dim))
 
     def loss():
-        z, _ = enc.encode_image(e0, ps)
+        z = enc.encode_image(e0, ps)
         return T.reduce_sum(T.mul(z, Tensor(probe)))
 
     grads = backward(loss())
@@ -202,9 +200,9 @@ def test_gradients_flow_only_to_prompt_leaves_and_match_fd():
 
 def test_queries_get_no_gradient_when_mixing_disabled():
     enc = VisionEncoder(SMALL)
-    e0 = enc.embed_patches(_rng(19).random((16, 16)))
+    e0 = enc.embed_patches(_rng(19).random((1, 16, 16)))
     ps = _random_prompts(SMALL, seed=20)
-    z, _ = enc.encode_image(e0, ps, cdfp_enabled=False)
+    z = enc.encode_image(e0, ps, cdfp_enabled=False)
     grads = backward(T.reduce_sum(z))
     assert all(q not in grads for q in ps.queries)
     assert all(t in grads for t in ps.tokens)
@@ -212,9 +210,9 @@ def test_queries_get_no_gradient_when_mixing_disabled():
 
 def test_single_feature_row_input_is_accepted():
     enc = VisionEncoder(SMALL)
-    feature = _rng(21).standard_normal((1, SMALL.embed_dim))
-    z, _ = enc.encode_image(feature, _random_prompts(SMALL, seed=22))
-    assert z.shape == (SMALL.embed_dim,)
+    feature = _rng(21).standard_normal((1, 1, SMALL.embed_dim))
+    z = enc.encode_image(feature, _random_prompts(SMALL, seed=22))
+    assert z.shape == (1, SMALL.embed_dim)
     assert abs(np.linalg.norm(z.data) - 1.0) <= 1e-12
 
 

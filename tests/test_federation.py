@@ -22,7 +22,6 @@ from fedfairprompt.encoder import (
 )
 from fedfairprompt.federation import (
     ClientShard,
-    EvalBundle,
     FederationError,
     PromptedModel,
     client_stream,
@@ -30,7 +29,6 @@ from fedfairprompt.federation import (
     derive_seed,
     evaluate_prompts,
     fuse_prompts,
-    fuse_uniform,
     fusion_weights,
     load_splits,
     refinement_loss,
@@ -65,9 +63,10 @@ def model(encoder, class_text, enc_cfg):
 
 
 @pytest.fixture(scope="module")
-def val_bundle(encoder):
+def val_split(encoder):
     data = generate_synthetic(SyntheticSpec(n=48, seed=11, spurious_strength=0.0))
-    return EvalBundle(encoder.embed_patches(data.features), data.labels, data.groups)
+    return Dataset(encoder.embed_patches(data.features), data.labels, data.groups,
+                   kind="features")
 
 
 def _prompt_sets(enc_cfg, n, base_seed=100):
@@ -137,7 +136,7 @@ def test_fusion_weights_degenerate_and_invalid():
 def test_fuse_prompts_matches_weighted_sum_oracle(enc_cfg):
     sets = _prompt_sets(enc_cfg, 3)
     scores = [2.0, 1.0, 1.0]
-    fused = fuse_prompts(sets, scores).to_arrays()
+    fused = fuse_prompts(sets, fusion_weights(scores)).to_arrays()
     weights = np.asarray(scores) / 4.0
     for name in sets[0].to_arrays():
         oracle = sum(w * ps.to_arrays()[name] for w, ps in zip(weights, sets))
@@ -147,7 +146,7 @@ def test_fuse_prompts_matches_weighted_sum_oracle(enc_cfg):
 def test_fused_prompts_stay_in_client_envelope(enc_cfg):
     sets = _prompt_sets(enc_cfg, 4)
     rng = np.random.Generator(np.random.PCG64(9))
-    fused = fuse_prompts(sets, rng.uniform(0.1, 2.0, size=4)).to_arrays()
+    fused = fuse_prompts(sets, fusion_weights(rng.uniform(0.1, 2.0, size=4))).to_arrays()
     for name in fused:
         stack = np.stack([ps.to_arrays()[name] for ps in sets])
         lo, hi = stack.min(axis=0), stack.max(axis=0)
@@ -155,31 +154,23 @@ def test_fused_prompts_stay_in_client_envelope(enc_cfg):
         assert np.all(fused[name] <= hi + 1e-12), name
 
 
-def test_fuse_uniform_equals_equal_scores(enc_cfg):
-    sets = _prompt_sets(enc_cfg, 3)
-    uniform = fuse_uniform(sets).to_arrays()
-    equal = fuse_prompts(sets, [0.7, 0.7, 0.7]).to_arrays()
-    for name in uniform:
-        assert np.max(np.abs(uniform[name] - equal[name])) <= 1e-12, name
-
-
 def test_fuse_prompts_validates_inputs(enc_cfg):
     sets = _prompt_sets(enc_cfg, 2)
     with pytest.raises(ValueError, match="no prompt sets"):
         fuse_prompts([], [])
-    with pytest.raises(ValueError, match="scores"):
+    with pytest.raises(ValueError, match="weights"):
         fuse_prompts(sets, [1.0])
     other = PromptSet.initialize(
         dataclasses.replace(enc_cfg, prompt_tokens=3), seed=0
     )
     with pytest.raises(ValueError, match="shape"):
-        fuse_prompts([sets[0], other], [1.0, 1.0])
+        fuse_prompts([sets[0], other], [0.5, 0.5])
 
 
 def test_fuse_prompts_leaves_inputs_untouched(enc_cfg):
     sets = _prompt_sets(enc_cfg, 2)
     before = [ps.to_arrays() for ps in sets]
-    fuse_prompts(sets, [1.0, 3.0])
+    fuse_prompts(sets, [0.25, 0.75])
     for ps, snap in zip(sets, before):
         after = ps.to_arrays()
         assert all(np.array_equal(after[k], snap[k]) for k in snap)
@@ -201,9 +192,9 @@ def test_score_from_record_floors_at_zero():
     assert score_from_record(rec, "eq") == 0.0
 
 
-def test_evaluate_prompts_f_global_is_single_client_aggregate(model, val_bundle, enc_cfg):
+def test_evaluate_prompts_f_global_is_single_client_aggregate(model, val_split, enc_cfg):
     prompts = PromptSet.initialize(enc_cfg, seed=4)
-    record, conf = evaluate_prompts(model, prompts, val_bundle)
+    record, conf = evaluate_prompts(model, prompts, val_split)
     value, excluded = eod_global([conf])
     assert record.f_global == value
     assert excluded == []
@@ -213,7 +204,7 @@ def test_evaluate_prompts_f_global_is_single_client_aggregate(model, val_bundle,
 # local update
 
 
-def test_client_update_is_pure_and_deterministic(model, val_bundle, enc_cfg):
+def test_client_update_is_pure_and_deterministic(model, val_split, enc_cfg):
     data = generate_synthetic(SyntheticSpec(n=24, seed=31))
     shard = ClientShard(2, model.encoder.embed_patches(data.features), data.labels, data.groups)
     prompts = PromptSet.initialize(enc_cfg, seed=6)
@@ -222,7 +213,7 @@ def test_client_update_is_pure_and_deterministic(model, val_bundle, enc_cfg):
 
     def go():
         return client_update(
-            shard, model, prompts, val_bundle, client_stream(0, 1, shard.client_id), config
+            shard, model, prompts, val_split, client_stream(0, 1, shard.client_id), config
         )
 
     (first, record, conf), (second, _, _) = go(), go()
@@ -230,7 +221,7 @@ def test_client_update_is_pure_and_deterministic(model, val_bundle, enc_cfg):
     assert all(np.array_equal(a[k], b[k]) for k in a)
     assert all(np.array_equal(prompts.to_arrays()[k], before[k]) for k in before)
     assert any(not np.array_equal(a[k], before[k]) for k in a)
-    oracle_record, oracle_conf = evaluate_prompts(model, first, val_bundle)
+    oracle_record, oracle_conf = evaluate_prompts(model, first, val_split)
     assert record == oracle_record
     assert np.array_equal(conf.counts, oracle_conf.counts)
 
@@ -255,7 +246,7 @@ def test_refinement_loss_gradients_reach_all_prompt_parameters():
     prompts = PromptSet.initialize(cfg, seed=8)
     subspace = build_subspace(
         encoder, build_prompt_templates("smiling", "gender").group_templates,
-        k=1, attribute="gender",
+        k=1,
     )
 
     model = PromptedModel(encoder, class_text, cfg.temperature, subspace=subspace)
@@ -283,10 +274,10 @@ def _refine_config(**over):
     return Config(**base)
 
 
-def test_server_refine_zero_steps_is_copy(model, val_bundle, enc_cfg):
+def test_server_refine_zero_steps_is_copy(model, val_split, enc_cfg):
     prompts = PromptSet.initialize(enc_cfg, seed=5)
     out = server_refine(
-        model, prompts, val_bundle, np.random.Generator(np.random.PCG64(0)),
+        model, prompts, val_split, np.random.Generator(np.random.PCG64(0)),
         _refine_config(refine_steps=0),
     )
     assert out is not prompts
@@ -294,12 +285,12 @@ def test_server_refine_zero_steps_is_copy(model, val_bundle, enc_cfg):
     assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
-def test_server_refine_deterministic_and_moves_prompts(model, val_bundle, enc_cfg):
+def test_server_refine_deterministic_and_moves_prompts(model, val_split, enc_cfg):
     prompts = PromptSet.initialize(enc_cfg, seed=5)
 
     def go():
         return server_refine(
-            model, prompts, val_bundle, np.random.Generator(np.random.PCG64(42)),
+            model, prompts, val_split, np.random.Generator(np.random.PCG64(42)),
             _refine_config(refine_steps=3, refine_batch=16),
         ).to_arrays()
 
@@ -309,19 +300,19 @@ def test_server_refine_deterministic_and_moves_prompts(model, val_bundle, enc_cf
     assert any(not np.array_equal(first[k], original[k]) for k in first)
 
 
-def test_server_refine_reduces_its_objective(model, val_bundle, enc_cfg):
+def test_server_refine_reduces_its_objective(model, val_split, enc_cfg):
     prompts = PromptSet.initialize(enc_cfg, seed=5)
 
     def objective(ps):
         return float(
             refinement_loss(
-                model, ps, val_bundle.features, val_bundle.labels, val_bundle.groups,
+                model, ps, val_split.features, val_split.labels, val_split.groups,
                 lam2=1.0,
             ).data
         )
 
     refined = server_refine(
-        model, prompts, val_bundle, np.random.Generator(np.random.PCG64(7)),
+        model, prompts, val_split, np.random.Generator(np.random.PCG64(7)),
         _refine_config(refine_steps=25, refine_lr=5e-3, refine_batch=48),
     )
     assert objective(refined) < objective(prompts)

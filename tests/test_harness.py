@@ -107,7 +107,7 @@ def test_preset_registry_shape():
 
 def test_unknown_preset_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown preset"):
-        run_preset("table9", out_dir=str(tmp_path))
+        run_preset("table9", Config(out_dir=str(tmp_path)))
 
 
 def test_axes_cover_spec_set():

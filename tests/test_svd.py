@@ -18,7 +18,6 @@ def test_axis_aligned_rows_frozen_values():
     basis = top_right_singular_vectors(m, k=2)
     np.testing.assert_allclose(basis.vectors, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-12)
     np.testing.assert_allclose(basis.singular_values, [3.0, 2.0], rtol=1e-12)
-    assert basis.completed == 0
 
 
 def test_duplicated_unit_row_gives_that_direction():
@@ -78,16 +77,14 @@ def test_singular_values_descend():
     assert np.all(np.diff(basis.singular_values) <= 1e-12)
 
 
-def test_rank_deficient_input_completes_orthonormally_and_flags():
+def test_k_beyond_numerical_rank_is_rejected():
     m = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])  # rank 1
-    basis = top_right_singular_vectors(m, k=2)
-    assert basis.completed == 1
+    basis = top_right_singular_vectors(m, k=1)
     np.testing.assert_allclose(basis.vectors[0], [1.0, 0.0, 0.0], atol=1e-12)
-    assert basis.singular_values[1] == 0.0
-    gram = basis.vectors @ basis.vectors.T
-    np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
-    # Completed row is orthogonal to the data row space.
-    assert abs(basis.vectors[1] @ m[0]) < 1e-12
+    with pytest.raises(ValueError, match="numerical rank 1"):
+        top_right_singular_vectors(m, k=2)
+    with pytest.raises(ValueError, match="numerical rank 0"):
+        top_right_singular_vectors(np.zeros((2, 3)), k=1)
 
 
 def test_input_validation():
