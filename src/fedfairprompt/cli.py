@@ -22,41 +22,29 @@ from .metrics import METRIC_NAMES
 
 __all__ = ["main"]
 
-# CLI flag name -> Config field name
-_FLAG_FIELDS = (
-    ("seed", "master_seed"),
-    ("out", "out_dir"),
-    ("method", "method"),
-    ("alpha", "alpha"),
-    ("clients", "clients"),
-    ("rounds", "rounds"),
-    ("mu", "mu"),
-    ("lambda1", "lambda1"),
-    ("k", "subspace_rank"),
+# (CLI flag, Config field, help text)
+_FLAGS = (
+    ("seed", "master_seed", "master seed for every derived stream"),
+    ("out", "out_dir", "output directory"),
+    ("method", "method", "training method (fvlfp, fedavg_baseline, wo-cdfp, wo-dsop, wo-fpf)"),
+    ("alpha", "alpha", "Dirichlet concentration for the client partition"),
+    ("clients", "clients", "number of federated clients"),
+    ("rounds", "rounds", "federation rounds"),
+    ("mu", "mu", "hinge margin of the group-neutrality regularizer"),
+    ("lambda1", "lambda1", "weight of the fairness term in the local loss"),
+    ("k", "subspace_rank", "demographic subspace rank"),
 )
-
-_FLAG_HELP = {
-    "seed": "master seed for every derived stream",
-    "out": "output directory",
-    "method": "training method (fvlfp, fedavg_baseline, wo-cdfp, wo-dsop, wo-fpf)",
-    "alpha": "Dirichlet concentration for the client partition",
-    "clients": "number of federated clients",
-    "rounds": "federation rounds",
-    "mu": "hinge margin of the group-neutrality regularizer",
-    "lambda1": "weight of the fairness term in the local loss",
-    "k": "demographic subspace rank",
-}
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
-    for flag, _field in _FLAG_FIELDS:
-        parser.add_argument(f"--{flag}", metavar="V", help=_FLAG_HELP[flag])
+    for flag, _field, text in _FLAGS:
+        parser.add_argument(f"--{flag}", metavar="V", help=text)
 
 
 def _build_config(args: argparse.Namespace) -> Config:
     overrides = {}
-    for flag, field in _FLAG_FIELDS:
+    for flag, field, _text in _FLAGS:
         raw = getattr(args, flag)
         if raw is not None:
             overrides[field] = parse_value(field, raw)

@@ -19,30 +19,17 @@ __all__ = ["contextualize", "gap_weights", "gap_pool", "apply_cross_layer"]
 
 def contextualize(prompt_state: Tensor) -> Tensor:
     """Mean over the K token rows of one prompt block: (K, d) -> (d,)."""
-    if prompt_state.ndim != 2 or prompt_state.shape[0] < 1:
-        raise ValueError(f"need a (K>=1, d) prompt block, got {prompt_state.shape}")
     return T.reduce_mean(prompt_state, axis=0)
 
 
 def gap_weights(query: Tensor, contexts: list[Tensor]) -> Tensor:
     """Softmax attention of one query over per-layer context vectors."""
-    if not contexts:
-        raise ValueError("gap_weights needs at least one context")
-    if query.ndim != 1:
-        raise ValueError(f"query must be a vector, got shape {query.shape}")
-    for c in contexts:
-        if c.shape != query.shape:
-            raise ValueError(f"context shape {c.shape} != query shape {query.shape}")
     logits = T.stack([T.dot(query, c) for c in contexts], axis=0)
     return T.softmax(logits, axis=0)
 
 
 def gap_pool(weights: Tensor, history: list[Tensor]) -> Tensor:
     """Convex combination of earlier prompt blocks: sum_i w_i * P_i."""
-    if weights.ndim != 1 or len(history) != weights.shape[0]:
-        raise ValueError(
-            f"need one weight per history entry, got {weights.shape} for {len(history)} entries"
-        )
     stacked = T.stack(history, axis=0)  # (n, K, d)
     w = T.reshape(weights, (weights.shape[0], 1, 1))
     return T.reduce_sum(T.mul(stacked, w), axis=0)
@@ -50,8 +37,5 @@ def gap_pool(weights: Tensor, history: list[Tensor]) -> Tensor:
 
 def apply_cross_layer(tokens: Tensor, history: list[Tensor], query: Tensor) -> Tensor:
     """Residual update: tokens + gated pooling of the earlier blocks."""
-    for h in history:
-        if h.shape != tokens.shape:
-            raise ValueError(f"history block {h.shape} != token block {tokens.shape}")
     weights = gap_weights(query, [contextualize(h) for h in history])
     return T.add(tokens, gap_pool(weights, history))

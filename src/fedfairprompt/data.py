@@ -147,18 +147,6 @@ class SyntheticSpec:
     minority_attenuation: float = 0.5
     group_cue_rotation: float = 0.0
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0.0 <= self.spurious_strength <= 1.0:
-            raise ValueError("spurious_strength must lie in [0, 1]")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
-        if not 0.0 <= self.minority_attenuation < 1.0:
-            raise ValueError("minority_attenuation must lie in [0, 1)")
-        if not 0.0 <= self.group_cue_rotation <= 1.0:
-            raise ValueError("group_cue_rotation must lie in [0, 1]")
-
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic biased dataset from the spec alone.
@@ -201,22 +189,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint covering index shards, one per client."""
+    """Disjoint, non-empty, covering index shards, one per client."""
 
     shards: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        shards = tuple(np.asarray(s, dtype=np.int64) for s in self.shards)
-        seen: set[int] = set()
-        for s in shards:
-            if s.size == 0:
-                raise ValueError("empty shard")
-            ids = set(int(i) for i in s)
-            if seen & ids:
-                raise ValueError("overlapping shards")
-            seen |= ids
-            s.setflags(write=False)
-        object.__setattr__(self, "shards", shards)
 
 
 def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:
@@ -238,14 +213,9 @@ def dirichlet_partition(dataset: Dataset, n_clients: int, alpha: float,
     Every cell's client proportions are drawn independently, so low
     concentrations skew label and group composition simultaneously.
     Counts are rounded by largest remainder; an empty shard is repaired
-    by taking one sample from the currently largest shard.
+    by taking one sample from the currently largest shard. Needs
+    ``alpha > 0`` and ``1 <= n_clients <= len(dataset)``.
     """
-    if n_clients < 1:
-        raise ValueError("n_clients must be >= 1")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if n_clients > len(dataset):
-        raise ValueError(f"cannot split {len(dataset)} samples across {n_clients} clients")
     rng = np.random.Generator(np.random.PCG64(seed))
     shards: list[list[int]] = [[] for _ in range(n_clients)]
     for y in (0, 1):
@@ -272,10 +242,9 @@ def dirichlet_partition(dataset: Dataset, n_clients: int, alpha: float,
 def balanced_test_sample(dataset: Dataset, size: int, seed: int) -> np.ndarray:
     """Equal-count per (label, group) cell sample, without replacement.
 
-    Returns sorted indices into ``dataset``.
+    ``size`` is a positive multiple of 4. Returns sorted indices into
+    ``dataset``.
     """
-    if size < 4 or size % 4 != 0:
-        raise ValueError(f"size {size} not divisible across 4 (label, group) cells")
     per_cell = size // 4
     rng = np.random.Generator(np.random.PCG64(seed))
     chosen: list[np.ndarray] = []

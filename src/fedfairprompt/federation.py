@@ -218,29 +218,22 @@ def _fit(model: PromptedModel, prompts: PromptSet, steps, lr: float, who: str) -
 
     ``steps`` is read lazily: each ``loss_fn`` runs before the next item
     is drawn, so a generator may draw its batches from a stream in step
-    order. Moments start fresh. A non-finite loss or gradient raises a
-    FederationError naming ``who`` and, for the loss, ``where``.
+    order. Moments start fresh. A non-finite value in the loss or its
+    gradient raises a FederationError naming ``who`` and ``where``.
     """
     trainable = model.trainable(prompts)
     opt_state = adamw_init({k: p.data for k, p in trainable.items()})
     for where, loss_fn in steps:
         try:
-            loss = loss_fn()
+            reached = T.backward(loss_fn())
         except NonFiniteError as exc:
             raise FederationError(f"{who}: {exc} {where}") from None
-        if not np.isfinite(loss.data):
-            raise FederationError(f"{who}: non-finite loss {where}")
-        reached = T.backward(loss)
-        grads = {k: reached[p] for k, p in trainable.items()}
-        try:
-            arrays, opt_state = adamw_step(
-                {k: p.data for k, p in trainable.items()}, grads, opt_state, lr=lr
-            )
-        except FloatingPointError as exc:
-            raise FederationError(f"{who}: {exc}") from None
+        arrays, opt_state = adamw_step(
+            {k: p.data for k, p in trainable.items()},
+            {k: reached[p] for k, p in trainable.items()}, opt_state, lr=lr,
+        )
         for name, p in trainable.items():
             p.data = arrays[name]
-            p.grad = None
 
 
 def client_update(
@@ -258,8 +251,8 @@ def client_update(
     on the shared validation split. Returns the tuned prompts with
     their validation record and confusion. Optimizer moments start
     fresh each round: they describe the previous local trajectory,
-    which fusion has invalidated. A non-finite loss or gradient aborts
-    the round.
+    which fusion has invalidated. A non-finite value in the loss or its
+    gradient aborts the round.
     """
     prompts = prompts.copy()
     targets = model.class_text[shard.labels]
@@ -301,15 +294,9 @@ def fuse_prompts(prompt_sets: list[PromptSet], weights) -> PromptSet:
         raise ValueError("no prompt sets to fuse")
     if len(weights) != len(prompt_sets):
         raise ValueError(f"{len(prompt_sets)} prompt sets but {len(weights)} weights")
-    base = prompt_sets[0].to_arrays()
-    fused = {name: weights[0] * arr for name, arr in base.items()}
+    fused = {name: weights[0] * arr for name, arr in prompt_sets[0].to_arrays().items()}
     for w, ps in zip(weights[1:], prompt_sets[1:]):
-        arrays = ps.to_arrays()
-        if arrays.keys() != base.keys():
-            raise ValueError("prompt sets disagree on parameter names")
-        for name, arr in arrays.items():
-            if arr.shape != base[name].shape:
-                raise ValueError(f"prompt sets disagree on shape of '{name}'")
+        for name, arr in ps.to_arrays().items():
             fused[name] = fused[name] + w * arr
     out = prompt_sets[0].copy()
     out.load_arrays(fused)
@@ -498,19 +485,15 @@ def run_federation(config: Config) -> FairnessReport:
             scores = [
                 score_from_record(rec, config.bias_metric) for rec in client_records
             ]
-            try:
-                weights = fusion_weights(scores if config.fpf_enabled else [1.0] * len(shards))
-                global_prompts = fuse_prompts(client_prompts, weights)
-            except ValueError as exc:
-                raise FederationError(f"round {round_index}: {exc}") from None
+            weights = fusion_weights(scores if config.fpf_enabled else [1.0] * len(shards))
+            global_prompts = fuse_prompts(client_prompts, weights)
             if config.fpf_enabled:
                 rng = _stream(config.master_seed, _SEED_REFINE, round_index)
                 global_prompts = server_refine(model, global_prompts, val, rng, config)
             global_eval, _ = evaluate_prompts(model, global_prompts, test)
-            try:
-                cross_f, excluded = eod_global(client_confs)
-            except ValueError as exc:
-                raise FederationError(f"round {round_index}: {exc}") from None
+            cross_f, excluded = eod_global(client_confs)
+            if encoder.backbone_hash() != backbone_hash:
+                raise FederationError("frozen backbone hash changed")
             rounds.append(
                 RoundRecord(
                     round=round_index,
@@ -521,14 +504,9 @@ def run_federation(config: Config) -> FairnessReport:
                     f_global_excluded=excluded,
                 )
             )
-            if encoder.backbone_hash() != backbone_hash:
-                raise FederationError(f"round {round_index}: frozen backbone hash changed")
-    except FederationError as exc:
-        failure = str(exc)
-    except NonFiniteError as exc:
-        # overflow escaping a kernel outside the loss checks, e.g. during
-        # evaluation of already-diverged prompts
-        failure = str(exc)
+    except (FederationError, NonFiniteError, ValueError) as exc:
+        # every in-round failure ends the run with the finished rounds kept
+        failure = f"round {round_index}: {exc}"
     return FairnessReport(
         config=config,
         backbone_hash=backbone_hash,

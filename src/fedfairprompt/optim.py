@@ -47,12 +47,10 @@ def adamw_step(
 ) -> tuple[Params, AdamWState]:
     """One optimizer step; returns (new params, new state).
 
-    Raises on missing/extra gradient keys and on non-finite gradients:
-    silently skipping a NaN update would desynchronize clients.
+    ``grads`` holds one finite gradient of each parameter's shape under
+    the same keys; the caller builds it from the same dict and the
+    backward sweep has already rejected non-finite values.
     """
-    if set(params) != set(grads):
-        missing = set(params) ^ set(grads)
-        raise KeyError(f"param/grad key mismatch: {sorted(missing)}")
     t = state.step + 1
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
@@ -61,10 +59,6 @@ def adamw_step(
     new_v: Params = {}
     for key, p in params.items():
         g = np.asarray(grads[key], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for '{key}'")
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for '{key}'")
         m = beta1 * state.m[key] + (1.0 - beta1) * g
         v = beta2 * state.v[key] + (1.0 - beta2) * (g * g)
         m_hat = m / bc1

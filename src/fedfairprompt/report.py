@@ -48,21 +48,6 @@ class RoundRecord:
     global_record: MetricRecord
     f_global_excluded: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        n = len(self.client_records)
-        if len(self.scores) != n or len(self.weights) != n:
-            raise ValueError(
-                f"round {self.round}: {n} client records need {n} scores and weights"
-            )
-        if self.round < 0:
-            raise ValueError("round index must be >= 0")
-        if self.weights:
-            total = sum(self.weights)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"round {self.round}: weights sum to {total!r}, not 1")
-            if min(self.weights) < 0.0:
-                raise ValueError(f"round {self.round}: negative fusion weight")
-
 
 @dataclass
 class FairnessReport:
@@ -74,22 +59,9 @@ class FairnessReport:
     incomplete: bool = False
     failure: str = ""
 
-    def __post_init__(self):
-        for i, rec in enumerate(self.rounds):
-            if rec.round != i:
-                raise ValueError(
-                    f"rounds must be contiguous from 0; position {i} holds round {rec.round}"
-                )
-
     @property
     def config_hash(self) -> str:
         return config_hash(self.config)
-
-    @property
-    def final_record(self) -> MetricRecord:
-        if not self.rounds:
-            raise ValueError("empty report")
-        return self.rounds[-1].global_record
 
     def summary_records(self) -> list[MetricRecord]:
         """Global records inside the trailing summary window.

@@ -82,17 +82,15 @@ class Tensor:
     """Node of the implicit computation graph.
 
     Leaves are built directly; interior nodes are produced by kernels
-    and carry a vector-Jacobian closure. ``grad`` is populated (for
-    trainable leaves only) by :func:`backward`.
+    and carry a vector-Jacobian closure.
     """
 
-    __slots__ = ("data", "grad", "trainable", "needs_grad", "parents", "vjp", "name")
+    __slots__ = ("data", "trainable", "needs_grad", "parents", "vjp", "name")
 
     def __init__(self, data, trainable: bool = False, name: str = ""):
         arr = np.asarray(data, dtype=np.float64)
         _ensure_finite(arr, f"tensor '{name}'" if name else "tensor")
         self.data = arr
-        self.grad: np.ndarray | None = None
         self.trainable = bool(trainable)
         self.needs_grad = self.trainable
         self.parents: tuple[Tensor, ...] = ()
@@ -133,7 +131,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str,
         _ensure_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     out.trainable = False
     out.name = ""
     if _grad_enabled and any(p.needs_grad for p in parents):
@@ -163,9 +160,9 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep from a scalar output.
 
     Returns a mapping from each reachable trainable leaf to its
-    gradient, and stores the same array on ``leaf.grad``. Gradients of
-    frozen tensors are absent by construction. Raises if ``output`` is
-    not scalar or if any accumulated gradient is non-finite.
+    gradient. Gradients of frozen tensors are absent by construction.
+    Raises if ``output`` is not scalar or if any accumulated gradient
+    is non-finite.
     """
     if output.data.size != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.shape}")
@@ -200,7 +197,6 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
                 grads[id(parent)] = pg if slot is None else slot + pg
         elif node.trainable:
             leaves[node] = g
-            node.grad = g
     return leaves
 
 

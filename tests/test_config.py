@@ -128,6 +128,7 @@ def test_parse_value_bool_words():
         ("noise_sigma", -0.1),
         ("spurious_strength", 1.5),
         ("minority_attenuation", 1.0),
+        ("group_cue_rotation", 1.01),
         ("prompt_tokens", 0),
     ],
 )

@@ -7,6 +7,7 @@ import pytest
 
 from fedfairprompt import tensor as T
 from fedfairprompt.crosslayer import apply_cross_layer, contextualize, gap_pool, gap_weights
+from fedfairprompt.encoder import EncoderConfig, PromptSet, VisionEncoder
 from fedfairprompt.tensor import Tensor, backward
 from gradcheck import assert_grads_match
 
@@ -19,8 +20,6 @@ def test_contextualize_is_row_mean():
     block = _rng(0).standard_normal((3, 5))
     got = contextualize(Tensor(block)).data
     np.testing.assert_allclose(got, block.mean(axis=0), rtol=1e-13)
-    with pytest.raises(ValueError):
-        contextualize(Tensor(np.zeros(5)))
 
 
 def test_gap_weights_sum_to_one_and_stay_positive():
@@ -105,12 +104,16 @@ def test_gradients_reach_query_tokens_and_history():
 
 
 def test_shape_validation():
-    q = Tensor(np.zeros(4))
-    with pytest.raises(ValueError):
-        gap_weights(q, [])
-    with pytest.raises(ValueError):
-        gap_weights(q, [Tensor(np.zeros(5))])
-    with pytest.raises(ValueError):
-        gap_pool(Tensor(np.ones(2) / 2.0), [Tensor(np.zeros((1, 4)))])
-    with pytest.raises(ValueError):
-        apply_cross_layer(Tensor(np.zeros((2, 4))), [Tensor(np.zeros((3, 4)))], q)
+    # the mixing trusts its shapes: PromptSet fixes the block and query
+    # shapes, and encode_image matches the prompt set to the encoder
+    block = Tensor(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="share one shape"):
+        PromptSet(tokens=[block, Tensor(np.zeros((3, 4)))], queries=[Tensor(np.zeros(4))])
+    with pytest.raises(ValueError, match="query shape"):
+        PromptSet(tokens=[block, block], queries=[Tensor(np.zeros(5))])
+    with pytest.raises(ValueError, match="queries"):
+        PromptSet(tokens=[block, block], queries=[])
+    cfg = EncoderConfig(embed_dim=8, layers=2, heads=2, image_size=16, patch_size=8)
+    other = PromptSet.initialize(EncoderConfig(embed_dim=8, layers=3, heads=2), seed=0)
+    with pytest.raises(ValueError, match="does not match"):
+        VisionEncoder(cfg).encode_image(np.zeros((1, 4, 8)), other)

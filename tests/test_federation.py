@@ -7,10 +7,13 @@ finite-difference oracle.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fedfairprompt import federation
+from fedfairprompt import tensor as T
 from fedfairprompt.config import Config
 from fedfairprompt.data import Dataset, SyntheticSpec, generate_synthetic, save_embeddings
 from fedfairprompt.debias import build_subspace
@@ -367,9 +370,39 @@ def test_methods_disagree_once_trained():
 def test_non_finite_loss_becomes_flagged_failure():
     rep = run_federation(_tiny_config(lr=1e18, rounds=3))
     assert rep.incomplete
-    assert "non-finite" in rep.failure or "client" in rep.failure
+    assert rep.failure.startswith("round ") and "client " in rep.failure
     # partial rounds are kept, contiguous from 0
     assert [r.round for r in rep.rounds] == list(range(len(rep.rounds)))
+
+
+def test_non_finite_gradient_names_client_and_step(enc_cfg):
+    prompts = PromptSet.initialize(enc_cfg, seed=0)
+    stub = SimpleNamespace(trainable=lambda ps: ps.parameters())
+    leaf = prompts.tokens[0]
+
+    def loss():
+        # finite forward (about leaf * 1e100); backward overflows to 1e400
+        return T.reduce_sum(T.scale(T.scale(T.mul(leaf, 1e-300), 1e200), 1e200))
+
+    with pytest.raises(FederationError, match=r"^client 7: .*gradient.* at step 3$"):
+        federation._fit(stub, prompts, [("at step 3", loss)], 1e-3, "client 7")
+
+
+def test_any_in_round_error_keeps_finished_rounds(monkeypatch):
+    calls = []
+    refine = federation.server_refine
+
+    def failing_refine(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("injected")
+        return refine(*args)
+
+    monkeypatch.setattr(federation, "server_refine", failing_refine)
+    rep = run_federation(_tiny_config(rounds=3))
+    assert rep.incomplete
+    assert [r.round for r in rep.rounds] == [0, 1]
+    assert rep.failure == "round 2: injected"
 
 
 # ---------------------------------------------------------------------------

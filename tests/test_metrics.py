@@ -12,7 +12,6 @@ import pytest
 
 from fedfairprompt.metrics import (
     GroupConfusion,
-    MetricRecord,
     accuracy_gap,
     balanced_accuracy,
     confusion_by_group,
@@ -312,13 +311,3 @@ def test_metrics_stay_in_declared_ranges():
         assert 0.0 <= demographic_parity(conf) <= 1.0
         assert 0.0 <= equalized_odds(conf) <= 1.0
         assert 0.0 <= accuracy_gap(conf) <= 2.0
-
-
-def test_metric_record_validates_ranges():
-    MetricRecord(a_b=0.9, phi_a=1.5, phi_demo=0.2, phi_eq=0.1, f_global=0.0)
-    with pytest.raises(ValueError):
-        MetricRecord(a_b=1.1, phi_a=0.0, phi_demo=0.0, phi_eq=0.0, f_global=0.0)
-    with pytest.raises(ValueError):
-        MetricRecord(a_b=0.5, phi_a=2.5, phi_demo=0.0, phi_eq=0.0, f_global=0.0)
-    with pytest.raises(ValueError):
-        MetricRecord(a_b=0.5, phi_a=0.0, phi_demo=-0.1, phi_eq=0.0, f_global=0.0)

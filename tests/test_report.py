@@ -53,33 +53,6 @@ def _report(n_rounds=3, phi_eqs=None):
 # container invariants
 
 
-def test_rounds_must_be_contiguous_from_zero():
-    with pytest.raises(ValueError, match="contiguous"):
-        FairnessReport(config=Config(), backbone_hash="x",
-                       rounds=[_round(1)])
-
-
-def test_weights_must_sum_to_one():
-    with pytest.raises(ValueError, match="sum"):
-        RoundRecord(round=1, client_records=[_record(), _record()],
-                    scores=[0.5, 0.5], weights=[0.6, 0.6],
-                    global_record=_record())
-
-
-def test_negative_weight_rejected():
-    with pytest.raises(ValueError, match="negative"):
-        RoundRecord(round=1, client_records=[_record(), _record()],
-                    scores=[0.5, 0.5], weights=[1.2, -0.2],
-                    global_record=_record())
-
-
-def test_score_weight_length_mismatch_rejected():
-    with pytest.raises(ValueError, match="scores and weights"):
-        RoundRecord(round=1, client_records=[_record()],
-                    scores=[1.0, 1.0], weights=[1.0],
-                    global_record=_record())
-
-
 def test_config_hash_property_matches_function():
     rep = _report()
     assert rep.config_hash == config_hash(rep.config)
