@@ -7,6 +7,14 @@ a :class:`PromptSet`: one (K, d) prompt block per transformer layer
 plus the per-layer mixing queries. Each layer's input prompt slice is
 its own block (the blocks written by the transformer itself are not
 re-fed), optionally refined by the cross-layer residual before entry.
+
+A block's input sequence is laid out as [K prompt rows, CLS, J patch
+rows]. Keys and values come from every row, but each block computes
+queries, the output projection and the MLP only for the rows the next
+step reads: CLS and the patch rows in blocks 1..L-1, CLS alone in the
+last block. The prompt rows a block would write are never computed,
+so the splice into the next block is one concat of the new prompt
+block onto the kept rows.
 """
 
 from __future__ import annotations
@@ -255,7 +263,7 @@ class VisionEncoder:
         # attention scale is folded into the query weights once, and
         # all-zero bias vectors are marked so their adds can be skipped.
         head_dim = config.embed_dim // config.heads
-        self._cls_row = Tensor((b.cls + b.pos[0]).reshape(1, -1))
+        self._cls_row = (b.cls + b.pos[0]).reshape(1, -1)
         self._patch_pos = b.pos[1:]
         self._layer_consts = []
         self._bias_nonzero = []
@@ -310,31 +318,31 @@ class VisionEncoder:
 
     # -- prompt-threaded image forward ---------------------------------
 
-    def _transformer_layer(self, seq: Tensor, idx: int) -> Tensor:
-        cfg = self.config
-        w = self._layer_consts[idx]
-        batch, length, d = seq.shape
-        heads, head_dim = cfg.heads, d // cfg.heads
+    def _block(self, seq: Tensor, idx: int, start: int, stop: int) -> Tensor:
+        """One pre-LN transformer block that returns only rows [start, stop).
 
+        Keys and values come from every row of ``seq``; the queries, the
+        output projection with its residual, LN2 and the MLP are
+        computed for the returned rows alone.
+        """
+        w = self._layer_consts[idx]
+        heads = self.config.heads
         h = T.layernorm(seq, w["ln1_g"], w["ln1_b"])
-        q = T.matmul(h, w["wq_scaled"])  # attention scale pre-folded
-        k = T.matmul(h, w["wk"])
-        v = T.matmul(h, w["wv"])
-        split = lambda x: T.swap_axes(T.reshape(x, (batch, length, heads, head_dim)), 1, 2)
-        q4, k4, v4 = split(q), split(k), split(v)
+        k4 = T.project_heads(h, w["wk"], heads)
+        v4 = T.project_heads(h, w["wv"], heads)
+        # The attention scale is pre-folded into the query weights.
+        q4 = T.project_heads(T.slice_axis(h, 1, start, stop), w["wq_scaled"], heads)
         attn = T.softmax(T.matmul(q4, T.swap_axes(k4, 2, 3)), axis=-1)
-        ctx = T.reshape(T.swap_axes(T.matmul(attn, v4), 1, 2), (batch, length, d))
-        seq = T.add(seq, T.matmul(ctx, w["wo"]))
+        rows = T.add(T.slice_axis(seq, 1, start, stop), T.merge_heads(T.matmul(attn, v4), w["wo"]))
 
         b1_nonzero, b2_nonzero = self._bias_nonzero[idx]
-        h2 = T.layernorm(seq, w["ln2_g"], w["ln2_b"])
-        inner = T.matmul(h2, w["w1"])
+        inner = T.matmul(T.layernorm(rows, w["ln2_g"], w["ln2_b"]), w["w1"])
         if b1_nonzero:
             inner = T.add(inner, w["b1"])
         mlp = T.matmul(T.gelu(inner), w["w2"])
         if b2_nonzero:
             mlp = T.add(mlp, w["b2"])
-        return T.add(seq, mlp)
+        return T.add(rows, mlp)
 
     def encode_image(
         self,
@@ -349,6 +357,13 @@ class VisionEncoder:
         row count matches the configured patch grid; ingested single-row
         feature datasets carry no spatial layout. Returns the (B, d)
         unit-norm image embeddings.
+
+        Block l reads [K prompt rows, CLS, J patch rows]: its prompt
+        rows are ``prompts.tokens[l - 1]`` (mixed across layers when
+        CDFP is on), and the rest is the previous block's output. Keys
+        and values come from all K + 1 + J rows. Queries and the MLP
+        run only on the rows the next step reads: CLS and the patch
+        rows in blocks 1..L-1, CLS alone in block L.
         """
         cfg = self.config
         data = np.asarray(e0, dtype=np.float64)
@@ -363,29 +378,22 @@ class VisionEncoder:
         if width == cfg.patch_count:
             data = data + self._patch_pos
         k = prompts.token_count
-
-        cls_rows = Tensor(np.broadcast_to(self._cls_row.data, (batch, 1, cfg.embed_dim)).copy())
-        patches = Tensor(data)
         mix = cdfp_enabled and k > 0
 
+        # The CLS and patch rows: everything but the prompt block.
+        cls_rows = np.broadcast_to(self._cls_row, (batch, 1, cfg.embed_dim))
+        state = Tensor(np.concatenate([cls_rows, data], axis=1))
         used = prompts.tokens[0]
         history = [used]
-        seq = T.concat([cls_rows, T.tile_leading(used, batch), patches], axis=1)
         for layer in range(1, cfg.layers + 1):
-            seq = self._transformer_layer(seq, layer - 1)
-            if layer == cfg.layers:
+            seq = T.concat([T.tile_leading(used, batch), state], axis=1)
+            last = layer == cfg.layers
+            state = self._block(seq, layer - 1, k, k + 1 if last else k + 1 + width)
+            if last:
                 break
             base = prompts.tokens[layer]
             used = apply_cross_layer(base, history, prompts.queries[layer - 1]) if mix else base
             history.append(used if compound else base)
-            seq = T.concat(
-                [
-                    T.slice_axis(seq, 1, 0, 1),
-                    T.tile_leading(used, batch),
-                    T.slice_axis(seq, 1, 1 + k, 1 + k + width),
-                ],
-                axis=1,
-            )
 
-        cls_final = T.reshape(T.slice_axis(seq, 1, 0, 1), (batch, cfg.embed_dim))
+        cls_final = T.reshape(state, (batch, cfg.embed_dim))
         return T.l2_normalize(T.matmul(T.layernorm(cls_final, self._lnf_g, self._lnf_b), self._out_proj))

@@ -223,17 +223,20 @@ def _fit(model: PromptedModel, prompts: PromptSet, steps, lr: float, who: str) -
     """
     trainable = model.trainable(prompts)
     opt_state = adamw_init({k: p.data for k, p in trainable.items()})
-    for where, loss_fn in steps:
-        try:
-            reached = T.backward(loss_fn())
-        except NonFiniteError as exc:
-            raise FederationError(f"{who}: {exc} {where}") from None
-        arrays, opt_state = adamw_step(
-            {k: p.data for k, p in trainable.items()},
-            {k: reached[p] for k, p in trainable.items()}, opt_state, lr=lr,
-        )
-        for name, p in trainable.items():
-            p.data = arrays[name]
+    # Diverging prompts overflow inside the kernels; their finiteness
+    # checks raise, so numpy's overflow warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for where, loss_fn in steps:
+            try:
+                reached = T.backward(loss_fn())
+            except NonFiniteError as exc:
+                raise FederationError(f"{who}: {exc} {where}") from None
+            arrays, opt_state = adamw_step(
+                {k: p.data for k, p in trainable.items()},
+                {k: reached[p] for k, p in trainable.items()}, opt_state, lr=lr,
+            )
+            for name, p in trainable.items():
+                p.data = arrays[name]
 
 
 def client_update(

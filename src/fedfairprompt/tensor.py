@@ -1,10 +1,12 @@
 """Dense float64 tensors with taped reverse-mode gradients.
 
-The kernel vocabulary is deliberately small: matmul, elementwise
-add/sub/mul, scalar scale, softmax, log-softmax, layer norm, GELU,
-concat, slice, stack, reshape, axis swaps, reductions, L2
-normalization, dot, relu (hinge), abs, per-row gather and a
-leading-axis tile. Every kernel is pure (identical inputs give
+The kernel vocabulary is deliberately small: matmul, the two
+attention-head projections (project_heads: matmul by a frozen weight,
+then split heads; merge_heads: merge heads, then matmul by a frozen
+weight), elementwise add/sub/mul, scalar scale, softmax, log-softmax,
+layer norm, GELU, concat, slice, stack, reshape, axis swaps,
+reductions, L2 normalization, dot, relu (hinge), abs, per-row gather
+and a leading-axis tile. Every kernel is pure (identical inputs give
 bit-identical outputs), validates its output for NaN/Inf, and records
 just enough structure to replay the chain rule. Gradients flow only
 into tensors created with ``trainable=True``; everything else is a
@@ -22,6 +24,8 @@ __all__ = [
     "no_grad",
     "backward",
     "matmul",
+    "project_heads",
+    "merge_heads",
     "add",
     "sub",
     "mul",
@@ -316,6 +320,58 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (ga, gb)
 
     return _node(out, (a, b), vjp, "matmul")
+
+
+def _frozen_weight(w: Tensor, rows: int, op: str) -> np.ndarray:
+    w = _lift(w)
+    if w.needs_grad:
+        raise ValueError(f"{op} takes a frozen weight; this one needs a gradient")
+    if w.ndim != 2 or w.shape[0] != rows:
+        raise ValueError(f"{op}: weight of shape {w.shape} does not take {rows} input features")
+    return w.data
+
+
+def project_heads(x: Tensor, w: Tensor, heads: int) -> Tensor:
+    """(B, n, d) rows times a frozen (d, e) weight, split into heads.
+
+    Returns (B, heads, n, e // heads): the same values as ``matmul``,
+    ``reshape`` to (B, n, heads, e // heads) and ``swap_axes(1, 2)``,
+    recorded as one node. Only ``x`` receives a gradient.
+    """
+    x = _lift(x)
+    if x.ndim != 3:
+        raise ValueError(f"project_heads needs (B, n, d) rows, got {x.shape}")
+    wd = _frozen_weight(w, x.shape[-1], "project_heads")
+    batch, n, _ = x.shape
+    e = wd.shape[1]
+    if e % heads != 0:
+        raise ValueError(f"project_heads: {e} output features do not split into {heads} heads")
+    out = np.swapaxes((x.data @ wd).reshape(batch, n, heads, e // heads), 1, 2)
+
+    def vjp(g):
+        return (np.swapaxes(g, 1, 2).reshape(batch, n, e) @ wd.T,)
+
+    return _node(out, (x,), vjp, "project_heads")
+
+
+def merge_heads(x: Tensor, w: Tensor) -> Tensor:
+    """(B, heads, n, c) per-head rows merged to (B, n, heads * c), times
+    a frozen weight.
+
+    The same values as ``swap_axes(1, 2)``, ``reshape`` and ``matmul``,
+    recorded as one node. Only ``x`` receives a gradient.
+    """
+    x = _lift(x)
+    if x.ndim != 4:
+        raise ValueError(f"merge_heads needs (B, heads, n, c) rows, got {x.shape}")
+    batch, heads, n, c = x.shape
+    wd = _frozen_weight(w, heads * c, "merge_heads")
+    out = np.swapaxes(x.data, 1, 2).reshape(batch, n, heads * c) @ wd
+
+    def vjp(g):
+        return (np.swapaxes((g @ wd.T).reshape(batch, n, heads, c), 1, 2),)
+
+    return _node(out, (x,), vjp, "merge_heads")
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:

@@ -1,8 +1,9 @@
 """Frozen encoder oracles.
 
 The whole prompt-threaded forward pass is checked against an
-independent pure-numpy re-derivation (per-head loops, no tape), plus
-determinism, freezing, and template contracts.
+independent pure-numpy re-derivation (per-head loops, no tape) and
+against a taped full-row reference that computes every row of every
+block, plus determinism, freezing, tape size and template contracts.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 from scipy.special import erf
 
 from fedfairprompt import tensor as T
+from fedfairprompt.crosslayer import apply_cross_layer
 from fedfairprompt.encoder import (
     EncoderConfig,
     FrozenBackbone,
@@ -117,6 +119,114 @@ def test_forward_matches_oracle_on_default_sized_config():
     z = enc.encode_image(e0, ps)
     ref = _numpy_forward(enc, e0[0], [t.data for t in ps.tokens], [q.data for q in ps.queries])
     np.testing.assert_allclose(z.data[0], ref, rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# taped full-row reference: every block computes queries and the MLP for
+# every row, on the [CLS, prompts, patches] layout, and the splice
+# replaces the prompt rows afterwards
+
+
+def _full_row_layer(enc, seq, idx):
+    cfg, w = enc.config, enc.backbone.layers[idx]
+    batch, length, d = seq.shape
+    heads, head_dim = cfg.heads, d // cfg.heads
+    h = T.layernorm(seq, Tensor(w["ln1_g"]), Tensor(w["ln1_b"]))
+    q = T.matmul(h, Tensor(w["wq"] * head_dim**-0.5))
+    k = T.matmul(h, Tensor(w["wk"]))
+    v = T.matmul(h, Tensor(w["wv"]))
+    split = lambda x: T.swap_axes(T.reshape(x, (batch, length, heads, head_dim)), 1, 2)
+    q4, k4, v4 = split(q), split(k), split(v)
+    attn = T.softmax(T.matmul(q4, T.swap_axes(k4, 2, 3)), axis=-1)
+    ctx = T.reshape(T.swap_axes(T.matmul(attn, v4), 1, 2), (batch, length, d))
+    seq = T.add(seq, T.matmul(ctx, Tensor(w["wo"])))
+    h2 = T.layernorm(seq, Tensor(w["ln2_g"]), Tensor(w["ln2_b"]))
+    inner = T.add(T.matmul(h2, Tensor(w["w1"])), Tensor(w["b1"]))
+    return T.add(seq, T.add(T.matmul(T.gelu(inner), Tensor(w["w2"])), Tensor(w["b2"])))
+
+
+def _full_row_encode(enc, e0, prompts, cdfp_enabled=True, compound=True):
+    cfg, bb = enc.config, enc.backbone
+    batch, width = e0.shape[0], e0.shape[1]
+    data = e0 + bb.pos[1:] if width == cfg.patch_count else e0
+    k = prompts.token_count
+    mix = cdfp_enabled and k > 0
+    cls_rows = Tensor(np.broadcast_to(bb.cls + bb.pos[0], (batch, 1, cfg.embed_dim)))
+    used = prompts.tokens[0]
+    history = [used]
+    seq = T.concat([cls_rows, T.tile_leading(used, batch), Tensor(data)], axis=1)
+    for layer in range(1, cfg.layers + 1):
+        seq = _full_row_layer(enc, seq, layer - 1)
+        if layer == cfg.layers:
+            break
+        base = prompts.tokens[layer]
+        used = apply_cross_layer(base, history, prompts.queries[layer - 1]) if mix else base
+        history.append(used if compound else base)
+        seq = T.concat(
+            [T.slice_axis(seq, 1, 0, 1), T.tile_leading(used, batch),
+             T.slice_axis(seq, 1, 1 + k, 1 + k + width)],
+            axis=1,
+        )
+    cls_final = T.reshape(T.slice_axis(seq, 1, 0, 1), (batch, cfg.embed_dim))
+    out = T.layernorm(cls_final, Tensor(bb.lnf_g), Tensor(bb.lnf_b))
+    return T.l2_normalize(T.matmul(out, Tensor(bb.out_proj)))
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    scale = np.abs(want).max() if want.size else 0.0
+    assert np.abs(got - want).max(initial=0.0) <= rel * scale
+
+
+_MIXING = [(True, True), (True, False), (False, True), (False, False)]
+
+
+@pytest.mark.parametrize("cdfp,compound", _MIXING)
+@pytest.mark.parametrize("rows", [16, 1])
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("tokens", [2, 0])
+def test_pruned_forward_matches_full_row_reference(tokens, batch, rows, cdfp, compound):
+    cfg = EncoderConfig(prompt_tokens=tokens, seed=30)
+    enc = VisionEncoder(cfg)
+    rng = _rng(31)
+    e0 = rng.standard_normal((batch, rows, cfg.embed_dim))
+    ps = _random_prompts(cfg, seed=32, sigma=0.5)
+    probe = Tensor(rng.standard_normal((batch, cfg.embed_dim)))
+
+    z = enc.encode_image(e0, ps, cdfp_enabled=cdfp, compound=compound)
+    ref = _full_row_encode(enc, e0, ps, cdfp_enabled=cdfp, compound=compound)
+    _assert_rel_close(z.data, ref.data)
+
+    grads = backward(T.reduce_sum(T.mul(z, probe)))
+    ref_grads = backward(T.reduce_sum(T.mul(ref, probe)))
+    assert set(grads) == set(ref_grads)
+    assert all(t in grads for t in ps.tokens)
+    for leaf, g in ref_grads.items():
+        _assert_rel_close(grads[leaf], g)
+
+
+def _tape_nodes(output):
+    # Distinct tensors that need a gradient, reachable through .parents.
+    seen, todo = set(), [output]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen or not node.needs_grad:
+            continue
+        seen.add(id(node))
+        todo.extend(node.parents)
+    return len(seen)
+
+
+def test_default_forward_tape_size_is_pinned():
+    # 17 nodes per block, 2 per prompt splice, 4 after the last block and
+    # the 4 token leaves; mixing adds 12 nodes per layer above the first.
+    # The full-row forward records 151 and 115.
+    cfg = EncoderConfig()
+    enc = VisionEncoder(cfg)
+    e0 = enc.embed_patches(_rng(36).random((16, cfg.image_size, cfg.image_size)))
+    ps = PromptSet.initialize(cfg, seed=37)
+    assert _tape_nodes(enc.encode_image(e0, ps)) == 120
+    assert _tape_nodes(enc.encode_image(e0, ps, cdfp_enabled=False)) == 84
 
 
 def test_batched_forward_matches_per_sample():

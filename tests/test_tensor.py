@@ -172,6 +172,54 @@ def test_shape_plumbing_round_trips():
     assert np.array_equal(tiled.data[3], x[0])
 
 
+def _split_heads(x: Tensor, heads: int) -> Tensor:
+    batch, n, e = x.shape
+    return T.swap_axes(T.reshape(x, (batch, n, heads, e // heads)), 1, 2)
+
+
+def _merged(x: Tensor) -> Tensor:
+    batch, heads, n, c = x.shape
+    return T.reshape(T.swap_axes(x, 1, 2), (batch, n, heads * c))
+
+
+def test_head_kernels_equal_their_composition_bit_for_bit():
+    rng = _rng(12)
+    w = Tensor(rng.standard_normal((8, 12)))
+    x = Tensor(rng.standard_normal((3, 5, 8)), trainable=True)
+    probe = Tensor(rng.standard_normal((3, 4, 5, 3)))
+    fused = T.project_heads(x, w, 4)
+    composed = _split_heads(T.matmul(x, w), 4)
+    assert np.array_equal(fused.data, composed.data)
+    grad = backward(T.reduce_sum(T.mul(fused, probe)))[x]
+    assert np.array_equal(grad, backward(T.reduce_sum(T.mul(composed, probe)))[x])
+
+    wo = Tensor(rng.standard_normal((12, 7)))
+    y = Tensor(rng.standard_normal((3, 4, 5, 3)), trainable=True)
+    probe = Tensor(rng.standard_normal((3, 5, 7)))
+    fused = T.merge_heads(y, wo)
+    composed = T.matmul(_merged(y), wo)
+    assert np.array_equal(fused.data, composed.data)
+    grad = backward(T.reduce_sum(T.mul(fused, probe)))[y]
+    assert np.array_equal(grad, backward(T.reduce_sum(T.mul(composed, probe)))[y])
+
+
+def test_head_kernels_reject_trainable_weights_and_bad_shapes():
+    rng = _rng(13)
+    x = Tensor(rng.standard_normal((2, 3, 4)))
+    y = Tensor(rng.standard_normal((2, 2, 3, 2)))
+    trainable = Tensor(rng.standard_normal((4, 4)), trainable=True)
+    with pytest.raises(ValueError, match="frozen weight"):
+        T.project_heads(x, trainable, 2)
+    with pytest.raises(ValueError, match="frozen weight"):
+        T.merge_heads(y, trainable)
+    with pytest.raises(ValueError):
+        T.project_heads(x, Tensor(np.ones((5, 4))), 2)  # wrong input width
+    with pytest.raises(ValueError):
+        T.project_heads(x, Tensor(np.ones((4, 6))), 4)  # 6 features, 4 heads
+    with pytest.raises(ValueError):
+        T.merge_heads(y, Tensor(np.ones((3, 4))))
+
+
 # ---------------------------------------------------------------------------
 # purity and finiteness
 
@@ -259,6 +307,15 @@ def test_gradients_match_finite_differences_per_kernel():
     assert_grads_match(lambda: T.reduce_sum(T.log_softmax(x, axis=0)), [x])
     assert_grads_match(lambda: T.reduce_sum(T.gelu(x)), [x])
     assert_grads_match(lambda: T.reduce_sum(T.l2_normalize(x)), [x])
+
+    h = Tensor(rng.standard_normal((2, 3, 4)), trainable=True)
+    wh = Tensor(rng.standard_normal((4, 6)))
+    probe4 = Tensor(rng.standard_normal((2, 2, 3, 3)))
+    assert_grads_match(lambda: T.reduce_sum(T.mul(T.project_heads(h, wh, 2), probe4)), [h])
+    heads4 = Tensor(rng.standard_normal((2, 2, 3, 3)), trainable=True)
+    wm = Tensor(rng.standard_normal((6, 4)))
+    probe3 = Tensor(rng.standard_normal((2, 3, 4)))
+    assert_grads_match(lambda: T.reduce_sum(T.mul(T.merge_heads(heads4, wm), probe3)), [heads4])
 
 
 def test_gradients_match_finite_differences_composites():
