@@ -4,38 +4,37 @@ Each deeper layer's prompt block is refined by a residual read-out of
 the prompt blocks that fed the layers below it: every earlier block is
 summarized by its mean row (its context), a learnable per-layer query
 scores those contexts, and the softmax-gated convex combination of the
-earlier blocks is added to the current one. All inputs and outputs are
-(K, d) prompt blocks shared across the batch, so the mixing itself is
-sample-independent.
+earlier blocks is added to the current one. The blocks are shared
+across the batch, so one mixing step is one sample-independent node.
 """
 
 from __future__ import annotations
 
-from . import tensor as T
-from .tensor import Tensor
+import numpy as np
 
-__all__ = ["contextualize", "gap_weights", "gap_pool", "apply_cross_layer"]
+from .tensor import Tensor, _node
 
-
-def contextualize(prompt_state: Tensor) -> Tensor:
-    """Mean over the K token rows of one prompt block: (K, d) -> (d,)."""
-    return T.reduce_mean(prompt_state, axis=0)
-
-
-def gap_weights(query: Tensor, contexts: list[Tensor]) -> Tensor:
-    """Softmax attention of one query over per-layer context vectors."""
-    logits = T.stack([T.dot(query, c) for c in contexts], axis=0)
-    return T.softmax(logits, axis=0)
-
-
-def gap_pool(weights: Tensor, history: list[Tensor]) -> Tensor:
-    """Convex combination of earlier prompt blocks: sum_i w_i * P_i."""
-    stacked = T.stack(history, axis=0)  # (n, K, d)
-    w = T.reshape(weights, (weights.shape[0], 1, 1))
-    return T.reduce_sum(T.mul(stacked, w), axis=0)
+__all__ = ["apply_cross_layer"]
 
 
 def apply_cross_layer(tokens: Tensor, history: list[Tensor], query: Tensor) -> Tensor:
-    """Residual update: tokens + gated pooling of the earlier blocks."""
-    weights = gap_weights(query, [contextualize(h) for h in history])
-    return T.add(tokens, gap_pool(weights, history))
+    """Residual update: tokens + sum_i w_i * history[i], where ``w`` is
+    the softmax over i of ``query`` dotted with history[i]'s mean row."""
+    blocks = np.stack([h.data for h in history])  # (n, K, d)
+    contexts = blocks.mean(axis=1)  # (n, d)
+    q = query.data
+    # One dot per context: a matrix-vector product rounds differently,
+    # and the golden run hashes pin these logits to the bit.
+    logits = np.array([q @ c for c in contexts])
+    e = np.exp(logits - logits.max(axis=0, keepdims=True))
+    w = e / e.sum(axis=0, keepdims=True)
+    out = tokens.data + (blocks * w.reshape(-1, 1, 1)).sum(axis=0)
+
+    def vjp(g):
+        gw = (blocks * g).sum(axis=(1, 2))
+        glogits = w * (gw - np.sum(gw * w))
+        # d(logit_i)/d(block_i) spreads query / K over the block's K rows.
+        gblocks = w.reshape(-1, 1, 1) * g + (glogits[:, None] * q)[:, None, :] / blocks.shape[1]
+        return (g, *gblocks, glogits @ contexts)
+
+    return _node(out, (tokens, *history, query), vjp, "apply_cross_layer")

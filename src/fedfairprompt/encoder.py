@@ -8,13 +8,12 @@ plus the per-layer mixing queries. Each layer's input prompt slice is
 its own block (the blocks written by the transformer itself are not
 re-fed), optionally refined by the cross-layer residual before entry.
 
-A block's input sequence is laid out as [K prompt rows, CLS, J patch
-rows]. Keys and values come from every row, but each block computes
-queries, the output projection and the MLP only for the rows the next
-step reads: CLS and the patch rows in blocks 1..L-1, CLS alone in the
-last block. The prompt rows a block would write are never computed,
-so the splice into the next block is one concat of the new prompt
-block onto the kept rows.
+Each block reads its prompt block and the CLS and patch rows the block
+below wrote. The prompt rows act as key/value prefixes: they never
+depend on the image, so their LN1 and key/value projections run once
+on the (K, d) block and are broadcast over the batch. Queries, the
+output projection and the MLP run only for the rows the next step
+reads: CLS and the patch rows, or CLS alone in the last block.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .crosslayer import apply_cross_layer
-from .tensor import Tensor
+from .tensor import Tensor, _ensure_finite
 
 __all__ = [
     "EncoderConfig",
@@ -204,6 +203,7 @@ class PromptSet:
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != t.shape:
                 raise ValueError(f"array for '{name}' has shape {arr.shape}, expected {t.shape}")
+            _ensure_finite(arr, f"array for '{name}'")
             t.data = arr.copy()
 
     def copy(self) -> "PromptSet":
@@ -318,22 +318,23 @@ class VisionEncoder:
 
     # -- prompt-threaded image forward ---------------------------------
 
-    def _block(self, seq: Tensor, idx: int, start: int, stop: int) -> Tensor:
-        """One pre-LN transformer block that returns only rows [start, stop).
-
-        Keys and values come from every row of ``seq``; the queries, the
-        output projection with its residual, LN2 and the MLP are
-        computed for the returned rows alone.
-        """
+    def _block(self, prompt: Tensor, state: Tensor, idx: int, cls_only: bool) -> Tensor:
+        """One pre-LN block over the shared (K, d) ``prompt`` rows and the
+        (B, n, d) ``state`` rows, returning the new state rows (CLS alone
+        when ``cls_only``): keys and values come from every row, queries
+        and the MLP only from the returned ones."""
         w = self._layer_consts[idx]
         heads = self.config.heads
-        h = T.layernorm(seq, w["ln1_g"], w["ln1_b"])
-        k4 = T.project_heads(h, w["wk"], heads)
-        v4 = T.project_heads(h, w["wv"], heads)
+        p = T.layernorm(prompt, w["ln1_g"], w["ln1_b"])
+        h = T.layernorm(state, w["ln1_g"], w["ln1_b"])
+        k4 = T.project_prefixed_heads(p, h, w["wk"], heads)
+        v4 = T.project_prefixed_heads(p, h, w["wv"], heads)
+        if cls_only:
+            state, h = T.slice_axis(state, 1, 0, 1), T.slice_axis(h, 1, 0, 1)
         # The attention scale is pre-folded into the query weights.
-        q4 = T.project_heads(T.slice_axis(h, 1, start, stop), w["wq_scaled"], heads)
+        q4 = T.project_heads(h, w["wq_scaled"], heads)
         attn = T.softmax(T.matmul(q4, T.swap_axes(k4, 2, 3)), axis=-1)
-        rows = T.add(T.slice_axis(seq, 1, start, stop), T.merge_heads(T.matmul(attn, v4), w["wo"]))
+        rows = T.add(state, T.merge_heads(T.matmul(attn, v4), w["wo"]))
 
         b1_nonzero, b2_nonzero = self._bias_nonzero[idx]
         inner = T.matmul(T.layernorm(rows, w["ln2_g"], w["ln2_b"]), w["w1"])
@@ -358,12 +359,9 @@ class VisionEncoder:
         feature datasets carry no spatial layout. Returns the (B, d)
         unit-norm image embeddings.
 
-        Block l reads [K prompt rows, CLS, J patch rows]: its prompt
-        rows are ``prompts.tokens[l - 1]`` (mixed across layers when
-        CDFP is on), and the rest is the previous block's output. Keys
-        and values come from all K + 1 + J rows. Queries and the MLP
-        run only on the rows the next step reads: CLS and the patch
-        rows in blocks 1..L-1, CLS alone in block L.
+        Block l reads ``prompts.tokens[l - 1]`` (mixed across layers when
+        CDFP is on) as its key/value prefix rows, and the CLS and patch
+        rows the previous block wrote.
         """
         cfg = self.config
         data = np.asarray(e0, dtype=np.float64)
@@ -377,8 +375,7 @@ class VisionEncoder:
         batch, width = data.shape[0], data.shape[1]
         if width == cfg.patch_count:
             data = data + self._patch_pos
-        k = prompts.token_count
-        mix = cdfp_enabled and k > 0
+        mix = cdfp_enabled and prompts.token_count > 0
 
         # The CLS and patch rows: everything but the prompt block.
         cls_rows = np.broadcast_to(self._cls_row, (batch, 1, cfg.embed_dim))
@@ -386,9 +383,8 @@ class VisionEncoder:
         used = prompts.tokens[0]
         history = [used]
         for layer in range(1, cfg.layers + 1):
-            seq = T.concat([T.tile_leading(used, batch), state], axis=1)
             last = layer == cfg.layers
-            state = self._block(seq, layer - 1, k, k + 1 if last else k + 1 + width)
+            state = self._block(used, state, layer - 1, cls_only=last)
             if last:
                 break
             base = prompts.tokens[layer]

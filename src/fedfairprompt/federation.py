@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .tensor import NonFiniteError, Tensor, no_grad
+from .tensor import NonFiniteError, Tensor, _ensure_finite, no_grad
 from .config import Config
 from .data import (
     Dataset,
@@ -173,12 +173,14 @@ def predict(model: PromptedModel, prompts: PromptSet, features: np.ndarray) -> n
 
     Prediction runs on the same debiased embedding the training loss
     sees. The argmax over fixed unit text rows is scale invariant, so
-    the debiased embedding needs no re-normalization.
+    the debiased embedding needs no re-normalization. Raises
+    NonFiniteError on a non-finite embedding.
     """
     preds = []
     with no_grad():
         for lo in range(0, features.shape[0], _EVAL_CHUNK):
             _, z = model.embed(prompts, features[lo : lo + _EVAL_CHUNK])
+            _ensure_finite(z.data, "eval embeddings")
             preds.append(np.argmax(z.data @ model.class_text.T, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
@@ -223,8 +225,7 @@ def _fit(model: PromptedModel, prompts: PromptSet, steps, lr: float, who: str) -
     """
     trainable = model.trainable(prompts)
     opt_state = adamw_init({k: p.data for k, p in trainable.items()})
-    # Diverging prompts overflow inside the kernels; their finiteness
-    # checks raise, so numpy's overflow warnings would only be noise.
+    # backward rejects a diverging loss; numpy's overflow warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for where, loss_fn in steps:
             try:

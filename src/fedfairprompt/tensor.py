@@ -1,16 +1,18 @@
 """Dense float64 tensors with taped reverse-mode gradients.
 
-The kernel vocabulary is deliberately small: matmul, the two
-attention-head projections (project_heads: matmul by a frozen weight,
-then split heads; merge_heads: merge heads, then matmul by a frozen
+The kernel vocabulary is deliberately small: matmul, the attention-head
+projections (project_heads: matmul by a frozen weight, then split
+heads; project_prefixed_heads: the same for a shared prefix block and
+per-sample rows; merge_heads: merge heads, then matmul by a frozen
 weight), elementwise add/sub/mul, scalar scale, softmax, log-softmax,
-layer norm, GELU, concat, slice, stack, reshape, axis swaps,
-reductions, L2 normalization, dot, relu (hinge), abs, per-row gather
-and a leading-axis tile. Every kernel is pure (identical inputs give
-bit-identical outputs), validates its output for NaN/Inf, and records
-just enough structure to replay the chain rule. Gradients flow only
-into tensors created with ``trainable=True``; everything else is a
-frozen constant and its subgraph is skipped during backprop.
+layer norm, GELU, concat, slice, reshape, axis swaps, reductions, L2
+normalization, relu (hinge), abs, per-row gather and a leading-axis
+tile. Every kernel is pure (identical inputs give bit-identical
+outputs) and records just enough structure to replay the chain rule.
+Gradients flow only into tensors created with ``trainable=True``;
+everything else is a frozen constant and its subgraph is skipped during
+backprop. Finiteness is checked at the boundaries, not per kernel: see
+``Tensor`` and ``backward``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "backward",
     "matmul",
     "project_heads",
+    "project_prefixed_heads",
     "merge_heads",
     "add",
     "sub",
@@ -38,13 +41,11 @@ __all__ = [
     "abs_value",
     "l2_normalize",
     "concat",
-    "stack",
     "slice_axis",
     "reshape",
     "swap_axes",
     "reduce_sum",
     "reduce_mean",
-    "dot",
     "take_per_row",
     "tile_leading",
 ]
@@ -71,22 +72,19 @@ class no_grad:
 
 
 class NonFiniteError(FloatingPointError):
-    """A kernel produced (or was handed) a NaN or Inf value."""
+    """A NaN or Inf value reached a boundary that checks finiteness."""
 
 
 def _ensure_finite(arr: np.ndarray, where: str) -> None:
-    # One-pass reduction: the sum is NaN or Inf iff the array holds a
-    # NaN/Inf (values here are nowhere near the overflow regime).
-    if arr.size and not np.isfinite(arr.sum()):
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"non-finite values in {where}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"non-finite values in {where}")
 
 
 class Tensor:
     """Node of the implicit computation graph.
 
-    Leaves are built directly; interior nodes are produced by kernels
-    and carry a vector-Jacobian closure.
+    Leaves are built directly; interior nodes are produced by kernels,
+    carry a vector-Jacobian closure and are named after their op.
     """
 
     __slots__ = ("data", "trainable", "needs_grad", "parents", "vjp", "name")
@@ -127,16 +125,11 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str,
-          check: bool = True) -> Tensor:
-    # Pure data-movement kernels pass check=False: they cannot mint a
-    # NaN/Inf that was not already present in a validated input.
-    if check:
-        _ensure_finite(data, op)
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.trainable = False
-    out.name = ""
+    out.name = op
     if _grad_enabled and any(p.needs_grad for p in parents):
         out.needs_grad = True
         out.parents = parents
@@ -165,8 +158,9 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
 
     Returns a mapping from each reachable trainable leaf to its
     gradient. Gradients of frozen tensors are absent by construction.
-    Raises if ``output`` is not scalar or if any accumulated gradient
-    is non-finite.
+    Raises if ``output`` is not scalar. Raises NonFiniteError if it is
+    not finite, naming the first recorded op with a non-finite output,
+    or if a leaf's gradient is not finite.
     """
     if output.data.size != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.shape}")
@@ -186,13 +180,17 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
         for p in node.parents:
             stack.append((p, False))
 
+    if not np.isfinite(output.data).all():
+        # ``order`` lists every node after its parents.
+        first = next((n for n in order if not np.isfinite(n.data).all()), output)
+        raise NonFiniteError(f"non-finite loss; first non-finite output is from '{first.name}'")
+
     grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
     leaves: dict[Tensor, np.ndarray] = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        _ensure_finite(g, "gradient")
         if node.vjp is not None:
             for parent, pg in zip(node.parents, node.vjp(g)):
                 if not parent.needs_grad or pg is None:
@@ -200,6 +198,7 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
                 slot = grads.get(id(parent))
                 grads[id(parent)] = pg if slot is None else slot + pg
         elif node.trainable:
+            _ensure_finite(g, f"gradient of '{node.name}'")
             leaves[node] = g
     return leaves
 
@@ -354,6 +353,34 @@ def project_heads(x: Tensor, w: Tensor, heads: int) -> Tensor:
     return _node(out, (x,), vjp, "project_heads")
 
 
+def project_prefixed_heads(prefix: Tensor, x: Tensor, w: Tensor, heads: int) -> Tensor:
+    """``project_heads`` of a shared (K, d) prefix block, tiled over the
+    batch, concatenated with that of (B, n, d) rows: (B, heads, K + n,
+    e // heads) as one node. The prefix is projected once, and its
+    gradient is one sum over the batch."""
+    prefix, x = _lift(prefix), _lift(x)
+    if prefix.ndim != 2 or x.ndim != 3:
+        raise ValueError(f"project_prefixed_heads needs (K, d) and (B, n, d) rows, "
+                         f"got {prefix.shape} and {x.shape}")
+    wd = _frozen_weight(w, x.shape[-1], "project_prefixed_heads")
+    batch, n, _ = x.shape
+    k, e = prefix.shape[0], wd.shape[1]
+    if e % heads != 0:
+        raise ValueError(f"project_prefixed_heads: {e} features do not split into {heads} heads")
+    c = e // heads
+    out = np.empty((batch, heads, k + n, c))
+    out[:, :, :k] = np.swapaxes((prefix.data @ wd).reshape(k, heads, c), 0, 1)
+    out[:, :, k:] = np.swapaxes((x.data @ wd).reshape(batch, n, heads, c), 1, 2)
+    npre, nx = prefix.needs_grad, x.needs_grad
+
+    def vjp(g):
+        gp = np.swapaxes(g[:, :, :k].sum(axis=0), 0, 1).reshape(k, e) @ wd.T if npre else None
+        gx = np.swapaxes(g[:, :, k:], 1, 2).reshape(batch, n, e) @ wd.T if nx else None
+        return (gp, gx)
+
+    return _node(out, (prefix, x), vjp, "project_prefixed_heads")
+
+
 def merge_heads(x: Tensor, w: Tensor) -> Tensor:
     """(B, heads, n, c) per-head rows merged to (B, n, heads * c), times
     a frozen weight.
@@ -372,18 +399,6 @@ def merge_heads(x: Tensor, w: Tensor) -> Tensor:
         return (np.swapaxes((g @ wd.T).reshape(batch, n, heads, c), 1, 2),)
 
     return _node(out, (x,), vjp, "merge_heads")
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"dot needs equal-length vectors, got {a.shape}, {b.shape}")
-    out = np.asarray(a.data @ b.data)
-
-    def vjp(g):
-        return (g * b.data, g * a.data)
-
-    return _node(out, (a, b), vjp, "dot")
 
 
 def l2_normalize(x: Tensor, eps: float = 0.0) -> Tensor:
@@ -481,20 +496,7 @@ def concat(parts: list[Tensor] | tuple[Tensor, ...], axis: int = 0) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _node(out, parts, vjp, "concat", check=False)
-
-
-def stack(parts: list[Tensor] | tuple[Tensor, ...], axis: int = 0) -> Tensor:
-    parts = tuple(_lift(p) for p in parts)
-    if not parts:
-        raise ValueError("stack of zero tensors")
-    out = np.stack([p.data for p in parts], axis=axis)
-
-    def vjp(g):
-        pieces = np.split(g, len(parts), axis=axis)
-        return tuple(np.squeeze(piece, axis=axis) for piece in pieces)
-
-    return _node(out, parts, vjp, "stack", check=False)
+    return _node(out, parts, vjp, "concat")
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -511,7 +513,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         full[index] = g
         return (full,)
 
-    return _node(out, (x,), vjp, "slice", check=False)
+    return _node(out, (x,), vjp, "slice")
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -521,7 +523,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def vjp(g):
         return (g.reshape(x.shape),)
 
-    return _node(out, (x,), vjp, "reshape", check=False)
+    return _node(out, (x,), vjp, "reshape")
 
 
 def swap_axes(x: Tensor, a: int, b: int) -> Tensor:
@@ -531,7 +533,7 @@ def swap_axes(x: Tensor, a: int, b: int) -> Tensor:
     def vjp(g):
         return (np.swapaxes(g, a, b),)
 
-    return _node(out, (x,), vjp, "swap_axes", check=False)
+    return _node(out, (x,), vjp, "swap_axes")
 
 
 def tile_leading(x: Tensor, n: int) -> Tensor:
@@ -544,7 +546,7 @@ def tile_leading(x: Tensor, n: int) -> Tensor:
     def vjp(g):
         return (g.sum(axis=0),)
 
-    return _node(out, (x,), vjp, "tile_leading", check=False)
+    return _node(out, (x,), vjp, "tile_leading")
 
 
 # ---------------------------------------------------------------------------
@@ -597,4 +599,4 @@ def take_per_row(m: Tensor, cols: np.ndarray) -> Tensor:
         full[rows, cols] = g
         return (full,)
 
-    return _node(out, (m,), vjp, "take_per_row", check=False)
+    return _node(out, (m,), vjp, "take_per_row")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedfairprompt import tensor as T
-from fedfairprompt.crosslayer import apply_cross_layer, contextualize, gap_pool, gap_weights
+from fedfairprompt.crosslayer import apply_cross_layer
 from fedfairprompt.encoder import EncoderConfig, PromptSet, VisionEncoder
 from fedfairprompt.tensor import Tensor, backward
 from gradcheck import assert_grads_match
@@ -16,50 +16,39 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def test_contextualize_is_row_mean():
-    block = _rng(0).standard_normal((3, 5))
-    got = contextualize(Tensor(block)).data
-    np.testing.assert_allclose(got, block.mean(axis=0), rtol=1e-13)
+def _pool(history, query):
+    """apply_cross_layer with zero tokens: the pooled blocks alone."""
+    zero = Tensor(np.zeros(history[0].shape))
+    return apply_cross_layer(zero, [Tensor(h) for h in history], Tensor(query)).data
 
 
-def test_gap_weights_sum_to_one_and_stay_positive():
-    rng = _rng(1)
-    q = Tensor(rng.standard_normal(6))
-    ctxs = [Tensor(rng.standard_normal(6)) for _ in range(4)]
-    w = gap_weights(q, ctxs).data
-    assert w.shape == (4,)
-    assert abs(w.sum() - 1.0) <= 1e-12
-    assert np.all(w > 0.0)
+def test_pool_is_history_mean_for_identical_contexts():
+    rng = _rng(0)
+    base = rng.standard_normal((3, 5))
+    # different blocks, one mean row: the gate cannot tell them apart
+    history = [base + d - d.mean(axis=0) for d in rng.standard_normal((4, 3, 5))]
+    pooled = _pool(history, rng.standard_normal(5))
+    np.testing.assert_allclose(pooled, np.mean(history, axis=0), atol=1e-14)
 
 
-def test_gap_weights_uniform_for_identical_contexts():
-    c = Tensor(np.arange(5.0))
-    w = gap_weights(Tensor(np.ones(5)), [c, c, c]).data
-    np.testing.assert_allclose(w, np.full(3, 1.0 / 3.0), atol=1e-15)
-
-
-def test_gap_weights_invariant_to_shared_context_shift():
+def test_pool_weights_ignore_a_shared_context_shift():
     rng = _rng(2)
-    q = rng.standard_normal(6)
-    ctxs = [rng.standard_normal(6) for _ in range(3)]
+    history = [rng.standard_normal((2, 6)) for _ in range(3)]
+    query = rng.standard_normal(6)
     shift = rng.standard_normal(6)
-    w0 = gap_weights(Tensor(q), [Tensor(c) for c in ctxs]).data
-    w1 = gap_weights(Tensor(q), [Tensor(c + shift) for c in ctxs]).data
-    np.testing.assert_allclose(w0, w1, atol=1e-12)
+    # the gate is unchanged, so the pooled blocks move by the shift alone
+    shifted = _pool([h + shift for h in history], query)
+    np.testing.assert_allclose(shifted - shift, _pool(history, query), atol=1e-12)
 
 
-def test_gap_pool_one_hot_selects_entry_and_stays_in_envelope():
+def test_pool_stays_in_blocks_envelope():
     rng = _rng(3)
     history = [rng.standard_normal((2, 4)) for _ in range(3)]
-    tensors = [Tensor(h) for h in history]
-    picked = gap_pool(Tensor([0.0, 1.0, 0.0]), tensors).data
-    np.testing.assert_array_equal(picked, history[1])
-
-    w = rng.dirichlet(np.ones(3))
-    pooled = gap_pool(Tensor(w), tensors).data
     lo = np.minimum.reduce(history)
     hi = np.maximum.reduce(history)
-    assert np.all(pooled >= lo - 1e-12) and np.all(pooled <= hi + 1e-12)
+    for scale in (0.0, 1.0, 50.0):
+        pooled = _pool(history, rng.standard_normal(4) * scale)
+        assert np.all(pooled >= lo - 1e-12) and np.all(pooled <= hi + 1e-12)
 
 
 def test_single_predecessor_reduces_to_plain_residual():

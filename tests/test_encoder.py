@@ -23,7 +23,7 @@ from fedfairprompt.encoder import (
     VisionEncoder,
     build_prompt_templates,
 )
-from fedfairprompt.tensor import Tensor, backward
+from fedfairprompt.tensor import NonFiniteError, Tensor, backward
 from gradcheck import assert_grads_match
 
 SMALL = EncoderConfig(embed_dim=8, layers=2, heads=2, image_size=16, patch_size=8, prompt_tokens=2, seed=11)
@@ -218,15 +218,20 @@ def _tape_nodes(output):
 
 
 def test_default_forward_tape_size_is_pinned():
-    # 17 nodes per block, 2 per prompt splice, 4 after the last block and
-    # the 4 token leaves; mixing adds 12 nodes per layer above the first.
-    # The full-row forward records 151 and 115.
+    # 16 nodes per block: LN1 on the prompt block and on the state, two
+    # prefixed key/value projections, the query projection, 5 attention
+    # nodes, the residual and 5 MLP nodes. Block 1's state is constant,
+    # so its state LN1 and queries are off the tape; block L slices CLS
+    # out of the state and its LN1 (2 more). Then 4 nodes after the last
+    # block and the 4 token leaves; mixing adds one node and one query
+    # leaf per layer above the first. The full-row forward records 151
+    # and 115.
     cfg = EncoderConfig()
     enc = VisionEncoder(cfg)
     e0 = enc.embed_patches(_rng(36).random((16, cfg.image_size, cfg.image_size)))
     ps = PromptSet.initialize(cfg, seed=37)
-    assert _tape_nodes(enc.encode_image(e0, ps)) == 120
-    assert _tape_nodes(enc.encode_image(e0, ps, cdfp_enabled=False)) == 84
+    assert _tape_nodes(enc.encode_image(e0, ps)) == 78
+    assert _tape_nodes(enc.encode_image(e0, ps, cdfp_enabled=False)) == 72
 
 
 def test_batched_forward_matches_per_sample():
@@ -380,6 +385,14 @@ def test_prompt_set_shapes_copy_and_round_trip():
     blank.load_arrays(arrays)
     for name, t in blank.parameters().items():
         assert np.array_equal(t.data, arrays[name])
+
+
+def test_load_arrays_rejects_non_finite_array():
+    ps = PromptSet.initialize(EncoderConfig(seed=27), seed=28)
+    arrays = ps.to_arrays()
+    arrays["tokens1"][0, 0] = np.inf
+    with pytest.raises(NonFiniteError, match="'tokens1'"):
+        ps.load_arrays(arrays)
 
 
 def test_config_validation():

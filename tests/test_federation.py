@@ -34,12 +34,14 @@ from fedfairprompt.federation import (
     fuse_prompts,
     fusion_weights,
     load_splits,
+    predict,
     refinement_loss,
     run_federation,
     score_from_record,
     server_refine,
 )
 from fedfairprompt.metrics import MetricRecord, eod_global
+from fedfairprompt.tensor import NonFiniteError
 
 from gradcheck import assert_grads_match
 
@@ -386,6 +388,31 @@ def test_non_finite_gradient_names_client_and_step(enc_cfg):
 
     with pytest.raises(FederationError, match=r"^client 7: .*gradient.* at step 3$"):
         federation._fit(stub, prompts, [("at step 3", loss)], 1e-3, "client 7")
+
+
+def test_predict_rejects_non_finite_eval_embeddings(model, enc_cfg, val_split):
+    prompts = PromptSet.initialize(enc_cfg, seed=0)
+    prompts.tokens[1].data = np.full(prompts.tokens[1].shape, np.nan)
+    with pytest.raises(NonFiniteError, match="eval embeddings"):
+        predict(model, prompts, val_split.features)
+
+
+def test_non_finite_evaluation_becomes_flagged_failure(monkeypatch):
+    calls = []
+    refine = federation.server_refine
+
+    def poisoned_refine(*args):
+        calls.append(1)
+        refined = refine(*args)
+        if len(calls) == 2:
+            refined.tokens[2].data = np.full(refined.tokens[2].shape, np.nan)
+        return refined
+
+    monkeypatch.setattr(federation, "server_refine", poisoned_refine)
+    rep = run_federation(_tiny_config(rounds=3))
+    assert rep.incomplete
+    assert [r.round for r in rep.rounds] == [0, 1]
+    assert rep.failure == "round 2: non-finite values in eval embeddings"
 
 
 def test_any_in_round_error_keeps_finished_rounds(monkeypatch):

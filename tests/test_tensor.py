@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fedfairprompt import tensor as T
+from fedfairprompt.crosslayer import apply_cross_layer
 from fedfairprompt.tensor import NonFiniteError, Tensor, backward
 from gradcheck import assert_grads_match
 
@@ -165,8 +166,6 @@ def test_shape_plumbing_round_trips():
         T.slice_axis(Tensor(x), 1, 2, 5)
     cat = T.concat([Tensor(x), Tensor(x)], axis=2)
     assert cat.shape == (2, 3, 8)
-    st = T.stack([Tensor(x[0]), Tensor(x[1])], axis=0)
-    assert np.array_equal(st.data, x)
     tiled = T.tile_leading(Tensor(x[0]), 5)
     assert tiled.shape == (5, 3, 4)
     assert np.array_equal(tiled.data[3], x[0])
@@ -203,6 +202,34 @@ def test_head_kernels_equal_their_composition_bit_for_bit():
     assert np.array_equal(grad, backward(T.reduce_sum(T.mul(composed, probe)))[y])
 
 
+def _tiled_prefix_composition(p: Tensor, x: Tensor, w: Tensor, heads: int) -> Tensor:
+    batch = x.shape[0]
+    k, d = p.shape
+    proj = T.project_heads(T.reshape(p, (1, k, d)), w, heads)
+    tiled = T.tile_leading(T.reshape(proj, proj.shape[1:]), batch)
+    return T.concat([tiled, T.project_heads(x, w, heads)], axis=2)
+
+
+@pytest.mark.parametrize("k", [3, 0])
+def test_prefixed_heads_match_tiled_concat_composition(k):
+    rng = _rng(14)
+    w = Tensor(rng.standard_normal((8, 12)))
+    p = Tensor(rng.standard_normal((k, 8)), trainable=True)
+    x = Tensor(rng.standard_normal((4, 5, 8)), trainable=True)
+    probe = Tensor(rng.standard_normal((4, 3, k + 5, 4)))
+    fused = T.project_prefixed_heads(p, x, w, 3)
+    composed = _tiled_prefix_composition(p, x, w, 3)
+    assert fused.shape == composed.shape == (4, 3, k + 5, 4)
+    scale = np.abs(composed.data).max()
+    assert np.abs(fused.data - composed.data).max() <= 1e-12 * scale
+    grads = backward(T.reduce_sum(T.mul(fused, probe)))
+    ref = backward(T.reduce_sum(T.mul(composed, probe)))
+    for leaf in (p, x):
+        assert grads[leaf].shape == leaf.shape
+        scale = np.abs(ref[leaf]).max(initial=0.0)
+        assert np.abs(grads[leaf] - ref[leaf]).max(initial=0.0) <= 1e-12 * scale
+
+
 def test_head_kernels_reject_trainable_weights_and_bad_shapes():
     rng = _rng(13)
     x = Tensor(rng.standard_normal((2, 3, 4)))
@@ -212,6 +239,10 @@ def test_head_kernels_reject_trainable_weights_and_bad_shapes():
         T.project_heads(x, trainable, 2)
     with pytest.raises(ValueError, match="frozen weight"):
         T.merge_heads(y, trainable)
+    with pytest.raises(ValueError, match="frozen weight"):
+        T.project_prefixed_heads(Tensor(np.ones((1, 4))), x, trainable, 2)
+    with pytest.raises(ValueError):
+        T.project_prefixed_heads(Tensor(np.ones((1, 5))), x, Tensor(np.ones((4, 4))), 2)
     with pytest.raises(ValueError):
         T.project_heads(x, Tensor(np.ones((5, 4))), 2)  # wrong input width
     with pytest.raises(ValueError):
@@ -240,9 +271,11 @@ def test_non_finite_inputs_are_rejected():
     with pytest.raises(NonFiniteError):
         Tensor([1.0, np.inf])
     with np.errstate(over="ignore"):
-        big = Tensor(np.full((2, 2), 1e308))  # finite, but sums past the float cap
-        with pytest.raises(NonFiniteError):
-            T.matmul(big, big)  # overflow to inf inside the kernel
+        big = Tensor(np.full((2, 2), 1e308), trainable=True)  # finite, but sums past the float cap
+        # matmul overflows to inf; backward rejects the loss and names
+        # matmul, the first op with a non-finite output, not gelu after it
+        with pytest.raises(NonFiniteError, match="'matmul'"):
+            backward(T.reduce_sum(T.gelu(T.matmul(big, big))))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +349,20 @@ def test_gradients_match_finite_differences_per_kernel():
     wm = Tensor(rng.standard_normal((6, 4)))
     probe3 = Tensor(rng.standard_normal((2, 3, 4)))
     assert_grads_match(lambda: T.reduce_sum(T.mul(T.merge_heads(heads4, wm), probe3)), [heads4])
+    prefix = Tensor(rng.standard_normal((2, 4)), trainable=True)
+    probe5 = Tensor(rng.standard_normal((2, 2, 5, 3)))
+    assert_grads_match(
+        lambda: T.reduce_sum(T.mul(T.project_prefixed_heads(prefix, h, wh, 2), probe5)), [prefix, h]
+    )
+
+    tokens = Tensor(rng.standard_normal((2, 4)), trainable=True)
+    history = [Tensor(rng.standard_normal((2, 4)), trainable=True) for _ in range(3)]
+    query = Tensor(rng.standard_normal(4), trainable=True)
+    probe2 = Tensor(rng.standard_normal((2, 4)))
+    assert_grads_match(
+        lambda: T.reduce_sum(T.mul(apply_cross_layer(tokens, history, query), probe2)),
+        [tokens, query, *history],
+    )
 
 
 def test_gradients_match_finite_differences_composites():
@@ -344,17 +391,6 @@ def test_gradients_match_finite_differences_composites():
 
     assert_grads_match(stitched, [p, q])
 
-    u = Tensor(rng.standard_normal(5), trainable=True)
-    v = Tensor(rng.standard_normal(5), trainable=True)
-    assert_grads_match(lambda: T.dot(u, v), [u, v])
-
-
-def test_stack_and_swap_gradients():
-    rng = _rng(11)
-    xs = [Tensor(rng.standard_normal((2, 3)), trainable=True) for _ in range(3)]
-
-    def f():
-        s = T.stack(xs, axis=0)
-        return T.reduce_sum(T.mul(T.swap_axes(s, 0, 2), T.swap_axes(s, 0, 2)))
-
-    assert_grads_match(f, xs)
+    s = Tensor(rng.standard_normal((3, 2, 3)), trainable=True)
+    probe = Tensor(rng.standard_normal((3, 2, 3)))
+    assert_grads_match(lambda: T.reduce_sum(T.mul(T.swap_axes(s, 0, 2), probe)), [s])
