@@ -9,7 +9,14 @@ deep layers get to re-read what shallow prompts expressed.
 
 import numpy as np
 
-from fedfairprompt import EncoderConfig, PromptSet, SyntheticSpec, VisionEncoder, generate_synthetic
+from fedfairprompt import (
+    CLASS_TEMPLATES,
+    EncoderConfig,
+    PromptSet,
+    SyntheticSpec,
+    VisionEncoder,
+    generate_synthetic,
+)
 
 cfg = EncoderConfig(seed=7)
 enc = VisionEncoder(cfg)
@@ -32,8 +39,7 @@ print("image embedding:", emb.shape, "(batch, dim)")
 print("embedding norms:", np.linalg.norm(emb.data, axis=-1).round(6))
 
 # Text side: each class name becomes one fixed unit row.
-texts = ["a photo of a person who is smiling", "a photo of a person who is not smiling"]
-class_rows = np.stack([enc.encode_text(t) for t in texts])
+class_rows = np.stack([enc.encode_text(t) for t in CLASS_TEMPLATES])
 logits = emb.data @ class_rows.T
 print("\ncosine logits vs class rows:")
 for i, row in enumerate(logits):
@@ -49,12 +55,6 @@ after = enc.encode_image(rows, prompts)
 print("\nembedding shift after editing one layer-0 token:",
       float(np.abs(after.data - before).max()))
 print("backbone hash unchanged:", enc.backbone_hash()[:16] + "...")
-
-# compound=False keeps the pooling on but changes what it reads: the
-# history holds each layer's raw block instead of its mixed block.
-raw_history = enc.encode_image(rows, prompts, cdfp_enabled=True, compound=False)
-print("mixed vs raw-block history differ:",
-      bool(np.abs(after.data - raw_history.data).max() > 1e-9))
 
 # cdfp_enabled=False switches the pooling off: each layer reads only
 # its own block.

@@ -10,21 +10,20 @@ every image embedding onto the orthogonal complement before scoring.
 import numpy as np
 
 from fedfairprompt import (
+    GROUP_TEMPLATES,
     EncoderConfig,
     PromptSet,
     SyntheticSpec,
     VisionEncoder,
-    build_prompt_templates,
     build_subspace,
     generate_synthetic,
     project_out,
 )
 
 enc = VisionEncoder(EncoderConfig(seed=7))
-templates = build_prompt_templates("smiling", "gender")
-print("group templates:", templates.group_templates)
+print("group templates:", GROUP_TEMPLATES)
 
-sub = build_subspace(enc, templates.group_templates, k=1)
+sub = build_subspace(enc, GROUP_TEMPLATES, k=1)
 # the share of the template rows' energy the basis captures
 energy = np.linalg.norm(sub.templates @ sub.basis.T) ** 2 / np.linalg.norm(sub.templates) ** 2
 print(f"subspace: rank {sub.basis.shape[0]}, dim {sub.basis.shape[1]},"

@@ -13,8 +13,6 @@ import os
 from fedfairprompt import Config, emit_report, run_federation
 
 cfg = Config(
-    task="smiling",
-    attribute="gender",
     method="fvlfp",
     master_seed=0,
     out_dir="runs/demo05",

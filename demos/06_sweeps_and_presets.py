@@ -16,8 +16,6 @@ table5) and the command line:
 from fedfairprompt import Config, sweep
 
 base = Config(
-    task="smiling",
-    attribute="gender",
     method="fvlfp",
     master_seed=0,
     out_dir="runs/demo06",

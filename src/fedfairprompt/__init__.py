@@ -12,7 +12,6 @@ reproducible bit for bit.
 from __future__ import annotations
 
 from .config import (
-    BIAS_METRICS,
     METHODS,
     Config,
     config_hash,
@@ -38,11 +37,11 @@ from .debias import (
     task_loss,
 )
 from .encoder import (
+    CLASS_TEMPLATES,
+    GROUP_TEMPLATES,
     EncoderConfig,
     PromptSet,
-    PromptTemplates,
     VisionEncoder,
-    build_prompt_templates,
 )
 from .federation import (
     ClientShard,
@@ -73,7 +72,6 @@ from .report import FairnessReport, RoundRecord, emit_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "BIAS_METRICS",
     "METHODS",
     "Config",
     "config_hash",
@@ -93,11 +91,11 @@ __all__ = [
     "joint_loss",
     "project_out",
     "task_loss",
+    "CLASS_TEMPLATES",
+    "GROUP_TEMPLATES",
     "EncoderConfig",
     "PromptSet",
-    "PromptTemplates",
     "VisionEncoder",
-    "build_prompt_templates",
     "ClientShard",
     "FederationError",
     "PromptedModel",

@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields, replace
 __all__ = [
     "Config",
     "METHODS",
-    "BIAS_METRICS",
     "parse_config",
     "parse_value",
     "config_lines",
@@ -23,19 +22,15 @@ __all__ = [
 ]
 
 METHODS = ("fvlfp", "fedavg_baseline", "wo-cdfp", "wo-dsop", "wo-fpf")
-# the ablation names are also accepted with the slashed spelling
-_METHOD_ALIASES = {"w/o-cdfp": "wo-cdfp", "w/o-dsop": "wo-dsop", "w/o-fpf": "wo-fpf"}
-
-BIAS_METRICS = ("eq", "demo", "a")
 
 
 @dataclass(frozen=True)
 class Config:
-    """Every knob of a federation run, validated on construction."""
+    """Every knob of a federation run, validated on construction. The
+    task (smiling) and the sensitive attribute (gender) are fixed: see
+    ``encoder.CLASS_TEMPLATES`` and ``encoder.GROUP_TEMPLATES``."""
 
-    # task and method
-    task: str = "smiling"
-    attribute: str = "gender"
+    # method and run
     method: str = "fvlfp"
     master_seed: int = 0
     out_dir: str = "runs"
@@ -53,8 +48,6 @@ class Config:
     lambda1: float = 1.0
     lambda2: float = 1.0
     subspace_rank: int = 1
-    bias_metric: str = "eq"
-    cdfp_compound: bool = True
 
     # server refinement
     refine_steps: int = 50
@@ -70,7 +63,6 @@ class Config:
     noise_sigma: float = 0.3
     spurious_strength: float = 0.8
     minority_attenuation: float = 0.5
-    group_cue_rotation: float = 0.0
     data_dir: str = ""
 
     # frozen encoder
@@ -79,11 +71,7 @@ class Config:
     prompt_tokens: int = 2
 
     def __post_init__(self):
-        method = _METHOD_ALIASES.get(self.method, self.method)
-        object.__setattr__(self, "method", method)
-        _require(method in METHODS, "method", f"must be one of {METHODS}", self.method)
-        _require(self.bias_metric in BIAS_METRICS, "bias_metric",
-                 f"must be one of {BIAS_METRICS}", self.bias_metric)
+        _require(self.method in METHODS, "method", f"must be one of {METHODS}", self.method)
         _require(self.master_seed >= 0, "master_seed", "must be >= 0", self.master_seed)
         _require(self.clients >= 1, "clients", "must be >= 1", self.clients)
         _require(self.rounds >= 0, "rounds", "must be >= 0", self.rounds)
@@ -111,8 +99,6 @@ class Config:
                  "must lie in [0, 1]", self.spurious_strength)
         _require(0.0 <= self.minority_attenuation < 1.0, "minority_attenuation",
                  "must lie in [0, 1)", self.minority_attenuation)
-        _require(0.0 <= self.group_cue_rotation <= 1.0, "group_cue_rotation",
-                 "must lie in [0, 1]", self.group_cue_rotation)
         _require(self.mlp_ratio >= 1, "mlp_ratio", "must be >= 1", self.mlp_ratio)
         _require(self.prompt_tokens >= 1, "prompt_tokens", "must be >= 1", self.prompt_tokens)
 
@@ -137,8 +123,6 @@ def _require(ok: bool, field_name: str, rule: str, value) -> None:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
-               "yes": True, "no": False}
 
 
 def parse_value(key: str, raw: str):
@@ -148,10 +132,6 @@ def parse_value(key: str, raw: str):
     kind = _FIELD_TYPES[key]
     text = raw.strip()
     try:
-        if kind == "bool":
-            if text.lower() not in _BOOL_WORDS:
-                raise ValueError
-            return _BOOL_WORDS[text.lower()]
         if kind == "int":
             return int(text)
         if kind == "float":
@@ -198,10 +178,7 @@ def config_lines(config: Config) -> str:
     out = []
     for f in sorted(fields(Config), key=lambda f: f.name):
         value = getattr(config, f.name)
-        text = ("true" if value else "false") if isinstance(value, bool) else repr(value)
-        if isinstance(value, str):
-            text = value
-        out.append(f"{f.name}={text}")
+        out.append(f"{f.name}={value if isinstance(value, str) else repr(value)}")
     return "\n".join(out) + "\n"
 
 

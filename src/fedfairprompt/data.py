@@ -51,17 +51,6 @@ def _label_pattern() -> np.ndarray:
     return pattern
 
 
-def _label_pattern_alt() -> np.ndarray:
-    """Row stripes (+1/-1) on the center patches; orthogonal to the
-    checkerboard over the same support."""
-    stripes = np.indices((_PATCH, _PATCH))[0] % 2
-    tile = np.where(stripes == 0, 1.0, -1.0)
-    pattern = np.zeros((_IMAGE_SIZE, _IMAGE_SIZE))
-    for p in _CENTER_PATCHES:
-        pattern[_patch_block(p)] = tile
-    return pattern
-
-
 def _group_pattern() -> np.ndarray:
     """Solid +1 on the corner patches, zero elsewhere."""
     pattern = np.zeros((_IMAGE_SIZE, _IMAGE_SIZE))
@@ -127,11 +116,7 @@ class SyntheticSpec:
     ``minority_attenuation`` scales the class cue down for group-1
     samples, so their labels are intrinsically harder to read; the
     less converged a classifier is, the wider its group recall gap.
-    ``group_cue_rotation`` rotates group-1's class-cue pattern away
-    from group-0's shared checkerboard (0 = identical direction,
-    1 = orthogonal): past zero, what a model learns about one group's
-    labels transfers only partially to the other, so demographic skew
-    in the training pool becomes a group-specific handicap.
+    Both groups read their labels through the same checkerboard.
     Default amplitudes make the class cue noise-limited and the group
     marker highly salient: a prompt tuned on task loss alone plateaus
     around 0.75 balanced accuracy with a large equalized-odds gap,
@@ -145,7 +130,6 @@ class SyntheticSpec:
     seed: int = 0
     group_signal: float = 2.0
     minority_attenuation: float = 0.5
-    group_cue_rotation: float = 0.0
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -172,15 +156,11 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
     label_pat = _label_pattern()
     group_pat = _group_pattern()
-    theta = spec.group_cue_rotation * np.pi / 2.0
-    # group-1 reads its labels through a rotated pattern of equal energy
-    minority_pat = np.cos(theta) * label_pat + np.sin(theta) * _label_pattern_alt()
     signs = (2 * labels - 1).astype(np.float64)
     cue = spec.label_signal * (1.0 - spec.minority_attenuation * groups)
     amp = 0.25 * cue * signs
     images = np.full((n, _IMAGE_SIZE, _IMAGE_SIZE), 0.5)
-    images += (amp * (1 - groups))[:, None, None] * label_pat
-    images += (amp * groups)[:, None, None] * minority_pat
+    images += amp[:, None, None] * label_pat
     images += 0.25 * spec.group_signal * groups[:, None, None].astype(np.float64) * group_pat
     images += rng.normal(scale=spec.noise_sigma, size=images.shape) if spec.noise_sigma else 0.0
     np.clip(images, 0.0, 1.0, out=images)

@@ -6,7 +6,8 @@ them stays cheap and exactly reproducible. The only trainable state is
 a :class:`PromptSet`: one (K, d) prompt block per transformer layer
 plus the per-layer mixing queries. Each layer's input prompt slice is
 its own block (the blocks written by the transformer itself are not
-re-fed), optionally refined by the cross-layer residual before entry.
+re-fed); with cross-layer mixing on, it is first refined by a residual
+read-out of the mixed blocks that fed the layers below.
 
 Each block reads its prompt block and the CLS and patch rows the block
 below wrote. The prompt rows act as key/value prefixes: they never
@@ -28,12 +29,12 @@ from .crosslayer import apply_cross_layer
 from .tensor import Tensor, _ensure_finite
 
 __all__ = [
+    "CLASS_TEMPLATES",
+    "GROUP_TEMPLATES",
     "EncoderConfig",
     "FrozenBackbone",
     "PromptSet",
-    "PromptTemplates",
     "VisionEncoder",
-    "build_prompt_templates",
 ]
 
 
@@ -60,8 +61,8 @@ class EncoderConfig:
             raise ValueError(
                 f"patch size {self.patch_size} does not tile image size {self.image_size}"
             )
-        if self.prompt_tokens < 0:
-            raise ValueError("prompt_tokens must be >= 0")
+        if self.prompt_tokens < 1:
+            raise ValueError("prompt_tokens must be >= 1")
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
 
@@ -149,8 +150,8 @@ class PromptSet:
         if not self.tokens:
             raise ValueError("PromptSet needs at least one token block")
         shape = self.tokens[0].shape
-        if len(shape) != 2:
-            raise ValueError(f"token blocks must be (K, d), got {shape}")
+        if len(shape) != 2 or shape[0] < 1:
+            raise ValueError(f"token blocks must be (K, d) with K >= 1, got {shape}")
         for t in self.tokens:
             if t.shape != shape:
                 raise ValueError("all token blocks must share one shape")
@@ -213,43 +214,12 @@ class PromptSet:
         )
 
 
-@dataclass(frozen=True)
-class PromptTemplates:
-    """Natural-language templates for task classes and demographic groups."""
-
-    class_templates: list[str]
-    group_templates: list[str]
-
-
-_TASK_TEMPLATES = {
-    "smiling": [
-        "a photo of a person who is smiling",
-        "a photo of a person who is not smiling",
-    ],
-    "age": [
-        "a photo of a young person",
-        "a photo of a older person",
-    ],
-}
-
-_ATTRIBUTE_TEMPLATES = {
-    "gender": ["a photo of a man", "a photo of a woman"],
-    "age": ["a photo of a young person", "a photo of a older person"],
-}
-
-
-def build_prompt_templates(task: str, attribute: str) -> PromptTemplates:
-    """Fixed template strings; class/group index i maps to list entry i."""
-    if task not in _TASK_TEMPLATES:
-        raise ValueError(f"unknown task '{task}'; expected one of {sorted(_TASK_TEMPLATES)}")
-    if attribute not in _ATTRIBUTE_TEMPLATES:
-        raise ValueError(
-            f"unknown attribute '{attribute}'; expected one of {sorted(_ATTRIBUTE_TEMPLATES)}"
-        )
-    return PromptTemplates(
-        class_templates=list(_TASK_TEMPLATES[task]),
-        group_templates=list(_ATTRIBUTE_TEMPLATES[attribute]),
-    )
+# Fixed template text; class or group index i reads entry i.
+CLASS_TEMPLATES = (
+    "a photo of a person who is smiling",
+    "a photo of a person who is not smiling",
+)
+GROUP_TEMPLATES = ("a photo of a man", "a photo of a woman")
 
 
 class VisionEncoder:
@@ -350,7 +320,6 @@ class VisionEncoder:
         e0: np.ndarray,
         prompts: PromptSet,
         cdfp_enabled: bool = True,
-        compound: bool = True,
     ) -> Tensor:
         """Embed patch rows with prompt blocks threaded through every layer.
 
@@ -359,9 +328,11 @@ class VisionEncoder:
         feature datasets carry no spatial layout. Returns the (B, d)
         unit-norm image embeddings.
 
-        Block l reads ``prompts.tokens[l - 1]`` (mixed across layers when
-        CDFP is on) as its key/value prefix rows, and the CLS and patch
-        rows the previous block wrote.
+        Block l reads ``prompts.tokens[l - 1]`` as its key/value prefix
+        rows, and the CLS and patch rows the previous block wrote. With
+        ``cdfp_enabled`` each block from the second on is first mixed
+        with the blocks used below it, and the history holds those mixed
+        blocks.
         """
         cfg = self.config
         data = np.asarray(e0, dtype=np.float64)
@@ -375,7 +346,6 @@ class VisionEncoder:
         batch, width = data.shape[0], data.shape[1]
         if width == cfg.patch_count:
             data = data + self._patch_pos
-        mix = cdfp_enabled and prompts.token_count > 0
 
         # The CLS and patch rows: everything but the prompt block.
         cls_rows = np.broadcast_to(self._cls_row, (batch, 1, cfg.embed_dim))
@@ -387,9 +357,10 @@ class VisionEncoder:
             state = self._block(used, state, layer - 1, cls_only=last)
             if last:
                 break
-            base = prompts.tokens[layer]
-            used = apply_cross_layer(base, history, prompts.queries[layer - 1]) if mix else base
-            history.append(used if compound else base)
+            used = prompts.tokens[layer]
+            if cdfp_enabled:
+                used = apply_cross_layer(used, history, prompts.queries[layer - 1])
+            history.append(used)
 
         cls_final = T.reshape(state, (batch, cfg.embed_dim))
         return T.l2_normalize(T.matmul(T.layernorm(cls_final, self._lnf_g, self._lnf_b), self._out_proj))

@@ -43,7 +43,7 @@ from .debias import (
     project_out,
     task_loss,
 )
-from .encoder import EncoderConfig, PromptSet, VisionEncoder, build_prompt_templates
+from .encoder import CLASS_TEMPLATES, GROUP_TEMPLATES, EncoderConfig, PromptSet, VisionEncoder
 from .metrics import (
     GroupConfusion,
     MetricRecord,
@@ -123,10 +123,9 @@ class ClientShard:
 class PromptedModel:
     """The frozen pipeline a prompt set adapts.
 
-    ``cdfp_enabled`` turns on cross-layer prompt mixing and ``compound``
-    feeds the mixed blocks into the history; ``subspace`` is the
-    demographic subspace embeddings are debiased against, or None when
-    DSOP is off. Nothing here is ever trained.
+    ``cdfp_enabled`` turns on cross-layer prompt mixing; ``subspace`` is
+    the demographic subspace embeddings are debiased against, or None
+    when DSOP is off. Nothing here is ever trained.
     """
 
     encoder: VisionEncoder
@@ -134,16 +133,13 @@ class PromptedModel:
     temperature: float
     subspace: DemographicSubspace | None = None
     cdfp_enabled: bool = True
-    compound: bool = True
 
     def embed(self, prompts: PromptSet, rows: np.ndarray) -> tuple[Tensor, Tensor]:
         """Unit image embeddings and their debiased part, (z, z_debiased).
 
         Without a subspace ``z_debiased`` is ``z`` itself.
         """
-        z = self.encoder.encode_image(
-            rows, prompts, cdfp_enabled=self.cdfp_enabled, compound=self.compound
-        )
+        z = self.encoder.encode_image(rows, prompts, cdfp_enabled=self.cdfp_enabled)
         if self.subspace is None:
             return z, z
         return z, project_out(z, self.subspace)[0]
@@ -205,14 +201,10 @@ def evaluate_prompts(
     return record, conf
 
 
-def score_from_record(record: MetricRecord, bias_metric: str = "eq") -> float:
-    """Fusion score: balanced accuracy discounted by validation bias.
-
-    The accuracy-gap bias lives in [0, 2], so its discount is floored
-    at zero to keep scores in [0, 1].
-    """
-    bias = {"eq": record.phi_eq, "demo": record.phi_demo, "a": record.phi_a}[bias_metric]
-    return record.a_b * max(0.0, 1.0 - bias)
+def score_from_record(record: MetricRecord) -> float:
+    """Fusion score: balanced accuracy times one minus the equalized-odds
+    gap. Both factors lie in [0, 1], so the score does too."""
+    return record.a_b * (1.0 - record.phi_eq)
 
 
 def _fit(model: PromptedModel, prompts: PromptSet, steps, lr: float, who: str) -> None:
@@ -425,7 +417,6 @@ def load_splits(config: Config) -> tuple[Dataset, Dataset, Dataset]:
         noise_sigma=config.noise_sigma,
         spurious_strength=config.spurious_strength,
         minority_attenuation=config.minority_attenuation,
-        group_cue_rotation=config.group_cue_rotation,
         seed=derive_seed(master, _SEED_TRAIN),
     )
     train = generate_synthetic(spec)
@@ -451,15 +442,13 @@ def run_federation(config: Config) -> FairnessReport:
     enc_cfg = encoder_config(config)
     encoder = VisionEncoder(enc_cfg)
     backbone_hash = encoder.backbone_hash()
-    templates = build_prompt_templates(config.task, config.attribute)
     model = PromptedModel(
         encoder=encoder,
-        class_text=np.stack([encoder.encode_text(s) for s in templates.class_templates]),
+        class_text=np.stack([encoder.encode_text(s) for s in CLASS_TEMPLATES]),
         temperature=enc_cfg.temperature,
-        subspace=(build_subspace(encoder, templates.group_templates, k=config.subspace_rank)
+        subspace=(build_subspace(encoder, GROUP_TEMPLATES, k=config.subspace_rank)
                   if config.dsop_enabled else None),
         cdfp_enabled=config.cdfp_enabled,
-        compound=config.cdfp_compound,
     )
 
     train, val, test = (_embedded(encoder, split) for split in load_splits(config))
@@ -486,9 +475,7 @@ def run_federation(config: Config) -> FairnessReport:
                 for shard in shards
             ]
             client_prompts, client_records, client_confs = map(list, zip(*updates))
-            scores = [
-                score_from_record(rec, config.bias_metric) for rec in client_records
-            ]
+            scores = [score_from_record(rec) for rec in client_records]
             weights = fusion_weights(scores if config.fpf_enabled else [1.0] * len(shards))
             global_prompts = fuse_prompts(client_prompts, weights)
             if config.fpf_enabled:

@@ -117,7 +117,7 @@ class Tensor:
 
     def __repr__(self) -> str:
         tag = f" '{self.name}'" if self.name else ""
-        kind = "param" if self.trainable else "const"
+        kind = "param" if self.trainable else "node" if self.needs_grad else "const"
         return f"Tensor{tag}({kind}, shape={self.shape})"
 
 

@@ -5,13 +5,11 @@ import dataclasses
 import pytest
 
 from fedfairprompt.config import (
-    BIAS_METRICS,
     METHODS,
     Config,
     config_hash,
     config_lines,
     parse_config,
-    parse_value,
 )
 
 
@@ -100,18 +98,11 @@ def test_type_error_carries_line_number(tmp_path):
         parse_config(str(path))
 
 
-def test_parse_value_bool_words():
-    assert parse_value("cdfp_compound", "true") is True
-    assert parse_value("cdfp_compound", "No") is False
-    with pytest.raises(ValueError, match="cdfp_compound"):
-        parse_value("cdfp_compound", "maybe")
-
-
 @pytest.mark.parametrize(
     "field,value",
     [
         ("method", "fedprox"),
-        ("bias_metric", "tpr"),
+        ("method", "w/o-cdfp"),
         ("master_seed", -1),
         ("clients", 0),
         ("rounds", -1),
@@ -128,7 +119,6 @@ def test_parse_value_bool_words():
         ("noise_sigma", -0.1),
         ("spurious_strength", 1.5),
         ("minority_attenuation", 1.0),
-        ("group_cue_rotation", 1.01),
         ("prompt_tokens", 0),
     ],
 )
@@ -163,18 +153,8 @@ def test_method_stage_dispatch(method, cdfp, dsop, fpf):
     assert cfg.fpf_enabled is fpf
 
 
-def test_slashed_ablation_spellings_normalize():
-    for slashed, plain in (
-        ("w/o-cdfp", "wo-cdfp"),
-        ("w/o-dsop", "wo-dsop"),
-        ("w/o-fpf", "wo-fpf"),
-    ):
-        assert dataclasses.replace(Config(), method=slashed).method == plain
-
-
 def test_method_names_are_the_full_set():
     assert set(METHODS) == {"fvlfp", "fedavg_baseline", "wo-cdfp", "wo-dsop", "wo-fpf"}
-    assert set(BIAS_METRICS) == {"eq", "demo", "a"}
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +164,9 @@ def test_method_names_are_the_full_set():
 def _variant_configs():
     yield Config()
     yield dataclasses.replace(Config(), method="wo-dsop", alpha=100.0, clients=20)
-    yield dataclasses.replace(Config(), cdfp_compound=False, data_dir="some/dir",
+    yield dataclasses.replace(Config(), method="wo-fpf", data_dir="some/dir",
                               lr=5e-3, rounds=1)
-    yield dataclasses.replace(Config(), bias_metric="demo", minority_attenuation=0.0,
+    yield dataclasses.replace(Config(), lambda2=0.5, minority_attenuation=0.0,
                               out_dir="elsewhere")
 
 

@@ -263,48 +263,3 @@ def test_dataset_validation():
         Dataset(features=np.zeros((2, 1, 4)), labels=[0, 1], groups=[0, 1], kind="foo")
     with pytest.raises(ValueError):
         Dataset(features=np.full((1, 1, 2), np.nan), labels=[0], groups=[0])
-
-
-# ---------------------------------------------------------------------------
-# group-conditioned cue rotation
-
-
-def test_group_cue_rotation_zero_is_shared_direction():
-    base = SyntheticSpec(n=64, seed=5)
-    explicit = SyntheticSpec(n=64, seed=5, group_cue_rotation=0.0)
-    np.testing.assert_array_equal(
-        generate_synthetic(base).features, generate_synthetic(explicit).features
-    )
-
-
-def test_full_rotation_makes_group_class_cues_orthogonal():
-    # noise-free world; the per-group class-difference images expose the
-    # cue patterns directly
-    ds = generate_synthetic(
-        SyntheticSpec(n=400, seed=3, noise_sigma=0.0, spurious_strength=0.0,
-                      minority_attenuation=0.0, group_cue_rotation=1.0)
-    )
-
-    def class_diff(g):
-        rows1 = ds.features[(ds.labels == 1) & (ds.groups == g)].mean(axis=0)
-        rows0 = ds.features[(ds.labels == 0) & (ds.groups == g)].mean(axis=0)
-        return (rows1 - rows0).ravel()
-
-    d0, d1 = class_diff(0), class_diff(1)
-    cos = abs(float(np.dot(d0, d1))) / (np.linalg.norm(d0) * np.linalg.norm(d1))
-    assert cos < 1e-10
-    # rotation redirects the cue without changing its energy
-    assert np.linalg.norm(d1) == pytest.approx(np.linalg.norm(d0), rel=1e-9)
-
-
-def test_partial_rotation_interpolates():
-    ds = generate_synthetic(
-        SyntheticSpec(n=400, seed=3, noise_sigma=0.0, spurious_strength=0.0,
-                      minority_attenuation=0.0, group_cue_rotation=0.5)
-    )
-    d0 = (ds.features[(ds.labels == 1) & (ds.groups == 0)].mean(axis=0)
-          - ds.features[(ds.labels == 0) & (ds.groups == 0)].mean(axis=0)).ravel()
-    d1 = (ds.features[(ds.labels == 1) & (ds.groups == 1)].mean(axis=0)
-          - ds.features[(ds.labels == 0) & (ds.groups == 1)].mean(axis=0)).ravel()
-    cos = float(np.dot(d0, d1)) / (np.linalg.norm(d0) * np.linalg.norm(d1))
-    assert cos == pytest.approx(np.cos(0.5 * np.pi / 2.0), abs=1e-9)

@@ -18,10 +18,11 @@ from fedfairprompt.config import Config
 from fedfairprompt.data import Dataset, SyntheticSpec, generate_synthetic, save_embeddings
 from fedfairprompt.debias import build_subspace
 from fedfairprompt.encoder import (
+    CLASS_TEMPLATES,
+    GROUP_TEMPLATES,
     EncoderConfig,
     PromptSet,
     VisionEncoder,
-    build_prompt_templates,
 )
 from fedfairprompt.federation import (
     ClientShard,
@@ -58,8 +59,7 @@ def encoder(enc_cfg):
 
 @pytest.fixture(scope="module")
 def class_text(encoder):
-    templates = build_prompt_templates("smiling", "gender")
-    return np.stack([encoder.encode_text(s) for s in templates.class_templates])
+    return np.stack([encoder.encode_text(s) for s in CLASS_TEMPLATES])
 
 
 @pytest.fixture(scope="module")
@@ -187,14 +187,13 @@ def test_fuse_prompts_leaves_inputs_untouched(enc_cfg):
 
 def test_score_from_record_product_rule():
     rec = MetricRecord(a_b=0.8, phi_a=0.1, phi_demo=0.3, phi_eq=0.5, f_global=0.2)
-    assert score_from_record(rec, "eq") == pytest.approx(0.8 * 0.5)
-    assert score_from_record(rec, "demo") == pytest.approx(0.8 * 0.7)
-    assert score_from_record(rec, "a") == pytest.approx(0.8 * 0.9)
+    assert score_from_record(rec) == pytest.approx(0.8 * 0.5)
 
 
 def test_score_from_record_floors_at_zero():
+    # the largest equalized-odds gap, 1, zeroes the score
     rec = MetricRecord(a_b=0.9, phi_a=0.0, phi_demo=0.0, phi_eq=1.0, f_global=0.0)
-    assert score_from_record(rec, "eq") == 0.0
+    assert score_from_record(rec) == 0.0
 
 
 def test_evaluate_prompts_f_global_is_single_client_aggregate(model, val_split, enc_cfg):
@@ -238,8 +237,7 @@ def test_client_update_is_pure_and_deterministic(model, val_split, enc_cfg):
 def _tiny_refine_setup():
     cfg = EncoderConfig(layers=2, prompt_tokens=1, heads=2)
     encoder = VisionEncoder(cfg)
-    templates = build_prompt_templates("smiling", "gender")
-    class_text = np.stack([encoder.encode_text(s) for s in templates.class_templates])
+    class_text = np.stack([encoder.encode_text(s) for s in CLASS_TEMPLATES])
     data = generate_synthetic(SyntheticSpec(n=6, seed=21, spurious_strength=0.0))
     features = encoder.embed_patches(data.features)
     groups = np.array([0, 0, 0, 1, 1, 1])
@@ -249,10 +247,7 @@ def _tiny_refine_setup():
 def test_refinement_loss_gradients_reach_all_prompt_parameters():
     cfg, encoder, class_text, features, labels, groups = _tiny_refine_setup()
     prompts = PromptSet.initialize(cfg, seed=8)
-    subspace = build_subspace(
-        encoder, build_prompt_templates("smiling", "gender").group_templates,
-        k=1,
-    )
+    subspace = build_subspace(encoder, GROUP_TEMPLATES, k=1)
 
     model = PromptedModel(encoder, class_text, cfg.temperature, subspace=subspace)
 

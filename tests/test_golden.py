@@ -25,33 +25,33 @@ from fedfairprompt.report import emit_report
 GOLDEN = {
     "fvlfp": {
         "rounds.csv": "c8b8ba8b4b43d0cd14653803080e9bea9ca0029651ff06ff1924fd8fb639ab63",
-        "summary.md": "e60d04e92892aaa9af603389ae4111c6205e189b90e02e5e759dee983044c587",
-        "config.txt": "72f1d3fdc71f84c7e6212eea286181f087e8fdc26899943806bed4bff9aacc75",
-        "report.json": "27c271464bb04fa6fa9b35d022b1e9b0354e74ab75777dac156ff99946a49524",
+        "summary.md": "8a03f47d3159f61fcb30cd06b3778d974d9fce8708084d01cebd770830f30bb3",
+        "config.txt": "b07b4e4b8425d695afd2e0e2cc2450749694589032418142490ed33fde47f265",
+        "report.json": "438fdc0389cf62e10d68431d32db3e1b373f6e4a7d30e2bce810c52e3cb4c754",
     },
     "fedavg_baseline": {
         "rounds.csv": "c2c631c9524a45e7d8428273d7c2c59f68cea7dd23b7e3d3c7773d946c63726a",
-        "summary.md": "e0b7231da9d16a5b8f90a3af802149a20179c9de910cdd59c489d2c047660d0c",
-        "config.txt": "8522b908ac6b9ae270d2a05d33321340bbe8a74ecdf5964046092cc7909f951c",
-        "report.json": "37ff73db062cf5a8e9e05e2f053a64a2b21603f3db9cd9c4e8a54a2028785a74",
+        "summary.md": "6ca0ef3bb42aad9f0dfa6081c1c1e094ea041074d44ee66af1ef7646c865fc0c",
+        "config.txt": "6d4b25808c0923b0470588e1212fda7ad4cd8f3e4a3e60f5a026e8fc3e9737a9",
+        "report.json": "0327dd519cd300bf27a27f99c8fe207a97e67db9283e3ab44dfaf7c42b27b440",
     },
     "wo-cdfp": {
         "rounds.csv": "ec7ebc2a835e181429ba891976d8bf60f1c37e4f37fb491464327db466d135e1",
-        "summary.md": "195fbba4e09b8da68316d3a5e8536e5e851da459d98b06a72c333956751d187a",
-        "config.txt": "18b82341f8e0e8cd2ed378811a61809cafb6b1733c6583c13849eaaf882be4f9",
-        "report.json": "fea8461550c92d5a1ae465ef63f02a42acaffbe2cdf6169a521f6e8c8df4d2f4",
+        "summary.md": "d183ce1cbdd9b0e16e9284b334b7fb86e51057660a0b7212e056249cd8549e92",
+        "config.txt": "89b1db1c39f4b0e426df765a57258ebf2cd36ba8c6ea96ee139c3c6e68fb15ff",
+        "report.json": "605ae5522b68b24a064f628766e05992d3e4570139a81f8579605432fef8bff1",
     },
     "wo-dsop": {
         "rounds.csv": "93c63162b41eca99e5a612912d803b0ba13495ad674d568d2c055e98ab06bacb",
-        "summary.md": "dec2ccdd1f1a116086091c08b1e27d784103b51d11bcf270955c77e178dea852",
-        "config.txt": "181a9fa8cda38409859fb4b302f9ca56126c3dd4df0dbfe2396a2853d239e6f3",
-        "report.json": "ecb50fcb271ae3327ba01d4760c961f464a2ca05724919c6b794bb20b5a07922",
+        "summary.md": "5bdb5e801223731b006df377132a6a7d6afbc3e1808b0768388f27c796323063",
+        "config.txt": "04defee451d744e5efc91e0385385ba72c1d1f647f06dd53ae0ed2ccf38a42ba",
+        "report.json": "7f9086d0608712af995cedd832cfcf39d2b00d2b49a50b09d92342c933824db3",
     },
     "wo-fpf": {
         "rounds.csv": "ec236734c6a9df75310edec3ff4f25c2f563413e59a1e17acc75767b16fe23d9",
-        "summary.md": "dc55304f33c5c1533aec89c04faa9fbc79c80bb1d2f5af5b4cb4bf707bd4eafa",
-        "config.txt": "20cf368b6221dc50cde00fb0ab7e9078faab4e7dbb80c5aebf4c87d593248158",
-        "report.json": "24147066d842ff24290b7b874487100ba3d97e7ebd54b1ea4880aac03e448dc8",
+        "summary.md": "901ea940252f945794e49c2919857d76f7aeea35eb38758023b82cecf2708593",
+        "config.txt": "329cb253689730e73f9e94ec65b002398b065441997dc67f214d28f5673e1bab",
+        "report.json": "012800d746464f71f82cd9712acc365c94d47df52a54e45e31fa21d6a547781d",
     },
 }
 

@@ -324,6 +324,16 @@ def test_no_grad_suppresses_graph_but_not_values():
     assert x in grads
 
 
+def test_repr_tells_params_tape_nodes_and_constants_apart():
+    w = Tensor(np.ones((2, 3)), trainable=True, name="w")
+    frozen = Tensor(np.ones((3, 4)), name="frozen")
+    assert repr(w) == "Tensor 'w'(param, shape=(2, 3))"
+    assert repr(frozen) == "Tensor 'frozen'(const, shape=(3, 4))"
+    assert repr(T.matmul(w, frozen)) == "Tensor 'matmul'(node, shape=(2, 4))"
+    with T.no_grad():
+        assert repr(T.matmul(w, frozen)) == "Tensor 'matmul'(const, shape=(2, 4))"
+
+
 def test_gradients_match_finite_differences_per_kernel():
     rng = _rng(9)
     x = Tensor(rng.standard_normal((3, 4)), trainable=True)
