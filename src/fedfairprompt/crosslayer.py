@@ -21,18 +21,18 @@ def apply_cross_layer(tokens: Tensor, history: list[Tensor], query: Tensor) -> T
     """Residual update: tokens + sum_i w_i * history[i], where ``w`` is
     the softmax over i of ``query`` dotted with history[i]'s mean row."""
     blocks = np.stack([h.data for h in history])  # (n, K, d)
-    contexts = blocks.mean(axis=1)  # (n, d)
+    contexts = np.add.reduce(blocks, axis=1) / blocks.shape[1]  # (n, d), the mean rows
     q = query.data
     # One dot per context: a matrix-vector product rounds differently,
     # and the golden run hashes pin these logits to the bit.
     logits = np.array([q @ c for c in contexts])
-    e = np.exp(logits - logits.max(axis=0, keepdims=True))
-    w = e / e.sum(axis=0, keepdims=True)
-    out = tokens.data + (blocks * w.reshape(-1, 1, 1)).sum(axis=0)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=0, keepdims=True))
+    w = e / np.add.reduce(e, axis=0, keepdims=True)
+    out = tokens.data + np.add.reduce(blocks * w.reshape(-1, 1, 1), axis=0)
 
     def vjp(g):
-        gw = (blocks * g).sum(axis=(1, 2))
-        glogits = w * (gw - np.sum(gw * w))
+        gw = np.add.reduce(blocks * g, axis=(1, 2))
+        glogits = w * (gw - np.add.reduce(gw * w))
         # d(logit_i)/d(block_i) spreads query / K over the block's K rows.
         gblocks = w.reshape(-1, 1, 1) * g + (glogits[:, None] * q)[:, None, :] / blocks.shape[1]
         return (g, *gblocks, glogits @ contexts)

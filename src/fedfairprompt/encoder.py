@@ -15,6 +15,10 @@ depend on the image, so their LN1 and key/value projections run once
 on the (K, d) block and are broadcast over the batch. Queries, the
 output projection and the MLP run only for the rows the next step
 reads: CLS and the patch rows, or CLS alone in the last block.
+
+Which frozen affine terms are the identity (unit LN gains, zero biases,
+as ``FrozenBackbone`` builds them) is decided once, at construction;
+their passes are then skipped. The backbone arrays are unchanged.
 """
 
 from __future__ import annotations
@@ -222,6 +226,15 @@ CLASS_TEMPLATES = (
 GROUP_TEMPLATES = ("a photo of a man", "a photo of a woman")
 
 
+# Each affine term of a layer, with the value at which it is the identity.
+_IDENTITY = {"ln1_g": 1.0, "ln1_b": 0.0, "ln2_g": 1.0, "ln2_b": 0.0, "b1": 0.0, "b2": 0.0}
+
+
+def _frozen(arr: np.ndarray, identity: float | None) -> Tensor | None:
+    """``arr`` as a constant, or None where it equals ``identity`` throughout."""
+    return None if identity is not None and np.all(arr == identity) else Tensor(arr)
+
+
 class VisionEncoder:
     """Frozen dual encoder plus the prompt-threading forward pass."""
 
@@ -230,22 +243,18 @@ class VisionEncoder:
         self.backbone = FrozenBackbone(config) if backbone is None else backbone
         b = self.backbone
         # Pre-wrapped frozen constants reused across forward passes. The
-        # attention scale is folded into the query weights once, and
-        # all-zero bias vectors are marked so their adds can be skipped.
+        # attention scale is folded into the query weights once; identity
+        # affine terms are None.
         head_dim = config.embed_dim // config.heads
         self._cls_row = (b.cls + b.pos[0]).reshape(1, -1)
         self._patch_pos = b.pos[1:]
         self._layer_consts = []
-        self._bias_nonzero = []
         for layer in b.layers:
-            consts = {k: Tensor(v) for k, v in layer.items()}
+            consts = {k: _frozen(v, _IDENTITY.get(k)) for k, v in layer.items()}
             consts["wq_scaled"] = Tensor(layer["wq"] * head_dim**-0.5)
             self._layer_consts.append(consts)
-            self._bias_nonzero.append(
-                (bool(np.any(layer["b1"])), bool(np.any(layer["b2"])))
-            )
-        self._lnf_g = Tensor(b.lnf_g)
-        self._lnf_b = Tensor(b.lnf_b)
+        self._lnf_g = _frozen(b.lnf_g, 1.0)
+        self._lnf_b = _frozen(b.lnf_b, 0.0)
         self._out_proj = Tensor(b.out_proj)
 
     # -- frozen towers ------------------------------------------------
@@ -306,12 +315,11 @@ class VisionEncoder:
         attn = T.softmax(T.matmul(q4, T.swap_axes(k4, 2, 3)), axis=-1)
         rows = T.add(state, T.merge_heads(T.matmul(attn, v4), w["wo"]))
 
-        b1_nonzero, b2_nonzero = self._bias_nonzero[idx]
         inner = T.matmul(T.layernorm(rows, w["ln2_g"], w["ln2_b"]), w["w1"])
-        if b1_nonzero:
+        if w["b1"] is not None:
             inner = T.add(inner, w["b1"])
         mlp = T.matmul(T.gelu(inner), w["w2"])
-        if b2_nonzero:
+        if w["b2"] is not None:
             mlp = T.add(mlp, w["b2"])
         return T.add(rows, mlp)
 

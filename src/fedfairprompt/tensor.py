@@ -5,14 +5,19 @@ projections (project_heads: matmul by a frozen weight, then split
 heads; project_prefixed_heads: the same for a shared prefix block and
 per-sample rows; merge_heads: merge heads, then matmul by a frozen
 weight), elementwise add/sub/mul, scalar scale, softmax, log-softmax,
-layer norm, GELU, concat, slice, reshape, axis swaps, reductions, L2
-normalization, relu (hinge), abs, per-row gather and a leading-axis
-tile. Every kernel is pure (identical inputs give bit-identical
-outputs) and records just enough structure to replay the chain rule.
-Gradients flow only into tensors created with ``trainable=True``;
-everything else is a frozen constant and its subgraph is skipped during
-backprop. Finiteness is checked at the boundaries, not per kernel: see
-``Tensor`` and ``backward``.
+layer norm (whose affine terms may be left out as the identity), GELU,
+slice, reshape, axis swaps, reductions, L2 normalization, relu (hinge),
+abs and a per-row gather. Every kernel is pure (identical inputs give
+bit-identical outputs) and records just enough structure to replay the
+chain rule. Gradients flow only into tensors created with
+``trainable=True``; everything else is a frozen constant and its
+subgraph is skipped during backprop. Finiteness is checked at the
+boundaries, not per kernel: see ``Tensor`` and ``backward``.
+
+On small sequences a node costs more in call overhead than in
+arithmetic, so kernels call ``np.add.reduce``, ``np.maximum.reduce`` and
+``ndarray.swapaxes`` directly, not the ``sum``/``mean``/``max`` wrappers;
+a mean is ``np.add.reduce(...) / n``, bit-identical to ``ndarray.mean``.
 """
 
 from __future__ import annotations
@@ -40,14 +45,12 @@ __all__ = [
     "relu",
     "abs_value",
     "l2_normalize",
-    "concat",
     "slice_axis",
     "reshape",
     "swap_axes",
     "reduce_sum",
     "reduce_mean",
     "take_per_row",
-    "tile_leading",
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -130,26 +133,30 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor
     out.data = data
     out.trainable = False
     out.name = op
-    if _grad_enabled and any(p.needs_grad for p in parents):
-        out.needs_grad = True
-        out.parents = parents
-        out.vjp = vjp
-    else:
-        # Constant subgraph: keep no references so it can be collected.
-        out.needs_grad = False
-        out.parents = ()
-        out.vjp = None
+    if _grad_enabled:
+        for p in parents:
+            if p.needs_grad:
+                out.needs_grad = True
+                out.parents = parents
+                out.vjp = vjp
+                return out
+    # Constant subgraph: keep no references so it can be collected.
+    out.needs_grad = False
+    out.parents = ()
+    out.vjp = None
     return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad
 
 
@@ -165,41 +172,38 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
     if output.data.size != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.shape}")
 
+    # Depth-first post-order over the nodes that need a gradient, each
+    # expanded once: ``order`` lists every node after its parents.
     order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(output, False)]
+    seen: set[Tensor] = set()
+    stack: list[tuple[Tensor, bool]] = [(output, False)] if output.needs_grad else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
-            continue
-        if id(node) in seen or not node.needs_grad:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            stack.append((p, False))
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            for p in node.parents:
+                if p.needs_grad and p not in seen:
+                    stack.append((p, False))
 
     if not np.isfinite(output.data).all():
-        # ``order`` lists every node after its parents.
         first = next((n for n in order if not np.isfinite(n.data).all()), output)
         raise NonFiniteError(f"non-finite loss; first non-finite output is from '{first.name}'")
 
-    grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
+    grads: dict[Tensor, np.ndarray] = {output: np.ones_like(output.data)}
     leaves: dict[Tensor, np.ndarray] = {}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node.vjp is not None:
-            for parent, pg in zip(node.parents, node.vjp(g)):
-                if not parent.needs_grad or pg is None:
-                    continue
-                slot = grads.get(id(parent))
-                grads[id(parent)] = pg if slot is None else slot + pg
-        elif node.trainable:
+        g = grads.pop(node)
+        if node.vjp is None:  # a trainable leaf
             _ensure_finite(g, f"gradient of '{node.name}'")
             leaves[node] = g
+            continue
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            if pg is not None and parent.needs_grad:
+                slot = grads.get(parent)
+                grads[parent] = pg if slot is None else slot + pg
     return leaves
 
 
@@ -305,17 +309,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     batch axes).
     """
     a, b = _lift(a), _lift(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise ValueError(f"matmul needs >=2-D operands, got {ad.shape} @ {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise ValueError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
     out = ad @ bd
     na, nb = a.needs_grad, b.needs_grad
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if na else None
-        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if nb else None
+        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape) if na else None
+        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape) if nb else None
         return (ga, gb)
 
     return _node(out, (a, b), vjp, "matmul")
@@ -345,10 +349,10 @@ def project_heads(x: Tensor, w: Tensor, heads: int) -> Tensor:
     e = wd.shape[1]
     if e % heads != 0:
         raise ValueError(f"project_heads: {e} output features do not split into {heads} heads")
-    out = np.swapaxes((x.data @ wd).reshape(batch, n, heads, e // heads), 1, 2)
+    out = (x.data @ wd).reshape(batch, n, heads, e // heads).swapaxes(1, 2)
 
     def vjp(g):
-        return (np.swapaxes(g, 1, 2).reshape(batch, n, e) @ wd.T,)
+        return (g.swapaxes(1, 2).reshape(batch, n, e) @ wd.T,)
 
     return _node(out, (x,), vjp, "project_heads")
 
@@ -369,13 +373,13 @@ def project_prefixed_heads(prefix: Tensor, x: Tensor, w: Tensor, heads: int) -> 
         raise ValueError(f"project_prefixed_heads: {e} features do not split into {heads} heads")
     c = e // heads
     out = np.empty((batch, heads, k + n, c))
-    out[:, :, :k] = np.swapaxes((prefix.data @ wd).reshape(k, heads, c), 0, 1)
-    out[:, :, k:] = np.swapaxes((x.data @ wd).reshape(batch, n, heads, c), 1, 2)
+    out[:, :, :k] = (prefix.data @ wd).reshape(k, heads, c).swapaxes(0, 1)
+    out[:, :, k:] = (x.data @ wd).reshape(batch, n, heads, c).swapaxes(1, 2)
     npre, nx = prefix.needs_grad, x.needs_grad
 
     def vjp(g):
-        gp = np.swapaxes(g[:, :, :k].sum(axis=0), 0, 1).reshape(k, e) @ wd.T if npre else None
-        gx = np.swapaxes(g[:, :, k:], 1, 2).reshape(batch, n, e) @ wd.T if nx else None
+        gp = np.add.reduce(g[:, :, :k], axis=0).swapaxes(0, 1).reshape(k, e) @ wd.T if npre else None
+        gx = g[:, :, k:].swapaxes(1, 2).reshape(batch, n, e) @ wd.T if nx else None
         return (gp, gx)
 
     return _node(out, (prefix, x), vjp, "project_prefixed_heads")
@@ -393,10 +397,10 @@ def merge_heads(x: Tensor, w: Tensor) -> Tensor:
         raise ValueError(f"merge_heads needs (B, heads, n, c) rows, got {x.shape}")
     batch, heads, n, c = x.shape
     wd = _frozen_weight(w, heads * c, "merge_heads")
-    out = np.swapaxes(x.data, 1, 2).reshape(batch, n, heads * c) @ wd
+    out = x.data.swapaxes(1, 2).reshape(batch, n, heads * c) @ wd
 
     def vjp(g):
-        return (np.swapaxes((g @ wd.T).reshape(batch, n, heads, c), 1, 2),)
+        return ((g @ wd.T).reshape(batch, n, heads, c).swapaxes(1, 2),)
 
     return _node(out, (x,), vjp, "merge_heads")
 
@@ -407,13 +411,13 @@ def l2_normalize(x: Tensor, eps: float = 0.0) -> Tensor:
     A (near-)zero-norm slice is an error rather than a silent rescale.
     """
     x = _lift(x)
-    norm = np.sqrt(np.sum(x.data * x.data, axis=-1, keepdims=True))
+    norm = np.sqrt(np.add.reduce(x.data * x.data, axis=-1, keepdims=True))
     if np.any(norm <= max(eps, 1e-30)):
         raise ValueError("l2_normalize: zero-norm slice")
     out = x.data / norm
 
     def vjp(g):
-        inner = np.sum(g * out, axis=-1, keepdims=True)
+        inner = np.add.reduce(g * out, axis=-1, keepdims=True)
         return ((g - out * inner) / norm,)
 
     return _node(out, (x,), vjp, "l2_normalize")
@@ -427,12 +431,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = _lift(x)
     if x.data.shape == () or x.data.shape[axis] == 0:
         raise ValueError("softmax over an empty axis")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / np.add.reduce(e, axis=axis, keepdims=True)
 
     def vjp(g):
-        inner = np.sum(g * out, axis=axis, keepdims=True)
+        inner = np.add.reduce(g * out, axis=axis, keepdims=True)
         return (out * (g - inner),)
 
     return _node(out, (x,), vjp, "softmax")
@@ -442,61 +446,58 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = _lift(x)
     if x.data.shape == () or x.data.shape[axis] == 0:
         raise ValueError("log_softmax over an empty axis")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
+    out = shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
     p = np.exp(out)
 
     def vjp(g):
-        return (g - p * g.sum(axis=axis, keepdims=True),)
+        return (g - p * np.add.reduce(g, axis=axis, keepdims=True),)
 
     return _node(out, (x,), vjp, "log_softmax")
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-slice (last axis) zero-mean unit-variance, then affine."""
-    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ValueError(f"layernorm affine shapes {gain.shape}/{bias.shape} != ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+def layernorm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
+              eps: float = 1e-5) -> Tensor:
+    """Per-slice (last axis) zero-mean unit-variance, then affine.
+
+    A ``gain`` or ``bias`` of None is the identity (ones or zeros), and
+    its pass is skipped in the forward and in the VJP.
+    """
+    x = _lift(x)
+    gain = None if gain is None else _lift(gain)
+    bias = None if bias is None else _lift(bias)
+    affine = tuple(t for t in (gain, bias) if t is not None)
+    xd = x.data
+    d = xd.shape[-1]
+    for t in affine:
+        if t.shape != (d,):
+            raise ValueError(f"layernorm affine shape {t.shape} != ({d},)")
+    xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    gd = gain.data
-    out = xhat * gd + bias.data
-    nx, ng, nb = x.needs_grad, gain.needs_grad, bias.needs_grad
+    out = xhat if gain is None else xhat * gain.data
+    if bias is not None:
+        out = out + bias.data
 
     def vjp(g):
-        gx = None
-        if nx:
-            gy = g * gd
-            gx = inv * (gy - gy.mean(axis=-1, keepdims=True)
-                        - xhat * np.mean(gy * xhat, axis=-1, keepdims=True))
+        grads = [None]
+        if x.needs_grad:
+            gy = g if gain is None else g * gain.data
+            grads[0] = inv * (gy - np.add.reduce(gy, axis=-1, keepdims=True) / d
+                              - xhat * (np.add.reduce(gy * xhat, axis=-1, keepdims=True) / d))
         lead = tuple(range(g.ndim - 1))
-        return (gx,
-                (g * xhat).sum(axis=lead) if ng else None,
-                g.sum(axis=lead) if nb else None)
+        if gain is not None:
+            grads.append(np.add.reduce(g * xhat, axis=lead) if gain.needs_grad else None)
+        if bias is not None:
+            grads.append(np.add.reduce(g, axis=lead) if bias.needs_grad else None)
+        return grads
 
-    return _node(out, (x, gain, bias), vjp, "layernorm")
+    return _node(out, (x, *affine), vjp, "layernorm")
 
 
 # ---------------------------------------------------------------------------
 # shape plumbing
-
-
-def concat(parts: list[Tensor] | tuple[Tensor, ...], axis: int = 0) -> Tensor:
-    parts = tuple(_lift(p) for p in parts)
-    if not parts:
-        raise ValueError("concat of zero tensors")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _node(out, parts, vjp, "concat")
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -528,25 +529,12 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def swap_axes(x: Tensor, a: int, b: int) -> Tensor:
     x = _lift(x)
-    out = np.swapaxes(x.data, a, b)
+    out = x.data.swapaxes(a, b)
 
     def vjp(g):
-        return (np.swapaxes(g, a, b),)
+        return (g.swapaxes(a, b),)
 
     return _node(out, (x,), vjp, "swap_axes")
-
-
-def tile_leading(x: Tensor, n: int) -> Tensor:
-    """Repeat a tensor along a new leading axis (shared parameters)."""
-    x = _lift(x)
-    if n < 0:
-        raise ValueError("tile_leading needs n >= 0")
-    out = np.broadcast_to(x.data, (n,) + x.shape).copy()
-
-    def vjp(g):
-        return (g.sum(axis=0),)
-
-    return _node(out, (x,), vjp, "tile_leading")
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +543,7 @@ def tile_leading(x: Tensor, n: int) -> Tensor:
 
 def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     x = _lift(x)
-    out = np.asarray(x.data.sum(axis=axis))
+    out = np.asarray(np.add.reduce(x.data, axis=axis))
 
     def vjp(g):
         if axis is None:
@@ -570,7 +558,7 @@ def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
     count = x.data.size if axis is None else x.shape[axis]
     if count == 0:
         raise ValueError("reduce_mean over an empty axis")
-    out = np.asarray(x.data.mean(axis=axis))
+    out = np.asarray(np.add.reduce(x.data, axis=axis) / count)
     inv = 1.0 / count
 
     def vjp(g):

@@ -26,6 +26,7 @@ from fedfairprompt.encoder import (
 )
 from fedfairprompt.tensor import NonFiniteError, Tensor, backward
 from gradcheck import assert_grads_match
+from plumbing import concat, tile_leading
 
 SMALL = EncoderConfig(embed_dim=8, layers=2, heads=2, image_size=16, patch_size=8, prompt_tokens=2, seed=11)
 
@@ -119,6 +120,36 @@ def test_forward_matches_oracle_on_default_sized_config():
     np.testing.assert_allclose(z.data[0], ref, rtol=1e-10, atol=1e-12)
 
 
+def _random_affine_backbone(cfg, seed):
+    # Non-identity LN gains and biases and MLP biases everywhere, which
+    # the encoder must apply rather than skip.
+    rng = _rng(seed)
+    backbone = FrozenBackbone(cfg)
+    for w in backbone.layers:
+        for key in ("ln1_g", "ln2_g"):
+            w[key] = 1.0 + 0.3 * rng.standard_normal(w[key].shape)
+        for key in ("ln1_b", "ln2_b", "b1", "b2"):
+            w[key] = 0.1 * rng.standard_normal(w[key].shape)
+    backbone.lnf_g = 1.0 + 0.3 * rng.standard_normal(cfg.embed_dim)
+    backbone.lnf_b = 0.1 * rng.standard_normal(cfg.embed_dim)
+    return backbone
+
+
+def test_forward_applies_non_identity_affines_like_the_numpy_oracle():
+    enc = VisionEncoder(SMALL, backbone=_random_affine_backbone(SMALL, seed=40))
+    e0 = enc.embed_patches(_rng(41).random((1, 16, 16)))
+    ps = _random_prompts(SMALL, seed=42)
+    blocks = [t.data for t in ps.tokens]
+    queries = [q.data for q in ps.queries]
+    for cdfp in (True, False):
+        z = enc.encode_image(e0, ps, cdfp_enabled=cdfp)
+        ref = _numpy_forward(enc, e0[0], blocks, queries, cdfp=cdfp)
+        np.testing.assert_allclose(z.data[0], ref, rtol=1e-10, atol=1e-12)
+    # The identity-affine backbone gives a different embedding.
+    plain = VisionEncoder(SMALL).encode_image(e0, ps)
+    assert np.abs(plain.data - enc.encode_image(e0, ps).data).max() > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # taped full-row reference: every block computes queries and the MLP for
 # every row, on the [CLS, prompts, patches] layout, and the splice
@@ -151,7 +182,7 @@ def _full_row_encode(enc, e0, prompts, cdfp_enabled=True, mixed_history=True):
     cls_rows = Tensor(np.broadcast_to(bb.cls + bb.pos[0], (batch, 1, cfg.embed_dim)))
     used = prompts.tokens[0]
     history = [used]
-    seq = T.concat([cls_rows, T.tile_leading(used, batch), Tensor(data)], axis=1)
+    seq = concat([cls_rows, tile_leading(used, batch), Tensor(data)], axis=1)
     for layer in range(1, cfg.layers + 1):
         seq = _full_row_layer(enc, seq, layer - 1)
         if layer == cfg.layers:
@@ -159,8 +190,8 @@ def _full_row_encode(enc, e0, prompts, cdfp_enabled=True, mixed_history=True):
         base = prompts.tokens[layer]
         used = apply_cross_layer(base, history, prompts.queries[layer - 1]) if cdfp_enabled else base
         history.append(used if mixed_history else base)
-        seq = T.concat(
-            [T.slice_axis(seq, 1, 0, 1), T.tile_leading(used, batch),
+        seq = concat(
+            [T.slice_axis(seq, 1, 0, 1), tile_leading(used, batch),
              T.slice_axis(seq, 1, 1 + k, 1 + k + width)],
             axis=1,
         )

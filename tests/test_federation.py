@@ -204,6 +204,19 @@ def test_evaluate_prompts_f_global_is_single_client_aggregate(model, val_split, 
     assert excluded == []
 
 
+@pytest.mark.parametrize("rows", [1, 16])
+def test_predict_is_independent_of_the_eval_chunk_size(monkeypatch, model, enc_cfg, rows):
+    features = np.random.default_rng(12).standard_normal((40, rows, enc_cfg.embed_dim))
+    prompts = PromptSet.initialize(enc_cfg, seed=13, sigma=0.5)
+    per_chunk = []
+    for samples in (1, 7, 16, 40):
+        monkeypatch.setattr(federation, "_EVAL_CHUNK", samples)
+        per_chunk.append(predict(model, prompts, features))
+    assert per_chunk[0].shape == (40,)
+    assert len(set(per_chunk[0].tolist())) == 2  # both classes occur
+    assert all(np.array_equal(preds, per_chunk[0]) for preds in per_chunk[1:])
+
+
 # ---------------------------------------------------------------------------
 # local update
 

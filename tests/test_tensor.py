@@ -7,7 +7,9 @@ differences via the shared checker.
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from fedfairprompt import tensor as T
 from fedfairprompt.crosslayer import apply_cross_layer
 from fedfairprompt.tensor import NonFiniteError, Tensor, backward
 from gradcheck import assert_grads_match
+from plumbing import concat, tile_leading
 
 
 def _rng(seed=0):
@@ -129,6 +132,27 @@ def test_layernorm_matches_scalar_reference():
             assert abs(got[i, j] - ref) < 1e-12
 
 
+def test_layernorm_without_affine_equals_identity_affine_bit_for_bit():
+    rng = _rng(15)
+    x = Tensor(rng.standard_normal((3, 5, 6)), trainable=True)
+    probe = Tensor(rng.standard_normal((3, 5, 6)))
+    bare = T.layernorm(x)
+    explicit = T.layernorm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)))
+    assert np.array_equal(bare.data, explicit.data)
+    assert bare.parents == (x,)
+    grad = backward(T.reduce_sum(T.mul(bare, probe)))[x]
+    assert np.array_equal(grad, backward(T.reduce_sum(T.mul(explicit, probe)))[x])
+    # either term alone is skipped the same way
+    gain = Tensor(rng.standard_normal(6), trainable=True)
+    only_gain = T.layernorm(x, gain)
+    assert np.array_equal(only_gain.data, T.layernorm(x, gain, Tensor(np.zeros(6))).data)
+    assert_grads_match(lambda: T.reduce_sum(T.mul(T.layernorm(x, gain), probe)), [x, gain])
+    bias = Tensor(rng.standard_normal(6), trainable=True)
+    assert_grads_match(lambda: T.reduce_sum(T.mul(T.layernorm(x, None, bias), probe)), [x, bias])
+    with pytest.raises(ValueError, match="affine shape"):
+        T.layernorm(x, None, Tensor(np.zeros(5)))
+
+
 def test_gelu_matches_erf_formula():
     xs = np.array([-3.0, -0.5, 0.0, 0.7, 2.4])
     got = T.gelu(Tensor(xs)).data
@@ -164,9 +188,9 @@ def test_shape_plumbing_round_trips():
     assert np.array_equal(sl.data, x[:, 1:3, :])
     with pytest.raises(ValueError):
         T.slice_axis(Tensor(x), 1, 2, 5)
-    cat = T.concat([Tensor(x), Tensor(x)], axis=2)
+    cat = concat([Tensor(x), Tensor(x)], axis=2)
     assert cat.shape == (2, 3, 8)
-    tiled = T.tile_leading(Tensor(x[0]), 5)
+    tiled = tile_leading(Tensor(x[0]), 5)
     assert tiled.shape == (5, 3, 4)
     assert np.array_equal(tiled.data[3], x[0])
 
@@ -206,8 +230,8 @@ def _tiled_prefix_composition(p: Tensor, x: Tensor, w: Tensor, heads: int) -> Te
     batch = x.shape[0]
     k, d = p.shape
     proj = T.project_heads(T.reshape(p, (1, k, d)), w, heads)
-    tiled = T.tile_leading(T.reshape(proj, proj.shape[1:]), batch)
-    return T.concat([tiled, T.project_heads(x, w, heads)], axis=2)
+    tiled = tile_leading(T.reshape(proj, proj.shape[1:]), batch)
+    return concat([tiled, T.project_heads(x, w, heads)], axis=2)
 
 
 @pytest.mark.parametrize("k", [3, 0])
@@ -307,6 +331,49 @@ def test_backward_accumulates_through_shared_nodes():
     np.testing.assert_allclose(grads[x], 8.0 * x.data, rtol=1e-12)
 
 
+def _reachable(output):
+    seen, todo = set(), [output]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo.extend(node.parents)
+    return seen
+
+
+def test_tape_walk_visits_each_node_once_across_paths_of_different_depth():
+    rng = _rng(16)
+    x = Tensor(rng.standard_normal((3, 4)), trainable=True, name="x")
+    col = Tensor(rng.standard_normal((3, 1)), trainable=True, name="col")
+    row = Tensor(rng.standard_normal(4), trainable=True, name="row")
+    w = Tensor(rng.standard_normal((4, 4)), name="w")  # frozen
+    shift = Tensor(rng.standard_normal(4), name="shift")  # frozen
+
+    def loss():
+        # ``hub`` is read directly and again three frozen-weight layers
+        # further down, so the two paths to it differ in depth; the
+        # broadcasting (3, 1) and (4,) leaves cover both sum-down cases.
+        hub = T.add(T.mul(x, col), row)
+        deep = hub
+        for _ in range(3):
+            deep = T.gelu(T.add(T.matmul(deep, w), shift))
+        return T.reduce_sum(T.mul(T.add(hub, deep), T.sub(hub, shift)))
+
+    out = loss()
+    calls = {}
+    for node in _reachable(out):
+        if node.vjp is not None:
+            def counted(g, node=node, vjp=node.vjp):
+                calls[node] = calls.get(node, 0) + 1
+                return vjp(g)
+            node.vjp = counted
+    grads = backward(out)
+    assert calls and set(calls.values()) == {1}
+    assert len(grads) == 3 and set(grads) == {x, col, row}
+    assert all(grads[leaf].shape == leaf.shape for leaf in (x, col, row))
+    assert_grads_match(loss, [x, col, row])
+
+
 def test_no_grad_suppresses_graph_but_not_values():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]], trainable=True)
     tracked = T.reduce_sum(T.gelu(T.matmul(x, x)))
@@ -395,12 +462,35 @@ def test_gradients_match_finite_differences_composites():
     q = Tensor(rng.standard_normal((3, 4)), trainable=True)
 
     def stitched():
-        joined = T.concat([T.reshape(p, (1, 2, 4)), T.reshape(q, (1, 3, 4))], axis=1)
+        joined = concat([T.reshape(p, (1, 2, 4)), T.reshape(q, (1, 3, 4))], axis=1)
         sliced = T.slice_axis(joined, 1, 1, 5)
         return T.reduce_sum(T.mul(sliced, sliced))
 
     assert_grads_match(stitched, [p, q])
+    tiled_probe = Tensor(rng.standard_normal((3, 2, 4)))
+    assert_grads_match(lambda: T.reduce_sum(T.mul(tile_leading(p, 3), tiled_probe)), [p])
 
     s = Tensor(rng.standard_normal((3, 2, 3)), trainable=True)
     probe = Tensor(rng.standard_normal((3, 2, 3)))
     assert_grads_match(lambda: T.reduce_sum(T.mul(T.swap_axes(s, 0, 2), probe)), [s])
+
+
+# ---------------------------------------------------------------------------
+# no dead kernels
+
+
+def test_every_exported_kernel_is_used_by_the_package():
+    # Each name in ``tensor.__all__`` must be read somewhere else in the
+    # package, as ``T.<name>`` or through ``from .tensor import``.
+    package = Path(T.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "tensor":
+                used.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "T"):
+                used.add(node.attr)
+    assert sorted(set(T.__all__) - used) == []
