@@ -33,6 +33,10 @@ _PATCH = 8
 _GRID = _IMAGE_SIZE // _PATCH
 _CENTER_PATCHES = (5, 6, 9, 10)
 _CORNER_PATCHES = (0, 3, 12, 15)
+# Samples filled per step. Each step's temporaries take 2.1 MB, so
+# n=4000 peaks at 37.1 MB of tracemalloc (pixels 32.8, isfinite 4.1)
+# against 65.9 MB for the full-size draw, with the same bytes.
+_BLOCK = 256
 
 
 def _patch_block(index: int) -> tuple[slice, slice]:
@@ -159,10 +163,14 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     signs = (2 * labels - 1).astype(np.float64)
     cue = spec.label_signal * (1.0 - spec.minority_attenuation * groups)
     amp = 0.25 * cue * signs
+    marker = 0.25 * spec.group_signal * groups
     images = np.full((n, _IMAGE_SIZE, _IMAGE_SIZE), 0.5)
-    images += amp[:, None, None] * label_pat
-    images += 0.25 * spec.group_signal * groups[:, None, None].astype(np.float64) * group_pat
-    images += rng.normal(scale=spec.noise_sigma, size=images.shape) if spec.noise_sigma else 0.0
+    for lo in range(0, n, _BLOCK):
+        block = images[lo : lo + _BLOCK]
+        block += amp[lo : lo + _BLOCK, None, None] * label_pat
+        block += marker[lo : lo + _BLOCK, None, None] * group_pat
+        if spec.noise_sigma:  # drawn in order, so the stream matches one full-size draw
+            block += rng.normal(scale=spec.noise_sigma, size=block.shape)
     np.clip(images, 0.0, 1.0, out=images)
     return Dataset(features=images, labels=labels, groups=groups, kind="pixels")
 

@@ -228,6 +228,10 @@ GROUP_TEMPLATES = ("a photo of a man", "a photo of a woman")
 
 # Each affine term of a layer, with the value at which it is the identity.
 _IDENTITY = {"ln1_g": 1.0, "ln1_b": 0.0, "ln2_g": 1.0, "ln2_b": 0.0, "b1": 0.0, "b2": 0.0}
+# Images per gemm in ``embed_patches``: 4,000 images peak at 18.5 MB of
+# tracemalloc (16.4 of it the output) against 65.6 MB in one shot, with
+# the same bytes; 64 to 4,000 ran within host noise (14-21 ms).
+_BLOCK = 256
 
 
 def _frozen(arr: np.ndarray, identity: float | None) -> Tensor | None:
@@ -263,19 +267,19 @@ class VisionEncoder:
         return self.backbone.content_hash()
 
     def embed_patches(self, images: np.ndarray) -> np.ndarray:
-        """Affine patch embedding: (B, H, W) pixels -> (B, J, d) rows."""
+        """Affine patch embedding: (B, H, W) pixels -> (B, J, d) rows, in blocks."""
         imgs = np.asarray(images, dtype=np.float64)
         size, patch = self.config.image_size, self.config.patch_size
         if imgs.ndim != 3 or imgs.shape[1:] != (size, size):
             raise ValueError(f"expected (B, {size}, {size}) images, got {imgs.shape}")
-        grid = size // patch
-        n = imgs.shape[0]
-        rows = (
-            imgs.reshape(n, grid, patch, grid, patch)
-            .transpose(0, 1, 3, 2, 4)
-            .reshape(n, self.config.patch_count, self.config.patch_pixels)
-        )
-        return rows @ self.backbone.patch_w + self.backbone.patch_b
+        grid, count, pixels = size // patch, self.config.patch_count, self.config.patch_pixels
+        out = np.empty((imgs.shape[0], count, self.config.embed_dim))
+        for lo in range(0, imgs.shape[0], _BLOCK):
+            block, dest = imgs[lo : lo + _BLOCK], out[lo : lo + _BLOCK]
+            rows = block.reshape(-1, grid, patch, grid, patch).transpose(0, 1, 3, 2, 4)
+            np.matmul(rows.reshape(-1, count, pixels), self.backbone.patch_w, out=dest)
+            dest += self.backbone.patch_b
+        return out
 
     def _token_vector(self, token: str) -> np.ndarray:
         digest = hashlib.sha256(f"{self.config.seed}:{token}".encode("utf-8")).digest()

@@ -463,6 +463,7 @@ def run_federation(config: Config) -> FairnessReport:
         ClientShard(i, train.features[idx], train.labels[idx], train.groups[idx])
         for i, idx in enumerate(partition.shards)
     ]
+    del train  # the rounds read only the shard copies
 
     global_prompts = PromptSet.initialize(
         enc_cfg, seed=derive_seed(config.master_seed, _SEED_PROMPTS)
