@@ -62,11 +62,10 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     config = replace(_build_config(args), data_dir="")
     encoder = VisionEncoder(encoder_config(config))
     os.makedirs(config.out_dir, exist_ok=True)
-    for name, split in zip(("train", "val", "test"), load_splits(config)):
+    for name, split in zip(("train", "val", "test"), load_splits(config, encoder)):
         # one frozen-encoder feature row per image: the mean patch
         # embedding, the stand-in for features from an external encoder
-        rows = encoder.embed_patches(split.features)
-        features = rows.mean(axis=1, keepdims=True)
+        features = split.features.mean(axis=1, keepdims=True)
         path = os.path.join(config.out_dir, f"{name}.emb")
         save_embeddings(
             Dataset(features=features, labels=split.labels, groups=split.groups,

@@ -381,14 +381,6 @@ def encoder_config(config: Config) -> EncoderConfig:
                          prompt_tokens=config.prompt_tokens)
 
 
-def _embedded(encoder: VisionEncoder, dataset: Dataset) -> Dataset:
-    """The split as encoder-ready feature rows; feature splits pass through."""
-    if dataset.kind == "features":
-        return dataset
-    return Dataset(encoder.embed_patches(dataset.features), dataset.labels, dataset.groups,
-                   kind="features")
-
-
 def _load_split(config: Config, name: str) -> Dataset:
     """One ingested split, rejected up front if no run could use it."""
     path = os.path.join(config.data_dir, f"{name}.emb")
@@ -404,12 +396,15 @@ def _load_split(config: Config, name: str) -> Dataset:
     return data
 
 
-def load_splits(config: Config) -> tuple[Dataset, Dataset, Dataset]:
+def load_splits(config: Config, encoder: VisionEncoder | None = None
+                ) -> tuple[Dataset, Dataset, Dataset]:
     """Resolve (train, val, test) from data_dir files or synthetic draws.
 
     Ingested files are checked before any run starts: the embedding dim
     must match the encoder, train must cover the clients, and val and
     test must hold every (label, group) cell. The error names the file.
+    With an ``encoder``, synthetic splits come back as patch rows,
+    embedded block by block as they are drawn; without one, as pixels.
     """
     if config.data_dir:
         return tuple(_load_split(config, name) for name in ("train", "val", "test"))
@@ -423,7 +418,8 @@ def load_splits(config: Config) -> tuple[Dataset, Dataset, Dataset]:
         minority_attenuation=config.minority_attenuation,
         seed=derive_seed(master, _SEED_TRAIN),
     )
-    train = generate_synthetic(spec)
+    embed = None if encoder is None else encoder.embed_patches
+    train = generate_synthetic(spec, embed)
     # evaluation pools are generated unbiased (rho=0): pixel content given
     # (y, g) does not depend on rho, and a biased pool starves the
     # minority cells that balanced sampling needs
@@ -433,7 +429,8 @@ def load_splits(config: Config) -> tuple[Dataset, Dataset, Dataset]:
         (config.n_test, _SEED_TEST_POOL, _SEED_TEST_PICK),
     ):
         pool = generate_synthetic(
-            replace(spec, n=2 * n, spurious_strength=0.0, seed=derive_seed(master, pool_tag))
+            replace(spec, n=2 * n, spurious_strength=0.0, seed=derive_seed(master, pool_tag)),
+            embed,
         )
         picked = balanced_test_sample(pool, n, seed=derive_seed(master, pick_tag))
         splits.append(pool.subset(picked))
@@ -455,7 +452,7 @@ def run_federation(config: Config) -> FairnessReport:
         cdfp_enabled=config.cdfp_enabled,
     )
 
-    train, val, test = (_embedded(encoder, split) for split in load_splits(config))
+    train, val, test = load_splits(config, encoder)
     partition = dirichlet_partition(
         train, config.clients, config.alpha, seed=derive_seed(config.master_seed, _SEED_PARTITION)
     )

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from fedfairprompt.cli import main
-from fedfairprompt.data import load_embeddings
+from fedfairprompt.config import parse_config
+from fedfairprompt.data import Dataset, load_embeddings, save_embeddings
+from fedfairprompt.encoder import VisionEncoder
+from fedfairprompt.federation import encoder_config, load_splits
 
 _TINY = [
     "--rounds", "1", "--clients", "2",
@@ -91,6 +94,25 @@ def test_gen_data_balances_eval_splits(tmp_path):
         for g in (0, 1):
             cell = np.sum((test_ds.labels == y) & (test_ds.groups == g))
             assert cell == 12  # 48 / 4
+
+
+def test_gen_data_files_equal_the_pixel_path(tmp_path):
+    # gen-data embeds each block of pixels as it is drawn; the files must
+    # equal those of embedding the whole pixel splits, which is how the
+    # benchmark writes its ingest fixture. 600 samples span three blocks.
+    cfg = _cfg_file(tmp_path, n_train=600)
+    main(["gen-data", "--config", cfg, "--out", str(tmp_path / "streamed")])
+    config = parse_config(cfg, {})
+    encoder = VisionEncoder(encoder_config(config))
+    ref = tmp_path / "pixels"
+    ref.mkdir()
+    for name, split in zip(("train", "val", "test"), load_splits(config)):
+        rows = encoder.embed_patches(split.features)
+        save_embeddings(Dataset(rows.mean(axis=1, keepdims=True), split.labels, split.groups,
+                                kind="features"), str(ref / f"{name}.emb"))
+    for name in ("train", "val", "test"):
+        streamed = (tmp_path / "streamed" / f"{name}.emb").read_bytes()
+        assert streamed == (ref / f"{name}.emb").read_bytes(), name
 
 
 def test_report_prints_finished_summary(tmp_path, capsys):

@@ -223,6 +223,11 @@ def test_embeddings_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ValueError, match=":3:"):
         load_embeddings(str(bad_value))
 
+    after_blank = tmp_path / "b.txt"
+    after_blank.write_text("dim=2 count=2\n\n1,0,0.5,0.25\n1,0,0.5,x\n")
+    with pytest.raises(ValueError, match=":4:"):
+        load_embeddings(str(after_blank))
+
     bad_count = tmp_path / "c.txt"
     bad_count.write_text("dim=2 count=3\n1,0,1.0,2.0\n")
     with pytest.raises(ValueError, match="count=3"):

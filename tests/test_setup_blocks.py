@@ -1,10 +1,12 @@
 """Set-up in blocks of samples: pinned bytes, block boundaries, memory bound.
 
 ``generate_synthetic`` and ``embed_patches`` fill their outputs a block
-of samples at a time, so no full-size temporary is made. The bytes must
-be those of the one-shot formulas in ``plumbing``. The golden configs
-use fewer training samples than one block, so the full-size default
-set-up is pinned here: the digests were taken from the one-shot code.
+of samples at a time, so no full-size temporary is made; given an
+encoder, ``load_splits`` embeds each block of pixels as it is drawn, so
+no split's pixels are held whole. The bytes must be those of the
+one-shot formulas in ``plumbing``. The golden configs use fewer
+training samples than one block, so the full-size default set-up is
+pinned here: the digests were taken from the one-shot code.
 """
 
 import hashlib
@@ -112,3 +114,35 @@ def test_generate_synthetic_peak_stays_near_its_pixels():
     peak, ds = _traced_peak(lambda: generate_synthetic(SyntheticSpec(n=4000)))
     ratio = peak / ds.features.nbytes
     assert ratio <= 1.2, ratio
+
+
+def test_streamed_splits_reproduce_the_pinned_embeddings():
+    config = Config()
+    enc = VisionEncoder(encoder_config(config))
+    for name, split in zip(("train", "val", "test"), load_splits(config, enc)):
+        assert split.kind == "features"
+        got = (_sha(split.labels), _sha(split.groups), _sha(split.features))
+        assert got == FULL_SIZE[name][1:], name
+
+
+@pytest.mark.parametrize("n", [0, 1, B_DATA - 1, B_DATA, B_DATA + 1, 2 * B_DATA + 3])
+def test_streamed_rows_match_one_shot_embedding(n):
+    enc = VisionEncoder(EncoderConfig(seed=4))
+    spec = SyntheticSpec(n=n, seed=5)
+    pixels, labels, groups = one_shot_synthetic(spec)
+    ds = generate_synthetic(spec, enc.embed_patches)
+    assert ds.kind == "features"
+    assert np.array_equal(ds.features, one_shot_embed(enc, pixels))
+    assert np.array_equal(ds.labels, labels)
+    assert np.array_equal(ds.groups, groups)
+
+
+def test_streamed_split_peak_stays_near_its_rows():
+    # the rows, plus one block's pixels, noise, patch copy and rows, plus
+    # Dataset's isfinite mask; drawing the pixels first and then calling
+    # embed_patches peaks at 3.1x the rows (51.3 MB)
+    enc = VisionEncoder(EncoderConfig())
+    generate_synthetic(SyntheticSpec(n=2), enc.embed_patches)
+    peak, ds = _traced_peak(lambda: generate_synthetic(SyntheticSpec(n=4000), enc.embed_patches))
+    ratio = peak / ds.features.nbytes
+    assert ratio <= 1.5, ratio
