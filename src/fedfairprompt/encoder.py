@@ -16,9 +16,8 @@ on the (K, d) block and are broadcast over the batch. Queries, the
 output projection and the MLP run only for the rows the next step
 reads: CLS and the patch rows, or CLS alone in the last block.
 
-Which frozen affine terms are the identity (unit LN gains, zero biases,
-as ``FrozenBackbone`` builds them) is decided once, at construction;
-their passes are then skipped. The backbone arrays are unchanged.
+The backbone holds only the weights the forward reads: its layer norms
+have no affine terms and its MLP has no biases.
 """
 
 from __future__ import annotations
@@ -97,22 +96,14 @@ class FrozenBackbone:
         for _ in range(config.layers):
             self.layers.append(
                 {
-                    "ln1_g": np.ones(d),
-                    "ln1_b": np.zeros(d),
                     "wq": rng.standard_normal((d, d)) * scale,
                     "wk": rng.standard_normal((d, d)) * scale,
                     "wv": rng.standard_normal((d, d)) * scale,
                     "wo": rng.standard_normal((d, d)) * scale,
-                    "ln2_g": np.ones(d),
-                    "ln2_b": np.zeros(d),
                     "w1": rng.standard_normal((d, hidden)) * scale,
-                    "b1": np.zeros(hidden),
                     "w2": rng.standard_normal((hidden, d)) * hidden**-0.5,
-                    "b2": np.zeros(d),
                 }
             )
-        self.lnf_g = np.ones(d)
-        self.lnf_b = np.zeros(d)
         self.out_proj = rng.standard_normal((d, d)) * scale
         self.text_proj = rng.standard_normal((d, d)) * scale
         for arr in self._iter_arrays():
@@ -126,8 +117,6 @@ class FrozenBackbone:
         for layer in self.layers:
             for key in sorted(layer):
                 yield layer[key]
-        yield self.lnf_g
-        yield self.lnf_b
         yield self.out_proj
         yield self.text_proj
 
@@ -226,17 +215,10 @@ CLASS_TEMPLATES = (
 GROUP_TEMPLATES = ("a photo of a man", "a photo of a woman")
 
 
-# Each affine term of a layer, with the value at which it is the identity.
-_IDENTITY = {"ln1_g": 1.0, "ln1_b": 0.0, "ln2_g": 1.0, "ln2_b": 0.0, "b1": 0.0, "b2": 0.0}
 # Images per gemm in ``embed_patches``: 4,000 images peak at 18.5 MB of
 # tracemalloc (16.4 of it the output) against 65.6 MB in one shot, with
 # the same bytes; 64 to 4,000 ran within host noise (14-21 ms).
 _BLOCK = 256
-
-
-def _frozen(arr: np.ndarray, identity: float | None) -> Tensor | None:
-    """``arr`` as a constant, or None where it equals ``identity`` throughout."""
-    return None if identity is not None and np.all(arr == identity) else Tensor(arr)
 
 
 class VisionEncoder:
@@ -247,18 +229,15 @@ class VisionEncoder:
         self.backbone = FrozenBackbone(config) if backbone is None else backbone
         b = self.backbone
         # Pre-wrapped frozen constants reused across forward passes. The
-        # attention scale is folded into the query weights once; identity
-        # affine terms are None.
+        # attention scale is folded into the query weights once.
         head_dim = config.embed_dim // config.heads
         self._cls_row = (b.cls + b.pos[0]).reshape(1, -1)
         self._patch_pos = b.pos[1:]
         self._layer_consts = []
         for layer in b.layers:
-            consts = {k: _frozen(v, _IDENTITY.get(k)) for k, v in layer.items()}
+            consts = {k: Tensor(layer[k]) for k in ("wk", "wv", "wo", "w1", "w2")}
             consts["wq_scaled"] = Tensor(layer["wq"] * head_dim**-0.5)
             self._layer_consts.append(consts)
-        self._lnf_g = _frozen(b.lnf_g, 1.0)
-        self._lnf_b = _frozen(b.lnf_b, 0.0)
         self._out_proj = Tensor(b.out_proj)
 
     # -- frozen towers ------------------------------------------------
@@ -308,8 +287,8 @@ class VisionEncoder:
         and the MLP only from the returned ones."""
         w = self._layer_consts[idx]
         heads = self.config.heads
-        p = T.layernorm(prompt, w["ln1_g"], w["ln1_b"])
-        h = T.layernorm(state, w["ln1_g"], w["ln1_b"])
+        p = T.layernorm(prompt)
+        h = T.layernorm(state)
         k4 = T.project_prefixed_heads(p, h, w["wk"], heads)
         v4 = T.project_prefixed_heads(p, h, w["wv"], heads)
         if cls_only:
@@ -319,13 +298,8 @@ class VisionEncoder:
         attn = T.softmax(T.matmul(q4, T.swap_axes(k4, 2, 3)), axis=-1)
         rows = T.add(state, T.merge_heads(T.matmul(attn, v4), w["wo"]))
 
-        inner = T.matmul(T.layernorm(rows, w["ln2_g"], w["ln2_b"]), w["w1"])
-        if w["b1"] is not None:
-            inner = T.add(inner, w["b1"])
-        mlp = T.matmul(T.gelu(inner), w["w2"])
-        if w["b2"] is not None:
-            mlp = T.add(mlp, w["b2"])
-        return T.add(rows, mlp)
+        inner = T.matmul(T.layernorm(rows), w["w1"])
+        return T.add(rows, T.matmul(T.gelu(inner), w["w2"]))
 
     def encode_image(
         self,
@@ -375,4 +349,4 @@ class VisionEncoder:
             history.append(used)
 
         cls_final = T.reshape(state, (batch, cfg.embed_dim))
-        return T.l2_normalize(T.matmul(T.layernorm(cls_final, self._lnf_g, self._lnf_b), self._out_proj))
+        return T.l2_normalize(T.matmul(T.layernorm(cls_final), self._out_proj))

@@ -61,11 +61,12 @@ class SweepResult:
         return any(c.failed for c in self.cells)
 
     def mean_summary(self, value) -> dict[str, float]:
-        """Across-replicate means of the summary metrics at one value."""
+        """Across-replicate means of the summary metrics at one value,
+        over the cells that did not fail."""
         rows = [
             c.report.summary()
             for c in self.cells
-            if c.value == value and c.report is not None
+            if c.value == value and not c.failed
         ]
         if not rows:
             raise ValueError(f"no completed cells at {self.axis}={value!r}")

@@ -5,14 +5,14 @@ projections (project_heads: matmul by a frozen weight, then split
 heads; project_prefixed_heads: the same for a shared prefix block and
 per-sample rows; merge_heads: merge heads, then matmul by a frozen
 weight), elementwise add/sub/mul, scalar scale, softmax, log-softmax,
-layer norm (whose affine terms may be left out as the identity), GELU,
-slice, reshape, axis swaps, reductions, L2 normalization, relu (hinge),
-abs and a per-row gather. Every kernel is pure (identical inputs give
-bit-identical outputs) and records just enough structure to replay the
-chain rule. Gradients flow only into tensors created with
-``trainable=True``; everything else is a frozen constant and its
-subgraph is skipped during backprop. Finiteness is checked at the
-boundaries, not per kernel: see ``Tensor`` and ``backward``.
+layer norm without affine terms, GELU, slice, reshape, axis swaps,
+reductions, L2 normalization, relu (hinge), abs and a per-row gather.
+Every kernel is pure (identical inputs give bit-identical outputs) and
+records just enough structure to replay the chain rule. Gradients flow
+only into tensors created with ``trainable=True``; everything else is a
+frozen constant and its subgraph is skipped during backprop. Finiteness
+is checked at the boundaries, not per kernel: see ``Tensor`` and
+``backward``.
 
 On small sequences a node costs more in call overhead than in
 arithmetic, so kernels call ``np.add.reduce``, ``np.maximum.reduce`` and
@@ -405,14 +405,14 @@ def merge_heads(x: Tensor, w: Tensor) -> Tensor:
     return _node(out, (x,), vjp, "merge_heads")
 
 
-def l2_normalize(x: Tensor, eps: float = 0.0) -> Tensor:
+def l2_normalize(x: Tensor) -> Tensor:
     """Normalize the last axis to unit Euclidean norm.
 
     A (near-)zero-norm slice is an error rather than a silent rescale.
     """
     x = _lift(x)
     norm = np.sqrt(np.add.reduce(x.data * x.data, axis=-1, keepdims=True))
-    if np.any(norm <= max(eps, 1e-30)):
+    if np.any(norm <= 1e-30):
         raise ValueError("l2_normalize: zero-norm slice")
     out = x.data / norm
 
@@ -456,44 +456,21 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(out, (x,), vjp, "log_softmax")
 
 
-def layernorm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
-              eps: float = 1e-5) -> Tensor:
-    """Per-slice (last axis) zero-mean unit-variance, then affine.
-
-    A ``gain`` or ``bias`` of None is the identity (ones or zeros), and
-    its pass is skipped in the forward and in the VJP.
-    """
+def layernorm(x: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-slice (last axis) zero-mean unit-variance, with no affine."""
     x = _lift(x)
-    gain = None if gain is None else _lift(gain)
-    bias = None if bias is None else _lift(bias)
-    affine = tuple(t for t in (gain, bias) if t is not None)
     xd = x.data
     d = xd.shape[-1]
-    for t in affine:
-        if t.shape != (d,):
-            raise ValueError(f"layernorm affine shape {t.shape} != ({d},)")
     xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat if gain is None else xhat * gain.data
-    if bias is not None:
-        out = out + bias.data
+    out = xc * inv
 
     def vjp(g):
-        grads = [None]
-        if x.needs_grad:
-            gy = g if gain is None else g * gain.data
-            grads[0] = inv * (gy - np.add.reduce(gy, axis=-1, keepdims=True) / d
-                              - xhat * (np.add.reduce(gy * xhat, axis=-1, keepdims=True) / d))
-        lead = tuple(range(g.ndim - 1))
-        if gain is not None:
-            grads.append(np.add.reduce(g * xhat, axis=lead) if gain.needs_grad else None)
-        if bias is not None:
-            grads.append(np.add.reduce(g, axis=lead) if bias.needs_grad else None)
-        return grads
+        return (inv * (g - np.add.reduce(g, axis=-1, keepdims=True) / d
+                       - out * (np.add.reduce(g * out, axis=-1, keepdims=True) / d)),)
 
-    return _node(out, (x, *affine), vjp, "layernorm")
+    return _node(out, (x,), vjp, "layernorm")
 
 
 # ---------------------------------------------------------------------------
@@ -553,18 +530,17 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     return _node(out, (x,), vjp, "reduce_sum")
 
 
-def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
+def reduce_mean(x: Tensor) -> Tensor:
+    """Mean over every element."""
     x = _lift(x)
-    count = x.data.size if axis is None else x.shape[axis]
+    count = x.data.size
     if count == 0:
-        raise ValueError("reduce_mean over an empty axis")
-    out = np.asarray(np.add.reduce(x.data, axis=axis) / count)
+        raise ValueError("reduce_mean over an empty tensor")
+    out = np.asarray(np.add.reduce(x.data, axis=None) / count)
     inv = 1.0 / count
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g * inv, x.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g * inv, axis), x.shape).copy(),)
+        return (np.broadcast_to(g * inv, x.shape).copy(),)
 
     return _node(out, (x,), vjp, "reduce_mean")
 

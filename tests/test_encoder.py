@@ -39,10 +39,10 @@ def _rng(seed=0):
 # independent numpy re-derivation of the forward pass
 
 
-def _ln(x, g, b, eps=1e-5):
+def _ln(x, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * g + b
+    return (x - mu) / np.sqrt(var + eps)
 
 
 def _sm(x):
@@ -60,7 +60,7 @@ def _numpy_forward(enc, e0, blocks, queries, cdfp=True):
     seq = np.vstack([(bb.cls + bb.pos[0])[None], blocks[0], e0 + bb.pos[1:]])
     hist = [blocks[0]]
     for layer_idx, w in enumerate(bb.layers, start=1):
-        h = _ln(seq, w["ln1_g"], w["ln1_b"])
+        h = _ln(seq)
         q, kk, v = h @ w["wq"], h @ w["wk"], h @ w["wv"]
         dh = cfg.embed_dim // cfg.heads
         ctx = np.zeros_like(seq)
@@ -69,8 +69,7 @@ def _numpy_forward(enc, e0, blocks, queries, cdfp=True):
             att = _sm(q[:, cols] @ kk[:, cols].T / math.sqrt(dh))
             ctx[:, cols] = att @ v[:, cols]
         seq = seq + ctx @ w["wo"]
-        h2 = _ln(seq, w["ln2_g"], w["ln2_b"])
-        seq = seq + _gelu(h2 @ w["w1"] + w["b1"]) @ w["w2"] + w["b2"]
+        seq = seq + _gelu(_ln(seq) @ w["w1"]) @ w["w2"]
         if layer_idx == cfg.layers:
             break
         used = blocks[layer_idx]
@@ -80,7 +79,7 @@ def _numpy_forward(enc, e0, blocks, queries, cdfp=True):
             used = used + np.tensordot(wts, np.stack(hist), axes=1)
         hist.append(used)
         seq = np.vstack([seq[:1], used, seq[1 + k:]])
-    cls = _ln(seq[:1], bb.lnf_g, bb.lnf_b) @ bb.out_proj
+    cls = _ln(seq[:1]) @ bb.out_proj
     return (cls / np.linalg.norm(cls))[0]
 
 
@@ -120,36 +119,6 @@ def test_forward_matches_oracle_on_default_sized_config():
     np.testing.assert_allclose(z.data[0], ref, rtol=1e-10, atol=1e-12)
 
 
-def _random_affine_backbone(cfg, seed):
-    # Non-identity LN gains and biases and MLP biases everywhere, which
-    # the encoder must apply rather than skip.
-    rng = _rng(seed)
-    backbone = FrozenBackbone(cfg)
-    for w in backbone.layers:
-        for key in ("ln1_g", "ln2_g"):
-            w[key] = 1.0 + 0.3 * rng.standard_normal(w[key].shape)
-        for key in ("ln1_b", "ln2_b", "b1", "b2"):
-            w[key] = 0.1 * rng.standard_normal(w[key].shape)
-    backbone.lnf_g = 1.0 + 0.3 * rng.standard_normal(cfg.embed_dim)
-    backbone.lnf_b = 0.1 * rng.standard_normal(cfg.embed_dim)
-    return backbone
-
-
-def test_forward_applies_non_identity_affines_like_the_numpy_oracle():
-    enc = VisionEncoder(SMALL, backbone=_random_affine_backbone(SMALL, seed=40))
-    e0 = enc.embed_patches(_rng(41).random((1, 16, 16)))
-    ps = _random_prompts(SMALL, seed=42)
-    blocks = [t.data for t in ps.tokens]
-    queries = [q.data for q in ps.queries]
-    for cdfp in (True, False):
-        z = enc.encode_image(e0, ps, cdfp_enabled=cdfp)
-        ref = _numpy_forward(enc, e0[0], blocks, queries, cdfp=cdfp)
-        np.testing.assert_allclose(z.data[0], ref, rtol=1e-10, atol=1e-12)
-    # The identity-affine backbone gives a different embedding.
-    plain = VisionEncoder(SMALL).encode_image(e0, ps)
-    assert np.abs(plain.data - enc.encode_image(e0, ps).data).max() > 1e-3
-
-
 # ---------------------------------------------------------------------------
 # taped full-row reference: every block computes queries and the MLP for
 # every row, on the [CLS, prompts, patches] layout, and the splice
@@ -160,7 +129,7 @@ def _full_row_layer(enc, seq, idx):
     cfg, w = enc.config, enc.backbone.layers[idx]
     batch, length, d = seq.shape
     heads, head_dim = cfg.heads, d // cfg.heads
-    h = T.layernorm(seq, Tensor(w["ln1_g"]), Tensor(w["ln1_b"]))
+    h = T.layernorm(seq)
     q = T.matmul(h, Tensor(w["wq"] * head_dim**-0.5))
     k = T.matmul(h, Tensor(w["wk"]))
     v = T.matmul(h, Tensor(w["wv"]))
@@ -169,9 +138,8 @@ def _full_row_layer(enc, seq, idx):
     attn = T.softmax(T.matmul(q4, T.swap_axes(k4, 2, 3)), axis=-1)
     ctx = T.reshape(T.swap_axes(T.matmul(attn, v4), 1, 2), (batch, length, d))
     seq = T.add(seq, T.matmul(ctx, Tensor(w["wo"])))
-    h2 = T.layernorm(seq, Tensor(w["ln2_g"]), Tensor(w["ln2_b"]))
-    inner = T.add(T.matmul(h2, Tensor(w["w1"])), Tensor(w["b1"]))
-    return T.add(seq, T.add(T.matmul(T.gelu(inner), Tensor(w["w2"])), Tensor(w["b2"])))
+    inner = T.matmul(T.layernorm(seq), Tensor(w["w1"]))
+    return T.add(seq, T.matmul(T.gelu(inner), Tensor(w["w2"])))
 
 
 def _full_row_encode(enc, e0, prompts, cdfp_enabled=True, mixed_history=True):
@@ -196,8 +164,7 @@ def _full_row_encode(enc, e0, prompts, cdfp_enabled=True, mixed_history=True):
             axis=1,
         )
     cls_final = T.reshape(T.slice_axis(seq, 1, 0, 1), (batch, cfg.embed_dim))
-    out = T.layernorm(cls_final, Tensor(bb.lnf_g), Tensor(bb.lnf_b))
-    return T.l2_normalize(T.matmul(out, Tensor(bb.out_proj)))
+    return T.l2_normalize(T.matmul(T.layernorm(cls_final), Tensor(bb.out_proj)))
 
 
 def _assert_rel_close(got, want, rel=1e-12):
@@ -314,8 +281,7 @@ def _promptless_encode(enc, e0):
     for idx in range(cfg.layers):
         seq = _full_row_layer(enc, seq, idx)
     cls_final = T.reshape(T.slice_axis(seq, 1, 0, 1), (batch, cfg.embed_dim))
-    out = T.layernorm(cls_final, Tensor(bb.lnf_g), Tensor(bb.lnf_b))
-    return T.l2_normalize(T.matmul(out, Tensor(bb.out_proj)))
+    return T.l2_normalize(T.matmul(T.layernorm(cls_final), Tensor(bb.out_proj)))
 
 
 def test_zero_prompts_match_promptless_pass_under_neutralized_attention():
@@ -395,6 +361,30 @@ def test_backbone_hash_is_stable_and_seed_sensitive():
     assert h1 == h2
     assert h1 != h3
     assert len(h1) == 64
+
+
+def _frozen_outputs(enc, img, ps):
+    e0 = enc.embed_patches(img)
+    text = [enc.encode_text(s) for s in CLASS_TEMPLATES]
+    return [e0, enc.encode_image(e0, ps).data, *text]
+
+
+def test_backbone_holds_exactly_the_weights_the_forward_reads():
+    img = _rng(44).random((2, 16, 16))
+    ps = _random_prompts(SMALL, seed=45)
+    reference = FrozenBackbone(SMALL)
+    for layer in reference.layers:
+        assert set(layer) == {"wq", "wk", "wv", "wo", "w1", "w2"}
+    base = _frozen_outputs(VisionEncoder(SMALL, backbone=reference), img, ps)
+    # Each hashed array in turn, perturbed before the encoder wraps it,
+    # must move some frozen output.
+    for idx in range(len(list(reference._iter_arrays()))):
+        backbone = FrozenBackbone(SMALL)
+        arr = list(backbone._iter_arrays())[idx]
+        arr.setflags(write=True)
+        arr += 0.1 * _rng(46 + idx).standard_normal(arr.shape)
+        moved = _frozen_outputs(VisionEncoder(SMALL, backbone=backbone), img, ps)
+        assert any(np.abs(a - b).max() > 1e-9 for a, b in zip(moved, base)), idx
 
 
 def test_templates_exact_strings():

@@ -25,33 +25,33 @@ from fedfairprompt.report import emit_report
 GOLDEN = {
     "fvlfp": {
         "rounds.csv": "c8b8ba8b4b43d0cd14653803080e9bea9ca0029651ff06ff1924fd8fb639ab63",
-        "summary.md": "8a03f47d3159f61fcb30cd06b3778d974d9fce8708084d01cebd770830f30bb3",
+        "summary.md": "0d0746a01e7e719c0a2dda93a34826b4ff2f9c6340518f30d57a38f079af3578",
         "config.txt": "b07b4e4b8425d695afd2e0e2cc2450749694589032418142490ed33fde47f265",
-        "report.json": "438fdc0389cf62e10d68431d32db3e1b373f6e4a7d30e2bce810c52e3cb4c754",
+        "report.json": "7673784a5cd90fb8aabbac180858ca6a852b50b5117f2aadafe05780dd76f8c5",
     },
     "fedavg_baseline": {
         "rounds.csv": "c2c631c9524a45e7d8428273d7c2c59f68cea7dd23b7e3d3c7773d946c63726a",
-        "summary.md": "6ca0ef3bb42aad9f0dfa6081c1c1e094ea041074d44ee66af1ef7646c865fc0c",
+        "summary.md": "825b255924ef15b766c9dab8d436c60a9c727b358c349e84e2bc3bc6c3d3ea6b",
         "config.txt": "6d4b25808c0923b0470588e1212fda7ad4cd8f3e4a3e60f5a026e8fc3e9737a9",
-        "report.json": "0327dd519cd300bf27a27f99c8fe207a97e67db9283e3ab44dfaf7c42b27b440",
+        "report.json": "fe00841345ba8adf62332d6775dd8075c0d0bac454cca67a5877c1e8b7f7c583",
     },
     "wo-cdfp": {
         "rounds.csv": "ec7ebc2a835e181429ba891976d8bf60f1c37e4f37fb491464327db466d135e1",
-        "summary.md": "d183ce1cbdd9b0e16e9284b334b7fb86e51057660a0b7212e056249cd8549e92",
+        "summary.md": "a57eea6c97dcf429f84000a4f0a6fdfd6b9dcbc14b2a288ffbdbba1a9c23641e",
         "config.txt": "89b1db1c39f4b0e426df765a57258ebf2cd36ba8c6ea96ee139c3c6e68fb15ff",
-        "report.json": "605ae5522b68b24a064f628766e05992d3e4570139a81f8579605432fef8bff1",
+        "report.json": "ed8b7703b97e73a4d8b01b484100ba6cc8dddaa2e8d95cb76cc3c1dfea59b6a8",
     },
     "wo-dsop": {
         "rounds.csv": "93c63162b41eca99e5a612912d803b0ba13495ad674d568d2c055e98ab06bacb",
-        "summary.md": "5bdb5e801223731b006df377132a6a7d6afbc3e1808b0768388f27c796323063",
+        "summary.md": "7633e99af776b203db5e54825c2f92bdb789cf109fb7b590ab591e9f681084c1",
         "config.txt": "04defee451d744e5efc91e0385385ba72c1d1f647f06dd53ae0ed2ccf38a42ba",
-        "report.json": "7f9086d0608712af995cedd832cfcf39d2b00d2b49a50b09d92342c933824db3",
+        "report.json": "8e35686f23761676b63a2f968af037bd7082c9ded9422f0386d8d35e8d1fc66e",
     },
     "wo-fpf": {
         "rounds.csv": "ec236734c6a9df75310edec3ff4f25c2f563413e59a1e17acc75767b16fe23d9",
-        "summary.md": "901ea940252f945794e49c2919857d76f7aeea35eb38758023b82cecf2708593",
+        "summary.md": "7ccecf7570ca3f2f417c42ea750383b2aecb785f91aa9bee7262c13be9dbe3c6",
         "config.txt": "329cb253689730e73f9e94ec65b002398b065441997dc67f214d28f5673e1bab",
-        "report.json": "012800d746464f71f82cd9712acc365c94d47df52a54e45e31fa21d6a547781d",
+        "report.json": "f8f71c7c7e24924fb376cd6c7d48b082557c77febd487759909bcea411af90ab",
     },
 }
 
@@ -87,7 +87,14 @@ def test_golden_covers_every_method():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_artifacts_match_golden_hashes(produced, method):
-    assert produced[method] == GOLDEN[method]
+    got = produced[method]
+    assert sorted(got) == sorted(GOLDEN[method])
+    moved = [
+        f"{name}: pinned {want}, produced {got[name]}"
+        for name, want in GOLDEN[method].items()
+        if got[name] != want
+    ]
+    assert not moved, f"{method} artifacts moved:\n" + "\n".join(moved)
 
 
 def test_golden_rounds_differ_between_methods():

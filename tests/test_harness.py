@@ -8,10 +8,12 @@ import os
 
 import pytest
 
+from fedfairprompt import federation
 from fedfairprompt.config import Config
 from fedfairprompt.harness import (
     PRESETS,
     SWEEP_AXES,
+    PresetResult,
     run_experiment,
     run_preset,
     sweep,
@@ -84,6 +86,24 @@ def test_mean_summary_errors_when_value_has_no_completed_cells(tmp_path):
     result = sweep(_tiny(tmp_path / "sw"), "alpha", (-1.0,), replicates=1)
     with pytest.raises(ValueError, match="no completed cells"):
         result.mean_summary(-1.0)
+
+
+def test_runs_that_fail_part_way_are_left_out_of_the_means(tmp_path, monkeypatch):
+    # Refinement raises in round 1, so each cell keeps its round-0
+    # evaluation in an incomplete report.
+    def broken_refine(*args, **kwargs):
+        raise ValueError("refinement broke")
+
+    monkeypatch.setattr(federation, "server_refine", broken_refine)
+    cfg = _tiny(tmp_path / "sw", method="fvlfp", rounds=2)
+    result = sweep(cfg, "method", ("fvlfp",), replicates=1)
+    cell = result.cells[0]
+    assert cell.report is not None and cell.report.incomplete and cell.failed
+    with pytest.raises(ValueError, match="no completed cells"):
+        result.mean_summary("fvlfp")
+    assert "| a_b | failed |" in result.table()
+    preset_table = PresetResult(name="table1", sweeps={"fvlfp": result}).table()
+    assert "| fvlfp | method=fvlfp | " + " | ".join(["failed"] * 5) + " |" in preset_table
 
 
 def test_single_value_sweep_matches_direct_run(tmp_path):
