@@ -12,6 +12,7 @@ both label and group composition per shard.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -284,47 +285,57 @@ def save_embeddings(dataset: Dataset, path: str) -> None:
 
 
 def load_embeddings(path: str) -> Dataset:
-    """Parse the text embedding format; errors carry 1-based line numbers."""
+    """Parse the text embedding format; errors carry 1-based line numbers.
+
+    After the header, numpy's C reader parses the rows straight from the
+    open file. Only a body it rejects, or whose rows fail the count or
+    ``Dataset``'s checks, is read again line by line to name the fault.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    header = lines[0].split()
-    if len(header) != 2 or not header[0].startswith("dim=") or not header[1].startswith("count="):
-        raise ValueError(f"{path}:1: header must be 'dim=<d> count=<n>', got {lines[0]!r}")
-    try:
-        dim = int(header[0][4:])
-        count = int(header[1][6:])
-    except ValueError:
-        raise ValueError(f"{path}:1: non-integer dim/count in header") from None
-    if dim < 1 or count < 0:
-        raise ValueError(f"{path}:1: dim must be >= 1 and count >= 0")
-    found = sum(1 for line in lines[1:] if line.strip())
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty file")
+        header = first.split()
+        if len(header) != 2 or not header[0].startswith("dim=") or not header[1].startswith("count="):
+            raise ValueError(
+                f"{path}:1: header must be 'dim=<d> count=<n>', got {first.splitlines()[0]!r}")
+        try:
+            dim = int(header[0][4:])
+            count = int(header[1][6:])
+        except ValueError:
+            raise ValueError(f"{path}:1: non-integer dim/count in header") from None
+        if dim < 1 or count < 0:
+            raise ValueError(f"{path}:1: dim must be >= 1 and count >= 0")
+        row = np.dtype([("y", np.int64), ("g", np.int64), ("v", np.float64, (dim,))])
+        try:
+            with warnings.catch_warnings():  # an empty body warns; the count decides
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
+            if table.shape[0] == count:
+                return Dataset(features=table["v"][:, None], labels=table["y"],
+                               groups=table["g"], kind="features")
+        except ValueError:
+            pass
+        fh.seek(0)
+        lines = fh.readlines()[1:]
+    found = sum(1 for line in lines if line.strip())
     if found != count:
         raise ValueError(f"{path}: header declares count={count} but found {found} rows")
-    features = np.zeros((count, 1, dim))
-    labels = np.zeros(count, dtype=np.int64)
-    groups = np.zeros(count, dtype=np.int64)
-    r = 0  # data rows so far; blank lines are skipped but keep their line numbers
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    for lineno, line in enumerate(lines, start=2):
+        if line == "\n":  # numpy's reader skips empty lines only: spaces make a bad row
             continue
-        parts = line.split(",")
-        if len(parts) != 2 + dim:
+        fields = line.count(",") + 1
+        if fields != 2 + dim:
             raise ValueError(
                 f"{path}:{lineno}: expected {2 + dim} comma-separated fields "
-                f"(declared dim={dim}), found {len(parts)}"
+                f"(declared dim={dim}), found {fields}"
             )
         try:
-            y, g = int(parts[0]), int(parts[1])
-            vec = np.array([float(v) for v in parts[2:]])
+            parsed = np.loadtxt([line], dtype=row, delimiter=",", comments=None)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed numeric field") from None
-        if y not in (0, 1) or g not in (0, 1):
+        if parsed["y"] not in (0, 1) or parsed["g"] not in (0, 1):
             raise ValueError(f"{path}:{lineno}: label/group must be 0 or 1")
-        if not np.isfinite(vec).all():
+        if not np.isfinite(parsed["v"]).all():
             raise ValueError(f"{path}:{lineno}: non-finite embedding value")
-        labels[r], groups[r] = y, g
-        features[r, 0] = vec
-        r += 1
-    return Dataset(features=features, labels=labels, groups=groups, kind="features")
+    raise ValueError(f"{path}: numpy's reader rejected the rows, but no line could be named")

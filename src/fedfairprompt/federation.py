@@ -174,12 +174,16 @@ def predict(model: PromptedModel, prompts: PromptSet, features: np.ndarray) -> n
     Prediction runs on the same debiased embedding the training loss
     sees. The argmax over fixed unit text rows is scale invariant, so
     the debiased embedding needs no re-normalization. Raises
-    NonFiniteError on a non-finite embedding.
+    NonFiniteError on a non-finite embedding, or on an overflow on the
+    way to it, which layernorm would otherwise turn into finite zeros.
     """
     preds = []
-    with no_grad():
+    with no_grad(), np.errstate(over="raise"):
         for lo in range(0, features.shape[0], _EVAL_CHUNK):
-            _, z = model.embed(prompts, features[lo : lo + _EVAL_CHUNK])
+            try:
+                _, z = model.embed(prompts, features[lo : lo + _EVAL_CHUNK])
+            except FloatingPointError as exc:
+                raise NonFiniteError(f"eval embeddings: {exc}") from None
             _ensure_finite(z.data, "eval embeddings")
             preds.append(np.argmax(z.data @ model.class_text.T, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
@@ -216,17 +220,22 @@ def _fit(model: PromptedModel, prompts: PromptSet, steps, lr: float, who: str) -
 
     ``steps`` is read lazily: each ``loss_fn`` runs before the next item
     is drawn, so a generator may draw its batches from a stream in step
-    order. Moments start fresh. A non-finite value in the loss or its
-    gradient raises a FederationError naming ``who`` and ``where``.
+    order. Moments start fresh. An overflow in the loss's forward, or a
+    non-finite value in the loss or its gradient, raises a
+    FederationError naming ``who`` and ``where``.
     """
     trainable = model.trainable(prompts)
     opt_state = adamw_init({k: p.data for k, p in trainable.items()})
-    # backward rejects a diverging loss; numpy's overflow warnings are noise.
+    # An overflow in the forward raises: layernorm would turn it into
+    # finite zeros. backward rejects a diverging gradient by name.
     with np.errstate(over="ignore", invalid="ignore"):
         for where, loss_fn in steps:
             try:
-                reached = T.backward(loss_fn())
-            except NonFiniteError as exc:
+                with np.errstate(over="raise"):
+                    loss = loss_fn()
+                reached = T.backward(loss)
+                del loss  # the tape, freed before the next step's forward
+            except FloatingPointError as exc:  # NonFiniteError included
                 raise FederationError(f"{who}: {exc} {where}") from None
             arrays, opt_state = adamw_step(
                 {k: p.data for k, p in trainable.items()},

@@ -1,5 +1,8 @@
 """Synthetic data, partitioning and embedding-format contracts."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -237,6 +240,90 @@ def test_embeddings_parse_errors_carry_line_numbers(tmp_path):
     bad_label.write_text("dim=2 count=1\n2,0,1.0,2.0\n")
     with pytest.raises(ValueError, match=":2:"):
         load_embeddings(str(bad_label))
+
+
+def _decimal_spellings(rng, n):
+    """Hand-written decimal strings: shortest repr, 25 significant
+    digits, C's %.17e, and subnormals, plus rounding-tie cases."""
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    subnormals = rng.integers(1, 2**52, size=n) * 2.0**-1074
+    out = ["0.0", "-0.0", "5e-324", "4.9406564584124654e-324", "2.2250738585072009e-308",
+           "2.2250738585072014e-308", "1.7976931348623157e308", "9007199254740993",
+           "1.00000000000000011102230246251565404236316680908203125",
+           "1.000000000000000111022302462515654042363166809082031250001",
+           "0.1000000000000000055511151231257827021181583404541015625"]
+    for v, s in zip(values, subnormals):
+        out += [repr(float(v)), f"{v:.24e}", "%.17e" % v, repr(float(s)), f"{s:.24e}"]
+    return out
+
+
+def test_embeddings_values_equal_python_float_bit_for_bit(tmp_path):
+    strings = _decimal_spellings(np.random.default_rng(41), 400)
+    strings += ["1.5"] * (-len(strings) % 8)
+    rows = [strings[i : i + 8] for i in range(0, len(strings), 8)]
+    path = tmp_path / "spell.emb"
+    path.write_text(f"dim=8 count={len(rows)}\n"
+                    + "".join(f"{i % 2},{i // 2 % 2},{','.join(r)}\n" for i, r in enumerate(rows)))
+    back = load_embeddings(str(path))
+    expected = np.array([[float(s) for s in r] for r in rows])
+    assert back.features[:, 0].tobytes() == expected.tobytes()  # signed zeros included
+
+
+def test_embeddings_crlf_and_blank_lines_parse_like_the_clean_file(tmp_path):
+    clean = tmp_path / "clean.emb"
+    save_embeddings(_toy_feature_dataset(n=7, d=4, seed=2), str(clean))
+    lines = clean.read_bytes().split(b"\n")[:-1]
+    messy = tmp_path / "messy.emb"
+    messy.write_bytes(b"\r\n".join(lines[:1] + [b""] + lines[1:4] + [b"", b""] + lines[4:])
+                      + b"\r\n\r\n")
+    a, b = load_embeddings(str(clean)), load_embeddings(str(messy))
+    for x, y in ((a.features, b.features), (a.labels, b.labels), (a.groups, b.groups)):
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_embeddings_non_finite_value_names_its_line(tmp_path, value):
+    path = tmp_path / "nf.emb"
+    path.write_text(f"dim=2 count=3\n1,0,0.5,0.25\n\n0,1,{value},1.0\n1,1,2.0,3.0\n")
+    with pytest.raises(ValueError, match=r":4: non-finite embedding value"):
+        load_embeddings(str(path))
+
+
+def test_embeddings_empty_body_gives_empty_dataset_without_warning(tmp_path):
+    for body in ("", "\n\n"):
+        path = tmp_path / "empty.emb"
+        path.write_text("dim=3 count=0\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_embeddings(str(path))
+        assert len(ds) == 0 and ds.features.shape == (0, 1, 3)
+
+
+def test_embeddings_reject_what_numpys_reader_rejects_with_line_numbers(tmp_path):
+    # float() reads "1_0.5" as 10.5; numpy's reader and this format do not
+    underscore = tmp_path / "u.emb"
+    underscore.write_text("dim=2 count=2\n0,1,0.5,0.25\n1,0,1_0.5,0.25\n")
+    with pytest.raises(ValueError, match=r":3: malformed numeric field"):
+        load_embeddings(str(underscore))
+    # only an empty line is blank: one of spaces is a row with one field
+    spaces = tmp_path / "s.emb"
+    spaces.write_text("dim=2 count=2\n0,1,0.5,0.25\n  \n1,0,1.5,0.25\n")
+    with pytest.raises(ValueError, match=r":3: expected 4 comma-separated fields.*found 1"):
+        load_embeddings(str(spaces))
+
+
+def test_embeddings_parse_peak_stays_near_the_features(tmp_path):
+    # numpy reports its buffers to tracemalloc; holding the file's text
+    # whole (about 2.8 MB here) would show
+    path = str(tmp_path / "big.emb")
+    save_embeddings(_toy_feature_dataset(n=4000, d=32, seed=5), path)
+    tracemalloc.start()
+    try:
+        ds = load_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ds.features.nbytes, peak / ds.features.nbytes
 
 
 def test_save_embeddings_rejects_pixel_datasets(tmp_path):

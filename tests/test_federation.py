@@ -385,6 +385,19 @@ def test_non_finite_loss_becomes_flagged_failure():
     assert [r.round for r in rep.rounds] == list(range(len(rep.rounds)))
 
 
+def test_forward_overflow_becomes_flagged_failure():
+    # AdamW drives the prompts to about 1e114-1e225; layernorm's variance
+    # overflows and, left alone, turns the rows into finite zeros, so the
+    # run used to end complete with a_b 0.5 and every gap 0
+    rep = run_federation(Config(method="fedavg_baseline", lr=1e18, rounds=2, clients=2,
+                                n_train=160, n_val=48, n_test=48))
+    assert rep.incomplete
+    assert rep.failure == (
+        "round 2: client 0: overflow encountered in multiply (epoch 0, batch offset 48)"
+    )
+    assert [r.round for r in rep.rounds] == [0, 1]
+
+
 def test_non_finite_gradient_names_client_and_step(enc_cfg):
     prompts = PromptSet.initialize(enc_cfg, seed=0)
     stub = SimpleNamespace(trainable=lambda ps: ps.parameters())
@@ -402,6 +415,13 @@ def test_predict_rejects_non_finite_eval_embeddings(model, enc_cfg, val_split):
     prompts = PromptSet.initialize(enc_cfg, seed=0)
     prompts.tokens[1].data = np.full(prompts.tokens[1].shape, np.nan)
     with pytest.raises(NonFiniteError, match="eval embeddings"):
+        predict(model, prompts, val_split.features)
+
+
+def test_predict_rejects_an_overflow_on_the_way_to_the_embeddings(model, enc_cfg, val_split):
+    prompts = PromptSet.initialize(enc_cfg, seed=0)
+    prompts.tokens[1].data = np.random.default_rng(0).normal(size=prompts.tokens[1].shape) * 1e200
+    with pytest.raises(NonFiniteError, match="eval embeddings: overflow encountered"):
         predict(model, prompts, val_split.features)
 
 
