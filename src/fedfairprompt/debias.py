@@ -64,9 +64,10 @@ def build_subspace(encoder, templates: Sequence[str], k: int = 1) -> Demographic
 def project_out(z: Tensor | np.ndarray, sub: DemographicSubspace) -> tuple[Tensor, Tensor]:
     """Split (B, d) embeddings into (debiased, bias) parts against the subspace.
 
-    The bias part is the orthogonal projection onto the basis rows;
-    debiased + bias reconstructs the input exactly and the split is
-    differentiable.
+    The bias part is the orthogonal projection onto the basis rows,
+    and the split is differentiable. debiased + bias reconstructs the
+    input up to rounding: the subtraction and the addition each round,
+    so some elements come back an ulp off.
     """
     z = z if isinstance(z, Tensor) else Tensor(z)
     coeffs = T.matmul(z, Tensor(sub.basis.T))

@@ -14,7 +14,9 @@ below wrote. The prompt rows act as key/value prefixes: they never
 depend on the image, so their LN1 and key/value projections run once
 on the (K, d) block and are broadcast over the batch. Queries, the
 output projection and the MLP run only for the rows the next step
-reads: CLS and the patch rows, or CLS alone in the last block.
+reads: CLS and the patch rows, or CLS alone in the last block. A
+block's whole attention sublayer is one tape node
+(``tensor.prompted_attention``); its MLP is four more.
 
 The backbone holds only the weights the forward reads: its layer norms
 have no affine terms and its MLP has no biases.
@@ -228,16 +230,18 @@ class VisionEncoder:
         self.config = config
         self.backbone = FrozenBackbone(config) if backbone is None else backbone
         b = self.backbone
-        # Pre-wrapped frozen constants reused across forward passes. The
-        # attention scale is folded into the query weights once.
+        # Frozen constants reused across forward passes. Per layer: the
+        # attention weights as plain arrays, which cannot receive a
+        # gradient, with the attention scale folded into the query
+        # weights once; then the MLP weights, pre-wrapped as Tensors.
         head_dim = config.embed_dim // config.heads
         self._cls_row = (b.cls + b.pos[0]).reshape(1, -1)
         self._patch_pos = b.pos[1:]
-        self._layer_consts = []
-        for layer in b.layers:
-            consts = {k: Tensor(layer[k]) for k in ("wk", "wv", "wo", "w1", "w2")}
-            consts["wq_scaled"] = Tensor(layer["wq"] * head_dim**-0.5)
-            self._layer_consts.append(consts)
+        self._layer_consts = [
+            ((w["wq"] * head_dim**-0.5, w["wk"], w["wv"], w["wo"]),
+             Tensor(w["w1"]), Tensor(w["w2"]))
+            for w in b.layers
+        ]
         self._out_proj = Tensor(b.out_proj)
 
     # -- frozen towers ------------------------------------------------
@@ -283,23 +287,13 @@ class VisionEncoder:
     def _block(self, prompt: Tensor, state: Tensor, idx: int, cls_only: bool) -> Tensor:
         """One pre-LN block over the shared (K, d) ``prompt`` rows and the
         (B, n, d) ``state`` rows, returning the new state rows (CLS alone
-        when ``cls_only``): keys and values come from every row, queries
-        and the MLP only from the returned ones."""
-        w = self._layer_consts[idx]
-        heads = self.config.heads
-        p = T.layernorm(prompt)
-        h = T.layernorm(state)
-        k4 = T.project_prefixed_heads(p, h, w["wk"], heads)
-        v4 = T.project_prefixed_heads(p, h, w["wv"], heads)
-        if cls_only:
-            state, h = T.slice_axis(state, 1, 0, 1), T.slice_axis(h, 1, 0, 1)
-        # The attention scale is pre-folded into the query weights.
-        q4 = T.project_heads(h, w["wq_scaled"], heads)
-        attn = T.softmax(T.matmul(q4, T.swap_axes(k4, 2, 3)), axis=-1)
-        rows = T.add(state, T.merge_heads(T.matmul(attn, v4), w["wo"]))
-
-        inner = T.matmul(T.layernorm(rows), w["w1"])
-        return T.add(rows, T.matmul(T.gelu(inner), w["w2"]))
+        when ``cls_only``). The attention sublayer is one
+        ``prompted_attention`` node: keys and values come from every
+        row, queries only from the returned ones. The MLP runs on the
+        returned rows through layernorm, matmul, GELU and add nodes."""
+        attention, w1, w2 = self._layer_consts[idx]
+        rows = T.prompted_attention(prompt, state, *attention, self.config.heads, cls_only)
+        return T.add(rows, T.matmul(T.gelu(T.matmul(T.layernorm(rows), w1)), w2))
 
     def encode_image(
         self,

@@ -234,7 +234,6 @@ def _fit(model: PromptedModel, prompts: PromptSet, steps, lr: float, who: str) -
                 with np.errstate(over="raise"):
                     loss = loss_fn()
                 reached = T.backward(loss)
-                del loss  # the tape, freed before the next step's forward
             except FloatingPointError as exc:  # NonFiniteError included
                 raise FederationError(f"{who}: {exc} {where}") from None
             arrays, opt_state = adamw_step(
@@ -282,7 +281,8 @@ def client_update(
 
 
 def fusion_weights(scores) -> np.ndarray:
-    """Normalize non-negative scores to fusion weights (sum exactly 1)."""
+    """Normalize non-negative scores to fusion weights, which sum to 1
+    up to rounding (0.3, 0.3, 0.3, 0.1 gives 1.0000000000000002)."""
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("scores must be a non-empty 1-D sequence")
@@ -488,11 +488,11 @@ def run_federation(config: Config) -> FairnessReport:
             client_prompts, client_records, client_confs = map(list, zip(*updates))
             scores = [score_from_record(rec) for rec in client_records]
             weights = fusion_weights(scores if config.fpf_enabled else [1.0] * len(shards))
-            global_prompts = fuse_prompts(client_prompts, weights)
+            fused = fuse_prompts(client_prompts, weights)
             if config.fpf_enabled:
                 rng = _stream(config.master_seed, _SEED_REFINE, round_index)
-                global_prompts = server_refine(model, global_prompts, val, rng, config)
-            global_eval, _ = evaluate_prompts(model, global_prompts, test)
+                fused = server_refine(model, fused, val, rng, config)
+            global_eval, _ = evaluate_prompts(model, fused, test)
             cross_f, excluded = eod_global(client_confs)
             if encoder.backbone_hash() != backbone_hash:
                 raise FederationError("frozen backbone hash changed")
@@ -506,6 +506,7 @@ def run_federation(config: Config) -> FairnessReport:
                     f_global_excluded=excluded,
                 )
             )
+            global_prompts = fused
     except (FederationError, NonFiniteError, ValueError) as exc:
         # every in-round failure ends the run with the finished rounds kept
         failure = f"round {round_index}: {exc}"
@@ -513,6 +514,7 @@ def run_federation(config: Config) -> FairnessReport:
         config=config,
         backbone_hash=backbone_hash,
         rounds=rounds,
+        prompts=global_prompts.to_arrays(),
         incomplete=bool(failure),
         failure=failure,
     )

@@ -51,11 +51,14 @@ class RoundRecord:
 
 @dataclass
 class FairnessReport:
-    """Complete record of one federation run."""
+    """Complete record of one federation run. ``prompts`` holds the global
+    prompts the last recorded round evaluated (round 0: the initial
+    ones), as ``PromptSet.to_arrays()`` gives them."""
 
     config: Config
     backbone_hash: str
     rounds: list[RoundRecord]
+    prompts: dict[str, np.ndarray] = field(default_factory=dict)
     incomplete: bool = False
     failure: str = ""
 
@@ -172,7 +175,8 @@ def _json_payload(report: FairnessReport) -> dict:
 
 
 def emit_report(report: FairnessReport, out_dir: str) -> dict[str, str]:
-    """Write rounds.csv, summary.md, config.txt and report.json.
+    """Write rounds.csv, summary.md, config.txt, report.json and
+    prompts.npz, the final prompts (``np.load`` reads them back).
 
     Returns the written paths.
     """
@@ -182,6 +186,7 @@ def emit_report(report: FairnessReport, out_dir: str) -> dict[str, str]:
         "markdown": os.path.join(out_dir, "summary.md"),
         "config": os.path.join(out_dir, "config.txt"),
         "json": os.path.join(out_dir, "report.json"),
+        "prompts": os.path.join(out_dir, "prompts.npz"),
     }
     texts = {
         "csv": _csv_text(report),
@@ -189,7 +194,9 @@ def emit_report(report: FairnessReport, out_dir: str) -> dict[str, str]:
         "config": config_lines(report.config),
         "json": json.dumps(_json_payload(report), indent=2, sort_keys=True) + "\n",
     }
-    for key, path in paths.items():
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(texts[key])
+    for key, text in texts.items():
+        with open(paths[key], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    # Every zip entry carries the same fixed date, so the bytes repeat.
+    np.savez(paths["prompts"], **report.prompts)
     return paths

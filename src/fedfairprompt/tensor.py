@@ -1,18 +1,16 @@
 """Dense float64 tensors with taped reverse-mode gradients.
 
-The kernel vocabulary is deliberately small: matmul, the attention-head
-projections (project_heads: matmul by a frozen weight, then split
-heads; project_prefixed_heads: the same for a shared prefix block and
-per-sample rows; merge_heads: merge heads, then matmul by a frozen
-weight), elementwise add/sub/mul, scalar scale, softmax, log-softmax,
-layer norm without affine terms, GELU, slice, reshape, axis swaps,
-reductions, L2 normalization, relu (hinge), abs and a per-row gather.
-Every kernel is pure (identical inputs give bit-identical outputs) and
-records just enough structure to replay the chain rule. Gradients flow
-only into tensors created with ``trainable=True``; everything else is a
-frozen constant and its subgraph is skipped during backprop. Finiteness
-is checked at the boundaries, not per kernel: see ``Tensor`` and
-``backward``.
+The kernel vocabulary is deliberately small: matmul, elementwise
+add/sub/mul, scalar scale, softmax, log-softmax, layer norm without
+affine terms, GELU, reshape, reductions, L2 normalization, relu
+(hinge), abs, a per-row gather, and one fused kernel for an encoder
+block's whole attention sublayer over a shared prompt prefix
+(prompted_attention). Every kernel is pure (identical inputs give
+bit-identical outputs) and records just enough structure to replay the
+chain rule. Gradients flow only into tensors created with
+``trainable=True``; everything else is a frozen constant and its
+subgraph is skipped during backprop. Finiteness is checked at the
+boundaries, not per kernel: see ``Tensor`` and ``backward``.
 
 On small sequences a node costs more in call overhead than in
 arithmetic, so kernels call ``np.add.reduce``, ``np.maximum.reduce`` and
@@ -31,9 +29,7 @@ __all__ = [
     "no_grad",
     "backward",
     "matmul",
-    "project_heads",
-    "project_prefixed_heads",
-    "merge_heads",
+    "prompted_attention",
     "add",
     "sub",
     "mul",
@@ -45,9 +41,7 @@ __all__ = [
     "relu",
     "abs_value",
     "l2_normalize",
-    "slice_axis",
     "reshape",
-    "swap_axes",
     "reduce_sum",
     "reduce_mean",
     "take_per_row",
@@ -168,6 +162,10 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
     Raises if ``output`` is not scalar. Raises NonFiniteError if it is
     not finite, naming the first recorded op with a non-finite output,
     or if a leaf's gradient is not finite.
+
+    Each node drops its parents and its VJP closure once the closure
+    has run, so a caller that keeps ``output`` keeps no intermediates.
+    A second sweep over the same tape raises ValueError.
     """
     if output.data.size != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.shape}")
@@ -182,6 +180,8 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
         if expanded:
             order.append(node)
         elif node not in seen:
+            if node.vjp is None and not node.trainable:
+                raise ValueError(f"'{node.name}' was released by an earlier backward")
             seen.add(node)
             stack.append((node, True))
             for p in node.parents:
@@ -200,7 +200,9 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
             _ensure_finite(g, f"gradient of '{node.name}'")
             leaves[node] = g
             continue
-        for parent, pg in zip(node.parents, node.vjp(g)):
+        parents, vjp = node.parents, node.vjp
+        node.parents, node.vjp = (), None
+        for parent, pg in zip(parents, vjp(g)):
             if pg is not None and parent.needs_grad:
                 slot = grads.get(parent)
                 grads[parent] = pg if slot is None else slot + pg
@@ -325,86 +327,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), vjp, "matmul")
 
 
-def _frozen_weight(w: Tensor, rows: int, op: str) -> np.ndarray:
-    w = _lift(w)
-    if w.needs_grad:
-        raise ValueError(f"{op} takes a frozen weight; this one needs a gradient")
-    if w.ndim != 2 or w.shape[0] != rows:
-        raise ValueError(f"{op}: weight of shape {w.shape} does not take {rows} input features")
-    return w.data
-
-
-def project_heads(x: Tensor, w: Tensor, heads: int) -> Tensor:
-    """(B, n, d) rows times a frozen (d, e) weight, split into heads.
-
-    Returns (B, heads, n, e // heads): the same values as ``matmul``,
-    ``reshape`` to (B, n, heads, e // heads) and ``swap_axes(1, 2)``,
-    recorded as one node. Only ``x`` receives a gradient.
-    """
-    x = _lift(x)
-    if x.ndim != 3:
-        raise ValueError(f"project_heads needs (B, n, d) rows, got {x.shape}")
-    wd = _frozen_weight(w, x.shape[-1], "project_heads")
-    batch, n, _ = x.shape
-    e = wd.shape[1]
-    if e % heads != 0:
-        raise ValueError(f"project_heads: {e} output features do not split into {heads} heads")
-    out = (x.data @ wd).reshape(batch, n, heads, e // heads).swapaxes(1, 2)
-
-    def vjp(g):
-        return (g.swapaxes(1, 2).reshape(batch, n, e) @ wd.T,)
-
-    return _node(out, (x,), vjp, "project_heads")
-
-
-def project_prefixed_heads(prefix: Tensor, x: Tensor, w: Tensor, heads: int) -> Tensor:
-    """``project_heads`` of a shared (K, d) prefix block, tiled over the
-    batch, concatenated with that of (B, n, d) rows: (B, heads, K + n,
-    e // heads) as one node. The prefix is projected once, and its
-    gradient is one sum over the batch."""
-    prefix, x = _lift(prefix), _lift(x)
-    if prefix.ndim != 2 or x.ndim != 3:
-        raise ValueError(f"project_prefixed_heads needs (K, d) and (B, n, d) rows, "
-                         f"got {prefix.shape} and {x.shape}")
-    wd = _frozen_weight(w, x.shape[-1], "project_prefixed_heads")
-    batch, n, _ = x.shape
-    k, e = prefix.shape[0], wd.shape[1]
-    if e % heads != 0:
-        raise ValueError(f"project_prefixed_heads: {e} features do not split into {heads} heads")
-    c = e // heads
-    out = np.empty((batch, heads, k + n, c))
-    out[:, :, :k] = (prefix.data @ wd).reshape(k, heads, c).swapaxes(0, 1)
-    out[:, :, k:] = (x.data @ wd).reshape(batch, n, heads, c).swapaxes(1, 2)
-    npre, nx = prefix.needs_grad, x.needs_grad
-
-    def vjp(g):
-        gp = np.add.reduce(g[:, :, :k], axis=0).swapaxes(0, 1).reshape(k, e) @ wd.T if npre else None
-        gx = g[:, :, k:].swapaxes(1, 2).reshape(batch, n, e) @ wd.T if nx else None
-        return (gp, gx)
-
-    return _node(out, (prefix, x), vjp, "project_prefixed_heads")
-
-
-def merge_heads(x: Tensor, w: Tensor) -> Tensor:
-    """(B, heads, n, c) per-head rows merged to (B, n, heads * c), times
-    a frozen weight.
-
-    The same values as ``swap_axes(1, 2)``, ``reshape`` and ``matmul``,
-    recorded as one node. Only ``x`` receives a gradient.
-    """
-    x = _lift(x)
-    if x.ndim != 4:
-        raise ValueError(f"merge_heads needs (B, heads, n, c) rows, got {x.shape}")
-    batch, heads, n, c = x.shape
-    wd = _frozen_weight(w, heads * c, "merge_heads")
-    out = x.data.swapaxes(1, 2).reshape(batch, n, heads * c) @ wd
-
-    def vjp(g):
-        return ((g @ wd.T).reshape(batch, n, heads, c).swapaxes(1, 2),)
-
-    return _node(out, (x,), vjp, "merge_heads")
-
-
 def l2_normalize(x: Tensor) -> Tensor:
     """Normalize the last axis to unit Euclidean norm.
 
@@ -456,42 +378,94 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(out, (x,), vjp, "log_softmax")
 
 
-def layernorm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-slice (last axis) zero-mean unit-variance, with no affine."""
-    x = _lift(x)
-    xd = x.data
+def _ln(xd: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """Last-axis layer norm without affine: (output, 1 / deviation)."""
     d = xd.shape[-1]
     xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    out = xc * inv
+    return xc * inv, inv
+
+
+def _ln_vjp(g: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    d = out.shape[-1]
+    return inv * (g - np.add.reduce(g, axis=-1, keepdims=True) / d
+                  - out * (np.add.reduce(g * out, axis=-1, keepdims=True) / d))
+
+
+def layernorm(x: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-slice (last axis) zero-mean unit-variance, with no affine."""
+    x = _lift(x)
+    out, inv = _ln(x.data, eps)
 
     def vjp(g):
-        return (inv * (g - np.add.reduce(g, axis=-1, keepdims=True) / d
-                       - out * (np.add.reduce(g * out, axis=-1, keepdims=True) / d)),)
+        return (_ln_vjp(g, out, inv),)
 
     return _node(out, (x,), vjp, "layernorm")
 
 
-# ---------------------------------------------------------------------------
-# shape plumbing
+def prompted_attention(prefix: Tensor, state: Tensor, wq: np.ndarray, wk: np.ndarray,
+                       wv: np.ndarray, wo: np.ndarray, heads: int, cls_only: bool) -> Tensor:
+    """A pre-LN attention sublayer over a shared prompt prefix, as one node.
 
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    x = _lift(x)
-    axis = axis % x.ndim
-    n = x.shape[axis]
-    if not (0 <= start <= stop <= n):
-        raise ValueError(f"slice [{start}:{stop}] outside axis of length {n}")
-    index = tuple(slice(None) if i != axis else slice(start, stop) for i in range(x.ndim))
-    out = x.data[index]
+    Layer-norms the (K, d) ``prefix`` and the (B, n, d) ``state``. Keys
+    and values come from the K prefix rows (projected once for the
+    batch) and the n state rows, queries from the first m state rows
+    only (m = 1 if ``cls_only``, else n). Returns the (B, m, d) rows
+    ``state[:, :m] + softmax(q kᵀ) v @ wo``, heads merged before ``wo``.
+    The weights are frozen arrays, the attention scale folded into
+    ``wq``. Value and gradients are bit-identical to the per-kernel
+    composition: same numpy operations, gradients summed in the tape's
+    order.
+    """
+    prefix, state = _lift(prefix), _lift(state)
+    if prefix.ndim != 2 or state.ndim != 3 or prefix.shape[1] != state.shape[2]:
+        raise ValueError(f"prompted_attention needs (K, d) and (B, n, d) rows, "
+                         f"got {prefix.shape} and {state.shape}")
+    batch, n, _ = state.shape
+    k, e = prefix.shape[0], wk.shape[1]
+    if e % heads != 0:
+        raise ValueError(f"prompted_attention: {e} features do not split into {heads} heads")
+    c = e // heads
+    p, p_inv = _ln(prefix.data)
+    h, h_inv = _ln(state.data)
+    k4, v4 = np.empty((batch, heads, k + n, c)), np.empty((batch, heads, k + n, c))
+    for w, out in ((wk, k4), (wv, v4)):
+        out[:, :, :k] = (p @ w).reshape(k, heads, c).swapaxes(0, 1)
+        out[:, :, k:] = (h @ w).reshape(batch, n, heads, c).swapaxes(1, 2)
+    m = 1 if cls_only else n
+    q4 = (h[:, :m] @ wq).reshape(batch, m, heads, c).swapaxes(1, 2)
+    # Wrapped by _node, not Tensor(), so no finiteness check runs here:
+    # non-finite values are caught at the boundaries, as everywhere else.
+    probs = softmax(_node(q4 @ k4.swapaxes(2, 3), (), None, "scores")).data
+    out = state.data[:, :m] + (probs @ v4).swapaxes(1, 2).reshape(batch, m, e) @ wo
+    n_prefix, n_state = prefix.needs_grad, state.needs_grad
 
     def vjp(g):
-        full = np.zeros_like(x.data)
-        full[index] = g
-        return (full,)
+        g_ctx = (g @ wo.T).reshape(batch, m, heads, c).swapaxes(1, 2)
+        g_probs = g_ctx @ v4.swapaxes(-1, -2)
+        g_v4 = probs.swapaxes(-1, -2) @ g_ctx
+        gs = probs * (g_probs - np.add.reduce(g_probs * probs, axis=-1, keepdims=True))
+        g_k4 = (q4.swapaxes(-1, -2) @ gs).swapaxes(2, 3)
+        g_prefix = g_state = None
+        if n_prefix:
+            gk, gv = (np.add.reduce(g4[:, :, :k], axis=0).swapaxes(0, 1).reshape(k, e) @ w.T
+                      for g4, w in ((g_k4, wk), (g_v4, wv)))
+            g_prefix = _ln_vjp(gk + gv, p, p_inv)
+        if n_state:
+            # keys, then queries, then values, as the composed tape sums them
+            g_state = g_k4[:, :, k:].swapaxes(1, 2).reshape(batch, n, e) @ wk.T
+            g_state[:, :m] += (gs @ k4).swapaxes(1, 2).reshape(batch, m, e) @ wq.T
+            g_state += g_v4[:, :, k:].swapaxes(1, 2).reshape(batch, n, e) @ wv.T
+            g_state = _ln_vjp(g_state, h, h_inv)
+            g_state[:, :m] += g
+        return g_prefix, g_state
 
-    return _node(out, (x,), vjp, "slice")
+    return _node(out, (prefix, state), vjp, "prompted_attention")
+
+
+# ---------------------------------------------------------------------------
+# shape plumbing
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -502,16 +476,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         return (g.reshape(x.shape),)
 
     return _node(out, (x,), vjp, "reshape")
-
-
-def swap_axes(x: Tensor, a: int, b: int) -> Tensor:
-    x = _lift(x)
-    out = x.data.swapaxes(a, b)
-
-    def vjp(g):
-        return (g.swapaxes(a, b),)
-
-    return _node(out, (x,), vjp, "swap_axes")
 
 
 # ---------------------------------------------------------------------------

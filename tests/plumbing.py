@@ -1,10 +1,14 @@
 """Kernels and formulas that only the test references use.
 
-``concat`` and ``tile_leading`` build the full-row encoder reference
-and the composition oracles of the fused head kernels. The pipeline
-itself never records them, so they live here rather than in
-``fedfairprompt.tensor``; they are ordinary tape nodes and are
-gradient-checked in ``test_tensor``.
+``concat``, ``tile_leading``, ``slice_axis`` and ``swap_axes`` build
+the full-row encoder reference. ``project_heads``,
+``project_prefixed_heads`` and ``merge_heads`` are the per-head
+projections that ``tensor.prompted_attention`` fuses; with the shape
+kernels they make up the composition it is held to, bit for bit. The
+pipeline itself never records any of them, so they live here rather
+than in ``fedfairprompt.tensor``; they are ordinary tape nodes and are
+gradient-checked in ``test_tensor``. Weights are frozen: only the rows
+receive gradients.
 
 ``one_shot_synthetic`` and ``one_shot_embed`` are the full-size
 formulas that ``generate_synthetic`` and ``embed_patches`` compute in
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from fedfairprompt import tensor as T
 from fedfairprompt.data import SyntheticSpec, _group_pattern, _label_pattern
 from fedfairprompt.tensor import Tensor, _lift, _node
 
@@ -43,6 +48,95 @@ def tile_leading(x: Tensor, n: int) -> Tensor:
         return (g.sum(axis=0),)
 
     return _node(out, (x,), vjp, "tile_leading")
+
+
+def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    x = _lift(x)
+    axis = axis % x.ndim
+    n = x.shape[axis]
+    if not (0 <= start <= stop <= n):
+        raise ValueError(f"slice [{start}:{stop}] outside axis of length {n}")
+    index = tuple(slice(None) if i != axis else slice(start, stop) for i in range(x.ndim))
+    out = x.data[index]
+
+    def vjp(g):
+        full = np.zeros_like(x.data)
+        full[index] = g
+        return (full,)
+
+    return _node(out, (x,), vjp, "slice")
+
+
+def swap_axes(x: Tensor, a: int, b: int) -> Tensor:
+    x = _lift(x)
+    out = x.data.swapaxes(a, b)
+
+    def vjp(g):
+        return (g.swapaxes(a, b),)
+
+    return _node(out, (x,), vjp, "swap_axes")
+
+
+def project_heads(x: Tensor, w, heads: int) -> Tensor:
+    """(B, n, d) rows times a frozen (d, e) weight, split into heads:
+    (B, heads, n, e // heads)."""
+    x, wd = _lift(x), _lift(w).data
+    batch, n, _ = x.shape
+    e = wd.shape[1]
+    out = (x.data @ wd).reshape(batch, n, heads, e // heads).swapaxes(1, 2)
+
+    def vjp(g):
+        return (g.swapaxes(1, 2).reshape(batch, n, e) @ wd.T,)
+
+    return _node(out, (x,), vjp, "project_heads")
+
+
+def project_prefixed_heads(prefix: Tensor, x: Tensor, w, heads: int) -> Tensor:
+    """``project_heads`` of a shared (K, d) prefix block, tiled over the
+    batch, concatenated with that of (B, n, d) rows: (B, heads, K + n,
+    e // heads). The prefix is projected once."""
+    prefix, x, wd = _lift(prefix), _lift(x), _lift(w).data
+    batch, n, _ = x.shape
+    k, e = prefix.shape[0], wd.shape[1]
+    c = e // heads
+    out = np.empty((batch, heads, k + n, c))
+    out[:, :, :k] = (prefix.data @ wd).reshape(k, heads, c).swapaxes(0, 1)
+    out[:, :, k:] = (x.data @ wd).reshape(batch, n, heads, c).swapaxes(1, 2)
+    npre, nx = prefix.needs_grad, x.needs_grad
+
+    def vjp(g):
+        gp = np.add.reduce(g[:, :, :k], axis=0).swapaxes(0, 1).reshape(k, e) @ wd.T if npre else None
+        gx = g[:, :, k:].swapaxes(1, 2).reshape(batch, n, e) @ wd.T if nx else None
+        return (gp, gx)
+
+    return _node(out, (prefix, x), vjp, "project_prefixed_heads")
+
+
+def merge_heads(x: Tensor, w) -> Tensor:
+    """(B, heads, n, c) per-head rows merged to (B, n, heads * c), times
+    a frozen weight."""
+    x, wd = _lift(x), _lift(w).data
+    batch, heads, n, c = x.shape
+    out = x.data.swapaxes(1, 2).reshape(batch, n, heads * c) @ wd
+
+    def vjp(g):
+        return ((g @ wd.T).reshape(batch, n, heads, c).swapaxes(1, 2),)
+
+    return _node(out, (x,), vjp, "merge_heads")
+
+
+def composed_attention(prefix: Tensor, state: Tensor, wq, wk, wv, wo, heads: int,
+                       cls_only: bool) -> Tensor:
+    """``tensor.prompted_attention`` as the composition of single kernels
+    the encoder recorded before it was fused: 11 tape nodes."""
+    p, h = T.layernorm(prefix), T.layernorm(state)
+    k4 = project_prefixed_heads(p, h, wk, heads)
+    v4 = project_prefixed_heads(p, h, wv, heads)
+    if cls_only:
+        state, h = slice_axis(state, 1, 0, 1), slice_axis(h, 1, 0, 1)
+    q4 = project_heads(h, wq, heads)
+    attn = T.softmax(T.matmul(q4, swap_axes(k4, 2, 3)), axis=-1)
+    return T.add(state, merge_heads(T.matmul(attn, v4), wo))
 
 
 def one_shot_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from fedfairprompt.encoder import (
 )
 from fedfairprompt.tensor import NonFiniteError, Tensor, backward
 from gradcheck import assert_grads_match
-from plumbing import concat, tile_leading
+from plumbing import concat, slice_axis, swap_axes, tile_leading
 
 SMALL = EncoderConfig(embed_dim=8, layers=2, heads=2, image_size=16, patch_size=8, prompt_tokens=2, seed=11)
 
@@ -133,10 +133,10 @@ def _full_row_layer(enc, seq, idx):
     q = T.matmul(h, Tensor(w["wq"] * head_dim**-0.5))
     k = T.matmul(h, Tensor(w["wk"]))
     v = T.matmul(h, Tensor(w["wv"]))
-    split = lambda x: T.swap_axes(T.reshape(x, (batch, length, heads, head_dim)), 1, 2)
+    split = lambda x: swap_axes(T.reshape(x, (batch, length, heads, head_dim)), 1, 2)
     q4, k4, v4 = split(q), split(k), split(v)
-    attn = T.softmax(T.matmul(q4, T.swap_axes(k4, 2, 3)), axis=-1)
-    ctx = T.reshape(T.swap_axes(T.matmul(attn, v4), 1, 2), (batch, length, d))
+    attn = T.softmax(T.matmul(q4, swap_axes(k4, 2, 3)), axis=-1)
+    ctx = T.reshape(swap_axes(T.matmul(attn, v4), 1, 2), (batch, length, d))
     seq = T.add(seq, T.matmul(ctx, Tensor(w["wo"])))
     inner = T.matmul(T.layernorm(seq), Tensor(w["w1"]))
     return T.add(seq, T.matmul(T.gelu(inner), Tensor(w["w2"])))
@@ -159,11 +159,11 @@ def _full_row_encode(enc, e0, prompts, cdfp_enabled=True, mixed_history=True):
         used = apply_cross_layer(base, history, prompts.queries[layer - 1]) if cdfp_enabled else base
         history.append(used if mixed_history else base)
         seq = concat(
-            [T.slice_axis(seq, 1, 0, 1), tile_leading(used, batch),
-             T.slice_axis(seq, 1, 1 + k, 1 + k + width)],
+            [slice_axis(seq, 1, 0, 1), tile_leading(used, batch),
+             slice_axis(seq, 1, 1 + k, 1 + k + width)],
             axis=1,
         )
-    cls_final = T.reshape(T.slice_axis(seq, 1, 0, 1), (batch, cfg.embed_dim))
+    cls_final = T.reshape(slice_axis(seq, 1, 0, 1), (batch, cfg.embed_dim))
     return T.l2_normalize(T.matmul(T.layernorm(cls_final), Tensor(bb.out_proj)))
 
 
@@ -218,20 +218,18 @@ def _tape_nodes(output):
 
 
 def test_default_forward_tape_size_is_pinned():
-    # 16 nodes per block: LN1 on the prompt block and on the state, two
-    # prefixed key/value projections, the query projection, 5 attention
-    # nodes, the residual and 5 MLP nodes. Block 1's state is constant,
-    # so its state LN1 and queries are off the tape; block L slices CLS
-    # out of the state and its LN1 (2 more). Then 4 nodes after the last
-    # block and the 4 token leaves; mixing adds one node and one query
-    # leaf per layer above the first. The full-row forward records 151
-    # and 115.
+    # 6 nodes per block: the attention sublayer, LN2, two MLP matmuls,
+    # GELU and the residual. Block 1's state is constant, but its
+    # prompt block is not, so its attention is on the tape too. Then 4
+    # nodes after the last block and the 4 token leaves; mixing adds
+    # one node and one query leaf per layer above the first. The
+    # full-row forward records 151 and 115.
     cfg = EncoderConfig()
     enc = VisionEncoder(cfg)
     e0 = enc.embed_patches(_rng(36).random((16, cfg.image_size, cfg.image_size)))
     ps = PromptSet.initialize(cfg, seed=37)
-    assert _tape_nodes(enc.encode_image(e0, ps)) == 78
-    assert _tape_nodes(enc.encode_image(e0, ps, cdfp_enabled=False)) == 72
+    assert _tape_nodes(enc.encode_image(e0, ps)) == 38
+    assert _tape_nodes(enc.encode_image(e0, ps, cdfp_enabled=False)) == 32
 
 
 def test_batched_forward_matches_per_sample():
@@ -280,7 +278,7 @@ def _promptless_encode(enc, e0):
     seq = Tensor(np.concatenate([cls_rows, e0 + bb.pos[1:]], axis=1))
     for idx in range(cfg.layers):
         seq = _full_row_layer(enc, seq, idx)
-    cls_final = T.reshape(T.slice_axis(seq, 1, 0, 1), (batch, cfg.embed_dim))
+    cls_final = T.reshape(slice_axis(seq, 1, 0, 1), (batch, cfg.embed_dim))
     return T.l2_normalize(T.matmul(T.layernorm(cls_final), Tensor(bb.out_proj)))
 
 

@@ -443,6 +443,25 @@ def test_non_finite_evaluation_becomes_flagged_failure(monkeypatch):
     assert rep.failure == "round 2: non-finite values in eval embeddings"
 
 
+def test_report_prompts_are_the_last_recorded_rounds(monkeypatch):
+    refined_arrays = []
+    refine = federation.server_refine
+
+    def poisoned_refine(*args):
+        refined = refine(*args)
+        refined_arrays.append(refined.to_arrays())
+        if len(refined_arrays) == 2:
+            refined.tokens[2].data = np.full(refined.tokens[2].shape, np.nan)
+        return refined
+
+    monkeypatch.setattr(federation, "server_refine", poisoned_refine)
+    rep = run_federation(_tiny_config(rounds=3))
+    assert rep.incomplete and [r.round for r in rep.rounds] == [0, 1]
+    assert sorted(rep.prompts) == sorted(refined_arrays[0])
+    for name, arr in refined_arrays[0].items():
+        assert np.array_equal(rep.prompts[name], arr), name
+
+
 def test_any_in_round_error_keeps_finished_rounds(monkeypatch):
     calls = []
     refine = federation.server_refine

@@ -10,12 +10,21 @@ fixed string, never the temporary path the files land in, so
 The config trains at ``lr=2e-3``: at the default ``lr=2e-4`` two of the
 methods still predict a single class after two rounds and write the
 same ``rounds.csv``, so their hashes would pin nothing method-specific.
+
+``rounds.csv`` derives from confusion counts, so it cannot see a change
+of a few ulps in the arithmetic. The final prompts can: each config's
+``prompts.npz`` is compared with ``golden_prompts.npz`` at 1e-12
+absolute. That tolerates numpy's SIMD dispatch level, which moved the
+prompts by at most 2.5e-15, but not a change in the arithmetic. A
+change that moves the prompts on purpose rewrites the file with
+``python tests/test_golden.py`` and says why.
 """
 
 import hashlib
 import os
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from fedfairprompt.config import METHODS, Config
@@ -64,21 +73,36 @@ def _golden_config(method: str) -> Config:
     )
 
 
-def _artifact_hashes(method: str, out_dir) -> dict[str, str]:
-    emit_report(run_federation(_golden_config(method)), str(out_dir))
-    hashes = {}
-    for name in GOLDEN[method]:
-        with open(os.path.join(out_dir, name), "rb") as fh:
-            hashes[name] = hashlib.sha256(fh.read()).hexdigest()
-    return hashes
+GOLDEN_PROMPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_prompts.npz")
+PROMPT_TOLERANCE = 1e-12
+
+
+def write_golden_prompts(path: str = GOLDEN_PROMPTS) -> None:
+    """Each config's final prompts, as ``<method>.<name>`` arrays."""
+    arrays = {}
+    for method in METHODS:
+        for name, arr in run_federation(_golden_config(method)).prompts.items():
+            arrays[f"{method}.{name}"] = arr
+    np.savez(path, **arrays)
 
 
 @pytest.fixture(scope="module")
-def produced(tmp_path_factory):
-    return {
-        method: _artifact_hashes(method, tmp_path_factory.mktemp(method))
-        for method in METHODS
-    }
+def out_dirs(tmp_path_factory):
+    dirs = {method: tmp_path_factory.mktemp(method) for method in METHODS}
+    for method, out_dir in dirs.items():
+        emit_report(run_federation(_golden_config(method)), str(out_dir))
+    return dirs
+
+
+@pytest.fixture(scope="module")
+def produced(out_dirs):
+    hashes = {}
+    for method, out_dir in out_dirs.items():
+        hashes[method] = {}
+        for name in GOLDEN[method]:
+            with open(os.path.join(out_dir, name), "rb") as fh:
+                hashes[method][name] = hashlib.sha256(fh.read()).hexdigest()
+    return hashes
 
 
 def test_golden_covers_every_method():
@@ -102,3 +126,19 @@ def test_golden_rounds_differ_between_methods():
     # tell their pipelines apart
     for a, b in combinations(METHODS, 2):
         assert GOLDEN[a]["rounds.csv"] != GOLDEN[b]["rounds.csv"], (a, b)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_final_prompts_match_golden_prompts(out_dirs, method):
+    with np.load(GOLDEN_PROMPTS) as golden:
+        want = {key.split(".", 1)[1]: golden[key] for key in golden.files
+                if key.split(".", 1)[0] == method}
+    with np.load(os.path.join(out_dirs[method], "prompts.npz")) as produced_prompts:
+        got = {name: produced_prompts[name] for name in produced_prompts.files}
+    assert want and sorted(got) == sorted(want)
+    moved = {name: float(np.abs(got[name] - arr).max()) for name, arr in want.items()}
+    assert max(moved.values()) <= PROMPT_TOLERANCE, f"{method} prompts moved: {moved}"
+
+
+if __name__ == "__main__":
+    write_golden_prompts()

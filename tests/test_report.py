@@ -131,6 +131,20 @@ def test_emit_twice_identical_bytes(tmp_path):
             assert fa.read() == fb.read(), key
 
 
+def test_prompts_npz_holds_the_report_prompts_and_repeats_its_bytes(tmp_path):
+    rng = np.random.default_rng(0)
+    rep = _report()
+    rep.prompts = {"tokens0": rng.standard_normal((2, 4)), "query1": rng.standard_normal(4)}
+    a = emit_report(rep, str(tmp_path / "a"))["prompts"]
+    b = emit_report(rep, str(tmp_path / "b"))["prompts"]
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        assert fa.read() == fb.read()
+    with np.load(a) as loaded:
+        assert sorted(loaded.files) == sorted(rep.prompts)
+        for name, arr in rep.prompts.items():
+            assert loaded[name].tobytes() == arr.tobytes()
+
+
 def test_emitted_config_reparses_to_recorded_hash(tmp_path):
     rep = _report()
     paths = emit_report(rep, str(tmp_path))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,16 @@ from fedfairprompt import tensor as T
 from fedfairprompt.crosslayer import apply_cross_layer
 from fedfairprompt.tensor import NonFiniteError, Tensor, backward
 from gradcheck import assert_grads_match
-from plumbing import concat, tile_leading
+from plumbing import (
+    composed_attention,
+    concat,
+    merge_heads,
+    project_heads,
+    project_prefixed_heads,
+    slice_axis,
+    swap_axes,
+    tile_leading,
+)
 
 
 def _rng(seed=0):
@@ -158,11 +168,11 @@ def test_shape_plumbing_round_trips():
     rng = _rng(7)
     x = rng.standard_normal((2, 3, 4))
     assert np.array_equal(T.reshape(Tensor(x), (6, 4)).data, x.reshape(6, 4))
-    assert np.array_equal(T.swap_axes(Tensor(x), 0, 1).data, np.swapaxes(x, 0, 1))
-    sl = T.slice_axis(Tensor(x), 1, 1, 3)
+    assert np.array_equal(swap_axes(Tensor(x), 0, 1).data, np.swapaxes(x, 0, 1))
+    sl = slice_axis(Tensor(x), 1, 1, 3)
     assert np.array_equal(sl.data, x[:, 1:3, :])
     with pytest.raises(ValueError):
-        T.slice_axis(Tensor(x), 1, 2, 5)
+        slice_axis(Tensor(x), 1, 2, 5)
     cat = concat([Tensor(x), Tensor(x)], axis=2)
     assert cat.shape == (2, 3, 8)
     tiled = tile_leading(Tensor(x[0]), 5)
@@ -172,12 +182,12 @@ def test_shape_plumbing_round_trips():
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     batch, n, e = x.shape
-    return T.swap_axes(T.reshape(x, (batch, n, heads, e // heads)), 1, 2)
+    return swap_axes(T.reshape(x, (batch, n, heads, e // heads)), 1, 2)
 
 
 def _merged(x: Tensor) -> Tensor:
     batch, heads, n, c = x.shape
-    return T.reshape(T.swap_axes(x, 1, 2), (batch, n, heads * c))
+    return T.reshape(swap_axes(x, 1, 2), (batch, n, heads * c))
 
 
 def test_head_kernels_equal_their_composition_bit_for_bit():
@@ -185,7 +195,7 @@ def test_head_kernels_equal_their_composition_bit_for_bit():
     w = Tensor(rng.standard_normal((8, 12)))
     x = Tensor(rng.standard_normal((3, 5, 8)), trainable=True)
     probe = Tensor(rng.standard_normal((3, 4, 5, 3)))
-    fused = T.project_heads(x, w, 4)
+    fused = project_heads(x, w, 4)
     composed = _split_heads(T.matmul(x, w), 4)
     assert np.array_equal(fused.data, composed.data)
     grad = backward(T.reduce_sum(T.mul(fused, probe)))[x]
@@ -194,7 +204,7 @@ def test_head_kernels_equal_their_composition_bit_for_bit():
     wo = Tensor(rng.standard_normal((12, 7)))
     y = Tensor(rng.standard_normal((3, 4, 5, 3)), trainable=True)
     probe = Tensor(rng.standard_normal((3, 5, 7)))
-    fused = T.merge_heads(y, wo)
+    fused = merge_heads(y, wo)
     composed = T.matmul(_merged(y), wo)
     assert np.array_equal(fused.data, composed.data)
     grad = backward(T.reduce_sum(T.mul(fused, probe)))[y]
@@ -204,9 +214,9 @@ def test_head_kernels_equal_their_composition_bit_for_bit():
 def _tiled_prefix_composition(p: Tensor, x: Tensor, w: Tensor, heads: int) -> Tensor:
     batch = x.shape[0]
     k, d = p.shape
-    proj = T.project_heads(T.reshape(p, (1, k, d)), w, heads)
+    proj = project_heads(T.reshape(p, (1, k, d)), w, heads)
     tiled = tile_leading(T.reshape(proj, proj.shape[1:]), batch)
-    return concat([tiled, T.project_heads(x, w, heads)], axis=2)
+    return concat([tiled, project_heads(x, w, heads)], axis=2)
 
 
 @pytest.mark.parametrize("k", [3, 0])
@@ -216,7 +226,7 @@ def test_prefixed_heads_match_tiled_concat_composition(k):
     p = Tensor(rng.standard_normal((k, 8)), trainable=True)
     x = Tensor(rng.standard_normal((4, 5, 8)), trainable=True)
     probe = Tensor(rng.standard_normal((4, 3, k + 5, 4)))
-    fused = T.project_prefixed_heads(p, x, w, 3)
+    fused = project_prefixed_heads(p, x, w, 3)
     composed = _tiled_prefix_composition(p, x, w, 3)
     assert fused.shape == composed.shape == (4, 3, k + 5, 4)
     scale = np.abs(composed.data).max()
@@ -229,25 +239,26 @@ def test_prefixed_heads_match_tiled_concat_composition(k):
         assert np.abs(grads[leaf] - ref[leaf]).max(initial=0.0) <= 1e-12 * scale
 
 
-def test_head_kernels_reject_trainable_weights_and_bad_shapes():
-    rng = _rng(13)
-    x = Tensor(rng.standard_normal((2, 3, 4)))
-    y = Tensor(rng.standard_normal((2, 2, 3, 2)))
-    trainable = Tensor(rng.standard_normal((4, 4)), trainable=True)
-    with pytest.raises(ValueError, match="frozen weight"):
-        T.project_heads(x, trainable, 2)
-    with pytest.raises(ValueError, match="frozen weight"):
-        T.merge_heads(y, trainable)
-    with pytest.raises(ValueError, match="frozen weight"):
-        T.project_prefixed_heads(Tensor(np.ones((1, 4))), x, trainable, 2)
-    with pytest.raises(ValueError):
-        T.project_prefixed_heads(Tensor(np.ones((1, 5))), x, Tensor(np.ones((4, 4))), 2)
-    with pytest.raises(ValueError):
-        T.project_heads(x, Tensor(np.ones((5, 4))), 2)  # wrong input width
-    with pytest.raises(ValueError):
-        T.project_heads(x, Tensor(np.ones((4, 6))), 4)  # 6 features, 4 heads
-    with pytest.raises(ValueError):
-        T.merge_heads(y, Tensor(np.ones((3, 4))))
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("state_trainable", [True, False])
+@pytest.mark.parametrize("cls_only", [False, True])
+def test_prompted_attention_equals_its_composition_bit_for_bit(cls_only, state_trainable, k, batch):
+    rng = _rng(15)
+    d, heads, n = 8, 2, 5
+    weights = [rng.standard_normal((d, d)) * d**-0.5 for _ in range(4)]
+    prefix = Tensor(rng.standard_normal((k, d)), trainable=True)
+    state = Tensor(rng.standard_normal((batch, n, d)), trainable=state_trainable)
+    probe = Tensor(rng.standard_normal((batch, 1 if cls_only else n, d)))
+    fused = T.prompted_attention(prefix, state, *weights, heads, cls_only)
+    composed = composed_attention(prefix, state, *weights, heads, cls_only)
+    assert fused.parents == (prefix, state)
+    assert np.array_equal(fused.data, composed.data)
+    grads = backward(T.reduce_sum(T.mul(fused, probe)))
+    ref = backward(T.reduce_sum(T.mul(composed, probe)))
+    assert set(grads) == set(ref) == ({prefix, state} if state_trainable else {prefix})
+    for leaf, g in ref.items():
+        assert np.array_equal(grads[leaf], g)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +315,27 @@ def test_backward_accumulates_through_shared_nodes():
     grads = backward(out)
     # d/dx sum((2x)^2) = 8x
     np.testing.assert_allclose(grads[x], 8.0 * x.data, rtol=1e-12)
+
+
+def test_backward_releases_the_tape_of_a_kept_loss():
+    x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), trainable=True)
+    hidden = T.gelu(T.matmul(x, Tensor(np.ones((3, 4)))))
+    alive = weakref.ref(hidden.data)
+    loss = T.reduce_sum(hidden)
+    del hidden
+    assert alive() is not None  # held by the tape of ``loss``
+    grads = backward(loss)
+    assert x in grads and loss.item() > 0.0
+    assert alive() is None
+    assert loss.parents == () and loss.vjp is None
+
+
+def test_second_backward_over_a_released_tape_raises():
+    x = Tensor([1.0, 2.0], trainable=True)
+    loss = T.reduce_sum(T.mul(x, x))
+    np.testing.assert_array_equal(backward(loss)[x], [2.0, 4.0])
+    with pytest.raises(ValueError, match="released by an earlier backward"):
+        backward(loss)
 
 
 def _reachable(output):
@@ -393,19 +425,16 @@ def test_gradients_match_finite_differences_per_kernel():
     assert_grads_match(lambda: T.reduce_sum(T.gelu(x)), [x])
     assert_grads_match(lambda: T.reduce_sum(T.l2_normalize(x)), [x])
 
-    h = Tensor(rng.standard_normal((2, 3, 4)), trainable=True)
-    wh = Tensor(rng.standard_normal((4, 6)))
-    probe4 = Tensor(rng.standard_normal((2, 2, 3, 3)))
-    assert_grads_match(lambda: T.reduce_sum(T.mul(T.project_heads(h, wh, 2), probe4)), [h])
-    heads4 = Tensor(rng.standard_normal((2, 2, 3, 3)), trainable=True)
-    wm = Tensor(rng.standard_normal((6, 4)))
-    probe3 = Tensor(rng.standard_normal((2, 3, 4)))
-    assert_grads_match(lambda: T.reduce_sum(T.mul(T.merge_heads(heads4, wm), probe3)), [heads4])
     prefix = Tensor(rng.standard_normal((2, 4)), trainable=True)
-    probe5 = Tensor(rng.standard_normal((2, 2, 5, 3)))
-    assert_grads_match(
-        lambda: T.reduce_sum(T.mul(T.project_prefixed_heads(prefix, h, wh, 2), probe5)), [prefix, h]
-    )
+    state = Tensor(rng.standard_normal((2, 3, 4)), trainable=True)
+    weights = [rng.standard_normal((4, 4)) for _ in range(4)]
+    for cls_only, rows in ((False, 3), (True, 1)):
+        probe = Tensor(rng.standard_normal((2, rows, 4)))
+        assert_grads_match(
+            lambda: T.reduce_sum(T.mul(
+                T.prompted_attention(prefix, state, *weights, 2, cls_only), probe)),
+            [prefix, state],
+        )
 
     tokens = Tensor(rng.standard_normal((2, 4)), trainable=True)
     history = [Tensor(rng.standard_normal((2, 4)), trainable=True) for _ in range(3)]
@@ -438,7 +467,7 @@ def test_gradients_match_finite_differences_composites():
 
     def stitched():
         joined = concat([T.reshape(p, (1, 2, 4)), T.reshape(q, (1, 3, 4))], axis=1)
-        sliced = T.slice_axis(joined, 1, 1, 5)
+        sliced = slice_axis(joined, 1, 1, 5)
         return T.reduce_sum(T.mul(sliced, sliced))
 
     assert_grads_match(stitched, [p, q])
@@ -447,7 +476,21 @@ def test_gradients_match_finite_differences_composites():
 
     s = Tensor(rng.standard_normal((3, 2, 3)), trainable=True)
     probe = Tensor(rng.standard_normal((3, 2, 3)))
-    assert_grads_match(lambda: T.reduce_sum(T.mul(T.swap_axes(s, 0, 2), probe)), [s])
+    assert_grads_match(lambda: T.reduce_sum(T.mul(swap_axes(s, 0, 2), probe)), [s])
+
+    h = Tensor(rng.standard_normal((2, 3, 4)), trainable=True)
+    wh = Tensor(rng.standard_normal((4, 6)))
+    probe4 = Tensor(rng.standard_normal((2, 2, 3, 3)))
+    assert_grads_match(lambda: T.reduce_sum(T.mul(project_heads(h, wh, 2), probe4)), [h])
+    heads4 = Tensor(rng.standard_normal((2, 2, 3, 3)), trainable=True)
+    wm = Tensor(rng.standard_normal((6, 4)))
+    probe3 = Tensor(rng.standard_normal((2, 3, 4)))
+    assert_grads_match(lambda: T.reduce_sum(T.mul(merge_heads(heads4, wm), probe3)), [heads4])
+    prefix = Tensor(rng.standard_normal((2, 4)), trainable=True)
+    probe5 = Tensor(rng.standard_normal((2, 2, 5, 3)))
+    assert_grads_match(
+        lambda: T.reduce_sum(T.mul(project_prefixed_heads(prefix, h, wh, 2), probe5)), [prefix, h]
+    )
 
 
 # ---------------------------------------------------------------------------
