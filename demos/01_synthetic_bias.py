@@ -48,10 +48,10 @@ for g in (0, 1):
 # split. Small alpha concentrates each cell on few clients.
 print()
 for alpha in (100.0, 0.5, 0.1):
-    part = dirichlet_partition(data, n_clients=5, alpha=alpha, seed=3)
-    sizes = [len(s) for s in part.shards]
+    shards = dirichlet_partition(data, n_clients=5, alpha=alpha, seed=3)
+    sizes = [len(s) for s in shards]
     purest = max(
-        max(np.mean(data.labels[s] == 1), np.mean(data.labels[s] == 0)) for s in part.shards
+        max(np.mean(data.labels[s] == 1), np.mean(data.labels[s] == 0)) for s in shards
     )
     print(f"alpha={alpha:>5}: shard sizes {sizes}, most label-pure shard {purest:.2f}")
 

@@ -20,7 +20,6 @@ from .config import (
 )
 from .data import (
     Dataset,
-    Partition,
     SyntheticSpec,
     balanced_test_sample,
     dirichlet_partition,
@@ -78,7 +77,6 @@ __all__ = [
     "config_lines",
     "parse_config",
     "Dataset",
-    "Partition",
     "SyntheticSpec",
     "balanced_test_sample",
     "dirichlet_partition",

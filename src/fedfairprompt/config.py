@@ -10,7 +10,10 @@ default is the kind of bug that costs a day.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
+
+from .encoder import GROUP_TEMPLATES
 
 __all__ = [
     "Config",
@@ -41,7 +44,6 @@ class Config:
     alpha: float = 0.5
     batch_size: int = 16
     lr: float = 2e-4
-    local_epochs: int = 1
 
     # losses and debiasing
     mu: float = 0.3
@@ -71,6 +73,9 @@ class Config:
     prompt_tokens: int = 2
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            _require(kind != "float" or math.isfinite(value), name, "must be finite", value)
         _require(self.method in METHODS, "method", f"must be one of {METHODS}", self.method)
         _require(self.master_seed >= 0, "master_seed", "must be >= 0", self.master_seed)
         _require(self.clients >= 1, "clients", "must be >= 1", self.clients)
@@ -78,11 +83,11 @@ class Config:
         _require(self.alpha > 0.0, "alpha", "must be > 0", self.alpha)
         _require(self.batch_size >= 1, "batch_size", "must be >= 1", self.batch_size)
         _require(self.lr > 0.0, "lr", "must be > 0", self.lr)
-        _require(self.local_epochs >= 0, "local_epochs", "must be >= 0", self.local_epochs)
         _require(0.0 <= self.mu < 1.0, "mu", "must lie in [0, 1)", self.mu)
         _require(self.lambda1 >= 0.0, "lambda1", "must be >= 0", self.lambda1)
         _require(self.lambda2 >= 0.0, "lambda2", "must be >= 0", self.lambda2)
-        _require(self.subspace_rank >= 1, "subspace_rank", "must be >= 1", self.subspace_rank)
+        _require(1 <= self.subspace_rank <= len(GROUP_TEMPLATES), "subspace_rank",
+                 f"must lie in [1, {len(GROUP_TEMPLATES)}]", self.subspace_rank)
         _require(self.refine_steps >= 0, "refine_steps", "must be >= 0", self.refine_steps)
         _require(self.refine_lr > 0.0, "refine_lr", "must be > 0", self.refine_lr)
         _require(self.refine_batch >= 2, "refine_batch", "must be >= 2", self.refine_batch)

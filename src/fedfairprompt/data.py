@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "Dataset",
     "SyntheticSpec",
-    "Partition",
     "generate_synthetic",
     "dirichlet_partition",
     "balanced_test_sample",
@@ -191,13 +190,6 @@ def generate_synthetic(spec: SyntheticSpec,
                    kind="pixels" if embed is None else "features")
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint, non-empty, covering index shards, one per client."""
-
-    shards: tuple[np.ndarray, ...]
-
-
 def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:
     """Integer apportionment of ``total`` by ``fractions`` (sum to 1)."""
     raw = fractions * total
@@ -211,8 +203,9 @@ def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:
 
 
 def dirichlet_partition(dataset: Dataset, n_clients: int, alpha: float,
-                        seed: int) -> Partition:
-    """Per-(label, group)-cell Dirichlet split of sample indices.
+                        seed: int) -> tuple[np.ndarray, ...]:
+    """Per-(label, group)-cell Dirichlet split of sample indices into
+    disjoint, non-empty, covering sorted index shards, one per client.
 
     Every cell's client proportions are drawn independently, so low
     concentrations skew label and group composition simultaneously.
@@ -240,7 +233,7 @@ def dirichlet_partition(dataset: Dataset, n_clients: int, alpha: float,
         needy = sizes.index(0)
         donor = int(np.argmax(sizes))
         shards[needy].append(shards[donor].pop())
-    return Partition(shards=tuple(np.sort(np.array(s, dtype=np.int64)) for s in shards))
+    return tuple(np.sort(np.array(s, dtype=np.int64)) for s in shards)
 
 
 def balanced_test_sample(dataset: Dataset, size: int, seed: int) -> np.ndarray:

@@ -58,7 +58,7 @@ def build_subspace(encoder, templates: Sequence[str], k: int = 1) -> Demographic
     if not 1 <= k <= len(templates):
         raise ValueError(f"k={k} outside [1, {len(templates)}]")
     rows = np.stack([encoder.encode_text(s) for s in templates])
-    return DemographicSubspace(basis=top_right_singular_vectors(rows, k).vectors, templates=rows)
+    return DemographicSubspace(basis=top_right_singular_vectors(rows, k), templates=rows)
 
 
 def project_out(z: Tensor | np.ndarray, sub: DemographicSubspace) -> tuple[Tensor, Tensor]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .tensor import NonFiniteError, Tensor, _ensure_finite, no_grad
+from .tensor import NonFiniteError, Tensor, _ensure_finite, _node
 from .config import Config
 from .data import (
     Dataset,
@@ -177,11 +177,15 @@ def predict(model: PromptedModel, prompts: PromptSet, features: np.ndarray) -> n
     NonFiniteError on a non-finite embedding, or on an overflow on the
     way to it, which layernorm would otherwise turn into finite zeros.
     """
+    # Constant views of the prompts, so the forward records no tape.
+    # _node skips Tensor()'s finiteness pass: NaN prompts fail below.
+    frozen = PromptSet([_node(t.data, (), None, t.name) for t in prompts.tokens],
+                       [_node(q.data, (), None, q.name) for q in prompts.queries])
     preds = []
-    with no_grad(), np.errstate(over="raise"):
+    with np.errstate(over="raise"):
         for lo in range(0, features.shape[0], _EVAL_CHUNK):
             try:
-                _, z = model.embed(prompts, features[lo : lo + _EVAL_CHUNK])
+                _, z = model.embed(frozen, features[lo : lo + _EVAL_CHUNK])
             except FloatingPointError as exc:
                 raise NonFiniteError(f"eval embeddings: {exc}") from None
             _ensure_finite(z.data, "eval embeddings")
@@ -215,12 +219,12 @@ def score_from_record(record: MetricRecord) -> float:
     return record.a_b * (1.0 - record.phi_eq)
 
 
-def _fit(model: PromptedModel, prompts: PromptSet, steps, lr: float, who: str) -> None:
-    """AdamW on ``prompts`` in place, one step per ``(where, loss_fn)``.
+def _fit(model: PromptedModel, prompts: PromptSet, loss, batches, lr: float,
+         who: str) -> None:
+    """AdamW on ``prompts`` in place, one step on ``loss(batch)`` per
+    ``(where, batch)`` pair of ``batches``.
 
-    ``steps`` is read lazily: each ``loss_fn`` runs before the next item
-    is drawn, so a generator may draw its batches from a stream in step
-    order. Moments start fresh. An overflow in the loss's forward, or a
+    Moments start fresh. An overflow in the loss's forward, or a
     non-finite value in the loss or its gradient, raises a
     FederationError naming ``who`` and ``where``.
     """
@@ -229,11 +233,11 @@ def _fit(model: PromptedModel, prompts: PromptSet, steps, lr: float, who: str) -
     # An overflow in the forward raises: layernorm would turn it into
     # finite zeros. backward rejects a diverging gradient by name.
     with np.errstate(over="ignore", invalid="ignore"):
-        for where, loss_fn in steps:
+        for where, batch in batches:
             try:
                 with np.errstate(over="raise"):
-                    loss = loss_fn()
-                reached = T.backward(loss)
+                    value = loss(batch)
+                reached = T.backward(value)
             except FloatingPointError as exc:  # NonFiniteError included
                 raise FederationError(f"{who}: {exc} {where}") from None
             arrays, opt_state = adamw_step(
@@ -254,9 +258,9 @@ def client_update(
 ) -> tuple[PromptSet, MetricRecord, GroupConfusion]:
     """Local prompt tuning from the broadcast global prompts.
 
-    Copies the prompts, runs ``config.local_epochs`` shuffled mini-batch
-    passes of AdamW on the joint objective, then evaluates the result
-    on the shared validation split. Returns the tuned prompts with
+    Copies the prompts, runs one shuffled mini-batch pass of AdamW on
+    the joint objective, then evaluates the result on the shared
+    validation split. Returns the tuned prompts with
     their validation record and confusion. Optimizer moments start
     fresh each round: they describe the previous local trajectory,
     which fusion has invalidated. A non-finite value in the loss or its
@@ -264,18 +268,15 @@ def client_update(
     """
     prompts = prompts.copy()
     targets = model.class_text[shard.labels]
-    n, size = shard.labels.shape[0], config.batch_size
+    order, size = rng.permutation(shard.labels.shape[0]), config.batch_size
 
-    def steps():
-        for epoch in range(config.local_epochs):
-            order = rng.permutation(n)
-            for lo in range(0, n, size):
-                rows = order[lo : lo + size]
-                yield f"(epoch {epoch}, batch offset {lo})", lambda: model.local_loss(
-                    prompts, shard.features[rows], targets[rows], config.mu, config.lambda1
-                )
+    def loss(rows):
+        return model.local_loss(prompts, shard.features[rows], targets[rows],
+                                config.mu, config.lambda1)
 
-    _fit(model, prompts, steps(), config.lr, f"client {shard.client_id}")
+    batches = [(f"(batch offset {lo})", order[lo : lo + size])
+               for lo in range(0, order.size, size)]
+    _fit(model, prompts, loss, batches, config.lr, f"client {shard.client_id}")
     record, conf = evaluate_prompts(model, prompts, val)
     return prompts, record, conf
 
@@ -370,17 +371,16 @@ def server_refine(
     per = min(config.refine_batch // 2, group_rows[0].size, group_rows[1].size)
     batch_groups = np.repeat(np.array([0, 1]), per)
 
-    def steps():
-        for step in range(config.refine_steps):
-            idx = np.concatenate(
-                [rng.choice(rows, size=per, replace=False) for rows in group_rows]
-            )
-            yield f"at step {step}", lambda: refinement_loss(
-                model, refined, val.features[idx], val.labels[idx], batch_groups,
-                config.lambda2,
-            )
+    def loss(idx):
+        return refinement_loss(model, refined, val.features[idx], val.labels[idx],
+                               batch_groups, config.lambda2)
 
-    _fit(model, refined, steps(), config.refine_lr, "server refinement")
+    batches = [
+        (f"at step {step}",
+         np.concatenate([rng.choice(rows, size=per, replace=False) for rows in group_rows]))
+        for step in range(config.refine_steps)
+    ]
+    _fit(model, refined, loss, batches, config.refine_lr, "server refinement")
     return refined
 
 
@@ -467,7 +467,7 @@ def run_federation(config: Config) -> FairnessReport:
     )
     shards = [
         ClientShard(i, train.features[idx], train.labels[idx], train.groups[idx])
-        for i, idx in enumerate(partition.shards)
+        for i, idx in enumerate(partition)
     ]
     del train  # the rounds read only the shard copies
 
@@ -493,7 +493,7 @@ def run_federation(config: Config) -> FairnessReport:
                 rng = _stream(config.master_seed, _SEED_REFINE, round_index)
                 fused = server_refine(model, fused, val, rng, config)
             global_eval, _ = evaluate_prompts(model, fused, test)
-            cross_f, excluded = eod_global(client_confs)
+            cross_f, _ = eod_global(client_confs)
             if encoder.backbone_hash() != backbone_hash:
                 raise FederationError("frozen backbone hash changed")
             rounds.append(
@@ -503,7 +503,6 @@ def run_federation(config: Config) -> FairnessReport:
                     scores=scores,
                     weights=[float(w) for w in weights],
                     global_record=replace(global_eval, f_global=cross_f),
-                    f_global_excluded=excluded,
                 )
             )
             global_prompts = fused

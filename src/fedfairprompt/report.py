@@ -37,8 +37,6 @@ class RoundRecord:
     Client metrics are measured on the server validation split; the
     global record is measured on the balanced test set. Round 0 is the
     evaluation of the initial prompts and carries no client entries.
-    ``f_global_excluded`` lists clients dropped from the cross-client
-    recall-parity aggregate for lacking positives in some group.
     """
 
     round: int
@@ -46,7 +44,6 @@ class RoundRecord:
     scores: list[float]
     weights: list[float]
     global_record: MetricRecord
-    f_global_excluded: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -167,7 +164,6 @@ def _json_payload(report: FairnessReport) -> dict:
                 "global": {
                     name: getattr(rec.global_record, name) for name in METRIC_NAMES
                 },
-                "f_global_excluded": list(rec.f_global_excluded),
             }
             for rec in report.rounds
         ],

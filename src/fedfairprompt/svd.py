@@ -10,23 +10,13 @@ basis reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["TopKBasis", "top_right_singular_vectors"]
+__all__ = ["top_right_singular_vectors"]
 
 _MAX_ROWS = 16
 _SIGN_EPS = 1e-12
 _RANK_TOL = 1e-10  # singular values at or below this share of the largest count as zero
-
-
-@dataclass(frozen=True)
-class TopKBasis:
-    """Orthonormal rows spanning the top singular directions."""
-
-    vectors: np.ndarray  # (k, d), orthonormal rows
-    singular_values: np.ndarray  # (k,), descending
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -36,8 +26,9 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def top_right_singular_vectors(m: np.ndarray, k: int) -> TopKBasis:
-    """Return the top-``k`` right singular vectors of ``m`` as rows.
+def top_right_singular_vectors(m: np.ndarray, k: int) -> np.ndarray:
+    """Return the top-``k`` right singular vectors of ``m`` as (k, d)
+    orthonormal rows.
 
     ``m`` has one row per embedding (at most 16) and ``d`` columns.
     Requires ``1 <= k <= min(rows, d)`` and ``k`` no larger than the
@@ -66,5 +57,4 @@ def top_right_singular_vectors(m: np.ndarray, k: int) -> TopKBasis:
     rank = int(np.count_nonzero(sigma > cutoff))
     if k > rank:
         raise ValueError(f"k={k} exceeds the numerical rank {rank} of the input")
-    vectors = np.stack([_fix_sign((m.T @ eigvecs[:, i]) / sigma[i]) for i in range(k)])
-    return TopKBasis(vectors=vectors, singular_values=sigma[:k].copy())
+    return np.stack([_fix_sign((m.T @ eigvecs[:, i]) / sigma[i]) for i in range(k)])

@@ -26,7 +26,6 @@ from scipy.special import erf
 __all__ = [
     "Tensor",
     "NonFiniteError",
-    "no_grad",
     "backward",
     "matmul",
     "prompted_attention",
@@ -49,24 +48,6 @@ __all__ = [
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-
-_grad_enabled = True
-
-
-class no_grad:
-    """Context manager that suppresses graph recording (pure inference)."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
-
 
 class NonFiniteError(FloatingPointError):
     """A NaN or Inf value reached a boundary that checks finiteness."""
@@ -127,13 +108,12 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor
     out.data = data
     out.trainable = False
     out.name = op
-    if _grad_enabled:
-        for p in parents:
-            if p.needs_grad:
-                out.needs_grad = True
-                out.parents = parents
-                out.vjp = vjp
-                return out
+    for p in parents:
+        if p.needs_grad:
+            out.needs_grad = True
+            out.parents = parents
+            out.vjp = vjp
+            return out
     # Constant subgraph: keep no references so it can be collected.
     out.needs_grad = False
     out.parents = ()

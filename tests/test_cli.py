@@ -50,6 +50,18 @@ def test_bad_flag_value_exits_two(tmp_path, capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--alpha", "inf", "alpha"),
+    ("--mu", "nan", "mu"),
+    ("--k", "3", "subspace_rank"),
+])
+def test_out_of_range_flag_names_the_field_and_exits_two(tmp_path, capsys, flag, value, field):
+    rc = main(["run", flag, value, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("learning_rate=0.5\n")

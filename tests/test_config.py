@@ -11,6 +11,7 @@ from fedfairprompt.config import (
     config_lines,
     parse_config,
 )
+from fedfairprompt.encoder import GROUP_TEMPLATES
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,7 @@ def test_type_error_carries_line_number(tmp_path):
         ("mu", 1.0),
         ("lambda1", -0.5),
         ("subspace_rank", 0),
+        ("subspace_rank", len(GROUP_TEMPLATES) + 1),
         ("refine_batch", 1),
         ("n_test", 402),
         ("n_val", 0),
@@ -125,6 +127,25 @@ def test_type_error_carries_line_number(tmp_path):
 def test_invalid_field_rejected_with_name(field, value):
     with pytest.raises(ValueError, match=f"config field '{field}'"):
         dataclasses.replace(Config(), **{field: value})
+
+
+@pytest.mark.parametrize("field,raw", [
+    ("alpha", "inf"), ("label_signal", "nan"), ("group_signal", "-inf"),
+])
+def test_non_finite_float_rejected_from_a_config_line(tmp_path, field, raw):
+    # alpha=inf used to keep 8 of 160 training rows and report the run complete
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{field}={raw}\n")
+    with pytest.raises(ValueError, match=f"config field '{field}' must be finite"):
+        parse_config(str(path))
+
+
+def test_every_float_field_must_be_finite():
+    floats = [f.name for f in dataclasses.fields(Config) if f.type == "float"]
+    assert "alpha" in floats and "minority_attenuation" in floats
+    for name in floats:
+        with pytest.raises(ValueError, match=f"config field '{name}' must be finite"):
+            dataclasses.replace(Config(), **{name: float("inf")})
 
 
 def test_train_count_must_cover_clients():

@@ -91,23 +91,23 @@ def test_pixels_stay_in_unit_range_and_finite():
 
 def test_single_client_gets_everything():
     ds = generate_synthetic(SyntheticSpec(n=50, seed=0))
-    part = dirichlet_partition(ds, 1, alpha=1.0, seed=0)
-    assert len(part.shards) == 1
-    np.testing.assert_array_equal(part.shards[0], np.arange(50))
+    shards = dirichlet_partition(ds, 1, alpha=1.0, seed=0)
+    assert len(shards) == 1
+    np.testing.assert_array_equal(shards[0], np.arange(50))
 
 
 def test_partition_disjoint_and_covering():
     ds = generate_synthetic(SyntheticSpec(n=400, seed=1))
     for n_clients, alpha, seed in [(3, 0.1, 0), (5, 1.0, 1), (7, 100.0, 2), (10, 0.5, 3)]:
-        part = dirichlet_partition(ds, n_clients, alpha, seed)
-        np.testing.assert_array_equal(np.sort(np.concatenate(part.shards)), np.arange(400))
-        assert all(s.size > 0 for s in part.shards)
+        shards = dirichlet_partition(ds, n_clients, alpha, seed)
+        np.testing.assert_array_equal(np.sort(np.concatenate(shards)), np.arange(400))
+        assert all(s.size > 0 for s in shards)
 
 
 def test_high_concentration_gives_even_shards():
     ds = generate_synthetic(SyntheticSpec(n=5000, seed=2))
-    part = dirichlet_partition(ds, 5, alpha=100.0, seed=4)
-    sizes = np.array([s.size for s in part.shards])
+    shards = dirichlet_partition(ds, 5, alpha=100.0, seed=4)
+    sizes = np.array([s.size for s in shards])
     assert np.all(np.abs(sizes - 1000) <= 150)  # within +/-15%
 
 
@@ -117,8 +117,8 @@ def test_heterogeneity_monotone_in_alpha():
     def mean_imbalance(alpha):
         ratios = []
         for seed in range(20):
-            part = dirichlet_partition(ds, 5, alpha, seed)
-            sizes = np.array([s.size for s in part.shards])
+            shards = dirichlet_partition(ds, 5, alpha, seed)
+            sizes = np.array([s.size for s in shards])
             ratios.append(sizes.max() / sizes.min())
         return float(np.mean(ratios))
 
@@ -129,16 +129,16 @@ def test_empty_shard_repair():
     ds = generate_synthetic(SyntheticSpec(n=24, seed=4))
     # extreme skew over many clients forces empty draws that must be repaired
     for seed in range(10):
-        part = dirichlet_partition(ds, 8, alpha=0.01, seed=seed)
-        assert all(s.size >= 1 for s in part.shards)
-        np.testing.assert_array_equal(np.sort(np.concatenate(part.shards)), np.arange(24))
+        shards = dirichlet_partition(ds, 8, alpha=0.01, seed=seed)
+        assert all(s.size >= 1 for s in shards)
+        np.testing.assert_array_equal(np.sort(np.concatenate(shards)), np.arange(24))
 
 
 def test_partition_determinism_and_errors():
     ds = generate_synthetic(SyntheticSpec(n=100, seed=5))
     a = dirichlet_partition(ds, 4, 0.5, seed=9)
     b = dirichlet_partition(ds, 4, 0.5, seed=9)
-    for sa, sb in zip(a.shards, b.shards):
+    for sa, sb in zip(a, b):
         np.testing.assert_array_equal(sa, sb)
 
 

@@ -393,7 +393,7 @@ def test_forward_overflow_becomes_flagged_failure():
                                 n_train=160, n_val=48, n_test=48))
     assert rep.incomplete
     assert rep.failure == (
-        "round 2: client 0: overflow encountered in multiply (epoch 0, batch offset 48)"
+        "round 2: client 0: overflow encountered in multiply (batch offset 48)"
     )
     assert [r.round for r in rep.rounds] == [0, 1]
 
@@ -403,12 +403,12 @@ def test_non_finite_gradient_names_client_and_step(enc_cfg):
     stub = SimpleNamespace(trainable=lambda ps: ps.parameters())
     leaf = prompts.tokens[0]
 
-    def loss():
+    def loss(_batch):
         # finite forward (about leaf * 1e100); backward overflows to 1e400
         return T.reduce_sum(T.scale(T.scale(T.mul(leaf, 1e-300), 1e200), 1e200))
 
     with pytest.raises(FederationError, match=r"^client 7: .*gradient.* at step 3$"):
-        federation._fit(stub, prompts, [("at step 3", loss)], 1e-3, "client 7")
+        federation._fit(stub, prompts, loss, [("at step 3", None)], 1e-3, "client 7")
 
 
 def test_predict_rejects_non_finite_eval_embeddings(model, enc_cfg, val_split):
@@ -416,6 +416,26 @@ def test_predict_rejects_non_finite_eval_embeddings(model, enc_cfg, val_split):
     prompts.tokens[1].data = np.full(prompts.tokens[1].shape, np.nan)
     with pytest.raises(NonFiniteError, match="eval embeddings"):
         predict(model, prompts, val_split.features)
+
+
+def test_predict_records_no_tape(model, enc_cfg, val_split, monkeypatch):
+    # a recorded eval chunk would keep its VJP closures alive
+    embedded = []
+    embed = PromptedModel.embed
+
+    def spy(self, prompts, rows):
+        out = embed(self, prompts, rows)
+        embedded.extend(out)
+        return out
+
+    monkeypatch.setattr(PromptedModel, "embed", spy)
+    dsop = dataclasses.replace(model, subspace=build_subspace(model.encoder, GROUP_TEMPLATES))
+    prompts = PromptSet.initialize(enc_cfg, seed=0)
+    for m in (model, dsop):
+        predict(m, prompts, val_split.features)
+    assert len(embedded) == 4
+    assert not any(z.needs_grad or z.parents for z in embedded)
+    assert all(p.trainable for p in prompts.parameters().values())
 
 
 def test_predict_rejects_an_overflow_on_the_way_to_the_embeddings(model, enc_cfg, val_split):

@@ -21,6 +21,7 @@ change that moves the prompts on purpose rewrites the file with
 """
 
 import hashlib
+import json
 import os
 from itertools import combinations
 
@@ -28,39 +29,48 @@ import numpy as np
 import pytest
 
 from fedfairprompt.config import METHODS, Config
-from fedfairprompt.federation import run_federation
+from fedfairprompt.debias import build_subspace
+from fedfairprompt.encoder import CLASS_TEMPLATES, GROUP_TEMPLATES, PromptSet, VisionEncoder
+from fedfairprompt.federation import (
+    PromptedModel,
+    encoder_config,
+    evaluate_prompts,
+    load_splits,
+    run_federation,
+)
+from fedfairprompt.metrics import METRIC_NAMES
 from fedfairprompt.report import emit_report
 
 GOLDEN = {
     "fvlfp": {
         "rounds.csv": "c8b8ba8b4b43d0cd14653803080e9bea9ca0029651ff06ff1924fd8fb639ab63",
-        "summary.md": "0d0746a01e7e719c0a2dda93a34826b4ff2f9c6340518f30d57a38f079af3578",
-        "config.txt": "b07b4e4b8425d695afd2e0e2cc2450749694589032418142490ed33fde47f265",
-        "report.json": "7673784a5cd90fb8aabbac180858ca6a852b50b5117f2aadafe05780dd76f8c5",
+        "summary.md": "70721156e0e535454595d726f5a6845a5769bda3a4c878f2af0f13a386aa31eb",
+        "config.txt": "274103400c056ccfdc3b8191387a22414bb074f1e41946cb9e15fadb45242d0d",
+        "report.json": "69359036be62a73ad061ffe39fb0e22c4feb41785e0e7cff41b904cf3997d93b",
     },
     "fedavg_baseline": {
         "rounds.csv": "c2c631c9524a45e7d8428273d7c2c59f68cea7dd23b7e3d3c7773d946c63726a",
-        "summary.md": "825b255924ef15b766c9dab8d436c60a9c727b358c349e84e2bc3bc6c3d3ea6b",
-        "config.txt": "6d4b25808c0923b0470588e1212fda7ad4cd8f3e4a3e60f5a026e8fc3e9737a9",
-        "report.json": "fe00841345ba8adf62332d6775dd8075c0d0bac454cca67a5877c1e8b7f7c583",
+        "summary.md": "656969f4f547162a8daa51ccb974aebd736a24925a676d1c6fd16297dc409e05",
+        "config.txt": "fed3ec0ee670a37a241573b4e5969e0c8edc16f7223955b006bbf08d6ace16e8",
+        "report.json": "204d80f4ae33f4e08391646ca90e03f29fdc23d6cc3c22c2a9f3ab1360c6a050",
     },
     "wo-cdfp": {
         "rounds.csv": "ec7ebc2a835e181429ba891976d8bf60f1c37e4f37fb491464327db466d135e1",
-        "summary.md": "a57eea6c97dcf429f84000a4f0a6fdfd6b9dcbc14b2a288ffbdbba1a9c23641e",
-        "config.txt": "89b1db1c39f4b0e426df765a57258ebf2cd36ba8c6ea96ee139c3c6e68fb15ff",
-        "report.json": "ed8b7703b97e73a4d8b01b484100ba6cc8dddaa2e8d95cb76cc3c1dfea59b6a8",
+        "summary.md": "d7cc006f9c9f30798932bd3b63e6c76b056b29966e410779957e730f4bd8d65e",
+        "config.txt": "be14f258707493a18dd36902527233df681565e73c9bf5c22616b2569b7fd61d",
+        "report.json": "7b58054f7118bbb82afedefca76516e52c0b6b6660ab20279f8c56b8aeb608d3",
     },
     "wo-dsop": {
         "rounds.csv": "93c63162b41eca99e5a612912d803b0ba13495ad674d568d2c055e98ab06bacb",
-        "summary.md": "7633e99af776b203db5e54825c2f92bdb789cf109fb7b590ab591e9f681084c1",
-        "config.txt": "04defee451d744e5efc91e0385385ba72c1d1f647f06dd53ae0ed2ccf38a42ba",
-        "report.json": "8e35686f23761676b63a2f968af037bd7082c9ded9422f0386d8d35e8d1fc66e",
+        "summary.md": "4b476ac2f9b37559d445844465099be6253ce72ccb4881975f3a022c82b8b44d",
+        "config.txt": "bd54dbfae87c9c42e76dcf499a6bbe6c66fd91051c2989988d630eeae9f74ad2",
+        "report.json": "2bd74797e3c45e7f73d2442ee2d6d3a186231d7b33f138ebf7098fdc9e80852f",
     },
     "wo-fpf": {
         "rounds.csv": "ec236734c6a9df75310edec3ff4f25c2f563413e59a1e17acc75767b16fe23d9",
-        "summary.md": "7ccecf7570ca3f2f417c42ea750383b2aecb785f91aa9bee7262c13be9dbe3c6",
-        "config.txt": "329cb253689730e73f9e94ec65b002398b065441997dc67f214d28f5673e1bab",
-        "report.json": "f8f71c7c7e24924fb376cd6c7d48b082557c77febd487759909bcea411af90ab",
+        "summary.md": "ea553bcbe1a6adaa9ae55d4b0b9609dcae43e04430fe2bdf5bf8ec5273c4cf97",
+        "config.txt": "75ea92e78aca9777d04dd3da70be217d601d8d15cefd83a27731f8ba6ee49953",
+        "report.json": "b5164dc9f852afe3d3b1b1893b0fb3c6a569182d59fecb6ac8c10ab2006b6e6d",
     },
 }
 
@@ -138,6 +148,33 @@ def test_final_prompts_match_golden_prompts(out_dirs, method):
     assert want and sorted(got) == sorted(want)
     moved = {name: float(np.abs(got[name] - arr).max()) for name, arr in want.items()}
     assert max(moved.values()) <= PROMPT_TOLERANCE, f"{method} prompts moved: {moved}"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_saved_prompts_reproduce_the_last_global_record(out_dirs, method):
+    # The run's final prompts, read back from prompts.npz into a rebuilt
+    # model, score the test split exactly as the last round recorded.
+    # f_global is left out: the round records the cross-client value.
+    config = _golden_config(method)
+    encoder = VisionEncoder(encoder_config(config))
+    model = PromptedModel(
+        encoder=encoder,
+        class_text=np.stack([encoder.encode_text(s) for s in CLASS_TEMPLATES]),
+        temperature=encoder.config.temperature,
+        subspace=(build_subspace(encoder, GROUP_TEMPLATES, k=config.subspace_rank)
+                  if config.dsop_enabled else None),
+        cdfp_enabled=config.cdfp_enabled,
+    )
+    prompts = PromptSet.initialize(encoder.config)
+    with np.load(os.path.join(out_dirs[method], "prompts.npz")) as saved:
+        prompts.load_arrays({name: saved[name] for name in saved.files})
+    record, _ = evaluate_prompts(model, prompts, load_splits(config, encoder)[2])
+    with open(os.path.join(out_dirs[method], "report.json"), encoding="utf-8") as fh:
+        last = json.load(fh)["rounds"][-1]
+    assert last["round"] == config.rounds
+    for name in METRIC_NAMES:
+        if name != "f_global":
+            assert getattr(record, name) == last["global"][name], name
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ def _round(i, n_clients=2, phi_eq=0.3):
         scores=[0.4, 0.6],
         weights=[0.4, 0.6],
         global_record=g,
-        f_global_excluded=[1] if i == 1 else [],
     )
 
 
@@ -160,7 +159,6 @@ def test_json_payload_carries_rounds_and_summary(tmp_path):
     assert payload["backbone_hash"] == rep.backbone_hash
     assert payload["config_hash"] == rep.config_hash
     assert len(payload["rounds"]) == 3
-    assert payload["rounds"][1]["f_global_excluded"] == [1]
     assert payload["summary"]["method"] == "fvlfp"
     assert payload["incomplete"] is False
 

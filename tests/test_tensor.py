@@ -381,31 +381,12 @@ def test_tape_walk_visits_each_node_once_across_paths_of_different_depth():
     assert_grads_match(loss, [x, col, row])
 
 
-def test_no_grad_suppresses_graph_but_not_values():
-    x = Tensor([[1.0, 2.0], [3.0, 4.0]], trainable=True)
-    tracked = T.reduce_sum(T.gelu(T.matmul(x, x)))
-    with T.no_grad():
-        untracked = T.reduce_sum(T.gelu(T.matmul(x, x)))
-        assert not untracked.needs_grad and untracked.parents == ()
-    assert untracked.item() == tracked.item()
-    # the flag is restored on exit, including across nesting
-    with T.no_grad():
-        with T.no_grad():
-            pass
-        assert not T.matmul(x, x).needs_grad
-    assert T.matmul(x, x).needs_grad
-    grads = backward(tracked)
-    assert x in grads
-
-
 def test_repr_tells_params_tape_nodes_and_constants_apart():
     w = Tensor(np.ones((2, 3)), trainable=True, name="w")
     frozen = Tensor(np.ones((3, 4)), name="frozen")
     assert repr(w) == "Tensor 'w'(param, shape=(2, 3))"
     assert repr(frozen) == "Tensor 'frozen'(const, shape=(3, 4))"
     assert repr(T.matmul(w, frozen)) == "Tensor 'matmul'(node, shape=(2, 4))"
-    with T.no_grad():
-        assert repr(T.matmul(w, frozen)) == "Tensor 'matmul'(const, shape=(2, 4))"
 
 
 def test_gradients_match_finite_differences_per_kernel():
