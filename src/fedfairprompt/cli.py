@@ -88,7 +88,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if bool(args.preset) == bool(args.axis):
+    if bool(args.preset) == bool(args.axis) or (args.preset and args.values):
         raise ValueError("sweep needs exactly one of --preset or --axis/--values")
     config = _build_config(args)
     if args.preset:

@@ -23,8 +23,9 @@ def apply_cross_layer(tokens: Tensor, history: list[Tensor], query: Tensor) -> T
     blocks = np.stack([h.data for h in history])  # (n, K, d)
     contexts = np.add.reduce(blocks, axis=1) / blocks.shape[1]  # (n, d), the mean rows
     q = query.data
-    # One dot per context: a matrix-vector product rounds differently,
-    # and the golden run hashes pin these logits to the bit.
+    # One dot per context keeps the final prompts byte-identical to earlier
+    # runs; the mat-vec contexts @ q rounds differently (up to 3.8e-15 on a
+    # 3-round fvlfp run). No tier-1 test checks it: golden prompts allow 1e-12.
     logits = np.array([q @ c for c in contexts])
     e = np.exp(logits - np.maximum.reduce(logits, axis=0, keepdims=True))
     w = e / np.add.reduce(e, axis=0, keepdims=True)

@@ -50,13 +50,9 @@ def build_subspace(encoder, templates: Sequence[str], k: int = 1) -> Demographic
     """Estimate the top-k demographic directions from template strings.
 
     Each template is embedded with the frozen text tower; the stacked
-    rows are reduced to their leading right singular vectors.
+    rows are reduced to their leading right singular vectors. ``k`` lies
+    in [1, len(templates)], as ``Config`` bounds ``subspace_rank``.
     """
-    templates = list(templates)
-    if len(templates) < 2:
-        raise ValueError("need at least two demographic templates")
-    if not 1 <= k <= len(templates):
-        raise ValueError(f"k={k} outside [1, {len(templates)}]")
     rows = np.stack([encoder.encode_text(s) for s in templates])
     return DemographicSubspace(basis=top_right_singular_vectors(rows, k), templates=rows)
 
@@ -94,18 +90,11 @@ def task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
 
     Term one aligns each debiased image embedding with its own target
     text against the other samples' targets; term two runs the reverse
-    direction (text against images) on the raw embeddings.
+    direction (text against images) on the raw embeddings. Both
+    embeddings and ``targets`` are (B, d) with B >= 1.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    if z_debiased.ndim != 2 or z_raw.ndim != 2 or targets.ndim != 2:
-        raise ValueError("task_loss expects (B, d) embeddings and targets")
     n = z_debiased.shape[0]
-    if z_raw.shape != z_debiased.shape or targets.shape != z_debiased.shape:
-        raise ValueError(
-            f"shape mismatch: {z_debiased.shape} vs {z_raw.shape} vs {targets.shape}"
-        )
-    if n < 1:
-        raise ValueError("empty batch")
     text = Tensor(targets.T)
     inv_t = 1.0 / float(temperature)
     diag = np.arange(n)

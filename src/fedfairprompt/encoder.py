@@ -243,6 +243,8 @@ class VisionEncoder:
             for w in b.layers
         ]
         self._out_proj = Tensor(b.out_proj)
+        for arr in [self._cls_row] + [attention[0] for attention, _, _ in self._layer_consts]:
+            arr.setflags(write=False)
 
     # -- frozen towers ------------------------------------------------
 

@@ -9,8 +9,9 @@ block's whole attention sublayer over a shared prompt prefix
 bit-identical outputs) and records just enough structure to replay the
 chain rule. Gradients flow only into tensors created with
 ``trainable=True``; everything else is a frozen constant and its
-subgraph is skipped during backprop. Finiteness is checked at the
-boundaries, not per kernel: see ``Tensor`` and ``backward``.
+subgraph is skipped during backprop. Kernels trust their operands and
+state what they require; finiteness is checked at the boundaries, not
+per kernel: see ``Tensor`` and ``backward``.
 
 On small sequences a node costs more in call overhead than in
 arithmetic, so kernels call ``np.add.reduce``, ``np.maximum.reduce`` and
@@ -288,14 +289,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     Both operands must be at least 2-D; leading batch axes follow the
     usual broadcast rules (weights stay 2-D, activations may carry
-    batch axes).
+    batch axes). numpy rejects differing inner dims.
     """
     a, b = _lift(a), _lift(b)
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ValueError(f"matmul needs >=2-D operands, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ValueError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
     out = ad @ bd
     na, nb = a.needs_grad, b.needs_grad
 
@@ -330,9 +327,8 @@ def l2_normalize(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along a non-empty ``axis``."""
     x = _lift(x)
-    if x.data.shape == () or x.data.shape[axis] == 0:
-        raise ValueError("softmax over an empty axis")
     shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / np.add.reduce(e, axis=axis, keepdims=True)
@@ -345,9 +341,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Log-softmax along a non-empty ``axis``."""
     x = _lift(x)
-    if x.data.shape == () or x.data.shape[axis] == 0:
-        raise ValueError("log_softmax over an empty axis")
     shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     out = shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
     p = np.exp(out)
@@ -396,16 +391,11 @@ def prompted_attention(prefix: Tensor, state: Tensor, wq: np.ndarray, wk: np.nda
     The weights are frozen arrays, the attention scale folded into
     ``wq``. Value and gradients are bit-identical to the per-kernel
     composition: same numpy operations, gradients summed in the tape's
-    order.
+    order. ``heads`` divides d, as ``EncoderConfig`` requires.
     """
     prefix, state = _lift(prefix), _lift(state)
-    if prefix.ndim != 2 or state.ndim != 3 or prefix.shape[1] != state.shape[2]:
-        raise ValueError(f"prompted_attention needs (K, d) and (B, n, d) rows, "
-                         f"got {prefix.shape} and {state.shape}")
     batch, n, _ = state.shape
     k, e = prefix.shape[0], wk.shape[1]
-    if e % heads != 0:
-        raise ValueError(f"prompted_attention: {e} features do not split into {heads} heads")
     c = e // heads
     p, p_inv = _ln(prefix.data)
     h, h_inv = _ln(state.data)
@@ -475,11 +465,9 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
 
 
 def reduce_mean(x: Tensor) -> Tensor:
-    """Mean over every element."""
+    """Mean over every element of a non-empty tensor."""
     x = _lift(x)
     count = x.data.size
-    if count == 0:
-        raise ValueError("reduce_mean over an empty tensor")
     out = np.asarray(np.add.reduce(x.data, axis=None) / count)
     inv = 1.0 / count
 
@@ -490,15 +478,9 @@ def reduce_mean(x: Tensor) -> Tensor:
 
 
 def take_per_row(m: Tensor, cols: np.ndarray) -> Tensor:
-    """Pick one column per row of a 2-D tensor: out[i] = m[i, cols[i]]."""
+    """out[i] = m[i, cols[i]]: one in-range column per row of a 2-D ``m``."""
     m = _lift(m)
-    if m.ndim != 2:
-        raise ValueError(f"take_per_row needs a 2-D tensor, got {m.shape}")
     cols = np.asarray(cols, dtype=np.int64)
-    if cols.shape != (m.shape[0],):
-        raise ValueError(f"need one column index per row, got {cols.shape}")
-    if cols.size and (cols.min() < 0 or cols.max() >= m.shape[1]):
-        raise ValueError("column index out of range")
     rows = np.arange(m.shape[0])
     out = m.data[rows, cols]
 

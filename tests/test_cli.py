@@ -168,6 +168,17 @@ def test_sweep_needs_exactly_one_mode(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+def test_sweep_preset_rejects_values_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the preset ran")
+
+    monkeypatch.setattr("fedfairprompt.cli.run_preset", no_run)
+    rc = main(["sweep", "--preset", "table1", "--values", "1,2", "--out", str(tmp_path / "pre")])
+    assert rc == 2
+    assert "--values" in capsys.readouterr().err
+    assert not (tmp_path / "pre").exists()
+
+
 def test_sweep_preset_honours_config_and_flags(tmp_path, capsys):
     out = tmp_path / "pre"
     rc = main(["sweep", "--preset", "table1", "--config", _cfg_file(tmp_path),

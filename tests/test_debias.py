@@ -84,17 +84,6 @@ def test_build_subspace_full_rank_spans_templates():
     np.testing.assert_allclose(sub.basis @ sub.basis.T, np.eye(2), atol=1e-9)
 
 
-def test_build_subspace_validation_errors():
-    enc = VisionEncoder(EncoderConfig())
-    two = ["a photo of a man", "a photo of a woman"]
-    with pytest.raises(ValueError):
-        build_subspace(enc, ["lone template"], k=1)
-    with pytest.raises(ValueError):
-        build_subspace(enc, two, k=3)
-    with pytest.raises(ValueError):
-        build_subspace(enc, two, k=0)
-
-
 # ---------------------------------------------------------------------------
 # projection
 
@@ -141,8 +130,6 @@ def test_project_out_shape_mismatch():
     sub = _make_subspace([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         project_out(np.zeros((2, 4)), sub)
-    with pytest.raises(ValueError):
-        project_out(np.zeros(3), sub)  # a batch axis is required
 
 
 def test_project_out_gradients():
@@ -283,16 +270,6 @@ def test_task_loss_matches_scalar_reference():
     got = task_loss(Tensor(zd), Tensor(zr), targets, tau)
     want = _task_loss_reference(zd, zr, targets, tau)
     assert abs(got.item() - want) < 1e-10
-
-
-def test_task_loss_validation_errors():
-    rng = np.random.default_rng(1)
-    z = Tensor(rng.normal(size=(2, 4)))
-    t = rng.normal(size=(2, 4))
-    with pytest.raises(ValueError):
-        task_loss(z, Tensor(rng.normal(size=(3, 4))), t, temperature=0.1)
-    with pytest.raises(ValueError):
-        task_loss(z, z, rng.normal(size=(2, 5)), temperature=0.1)
 
 
 def test_task_loss_gradients():

@@ -361,6 +361,19 @@ def test_backbone_hash_is_stable_and_seed_sensitive():
     assert len(h1) == 64
 
 
+def test_every_array_the_forward_reads_is_read_only():
+    # Nothing in a run can change the frozen weights in place, the two
+    # derived in VisionEncoder (the CLS row and the scaled wq) included.
+    enc = VisionEncoder(SMALL)
+    arrays = list(enc.backbone._iter_arrays()) + [enc._cls_row, enc._patch_pos, enc._out_proj.data]
+    for attention, w1, w2 in enc._layer_consts:
+        assert len(attention) == 4
+        arrays += [*attention, w1.data, w2.data]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+
+
 def _frozen_outputs(enc, img, ps):
     e0 = enc.embed_patches(img)
     text = [enc.encode_text(s) for s in CLASS_TEMPLATES]

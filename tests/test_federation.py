@@ -126,12 +126,6 @@ def test_fusion_weights_scale_invariant():
 def test_fusion_weights_degenerate_and_invalid():
     with pytest.raises(ValueError, match="degenerate"):
         fusion_weights([0.0, 0.0])
-    with pytest.raises(ValueError):
-        fusion_weights([0.5, -0.1])
-    with pytest.raises(ValueError):
-        fusion_weights([np.nan, 1.0])
-    with pytest.raises(ValueError):
-        fusion_weights([])
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +155,6 @@ def test_fused_prompts_stay_in_client_envelope(enc_cfg):
 
 def test_fuse_prompts_validates_inputs(enc_cfg):
     sets = _prompt_sets(enc_cfg, 2)
-    with pytest.raises(ValueError, match="no prompt sets"):
-        fuse_prompts([], [])
-    with pytest.raises(ValueError, match="weights"):
-        fuse_prompts(sets, [1.0])
     other = PromptSet.initialize(
         dataclasses.replace(enc_cfg, prompt_tokens=3), seed=0
     )
@@ -269,16 +259,6 @@ def test_refinement_loss_gradients_reach_all_prompt_parameters():
 
     # tau=0.07 softmax is stiff: a smaller step keeps truncation under tol
     assert_grads_match(loss, prompts.parameters().values(), step=1e-4)
-
-
-def test_refinement_loss_needs_both_groups():
-    cfg, encoder, class_text, features, labels, _ = _tiny_refine_setup()
-    prompts = PromptSet.initialize(cfg, seed=8)
-    model = PromptedModel(encoder, class_text, cfg.temperature)
-    with pytest.raises(ValueError, match="both groups"):
-        refinement_loss(
-            model, prompts, features, labels, np.zeros(6, dtype=np.int64), lam2=1.0
-        )
 
 
 def _refine_config(**over):

@@ -23,6 +23,7 @@ change that moves the prompts on purpose rewrites the file with
 import hashlib
 import json
 import os
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -36,6 +37,7 @@ from fedfairprompt.federation import (
     encoder_config,
     evaluate_prompts,
     load_splits,
+    predict,
     run_federation,
 )
 from fedfairprompt.metrics import METRIC_NAMES
@@ -150,12 +152,23 @@ def test_final_prompts_match_golden_prompts(out_dirs, method):
     assert max(moved.values()) <= PROMPT_TOLERANCE, f"{method} prompts moved: {moved}"
 
 
+# The golden fedavg_baseline run predicts one class on every test row,
+# so any prompts would reproduce its record. Its re-scoring runs the same
+# config for 3 rounds, the fewest whose test predictions take both
+# classes (6 and 42 of 48).
+RESCORE_ROUNDS = {"fedavg_baseline": 3}
+
+
 @pytest.mark.parametrize("method", METHODS)
-def test_saved_prompts_reproduce_the_last_global_record(out_dirs, method):
+def test_saved_prompts_reproduce_the_last_global_record(out_dirs, tmp_path, method):
     # The run's final prompts, read back from prompts.npz into a rebuilt
-    # model, score the test split exactly as the last round recorded.
+    # model, score the test split exactly as the last round recorded,
+    # and predict both classes there, so other prompts would not match.
     # f_global is left out: the round records the cross-client value.
-    config = _golden_config(method)
+    config, run_dir = _golden_config(method), out_dirs[method]
+    if method in RESCORE_ROUNDS:
+        config, run_dir = replace(config, rounds=RESCORE_ROUNDS[method]), tmp_path
+        emit_report(run_federation(config), str(run_dir))
     encoder = VisionEncoder(encoder_config(config))
     model = PromptedModel(
         encoder=encoder,
@@ -166,10 +179,12 @@ def test_saved_prompts_reproduce_the_last_global_record(out_dirs, method):
         cdfp_enabled=config.cdfp_enabled,
     )
     prompts = PromptSet.initialize(encoder.config)
-    with np.load(os.path.join(out_dirs[method], "prompts.npz")) as saved:
+    with np.load(os.path.join(run_dir, "prompts.npz")) as saved:
         prompts.load_arrays({name: saved[name] for name in saved.files})
-    record, _ = evaluate_prompts(model, prompts, load_splits(config, encoder)[2])
-    with open(os.path.join(out_dirs[method], "report.json"), encoding="utf-8") as fh:
+    test = load_splits(config, encoder)[2]
+    assert np.unique(predict(model, prompts, test.features)).tolist() == [0, 1]
+    record, _ = evaluate_prompts(model, prompts, test)
+    with open(os.path.join(run_dir, "report.json"), encoding="utf-8") as fh:
         last = json.load(fh)["rounds"][-1]
     assert last["round"] == config.rounds
     for name in METRIC_NAMES:

@@ -83,14 +83,3 @@ def test_k_beyond_numerical_rank_is_rejected():
         top_right_singular_vectors(m, k=2)
     with pytest.raises(ValueError, match="numerical rank 0"):
         top_right_singular_vectors(np.zeros((2, 3)), k=1)
-
-
-def test_input_validation():
-    with pytest.raises(ValueError):
-        top_right_singular_vectors(np.ones((17, 4)), k=1)
-    with pytest.raises(ValueError):
-        top_right_singular_vectors(np.ones((3, 4)), k=4)
-    with pytest.raises(ValueError):
-        top_right_singular_vectors(np.ones((3, 4)), k=0)
-    with pytest.raises(FloatingPointError):
-        top_right_singular_vectors(np.array([[np.nan, 1.0]]), k=1)

@@ -83,8 +83,6 @@ def test_matmul_batched_matches_per_slice():
 
 def test_matmul_shape_errors():
     with pytest.raises(ValueError):
-        T.matmul(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0]]))
-    with pytest.raises(ValueError):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
 
@@ -160,8 +158,6 @@ def test_take_per_row_picks_and_validates():
     m = Tensor(np.arange(12.0).reshape(3, 4))
     got = T.take_per_row(m, np.array([0, 3, 1]))
     assert np.array_equal(got.data, [0.0, 7.0, 9.0])
-    with pytest.raises(ValueError):
-        T.take_per_row(m, np.array([0, 4, 1]))
 
 
 def test_shape_plumbing_round_trips():
