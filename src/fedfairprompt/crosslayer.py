@@ -19,23 +19,27 @@ __all__ = ["apply_cross_layer"]
 
 def apply_cross_layer(tokens: Tensor, history: list[Tensor], query: Tensor) -> Tensor:
     """Residual update: tokens + sum_i w_i * history[i], where ``w`` is
-    the softmax over i of ``query`` dotted with history[i]'s mean row."""
-    blocks = np.stack([h.data for h in history])  # (n, K, d)
-    contexts = np.add.reduce(blocks, axis=1) / blocks.shape[1]  # (n, d), the mean rows
+    the softmax over i of ``query`` dotted with history[i]'s mean row.
+    Stacked clients prepend a C axis to every operand."""
+    blocks = np.stack([h.data for h in history], axis=-3)  # (..., n, K, d)
+    contexts = np.add.reduce(blocks, axis=-2) / blocks.shape[-2]  # (..., n, d), the mean rows
     q = query.data
-    # One dot per context keeps the final prompts byte-identical to earlier
-    # runs; the mat-vec contexts @ q rounds differently (up to 3.8e-15 on a
-    # 3-round fvlfp run). No tier-1 test checks it: golden prompts allow 1e-12.
-    logits = np.array([q @ c for c in contexts])
-    e = np.exp(logits - np.maximum.reduce(logits, axis=0, keepdims=True))
-    w = e / np.add.reduce(e, axis=0, keepdims=True)
-    out = tokens.data + np.add.reduce(blocks * w.reshape(-1, 1, 1), axis=0)
+    # One dot per (client, context): the mat-vec contexts @ q rounds
+    # differently (up to 3.8e-15 on a 3-round fvlfp run). No tier-1 test
+    # sees that; the golden runs' queries stay too close to zero.
+    qs, cs = q.reshape(-1, q.shape[-1]), contexts.reshape(-1, *contexts.shape[-2:])
+    logits = np.array([[qc @ c for c in cc] for qc, cc in zip(qs, cs)]).reshape(contexts.shape[:-1])
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    w = e / np.add.reduce(e, axis=-1, keepdims=True)
+    out = tokens.data + np.add.reduce(blocks * w[..., None, None], axis=-3)
 
     def vjp(g):
-        gw = np.add.reduce(blocks * g, axis=(1, 2))
-        glogits = w * (gw - np.add.reduce(gw * w))
+        gw = np.add.reduce(blocks * g[..., None, :, :], axis=(-2, -1))
+        glogits = w * (gw - np.add.reduce(gw * w, axis=-1, keepdims=True))
         # d(logit_i)/d(block_i) spreads query / K over the block's K rows.
-        gblocks = w.reshape(-1, 1, 1) * g + (glogits[:, None] * q)[:, None, :] / blocks.shape[1]
-        return (g, *gblocks, glogits @ contexts)
+        gblocks = (w[..., None, None] * g[..., None, :, :]
+                   + (glogits[..., None] * q[..., None, :])[..., None, :] / blocks.shape[-2])
+        gq = np.array([gl @ c for gl, c in zip(glogits.reshape(len(qs), -1), cs)]).reshape(q.shape)
+        return (g, *gblocks.swapaxes(0, -3), gq)  # one (..., K, d) block per context
 
     return _node(out, (tokens, *history, query), vjp, "apply_cross_layer")

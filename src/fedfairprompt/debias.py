@@ -75,13 +75,15 @@ def fairness_loss(z_debiased: Tensor | np.ndarray, sub: DemographicSubspace,
                   mu: float) -> Tensor:
     """Hinge on similarity to every demographic prompt, per sample.
 
-    Takes (B, d) embeddings and returns the (B,) per-sample sums over
-    categories of max(0, cos - mu). The gradient vanishes once every
+    Takes (..., B, d) embeddings and returns the (..., B) per-sample sums
+    over categories of max(0, cos - mu). The gradient vanishes once every
     cosine is at or below the margin.
     """
     unit = T.l2_normalize(z_debiased)  # raises on a zero-norm row
+    if unit.ndim < 2:
+        raise ValueError(f"fairness_loss needs (..., B, d) embeddings, got {unit.shape}")
     cos = T.matmul(unit, Tensor(sub.templates.T))
-    return T.reduce_sum(T.relu(T.sub(cos, Tensor(float(mu)))), axis=1)
+    return T.reduce_sum(T.relu(T.sub(cos, Tensor(float(mu)))), axis=-1)
 
 
 def task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
@@ -91,23 +93,25 @@ def task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
     Term one aligns each debiased image embedding with its own target
     text against the other samples' targets; term two runs the reverse
     direction (text against images) on the raw embeddings. Both
-    embeddings and ``targets`` are (B, d) with B >= 1.
+    embeddings and ``targets`` are (B, d) with B >= 1, or (C, B, d) for C
+    stacked clients, each with its own (B, B) logits and loss.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    n = z_debiased.shape[0]
-    text = Tensor(targets.T)
+    text = Tensor(targets.swapaxes(-1, -2))
     inv_t = 1.0 / float(temperature)
-    diag = np.arange(n)
+    diag = np.arange(targets.shape[-2])
 
     image_rows = T.l2_normalize(z_debiased)
     logits_i2t = T.scale(T.matmul(image_rows, text), inv_t)
-    term1 = T.scale(T.reduce_mean(T.take_per_row(T.log_softmax(logits_i2t, axis=1), diag)), -1.0)
+    term1 = T.scale(T.reduce_mean(T.take_per_row(T.log_softmax(logits_i2t, axis=-1), diag),
+                                  axis=-1), -1.0)
 
     logits_t2i = T.scale(T.matmul(T.l2_normalize(z_raw), text), inv_t)
-    term2 = T.scale(T.reduce_mean(T.take_per_row(T.log_softmax(logits_t2i, axis=0), diag)), -1.0)
+    term2 = T.scale(T.reduce_mean(T.take_per_row(T.log_softmax(logits_t2i, axis=-2), diag),
+                                  axis=-1), -1.0)
     return T.add(term1, term2)
 
 
 def joint_loss(task: Tensor, fair_per_sample: Tensor, lam1: float) -> Tensor:
-    """Combine task and (B,) fairness terms: task + lam1 * mean(fair)."""
-    return T.add(task, T.scale(T.reduce_mean(fair_per_sample), float(lam1)))
+    """Combine task and (..., B) fairness terms: task + lam1 * mean(fair)."""
+    return T.add(task, T.scale(T.reduce_mean(fair_per_sample, axis=-1), float(lam1)))

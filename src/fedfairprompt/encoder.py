@@ -136,6 +136,7 @@ class PromptSet:
     ``tokens[l]`` is the (K, d) block inserted into the sequence feeding
     layer l+1; ``queries[l-1]`` scores the blocks below layer l. These
     tensors are exactly the trainable leaves of the whole pipeline.
+    Clients in lockstep stack theirs: (C, K, d) blocks, (C, d) queries.
     """
 
     tokens: list[Tensor]
@@ -145,8 +146,8 @@ class PromptSet:
         if not self.tokens:
             raise ValueError("PromptSet needs at least one token block")
         shape = self.tokens[0].shape
-        if len(shape) != 2 or shape[0] < 1:
-            raise ValueError(f"token blocks must be (K, d) with K >= 1, got {shape}")
+        if len(shape) not in (2, 3) or shape[-2] < 1:
+            raise ValueError(f"token blocks must be (K, d) or (C, K, d) with K >= 1, got {shape}")
         for t in self.tokens:
             if t.shape != shape:
                 raise ValueError("all token blocks must share one shape")
@@ -156,16 +157,16 @@ class PromptSet:
                 f"got {len(self.queries)}"
             )
         for q in self.queries:
-            if q.shape != (shape[1],):
-                raise ValueError(f"query shape {q.shape} != ({shape[1]},)")
+            if q.shape != shape[:-2] + shape[-1:]:
+                raise ValueError(f"query shape {q.shape} != {shape[:-2] + shape[-1:]}")
 
     @property
     def token_count(self) -> int:
-        return self.tokens[0].shape[0]
+        return self.tokens[0].shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.tokens[0].shape[1]
+        return self.tokens[0].shape[-1]
 
     @property
     def depth(self) -> int:
@@ -202,11 +203,14 @@ class PromptSet:
             _ensure_finite(arr, f"array for '{name}'")
             t.data = arr.copy()
 
+    def map(self, fn) -> "PromptSet":
+        """Fresh trainable leaves holding ``fn`` of each array, unchecked:
+        a non-finite prompt fails the forward that reads it."""
+        return PromptSet(*[[Tensor(fn(t.data), True, t.name, checked=False) for t in ts]
+                           for ts in (self.tokens, self.queries)])
+
     def copy(self) -> "PromptSet":
-        return PromptSet(
-            tokens=[Tensor(t.data.copy(), trainable=True, name=t.name) for t in self.tokens],
-            queries=[Tensor(q.data.copy(), trainable=True, name=q.name) for q in self.queries],
-        )
+        return self.map(np.copy)
 
 
 # Fixed template text; class or group index i reads entry i.
@@ -305,10 +309,11 @@ class VisionEncoder:
     ) -> Tensor:
         """Embed patch rows with prompt blocks threaded through every layer.
 
-        ``e0`` is (B, J, d). Patch position rows are added only when the
-        row count matches the configured patch grid; ingested single-row
-        feature datasets carry no spatial layout. Returns the (B, d)
-        unit-norm image embeddings.
+        ``e0`` is (B, J, d), or (C, B, J, d) for prompts stacked over C
+        clients. Patch position rows are added only when the row count
+        matches the configured patch grid; ingested single-row feature
+        datasets carry no spatial layout. Returns the unit-norm image
+        embeddings, (B, d) or (C, B, d).
 
         Block l reads ``prompts.tokens[l - 1]`` as its key/value prefix
         rows, and the CLS and patch rows the previous block wrote. With
@@ -317,21 +322,21 @@ class VisionEncoder:
         blocks.
         """
         cfg = self.config
-        data = np.asarray(e0, dtype=np.float64)
-        if data.ndim != 3 or data.shape[-1] != cfg.embed_dim:
-            raise ValueError(f"expected (B, J, {cfg.embed_dim}) patch rows, got {data.shape}")
+        data, lead = np.asarray(e0, dtype=np.float64), prompts.tokens[0].shape[:-2]
+        if data.ndim != len(lead) + 3 or data.shape[:-3] != lead or data.shape[-1] != cfg.embed_dim:
+            raise ValueError(f"expected ({'C, ' * len(lead)}B, J, {cfg.embed_dim}) patch rows, "
+                             f"got {data.shape}")
         if prompts.depth != cfg.layers or prompts.dim != cfg.embed_dim:
             raise ValueError(
                 f"prompt set ({prompts.depth} layers, d={prompts.dim}) does not match "
                 f"encoder ({cfg.layers} layers, d={cfg.embed_dim})"
             )
-        batch, width = data.shape[0], data.shape[1]
-        if width == cfg.patch_count:
+        if data.shape[-2] == cfg.patch_count:
             data = data + self._patch_pos
 
         # The CLS and patch rows: everything but the prompt block.
-        cls_rows = np.broadcast_to(self._cls_row, (batch, 1, cfg.embed_dim))
-        state = Tensor(np.concatenate([cls_rows, data], axis=1))
+        cls_rows = np.broadcast_to(self._cls_row, data.shape[:-2] + (1, cfg.embed_dim))
+        state = Tensor(np.concatenate([cls_rows, data], axis=-2))
         used = prompts.tokens[0]
         history = [used]
         for layer in range(1, cfg.layers + 1):
@@ -344,5 +349,5 @@ class VisionEncoder:
                 used = apply_cross_layer(used, history, prompts.queries[layer - 1])
             history.append(used)
 
-        cls_final = T.reshape(state, (batch, cfg.embed_dim))
+        cls_final = T.reshape(state, data.shape[:-2] + (cfg.embed_dim,))
         return T.l2_normalize(T.matmul(T.layernorm(cls_final), self._out_proj))

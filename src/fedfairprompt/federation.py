@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .metrics import (
     eod_global,
     equalized_odds,
 )
-from .optim import adamw_init, adamw_step
+from .optim import AdamWState, adamw_init, adamw_step
 from .report import FairnessReport, RoundRecord
 
 __all__ = [
@@ -80,6 +81,11 @@ __all__ = [
 # feature row; 16-sample chunks of feature rows took 1.8x as long, and
 # one 400-sample chunk of them raised peak RSS by 3 MB (5%).
 _EVAL_CHUNK = 64
+
+# Sequence rows (CLS, prompt, patch) in one stacked walk: 2 synth clients,
+# 10 ingest. At 13 KB of tape a row, 5 synth clients lifted fvlfp-synth's
+# peak RSS from 91.5 to 99 MB; 2 keep it under the set-up's peak.
+_STACK_ROWS = 640
 
 # purpose tags for seed derivation; never reuse a number
 _SEED_TRAIN = 1
@@ -218,66 +224,100 @@ def score_from_record(record: MetricRecord) -> float:
     return record.a_b * (1.0 - record.phi_eq)
 
 
-def _fit(model: PromptedModel, prompts: PromptSet, loss, batches, lr: float,
-         who: str) -> None:
-    """AdamW on ``prompts`` in place, one step on ``loss(batch)`` per
-    ``(where, batch)`` pair of ``batches``.
-
-    Moments start fresh. An overflow in the loss's forward, or a
-    non-finite value in the loss or its gradient, raises a
-    FederationError naming ``who`` and ``where``.
+def _fit(model: PromptedModel, prompts: PromptSet, loss, schedules, lr: float,
+         who: list[str], per_walk: int = 1) -> dict[int, str]:
+    """AdamW in place, from fresh moments, on one prompt set or on one per
+    schedule stacked on a leading axis. Member i takes a step per ``(where,
+    batch)`` of ``schedules[i]``; at each step, runs of consecutive members
+    whose batches share a shape go in groups of at most ``per_walk``
+    through one ``loss(group_prompts, [(member, batch), ...])`` on a slice
+    of the stack and one backward from its sum. A member whose forward
+    overflows, or whose loss or gradient is not finite, stops: a failed
+    group replays the step member by member, so each error names
+    ``who[i]`` and ``where`` as a lone run would. Returns those errors.
     """
-    trainable = model.trainable(prompts)
-    opt_state = adamw_init({k: p.data for k, p in trainable.items()})
+    params = model.trainable(prompts)
+    moments = adamw_init({k: p.data for k, p in params.items()})
+    errors: dict[int, str] = {}
+
+    def run(step: int, group: list[int]) -> None:
+        sel = ... if len(group) == len(schedules) else slice(group[0], group[-1] + 1)
+        ps = prompts if sel is ... else prompts.map(lambda a: a[sel])
+        try:
+            with np.errstate(over="raise"):
+                value = loss(ps, [(i, schedules[i][step][1]) for i in group])
+            reached = T.backward(value)
+        except FloatingPointError as exc:  # NonFiniteError included
+            if len(group) > 1:
+                for i in group:
+                    run(step, [i])
+            else:
+                errors[group[0]] = f"{who[group[0]]}: {exc} {schedules[group[0]][step][0]}"
+            return
+        trainable = model.trainable(ps)
+        arrays, state = adamw_step(
+            {k: p.data for k, p in trainable.items()},
+            {k: reached[p] for k, p in trainable.items()},
+            AdamWState(*({k: a[sel] for k, a in d.items()} for d in (moments.m, moments.v)), step),
+            lr=lr,
+        )
+        for k, p in params.items():
+            p.data[sel], moments.m[k][sel], moments.v[k][sel] = arrays[k], state.m[k], state.v[k]
+
     # An overflow in the forward raises: layernorm would turn it into
     # finite zeros. backward rejects a diverging gradient by name.
     with np.errstate(over="ignore", invalid="ignore"):
-        for where, batch in batches:
-            try:
-                with np.errstate(over="raise"):
-                    value = loss(batch)
-                reached = T.backward(value)
-            except FloatingPointError as exc:  # NonFiniteError included
-                raise FederationError(f"{who}: {exc} {where}") from None
-            arrays, opt_state = adamw_step(
-                {k: p.data for k, p in trainable.items()},
-                {k: reached[p] for k, p in trainable.items()}, opt_state, lr=lr,
-            )
-            for name, p in trainable.items():
-                p.data = arrays[name]
+        for step in range(max(map(len, schedules))):
+            shapes = [np.shape(s[step][1]) if i not in errors and step < len(s) else None
+                      for i, s in enumerate(schedules)]
+            for shape, run_of in groupby(range(len(schedules)), key=shapes.__getitem__):
+                members = list(run_of) if shape is not None else []
+                for lo in range(0, len(members), per_walk):
+                    run(step, members[lo : lo + per_walk])
+    return errors
 
 
 def client_update(
-    shard: ClientShard,
+    *shards: ClientShard,
     model: PromptedModel,
     prompts: PromptSet,
     val: Dataset,
-    rng: np.random.Generator,
+    round_index: int,
     config: Config,
-) -> tuple[PromptSet, MetricRecord, GroupConfusion]:
-    """Local prompt tuning from the broadcast global prompts.
-
-    Copies the prompts, runs one shuffled mini-batch pass of AdamW on
-    the joint objective, then evaluates the result on the shared
-    validation split. Returns the tuned prompts with
-    their validation record and confusion. Optimizer moments start
-    fresh each round: they describe the previous local trajectory,
-    which fusion has invalidated. A non-finite value in the loss or its
-    gradient aborts the round.
+) -> list[tuple[PromptSet, MetricRecord, GroupConfusion]]:
+    """Local prompt tuning of every shard from the broadcast prompts, in
+    lockstep (see ``_fit``): one pass of AdamW on the joint objective over
+    each shard, shuffled by ``client_stream(master_seed, round_index,
+    client_id)``, from fresh moments (fusion invalidated the old ones),
+    then an eval on ``val``. Returns (prompts, record, confusion) per
+    shard, in order, each bit-identical to a call with that shard alone.
+    A failure raises the error a serial pass over the shards would raise.
     """
-    prompts = prompts.copy()
-    targets = model.class_text[shard.labels]
-    order, size = rng.permutation(shard.labels.shape[0]), config.batch_size
+    # largest first; a stable sort keeps equal shards in order
+    ranked = sorted(shards, key=lambda shard: -shard.labels.shape[0])
+    stacked = prompts.map(lambda a: np.stack([a] * len(ranked)))
+    size = config.batch_size
+    orders = [client_stream(config.master_seed, round_index, s.client_id).permutation(
+        s.labels.shape[0]) for s in ranked]
+    schedules = [[(f"(batch offset {lo})", o[lo : lo + size]) for lo in range(0, o.size, size)]
+                 for o in orders]
 
-    def loss(rows):
-        return model.local_loss(prompts, shard.features[rows], targets[rows],
-                                config.mu, config.lambda1)
+    def loss(ps, picks):
+        rows = np.stack([ranked[i].features[b] for i, b in picks])
+        labels = np.stack([ranked[i].labels[b] for i, b in picks])
+        return model.local_loss(ps, rows, model.class_text[labels], config.mu, config.lambda1)
 
-    batches = [(f"(batch offset {lo})", order[lo : lo + size])
-               for lo in range(0, order.size, size)]
-    _fit(model, prompts, loss, batches, config.lr, f"client {shard.client_id}")
-    record, conf = evaluate_prompts(model, prompts, val)
-    return prompts, record, conf
+    seq_rows = size * (1 + prompts.token_count + shards[0].features.shape[1])
+    who = [f"client {s.client_id}" for s in ranked]
+    errors = _fit(model, stacked, loss, schedules, config.lr, who, max(1, _STACK_ROWS // seq_rows))
+    updates = []
+    for shard in shards:
+        i = [s is shard for s in ranked].index(True)
+        if i in errors:  # a serial pass stops here, after the clients before
+            raise FederationError(errors[i])
+        tuned = stacked.map(lambda a: a[i])
+        updates.append((tuned, *evaluate_prompts(model, tuned, val)))
+    return updates
 
 
 def fusion_weights(scores) -> np.ndarray:
@@ -359,8 +399,9 @@ def server_refine(
     per = min(config.refine_batch // 2, group_rows[0].size, group_rows[1].size)
     batch_groups = np.repeat(np.array([0, 1]), per)
 
-    def loss(idx):
-        return refinement_loss(model, refined, val.features[idx], val.labels[idx],
+    def loss(ps, picks):
+        idx = picks[0][1]
+        return refinement_loss(model, ps, val.features[idx], val.labels[idx],
                                batch_groups, config.lambda2)
 
     batches = [
@@ -368,7 +409,9 @@ def server_refine(
          np.concatenate([rng.choice(rows, size=per, replace=False) for rows in group_rows]))
         for step in range(config.refine_steps)
     ]
-    _fit(model, refined, loss, batches, config.refine_lr, "server refinement")
+    errors = _fit(model, refined, loss, [batches], config.refine_lr, ["server refinement"])
+    if errors:
+        raise FederationError(errors[0])
     return refined
 
 
@@ -467,12 +510,8 @@ def run_federation(config: Config) -> FairnessReport:
     failure = ""
     try:
         for round_index in range(1, config.rounds + 1):
-            updates = [
-                client_update(shard, model, global_prompts, val,
-                              client_stream(config.master_seed, round_index, shard.client_id),
-                              config)
-                for shard in shards
-            ]
+            updates = client_update(*shards, model=model, prompts=global_prompts, val=val,
+                                    round_index=round_index, config=config)
             client_prompts, client_records, client_confs = map(list, zip(*updates))
             scores = [score_from_record(rec) for rec in client_records]
             weights = fusion_weights(scores if config.fpf_enabled else [1.0] * len(shards))

@@ -68,9 +68,10 @@ class Tensor:
 
     __slots__ = ("data", "trainable", "needs_grad", "parents", "vjp", "name")
 
-    def __init__(self, data, trainable: bool = False, name: str = ""):
+    def __init__(self, data, trainable: bool = False, name: str = "", checked: bool = True):
         arr = np.asarray(data, dtype=np.float64)
-        _ensure_finite(arr, f"tensor '{name}'" if name else "tensor")
+        if checked:
+            _ensure_finite(arr, f"tensor '{name}'" if name else "tensor")
         self.data = arr
         self.trainable = bool(trainable)
         self.needs_grad = self.trainable
@@ -136,20 +137,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
-    """Reverse-mode sweep from a scalar output.
+    """Reverse-mode sweep from a scalar output, or from the sum of a
+    vector of stacked clients' losses.
 
     Returns a mapping from each reachable trainable leaf to its
     gradient. Gradients of frozen tensors are absent by construction.
-    Raises if ``output`` is not scalar. Raises NonFiniteError if it is
-    not finite, naming the first recorded op with a non-finite output,
-    or if a leaf's gradient is not finite.
+    Raises if ``output`` has more than one axis. Raises NonFiniteError
+    if it is not finite, naming the first recorded op with a non-finite
+    output, or if a leaf's gradient is not finite.
 
     Each node drops its parents and its VJP closure once the closure
-    has run, so a caller that keeps ``output`` keeps no intermediates.
-    A second sweep over the same tape raises ValueError.
+    has run, and the sweep drops the node, so intermediates are freed
+    as it goes. A second sweep over the same tape raises ValueError.
     """
-    if output.data.size != 1:
-        raise ValueError(f"backward needs a scalar output, got shape {output.shape}")
+    if output.data.ndim > 1:
+        raise ValueError(f"backward needs a scalar or vector output, got shape {output.shape}")
 
     # Depth-first post-order over the nodes that need a gradient, each
     # expanded once: ``order`` lists every node after its parents.
@@ -168,6 +170,7 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
             for p in node.parents:
                 if p.needs_grad and p not in seen:
                     stack.append((p, False))
+    del seen
 
     if not np.isfinite(output.data).all():
         first = next((n for n in order if not np.isfinite(n.data).all()), output)
@@ -175,7 +178,8 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
 
     grads: dict[Tensor, np.ndarray] = {output: np.ones_like(output.data)}
     leaves: dict[Tensor, np.ndarray] = {}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = grads.pop(node)
         if node.vjp is None:  # a trainable leaf
             _ensure_finite(g, f"gradient of '{node.name}'")
@@ -388,47 +392,49 @@ def prompted_attention(prefix: Tensor, state: Tensor, wq: np.ndarray, wk: np.nda
     batch) and the n state rows, queries from the first m state rows
     only (m = 1 if ``cls_only``, else n). Returns the (B, m, d) rows
     ``state[:, :m] + softmax(q kᵀ) v @ wo``, heads merged before ``wo``.
+    Stacked clients prepend a C axis to both: (C, K, d) and (C, B, n, d).
     The weights are frozen arrays, the attention scale folded into
     ``wq``. Value and gradients are bit-identical to the per-kernel
     composition: same numpy operations, gradients summed in the tape's
     order. ``heads`` divides d, as ``EncoderConfig`` requires.
     """
     prefix, state = _lift(prefix), _lift(state)
-    batch, n, _ = state.shape
-    k, e = prefix.shape[0], wk.shape[1]
+    *lead, batch, n, _ = state.shape
+    k, e = prefix.shape[-2], wk.shape[1]
     c = e // heads
     p, p_inv = _ln(prefix.data)
     h, h_inv = _ln(state.data)
-    k4, v4 = np.empty((batch, heads, k + n, c)), np.empty((batch, heads, k + n, c))
+    k4, v4 = np.empty((*lead, batch, heads, k + n, c)), np.empty((*lead, batch, heads, k + n, c))
     for w, out in ((wk, k4), (wv, v4)):
-        out[:, :, :k] = (p @ w).reshape(k, heads, c).swapaxes(0, 1)
-        out[:, :, k:] = (h @ w).reshape(batch, n, heads, c).swapaxes(1, 2)
+        out[..., :k, :] = (p @ w).reshape(*lead, 1, k, heads, c).swapaxes(-3, -2)
+        out[..., k:, :] = (h @ w).reshape(*lead, batch, n, heads, c).swapaxes(-3, -2)
     m = 1 if cls_only else n
-    q4 = (h[:, :m] @ wq).reshape(batch, m, heads, c).swapaxes(1, 2)
+    q4 = (h[..., :m, :] @ wq).reshape(*lead, batch, m, heads, c).swapaxes(-3, -2)
     # Wrapped by _node, not Tensor(), so no finiteness check runs here:
     # non-finite values are caught at the boundaries, as everywhere else.
-    probs = softmax(_node(q4 @ k4.swapaxes(2, 3), (), None, "scores")).data
-    out = state.data[:, :m] + (probs @ v4).swapaxes(1, 2).reshape(batch, m, e) @ wo
+    probs = softmax(_node(q4 @ k4.swapaxes(-2, -1), (), None, "scores")).data
+    out = state.data[..., :m, :] + (probs @ v4).swapaxes(-3, -2).reshape(*lead, batch, m, e) @ wo
     n_prefix, n_state = prefix.needs_grad, state.needs_grad
 
     def vjp(g):
-        g_ctx = (g @ wo.T).reshape(batch, m, heads, c).swapaxes(1, 2)
+        g_ctx = (g @ wo.T).reshape(*lead, batch, m, heads, c).swapaxes(-3, -2)
         g_probs = g_ctx @ v4.swapaxes(-1, -2)
         g_v4 = probs.swapaxes(-1, -2) @ g_ctx
         gs = probs * (g_probs - np.add.reduce(g_probs * probs, axis=-1, keepdims=True))
-        g_k4 = (q4.swapaxes(-1, -2) @ gs).swapaxes(2, 3)
+        g_k4 = (q4.swapaxes(-1, -2) @ gs).swapaxes(-2, -1)
         g_prefix = g_state = None
         if n_prefix:
-            gk, gv = (np.add.reduce(g4[:, :, :k], axis=0).swapaxes(0, 1).reshape(k, e) @ w.T
-                      for g4, w in ((g_k4, wk), (g_v4, wv)))
+            # summed over the client's own batch axis only
+            gk, gv = (np.add.reduce(g4[..., :k, :], axis=-4).swapaxes(-3, -2).reshape(*lead, k, e)
+                      @ w.T for g4, w in ((g_k4, wk), (g_v4, wv)))
             g_prefix = _ln_vjp(gk + gv, p, p_inv)
         if n_state:
             # keys, then queries, then values, as the composed tape sums them
-            g_state = g_k4[:, :, k:].swapaxes(1, 2).reshape(batch, n, e) @ wk.T
-            g_state[:, :m] += (gs @ k4).swapaxes(1, 2).reshape(batch, m, e) @ wq.T
-            g_state += g_v4[:, :, k:].swapaxes(1, 2).reshape(batch, n, e) @ wv.T
+            g_state = g_k4[..., k:, :].swapaxes(-3, -2).reshape(*lead, batch, n, e) @ wk.T
+            g_state[..., :m, :] += (gs @ k4).swapaxes(-3, -2).reshape(*lead, batch, m, e) @ wq.T
+            g_state += g_v4[..., k:, :].swapaxes(-3, -2).reshape(*lead, batch, n, e) @ wv.T
             g_state = _ln_vjp(g_state, h, h_inv)
-            g_state[:, :m] += g
+            g_state[..., :m, :] += g
         return g_prefix, g_state
 
     return _node(out, (prefix, state), vjp, "prompted_attention")
@@ -464,29 +470,31 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     return _node(out, (x,), vjp, "reduce_sum")
 
 
-def reduce_mean(x: Tensor) -> Tensor:
-    """Mean over every element of a non-empty tensor."""
+def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
+    """Mean over every element of a non-empty tensor, or along ``axis``."""
     x = _lift(x)
-    count = x.data.size
-    out = np.asarray(np.add.reduce(x.data, axis=None) / count)
+    count = x.data.size if axis is None else x.shape[axis]
+    out = np.asarray(np.add.reduce(x.data, axis=axis) / count)
     inv = 1.0 / count
 
     def vjp(g):
-        return (np.broadcast_to(g * inv, x.shape).copy(),)
+        g = g * inv if axis is None else np.expand_dims(g * inv, axis)
+        return (np.broadcast_to(g, x.shape).copy(),)
 
     return _node(out, (x,), vjp, "reduce_mean")
 
 
 def take_per_row(m: Tensor, cols: np.ndarray) -> Tensor:
-    """out[i] = m[i, cols[i]]: one in-range column per row of a 2-D ``m``."""
+    """out[..., i] = m[..., i, cols[i]]: one in-range column per row of
+    the last two axes of ``m``."""
     m = _lift(m)
     cols = np.asarray(cols, dtype=np.int64)
-    rows = np.arange(m.shape[0])
-    out = m.data[rows, cols]
+    rows = np.arange(m.shape[-2])
+    out = m.data[..., rows, cols]
 
     def vjp(g):
         full = np.zeros_like(m.data)
-        full[rows, cols] = g
+        full[..., rows, cols] = g
         return (full,)
 
     return _node(out, (m,), vjp, "take_per_row")

@@ -24,6 +24,8 @@ from fedfairprompt.encoder import (
     PromptSet,
     VisionEncoder,
 )
+from fedfairprompt.debias import build_subspace
+from fedfairprompt.federation import PromptedModel
 from fedfairprompt.tensor import NonFiniteError, Tensor, backward
 from gradcheck import assert_grads_match
 from plumbing import concat, slice_axis, swap_axes, tile_leading
@@ -230,6 +232,23 @@ def test_default_forward_tape_size_is_pinned():
     ps = PromptSet.initialize(cfg, seed=37)
     assert _tape_nodes(enc.encode_image(e0, ps)) == 38
     assert _tape_nodes(enc.encode_image(e0, ps, cdfp_enabled=False)) == 32
+
+
+def test_lockstep_step_tape_size_matches_one_client():
+    # A client step under fvlfp records 64 nodes; stacking three clients
+    # on a leading axis records the same 64, one per-client loss vector.
+    cfg = EncoderConfig()
+    enc = VisionEncoder(cfg)
+    model = PromptedModel(enc, np.stack([enc.encode_text(s) for s in CLASS_TEMPLATES]),
+                          cfg.temperature, subspace=build_subspace(enc, GROUP_TEMPLATES))
+    e0 = enc.embed_patches(_rng(38).random((3, 16, cfg.image_size, cfg.image_size)).reshape(
+        48, cfg.image_size, cfg.image_size)).reshape(3, 16, cfg.patch_count, cfg.embed_dim)
+    targets = model.class_text[_rng(39).integers(0, 2, size=(3, 16))]
+    ps = PromptSet.initialize(cfg, seed=40)
+    one = model.local_loss(ps, e0[0], targets[0], mu=0.3, lam1=0.5)
+    stacked = model.local_loss(ps.map(lambda a: np.stack([a] * 3)), e0, targets, mu=0.3, lam1=0.5)
+    assert one.shape == () and stacked.shape == (3,)
+    assert _tape_nodes(one) == _tape_nodes(stacked) == 64
 
 
 def test_batched_forward_matches_per_sample():

@@ -7,6 +7,7 @@ finite-difference oracle.
 """
 
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from fedfairprompt import federation
 from fedfairprompt import tensor as T
-from fedfairprompt.config import Config
+from fedfairprompt.config import METHODS, Config
 from fedfairprompt.data import Dataset, SyntheticSpec, generate_synthetic, save_embeddings
 from fedfairprompt.debias import build_subspace
 from fedfairprompt.encoder import (
@@ -42,7 +43,7 @@ from fedfairprompt.federation import (
     server_refine,
 )
 from fedfairprompt.metrics import MetricRecord, eod_global
-from fedfairprompt.tensor import NonFiniteError
+from fedfairprompt.tensor import NonFiniteError, Tensor
 
 from gradcheck import assert_grads_match
 
@@ -123,7 +124,7 @@ def test_fusion_weights_scale_invariant():
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
-def test_fusion_weights_degenerate_and_invalid():
+def test_fusion_weights_reject_all_zero_scores():
     with pytest.raises(ValueError, match="degenerate"):
         fusion_weights([0.0, 0.0])
 
@@ -153,7 +154,7 @@ def test_fused_prompts_stay_in_client_envelope(enc_cfg):
         assert np.all(fused[name] <= hi + 1e-12), name
 
 
-def test_fuse_prompts_validates_inputs(enc_cfg):
+def test_fuse_prompts_rejects_a_wrong_shape(enc_cfg):
     sets = _prompt_sets(enc_cfg, 2)
     other = PromptSet.initialize(
         dataclasses.replace(enc_cfg, prompt_tokens=3), seed=0
@@ -211,26 +212,61 @@ def test_predict_is_independent_of_the_eval_chunk_size(monkeypatch, model, enc_c
 # local update
 
 
+def _shard(model, client_id, n, seed):
+    data = generate_synthetic(SyntheticSpec(n=n, seed=seed))
+    return ClientShard(client_id, model.encoder.embed_patches(data.features), data.labels,
+                       data.groups)
+
+
 def test_client_update_is_pure_and_deterministic(model, val_split, enc_cfg):
-    data = generate_synthetic(SyntheticSpec(n=24, seed=31))
-    shard = ClientShard(2, model.encoder.embed_patches(data.features), data.labels, data.groups)
+    shards = [_shard(model, 0, 13, 30), _shard(model, 2, 24, 31)]
     prompts = PromptSet.initialize(enc_cfg, seed=6)
     before = prompts.to_arrays()
     config = Config(batch_size=8, lr=2e-3)
 
     def go():
-        return client_update(
-            shard, model, prompts, val_split, client_stream(0, 1, shard.client_id), config
-        )
+        return client_update(*shards, model=model, prompts=prompts, val=val_split,
+                             round_index=1, config=config)
 
-    (first, record, conf), (second, _, _) = go(), go()
-    a, b = first.to_arrays(), second.to_arrays()
-    assert all(np.array_equal(a[k], b[k]) for k in a)
+    first, second = go(), go()
+    assert len(first) == 2
+    for (tuned, record, conf), (again, _, _) in zip(first, second):
+        a, b = tuned.to_arrays(), again.to_arrays()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+        assert any(not np.array_equal(a[k], before[k]) for k in a)
+        oracle_record, oracle_conf = evaluate_prompts(model, tuned, val_split)
+        assert record == oracle_record
+        assert np.array_equal(conf.counts, oracle_conf.counts)
     assert all(np.array_equal(prompts.to_arrays()[k], before[k]) for k in before)
-    assert any(not np.array_equal(a[k], before[k]) for k in a)
-    oracle_record, oracle_conf = evaluate_prompts(model, first, val_split)
-    assert record == oracle_record
-    assert np.array_equal(conf.counts, oracle_conf.counts)
+
+
+def _method_model(encoder, class_text, enc_cfg, method):
+    config = Config(method=method)
+    return PromptedModel(
+        encoder, class_text, enc_cfg.temperature,
+        subspace=build_subspace(encoder, GROUP_TEMPLATES) if config.dsop_enabled else None,
+        cdfp_enabled=config.cdfp_enabled,
+    )
+
+
+@pytest.mark.parametrize("batch_size", [1, 8, 16])
+@pytest.mark.parametrize("method", METHODS)
+def test_lockstep_client_update_matches_one_call_per_shard(
+        encoder, class_text, enc_cfg, val_split, method, batch_size):
+    # 5, 19 and 33 rows: different step counts and, at batch 8 and 16,
+    # short last batches that run in their own group
+    model = _method_model(encoder, class_text, enc_cfg, method)
+    shards = [_shard(model, i, n, 40 + i) for i, n in enumerate((5, 19, 33))]
+    prompts = PromptSet.initialize(enc_cfg, seed=41, sigma=0.5)
+    config = Config(method=method, batch_size=batch_size, lr=2e-2, master_seed=3)
+    common = dict(model=model, prompts=prompts, val=val_split, round_index=2, config=config)
+    together = client_update(*shards, **common)
+    for shard, (tuned, record, conf) in zip(shards, together):
+        [(alone, alone_record, alone_conf)] = client_update(shard, **common)
+        a, b = tuned.to_arrays(), alone.to_arrays()
+        assert all(np.array_equal(a[k], b[k]) for k in a), (method, shard.client_id)
+        assert record == alone_record
+        assert np.array_equal(conf.counts, alone_conf.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +417,56 @@ def test_forward_overflow_becomes_flagged_failure():
 def test_non_finite_gradient_names_client_and_step(enc_cfg):
     prompts = PromptSet.initialize(enc_cfg, seed=0)
     stub = SimpleNamespace(trainable=lambda ps: ps.parameters())
-    leaf = prompts.tokens[0]
 
-    def loss(_batch):
+    def loss(ps, _picks):
         # finite forward (about leaf * 1e100); backward overflows to 1e400
-        return T.reduce_sum(T.scale(T.scale(T.mul(leaf, 1e-300), 1e200), 1e200))
+        return T.reduce_sum(T.scale(T.scale(T.mul(ps.tokens[0], 1e-300), 1e200), 1e200))
 
-    with pytest.raises(FederationError, match=r"^client 7: .*gradient.* at step 3$"):
-        federation._fit(stub, prompts, loss, [("at step 3", None)], 1e-3, "client 7")
+    errors = federation._fit(stub, prompts, loss, [[("at step 3", None)]], 1e-3, ["client 7"])
+    assert list(errors) == [0]
+    assert re.match(r"^client 7: .*gradient.* at step 3$", errors[0])
+
+
+def test_a_failing_stacked_step_is_replayed_client_by_client(enc_cfg):
+    # Two stacked members; only the second one's gradient overflows. The
+    # group's backward fails, and the replay keeps the first member's step
+    # and stops the second with the error a lone run gives.
+    base = PromptSet.initialize(enc_cfg, seed=0)
+    stacked = base.map(lambda a: np.stack([a, a]))
+    stub = SimpleNamespace(trainable=lambda ps: {"tokens0": ps.tokens[0]})
+    factor = np.array([1.0, 1e-300])
+    groups = []
+
+    def loss(ps, picks):
+        members = [i for i, _ in picks]
+        groups.append(members)
+        scaled = T.mul(ps.tokens[0], Tensor(factor[members].reshape(-1, 1, 1)))
+        return T.reduce_sum(T.scale(T.scale(scaled, 1e200), 1e200)) if 1 in members else \
+            T.reduce_sum(scaled)
+
+    schedules = [[("at step 0", None)], [("at step 0", None)]]
+    errors = federation._fit(stub, stacked, loss, schedules, 1e-3, ["client 0", "client 1"],
+                             per_walk=2)
+    assert groups == [[0, 1], [0], [1]]
+    assert list(errors) == [1]
+    assert re.match(r"^client 1: .*gradient.* at step 0$", errors[1])
+    assert not np.array_equal(stacked.tokens[0].data[0], base.tokens[0].data)
+    assert np.array_equal(stacked.tokens[0].data[1], base.tokens[0].data)
+
+
+def test_a_failing_client_is_named_after_the_clients_before_it_train(model, val_split, enc_cfg):
+    # Client 1's shard holds an infinite row, so its stacked step fails;
+    # client 0 trains and is evaluated, and the round names client 1 with
+    # the batch that read the row, as a serial pass would.
+    shards = [_shard(model, 0, 24, 50), _shard(model, 1, 24, 51)]
+    features = shards[1].features.copy()
+    features[5, 0, 0] = np.inf
+    shards[1] = dataclasses.replace(shards[1], features=features)
+    config = Config(batch_size=8, lr=2e-3)
+    with pytest.raises(FederationError,
+                       match=r"^client 1: non-finite values in tensor \(batch offset \d+\)$"):
+        client_update(*shards, model=model, prompts=PromptSet.initialize(enc_cfg, seed=6),
+                      val=val_split, round_index=1, config=config)
 
 
 def test_predict_rejects_non_finite_eval_embeddings(model, enc_cfg, val_split):

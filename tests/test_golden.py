@@ -13,11 +13,13 @@ same ``rounds.csv``, so their hashes would pin nothing method-specific.
 
 ``rounds.csv`` derives from confusion counts, so it cannot see a change
 of a few ulps in the arithmetic. The final prompts can: each config's
-``prompts.npz`` is compared with ``golden_prompts.npz`` at 1e-12
-absolute. That tolerates numpy's SIMD dispatch level, which moved the
-prompts by at most 2.5e-15, but not a change in the arithmetic. A
-change that moves the prompts on purpose rewrites the file with
-``python tests/test_golden.py`` and says why.
+``prompts.npz`` is compared with ``golden_prompts.npz``. On the machine
+that wrote the file, as ``golden_machine.json`` describes it (numpy and
+scipy versions, BLAS build, the CPU features numpy dispatches on), the
+comparison is exact, so it sees a one-ulp change. Elsewhere it allows
+1e-12 absolute: numpy's SIMD dispatch level alone moved the prompts by
+up to 2.5e-15. A change that moves the prompts on purpose rewrites both
+files with ``python tests/test_golden.py`` and says why.
 """
 
 import hashlib
@@ -85,17 +87,38 @@ def _golden_config(method: str) -> Config:
     )
 
 
-GOLDEN_PROMPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_prompts.npz")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_PROMPTS = os.path.join(HERE, "golden_prompts.npz")
+GOLDEN_MACHINE = os.path.join(HERE, "golden_machine.json")
 PROMPT_TOLERANCE = 1e-12
 
 
+def machine() -> dict:
+    """What sets the last bits of the prompts: library versions, the BLAS
+    build and the CPU features numpy dispatches on (a private name, so a
+    numpy without it never counts as the same machine)."""
+    import scipy
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu_features
+    except ImportError:
+        cpu_features = None
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}", "cpu_features": cpu_features}
+
+
 def write_golden_prompts(path: str = GOLDEN_PROMPTS) -> None:
-    """Each config's final prompts, as ``<method>.<name>`` arrays."""
+    """Each config's final prompts, as ``<method>.<name>`` arrays, and the
+    machine that computed them."""
     arrays = {}
     for method in METHODS:
         for name, arr in run_federation(_golden_config(method)).prompts.items():
             arrays[f"{method}.{name}"] = arr
     np.savez(path, **arrays)
+    with open(GOLDEN_MACHINE, "w", encoding="utf-8") as fh:
+        json.dump(machine(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +172,11 @@ def test_final_prompts_match_golden_prompts(out_dirs, method):
         got = {name: produced_prompts[name] for name in produced_prompts.files}
     assert want and sorted(got) == sorted(want)
     moved = {name: float(np.abs(got[name] - arr).max()) for name, arr in want.items()}
+    with open(GOLDEN_MACHINE, encoding="utf-8") as fh:
+        exact = json.load(fh) == machine()
+    if exact:
+        assert all(np.array_equal(got[name], arr) for name, arr in want.items()), (
+            f"{method} prompts moved on the golden machine: {moved}")
     assert max(moved.values()) <= PROMPT_TOLERANCE, f"{method} prompts moved: {moved}"
 
 

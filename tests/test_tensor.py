@@ -81,7 +81,7 @@ def test_matmul_batched_matches_per_slice():
             )
 
 
-def test_matmul_shape_errors():
+def test_matmul_rejects_mismatched_inner_dims():
     with pytest.raises(ValueError):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
@@ -154,7 +154,7 @@ def test_l2_normalize_unit_rows_and_zero_error():
         T.l2_normalize(Tensor(np.zeros(4)))
 
 
-def test_take_per_row_picks_and_validates():
+def test_take_per_row_picks():
     m = Tensor(np.arange(12.0).reshape(3, 4))
     got = T.take_per_row(m, np.array([0, 3, 1]))
     assert np.array_equal(got.data, [0.0, 7.0, 9.0])
