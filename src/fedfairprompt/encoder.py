@@ -196,7 +196,12 @@ class PromptSet:
         return {name: t.data.copy() for name, t in self.parameters().items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, t in self.parameters().items():
+        """Copy in one finite array of each leaf's shape, under exactly its names."""
+        named = self.parameters()
+        missing, unexpected = named.keys() - arrays.keys(), arrays.keys() - named.keys()
+        if missing or unexpected:
+            raise ValueError(f"prompts missing {sorted(missing)}, unexpected {sorted(unexpected)}")
+        for name, t in named.items():
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != t.shape:
                 raise ValueError(f"array for '{name}' has shape {arr.shape}, expected {t.shape}")

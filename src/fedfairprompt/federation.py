@@ -54,7 +54,7 @@ from .metrics import (
     eod_global,
     equalized_odds,
 )
-from .optim import AdamWState, adamw_init, adamw_step
+from .optim import adamw_step
 from .report import FairnessReport, RoundRecord
 
 __all__ = [
@@ -163,14 +163,10 @@ class PromptedModel:
             return task
         return joint_loss(task, fairness_loss(z_debiased, self.subspace, mu), lam1)
 
-    def trainable(self, prompts: PromptSet) -> dict[str, Tensor]:
-        """The prompt parameters that receive gradient under this model."""
-        # mixing queries only receive gradient when cross-layer mixing runs
-        return {
-            name: p
-            for name, p in prompts.parameters().items()
-            if self.cdfp_enabled or name.startswith("tokens")
-        }
+    def trainable(self, prompts: PromptSet) -> list[Tensor]:
+        """The prompt leaves that receive gradient under this model: the
+        token blocks, then the mixing queries when cross-layer mixing runs."""
+        return prompts.tokens + (prompts.queries if self.cdfp_enabled else [])
 
 
 def predict(model: PromptedModel, prompts: PromptSet, features: np.ndarray) -> np.ndarray:
@@ -231,13 +227,14 @@ def _fit(model: PromptedModel, prompts: PromptSet, loss, schedules, lr: float,
     batch)`` of ``schedules[i]``; at each step, runs of consecutive members
     whose batches share a shape go in groups of at most ``per_walk``
     through one ``loss(group_prompts, [(member, batch), ...])`` on a slice
-    of the stack and one backward from its sum. A member whose forward
+    of the stack, one backward from its sum and one ``adamw_step`` on views
+    of the slice's leaves and their moments. A member whose forward
     overflows, or whose loss or gradient is not finite, stops: a failed
     group replays the step member by member, so each error names
     ``who[i]`` and ``where`` as a lone run would. Returns those errors.
     """
-    params = model.trainable(prompts)
-    moments = adamw_init({k: p.data for k, p in params.items()})
+    params = [p.data for p in model.trainable(prompts)]
+    m, v = [np.zeros_like(a) for a in params], [np.zeros_like(a) for a in params]
     errors: dict[int, str] = {}
 
     def run(step: int, group: list[int]) -> None:
@@ -254,15 +251,8 @@ def _fit(model: PromptedModel, prompts: PromptSet, loss, schedules, lr: float,
             else:
                 errors[group[0]] = f"{who[group[0]]}: {exc} {schedules[group[0]][step][0]}"
             return
-        trainable = model.trainable(ps)
-        arrays, state = adamw_step(
-            {k: p.data for k, p in trainable.items()},
-            {k: reached[p] for k, p in trainable.items()},
-            AdamWState(*({k: a[sel] for k, a in d.items()} for d in (moments.m, moments.v)), step),
-            lr=lr,
-        )
-        for k, p in params.items():
-            p.data[sel], moments.m[k][sel], moments.v[k][sel] = arrays[k], state.m[k], state.v[k]
+        adamw_step([a[sel] for a in params], [reached[p] for p in model.trainable(ps)],
+                   [a[sel] for a in m], [a[sel] for a in v], step + 1, lr)
 
     # An overflow in the forward raises: layernorm would turn it into
     # finite zeros. backward rejects a diverging gradient by name.

@@ -49,6 +49,7 @@ __all__ = [
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+_LN_EPS = 1e-5  # layernorm's variance floor
 
 class NonFiniteError(FloatingPointError):
     """A NaN or Inf value reached a boundary that checks finiteness."""
@@ -357,12 +358,12 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(out, (x,), vjp, "log_softmax")
 
 
-def _ln(xd: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+def _ln(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Last-axis layer norm without affine: (output, 1 / deviation)."""
     d = xd.shape[-1]
     xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     return xc * inv, inv
 
 
@@ -372,10 +373,10 @@ def _ln_vjp(g: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndarray:
                   - out * (np.add.reduce(g * out, axis=-1, keepdims=True) / d))
 
 
-def layernorm(x: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor) -> Tensor:
     """Per-slice (last axis) zero-mean unit-variance, with no affine."""
     x = _lift(x)
-    out, inv = _ln(x.data, eps)
+    out, inv = _ln(x.data)
 
     def vjp(g):
         return (_ln_vjp(g, out, inv),)

@@ -9,6 +9,7 @@ block, plus determinism, freezing, tape size and template contracts.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -448,6 +449,19 @@ def test_prompt_set_rejects_an_empty_token_block():
     empty = [Tensor(np.zeros((0, 8)), trainable=True) for _ in range(2)]
     with pytest.raises(ValueError, match="K >= 1"):
         PromptSet(tokens=empty, queries=[Tensor(np.zeros(8), trainable=True)])
+
+
+@pytest.mark.parametrize("saved, loaded, missing, unexpected",
+                         [(4, 3, [], ["query3", "tokens3"]), (3, 4, ["query3", "tokens3"], [])])
+def test_load_arrays_requires_exactly_the_sets_names(saved, loaded, missing, unexpected):
+    # A 4-layer file used to load into a 3-layer set, dropping layer 3, and
+    # the reverse raised a bare KeyError. Now both raise, writing nothing.
+    arrays = PromptSet.initialize(EncoderConfig(seed=27, layers=saved), seed=28).to_arrays()
+    ps = PromptSet.initialize(EncoderConfig(seed=27, layers=loaded), seed=29)
+    before = ps.to_arrays()
+    with pytest.raises(ValueError, match=re.escape(f"missing {missing}, unexpected {unexpected}")):
+        ps.load_arrays(arrays)
+    assert all(np.array_equal(t.data, before[name]) for name, t in ps.parameters().items())
 
 
 def test_load_arrays_rejects_non_finite_array():

@@ -347,6 +347,49 @@ def test_server_refine_reduces_its_objective(model, val_split, enc_cfg):
     assert objective(refined) < objective(prompts)
 
 
+def test_wo_cdfp_returns_every_query_byte_identical(encoder, class_text, enc_cfg, val_split):
+    # Without cross-layer mixing no query gets a gradient, so none gets a
+    # step or weight decay: nonzero queries come back exactly as given.
+    model = _method_model(encoder, class_text, enc_cfg, "wo-cdfp")
+    prompts = PromptSet.initialize(enc_cfg, seed=7)
+    rng = np.random.default_rng(7)
+    for q in prompts.queries:
+        q.data = rng.standard_normal(q.shape)
+    shards = [_shard(model, i, n, 60 + i) for i, n in enumerate((9, 17))]
+    tuned = [t for t, _, _ in client_update(
+        *shards, model=model, prompts=prompts, val=val_split, round_index=0,
+        config=Config(method="wo-cdfp", batch_size=8, lr=2e-2))]
+    refined = server_refine(model, prompts, val_split, np.random.Generator(np.random.PCG64(0)),
+                            _refine_config(method="wo-cdfp", refine_steps=3, refine_batch=16))
+    for out in tuned + [refined]:
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(out.queries, prompts.queries))
+        assert not np.array_equal(out.tokens[0].data, prompts.tokens[0].data)
+
+
+def test_one_adamw_step_per_walk_and_per_refinement_step(monkeypatch, model, val_split, enc_cfg):
+    # The benchmark ends a training or refinement step at each adamw_step
+    # call, so the lockstep makes one per walk: two equal 16-row shards at
+    # batch 8 take two walks of both clients, and refinement one per step.
+    calls = []
+    real = federation.adamw_step
+
+    def counted(params, grads, m, v, step, lr):
+        calls.append((params[0].shape, step))
+        real(params, grads, m, v, step, lr)
+
+    monkeypatch.setattr(federation, "adamw_step", counted)
+    prompts = PromptSet.initialize(enc_cfg, seed=6)
+    shards = [_shard(model, 0, 16, 70), _shard(model, 1, 16, 71)]
+    client_update(*shards, model=model, prompts=prompts, val=val_split, round_index=0,
+                  config=Config(batch_size=8, lr=2e-3))
+    block = (2, enc_cfg.prompt_tokens, enc_cfg.embed_dim)
+    assert calls == [(block, 1), (block, 2)]
+    calls.clear()
+    server_refine(model, prompts, val_split, np.random.Generator(np.random.PCG64(0)),
+                  _refine_config(refine_steps=3, refine_batch=16))
+    assert calls == [(block[1:], 1), (block[1:], 2), (block[1:], 3)]
+
+
 # ---------------------------------------------------------------------------
 # end-to-end federation
 
@@ -416,7 +459,7 @@ def test_forward_overflow_becomes_flagged_failure():
 
 def test_non_finite_gradient_names_client_and_step(enc_cfg):
     prompts = PromptSet.initialize(enc_cfg, seed=0)
-    stub = SimpleNamespace(trainable=lambda ps: ps.parameters())
+    stub = SimpleNamespace(trainable=lambda ps: ps.tokens + ps.queries)
 
     def loss(ps, _picks):
         # finite forward (about leaf * 1e100); backward overflows to 1e400
@@ -433,7 +476,7 @@ def test_a_failing_stacked_step_is_replayed_client_by_client(enc_cfg):
     # and stops the second with the error a lone run gives.
     base = PromptSet.initialize(enc_cfg, seed=0)
     stacked = base.map(lambda a: np.stack([a, a]))
-    stub = SimpleNamespace(trainable=lambda ps: {"tokens0": ps.tokens[0]})
+    stub = SimpleNamespace(trainable=lambda ps: ps.tokens[:1])
     factor = np.array([1.0, 1e-300])
     groups = []
 

@@ -6,68 +6,81 @@ import math
 
 import numpy as np
 
-from fedfairprompt.optim import adamw_init, adamw_step
+from fedfairprompt.optim import BETA1, BETA2, EPS, WEIGHT_DECAY, adamw_step
+
+
+def _step(p, g, m, v, step, lr):
+    adamw_step([p], [g], [m], [v], step, lr)
 
 
 def test_zero_gradient_applies_pure_decay():
-    params = {"w": np.array([1.0, -2.0, 0.5])}
-    state = adamw_init(params)
-    new, state = adamw_step(params, {"w": np.zeros(3)}, state, lr=0.1, weight_decay=0.01)
-    np.testing.assert_allclose(new["w"], params["w"] * (1.0 - 0.1 * 0.01), rtol=1e-15)
-    assert state.step == 1
+    before = np.array([1.0, -2.0, 0.5])
+    p, m, v = before.copy(), np.zeros(3), np.zeros(3)
+    _step(p, np.zeros(3), m, v, 1, 0.1)
+    np.testing.assert_allclose(p, before * (1.0 - 0.1 * WEIGHT_DECAY), rtol=1e-15)
+    assert not m.any() and not v.any()
 
 
-def test_first_step_is_signed_lr_when_eps_vanishes():
-    params = {"w": np.array([3.0, -4.0])}
-    grads = {"w": np.array([0.7, -0.2])}
-    new, _ = adamw_step(params, grads, adamw_init(params), lr=0.05, eps=1e-16, weight_decay=0.0)
-    # Bias-corrected first step: m_hat = g, v_hat = g^2 -> update = -lr*sign(g).
-    np.testing.assert_allclose(new["w"], params["w"] - 0.05 * np.sign(grads["w"]), atol=1e-12)
+def test_first_step_is_closed_form():
+    # Bias-corrected first step: m_hat = g, v_hat = g^2, so the Adam part
+    # is lr * g / (|g| + EPS), about lr * sign(g); the decay reads the old p.
+    before, g = np.array([3.0, -4.0]), np.array([0.7, -0.2])
+    p = before.copy()
+    _step(p, g, np.zeros(2), np.zeros(2), 1, 0.05)
+    want = before - 0.05 * g / (np.abs(g) + EPS) - 0.05 * WEIGHT_DECAY * before
+    np.testing.assert_allclose(p, want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(p, before - 0.05 * np.sign(g) - 0.05 * WEIGHT_DECAY * before,
+                               rtol=0, atol=1e-8)
 
 
-def test_weight_decay_zero_matches_plain_adam_reference():
+def test_matches_an_adam_reference_with_decoupled_decay():
     rng = np.random.default_rng(0)
     theta = rng.standard_normal(5)
-    params = {"w": theta.copy()}
-    state = adamw_init(params)
-    m = np.zeros(5)
-    v = np.zeros(5)
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    ref = theta.copy()
+    p, m, v = theta.copy(), np.zeros(5), np.zeros(5)
+    ref, ref_m, ref_v = theta.copy(), np.zeros(5), np.zeros(5)
+    lr = 0.01
     for t in range(1, 6):
         g = rng.standard_normal(5)
-        params, state = adamw_step(params, {"w": g}, state, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0)
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        np.testing.assert_allclose(params["w"], ref, rtol=1e-12, atol=1e-12)
+        _step(p, g, m, v, t, lr)
+        ref_m = BETA1 * ref_m + (1 - BETA1) * g
+        ref_v = BETA2 * ref_v + (1 - BETA2) * g * g
+        adam = lr * (ref_m / (1 - BETA1**t)) / (np.sqrt(ref_v / (1 - BETA2**t)) + EPS)
+        ref = ref - adam - lr * WEIGHT_DECAY * ref
+        np.testing.assert_allclose(p, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(m, ref_m, rtol=1e-15)
+        np.testing.assert_allclose(v, ref_v, rtol=1e-15)
 
 
 def test_quadratic_descent_trajectory_frozen_value():
-    # f(x) = 0.5*x^2, grad = x; 10 steps from 1.0 with the defaults below.
-    params = {"x": np.array([1.0])}
-    state = adamw_init(params)
-    for _ in range(10):
-        params, state = adamw_step(params, {"x": params["x"].copy()}, state, lr=0.1)
-    assert abs(params["x"][0] - 0.0716955020745644) < 1e-15
+    # f(x) = 0.5*x^2, grad = x; 10 steps from 1.0 at lr 0.1.
+    x, m, v = np.array([1.0]), np.zeros(1), np.zeros(1)
+    for t in range(1, 11):
+        _step(x, x.copy(), m, v, t, 0.1)
+    assert abs(x[0] - 0.0716955020745644) < 1e-15
 
     # Dual route: the same trajectory from a pure-python scalar loop.
-    theta, m, v = 1.0, 0.0, 0.0
+    theta, m1, v1 = 1.0, 0.0, 0.0
     lr, b1, b2, eps, wd = 0.1, 0.9, 0.999, 1e-8, 0.01
     for t in range(1, 11):
         g = theta
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        theta = theta - lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps) - lr * wd * theta
-    assert abs(params["x"][0] - theta) < 1e-15
+        m1 = b1 * m1 + (1 - b1) * g
+        v1 = b2 * v1 + (1 - b2) * g * g
+        theta = theta - lr * (m1 / (1 - b1**t)) / (math.sqrt(v1 / (1 - b2**t)) + eps) - lr * wd * theta
+    assert abs(x[0] - theta) < 1e-15
 
 
-def test_step_is_pure_functional():
-    params = {"w": np.array([1.0, 2.0])}
-    grads = {"w": np.array([0.3, -0.1])}
-    state = adamw_init(params)
-    before = params["w"].copy()
-    new, new_state = adamw_step(params, grads, state, lr=0.1)
-    assert np.array_equal(params["w"], before)
-    assert state.step == 0 and new_state.step == 1
-    assert not np.array_equal(new["w"], before)
+def test_a_step_on_views_writes_only_their_rows_bit_for_bit():
+    # What the lockstep does: step rows 1..2 of a stack of three through
+    # views. Those rows match a step on standalone copies exactly; row 0
+    # and its moments are untouched.
+    rng = np.random.default_rng(1)
+    stack, g = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
+    m, v = rng.standard_normal((3, 4)) * 0.1, rng.random((3, 4)) * 0.1
+    lone = [a[1:].copy() for a in (stack, m, v)]
+    before = [a.copy() for a in (stack, m, v)]
+    _step(stack[1:], g, m[1:], v[1:], 3, 0.02)
+    _step(lone[0], g, lone[1], lone[2], 3, 0.02)
+    for got, want, old in zip((stack, m, v), lone, before):
+        assert np.array_equal(got[1:], want)
+        assert np.array_equal(got[0], old[0])
+        assert not np.array_equal(got[1:], old[1:])
