@@ -69,56 +69,3 @@ from .metrics import (
 from .report import FairnessReport, RoundRecord, emit_report
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "METHODS",
-    "Config",
-    "config_hash",
-    "config_lines",
-    "parse_config",
-    "Dataset",
-    "SyntheticSpec",
-    "balanced_test_sample",
-    "dirichlet_partition",
-    "generate_synthetic",
-    "load_embeddings",
-    "save_embeddings",
-    "DemographicSubspace",
-    "build_subspace",
-    "fairness_loss",
-    "joint_loss",
-    "project_out",
-    "task_loss",
-    "CLASS_TEMPLATES",
-    "GROUP_TEMPLATES",
-    "EncoderConfig",
-    "PromptSet",
-    "VisionEncoder",
-    "ClientShard",
-    "FederationError",
-    "PromptedModel",
-    "client_update",
-    "evaluate_prompts",
-    "fuse_prompts",
-    "fusion_weights",
-    "load_splits",
-    "refinement_loss",
-    "run_federation",
-    "server_refine",
-    "PRESETS",
-    "run_experiment",
-    "run_preset",
-    "sweep",
-    "GroupConfusion",
-    "MetricRecord",
-    "accuracy_gap",
-    "balanced_accuracy",
-    "confusion_by_group",
-    "demographic_parity",
-    "eod_global",
-    "equalized_odds",
-    "FairnessReport",
-    "RoundRecord",
-    "emit_report",
-    "__version__",
-]

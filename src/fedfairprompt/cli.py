@@ -20,8 +20,6 @@ from .federation import encoder_config, load_splits
 from .harness import PRESETS, SWEEP_AXES, run_experiment, run_preset, sweep
 from .metrics import METRIC_NAMES
 
-__all__ = ["main"]
-
 # (CLI flag, Config field, help text)
 _FLAGS = (
     ("seed", "master_seed", "master seed for every derived stream"),

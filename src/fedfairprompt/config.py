@@ -15,15 +15,6 @@ from dataclasses import dataclass, fields, replace
 
 from .encoder import GROUP_TEMPLATES
 
-__all__ = [
-    "Config",
-    "METHODS",
-    "parse_config",
-    "parse_value",
-    "config_lines",
-    "config_hash",
-]
-
 METHODS = ("fvlfp", "fedavg_baseline", "wo-cdfp", "wo-dsop", "wo-fpf")
 
 

@@ -14,8 +14,6 @@ import numpy as np
 
 from .tensor import Tensor, _node
 
-__all__ = ["apply_cross_layer"]
-
 
 def apply_cross_layer(tokens: Tensor, history: list[Tensor], query: Tensor) -> Tensor:
     """Residual update: tokens + sum_i w_i * history[i], where ``w`` is
@@ -25,8 +23,8 @@ def apply_cross_layer(tokens: Tensor, history: list[Tensor], query: Tensor) -> T
     contexts = np.add.reduce(blocks, axis=-2) / blocks.shape[-2]  # (..., n, d), the mean rows
     q = query.data
     # One dot per (client, context): the mat-vec contexts @ q rounds
-    # differently (up to 3.8e-15 on a 3-round fvlfp run). No tier-1 test
-    # sees that; the golden runs' queries stay too close to zero.
+    # differently (up to 3.8e-15 on a 3-round fvlfp run). The golden runs'
+    # queries stay too close to zero to show it; a unit-scale test does.
     qs, cs = q.reshape(-1, q.shape[-1]), contexts.reshape(-1, *contexts.shape[-2:])
     logits = np.array([[qc @ c for c in cc] for qc, cc in zip(qs, cs)]).reshape(contexts.shape[:-1])
     e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))

@@ -18,16 +18,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Dataset",
-    "SyntheticSpec",
-    "generate_synthetic",
-    "dirichlet_partition",
-    "balanced_test_sample",
-    "load_embeddings",
-    "save_embeddings",
-]
-
 _IMAGE_SIZE = 32
 _PATCH = 8
 _GRID = _IMAGE_SIZE // _PATCH

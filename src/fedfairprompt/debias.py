@@ -19,15 +19,6 @@ from . import tensor as T
 from .svd import top_right_singular_vectors
 from .tensor import Tensor
 
-__all__ = [
-    "DemographicSubspace",
-    "build_subspace",
-    "project_out",
-    "fairness_loss",
-    "task_loss",
-    "joint_loss",
-]
-
 
 @dataclass(frozen=True)
 class DemographicSubspace:

@@ -16,7 +16,7 @@ on the (K, d) block and are broadcast over the batch. Queries, the
 output projection and the MLP run only for the rows the next step
 reads: CLS and the patch rows, or CLS alone in the last block. A
 block's whole attention sublayer is one tape node
-(``tensor.prompted_attention``); its MLP is four more.
+(``tensor.prompted_attention``); its MLP is five more.
 
 The backbone holds only the weights the forward reads: its layer norms
 have no affine terms and its MLP has no biases.
@@ -32,15 +32,6 @@ import numpy as np
 from . import tensor as T
 from .crosslayer import apply_cross_layer
 from .tensor import Tensor, _ensure_finite
-
-__all__ = [
-    "CLASS_TEMPLATES",
-    "GROUP_TEMPLATES",
-    "EncoderConfig",
-    "FrozenBackbone",
-    "PromptSet",
-    "VisionEncoder",
-]
 
 
 @dataclass(frozen=True)
@@ -201,12 +192,14 @@ class PromptSet:
         missing, unexpected = named.keys() - arrays.keys(), arrays.keys() - named.keys()
         if missing or unexpected:
             raise ValueError(f"prompts missing {sorted(missing)}, unexpected {sorted(unexpected)}")
+        # check every array before the first write, so a bad one changes no leaf
+        new = {name: np.asarray(arrays[name], dtype=np.float64).copy() for name in named}
         for name, t in named.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.shape:
-                raise ValueError(f"array for '{name}' has shape {arr.shape}, expected {t.shape}")
-            _ensure_finite(arr, f"array for '{name}'")
-            t.data = arr.copy()
+            if new[name].shape != t.shape:
+                raise ValueError(f"array for '{name}' has shape {new[name].shape}, expected {t.shape}")
+            _ensure_finite(new[name], f"array for '{name}'")
+        for name, t in named.items():
+            t.data = new[name]
 
     def map(self, fn) -> "PromptSet":
         """Fresh trainable leaves holding ``fn`` of each array, unchecked:

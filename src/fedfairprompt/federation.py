@@ -57,25 +57,6 @@ from .metrics import (
 from .optim import adamw_step
 from .report import FairnessReport, RoundRecord
 
-__all__ = [
-    "FederationError",
-    "PromptedModel",
-    "ClientShard",
-    "client_update",
-    "evaluate_prompts",
-    "predict",
-    "score_from_record",
-    "fusion_weights",
-    "fuse_prompts",
-    "refinement_loss",
-    "server_refine",
-    "run_federation",
-    "encoder_config",
-    "load_splits",
-    "derive_seed",
-    "client_stream",
-]
-
 # Samples per eval chunk. On one BLAS thread a 400-sample eval took as
 # long at 64 as at 400 samples per chunk, on 16 patch rows and on one
 # feature row; 16-sample chunks of feature rows took 1.8x as long, and
@@ -209,7 +190,7 @@ def evaluate_prompts(
         phi_a=accuracy_gap(conf),
         phi_demo=demographic_parity(conf),
         phi_eq=equalized_odds(conf),
-        f_global=eod_global([conf])[0],
+        f_global=eod_global([conf]),
     )
     return record, conf
 
@@ -510,7 +491,7 @@ def run_federation(config: Config) -> FairnessReport:
                 rng = _stream(config.master_seed, _SEED_REFINE, round_index)
                 fused = server_refine(model, fused, val, rng, config)
             global_eval, _ = evaluate_prompts(model, fused, test)
-            cross_f, _ = eod_global(client_confs)
+            cross_f = eod_global(client_confs)
             rounds.append(
                 RoundRecord(
                     round=round_index,

@@ -20,16 +20,6 @@ from .federation import derive_seed, run_federation
 from .metrics import METRIC_NAMES
 from .report import FairnessReport, emit_report
 
-__all__ = [
-    "CellResult",
-    "SweepResult",
-    "run_experiment",
-    "sweep",
-    "SWEEP_AXES",
-    "PRESETS",
-    "run_preset",
-]
-
 SWEEP_AXES = ("alpha", "clients", "method", "mu", "lambda1")
 
 # stable tags for sub-seed derivation; order must never change

@@ -13,18 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "GroupConfusion",
-    "MetricRecord",
-    "METRIC_NAMES",
-    "confusion_by_group",
-    "balanced_accuracy",
-    "demographic_parity",
-    "equalized_odds",
-    "accuracy_gap",
-    "eod_global",
-]
-
 
 @dataclass(frozen=True)
 class GroupConfusion:
@@ -40,10 +28,6 @@ class GroupConfusion:
             raise ValueError("negative counts")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
     def group_total(self, g: int) -> int:
         return int(self.counts[g].sum())
@@ -132,28 +116,25 @@ def accuracy_gap(conf: GroupConfusion) -> float:
     return total
 
 
-def eod_global(per_client: Sequence[GroupConfusion]) -> tuple[float, list[int]]:
+def eod_global(per_client: Sequence[GroupConfusion]) -> float:
     """Cross-client TPR gap: |mean_i TPR_i(g=0) - mean_i TPR_i(g=1)|.
 
     Clients are weighted equally. A client lacking positive-label
-    samples in either group has no defined TPR there and is excluded;
-    excluded client indices are returned for reporting. All clients
-    excluded is an error.
+    samples in either group has no defined TPR there and is excluded.
+    All clients excluded is an error.
     """
     if not per_client:
         raise ValueError("no client confusions")
     tprs: list[tuple[float, float]] = []
-    excluded: list[int] = []
-    for i, conf in enumerate(per_client):
+    for conf in per_client:
         if conf.cell_total(0, 1) == 0 or conf.cell_total(1, 1) == 0:
-            excluded.append(i)
             continue
         tprs.append((conf.true_positive_rate(0), conf.true_positive_rate(1)))
     if not tprs:
         raise ValueError("every client lacks positive samples in some group")
     mean_g = sum(t[0] for t in tprs) / len(tprs)
     mean_h = sum(t[1] for t in tprs) / len(tprs)
-    return abs(mean_g - mean_h), excluded
+    return abs(mean_g - mean_h)
 
 
 @dataclass(frozen=True)

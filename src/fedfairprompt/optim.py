@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["adamw_step"]
-
 BETA1, BETA2, EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.01
 
 

@@ -16,14 +16,6 @@ import numpy as np
 from .config import Config, config_hash, config_lines
 from .metrics import METRIC_NAMES, MetricRecord
 
-__all__ = [
-    "RoundRecord",
-    "FairnessReport",
-    "emit_report",
-    "CSV_HEADER",
-    "SUMMARY_WINDOW",
-]
-
 CSV_HEADER = ",".join(("round", "client", *METRIC_NAMES, "score", "weight"))
 
 # headline numbers average the global record over this many final rounds

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["top_right_singular_vectors"]
-
 _SIGN_EPS = 1e-12
 _RANK_TOL = 1e-10  # singular values at or below this share of the largest count as zero
 

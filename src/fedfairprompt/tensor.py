@@ -88,14 +88,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def __float__(self) -> float:
-        return self.item()
-
     def __repr__(self) -> str:
         tag = f" '{self.name}'" if self.name else ""
         kind = "param" if self.trainable else "node" if self.needs_grad else "const"

@@ -25,9 +25,9 @@ def fd_gradient(f: Callable[[], Tensor], leaf: Tensor, step: float = FD_STEP) ->
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
-        up = float(f())
+        up = float(f().data)
         flat[i] = orig - step
-        down = float(f())
+        down = float(f().data)
         flat[i] = orig
         grad[i] = (up - down) / (2.0 * step)
     return grad.reshape(leaf.data.shape)

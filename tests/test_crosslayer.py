@@ -75,6 +75,34 @@ def test_apply_cross_layer_matches_numpy_composition_oracle():
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
+def _stacked_reference(tokens, history, query, matvec):
+    """Stacked forward from the formula; the logits either as one dot per
+    (client, context) or as the mat-vec ``contexts @ q``."""
+    contexts = np.stack([h.mean(axis=-2) for h in history], axis=-2)  # (C, n, d)
+    if matvec:
+        logits = (contexts @ query[..., None])[..., 0]
+    else:
+        logits = np.array([[q @ c for c in cs] for q, cs in zip(query, contexts)])
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    return tokens + sum(h * w[:, i, None, None] for i, h in enumerate(history))
+
+
+def test_stacked_output_is_bitwise_the_per_dot_reference():
+    # The two logit forms round differently on unit-scale queries, so this
+    # sees a kernel that computes its logits as contexts @ q.
+    matvec_differs = []
+    for seed in range(5):
+        rng = _rng(40 + seed)
+        tokens = rng.standard_normal((3, 2, 32))
+        history = [rng.standard_normal((3, 2, 32)) for _ in range(3)]
+        query = rng.standard_normal((3, 32))
+        got = apply_cross_layer(Tensor(tokens), [Tensor(h) for h in history], Tensor(query)).data
+        assert np.array_equal(got, _stacked_reference(tokens, history, query, matvec=False))
+        matvec_differs.append(not np.array_equal(got, _stacked_reference(tokens, history, query, matvec=True)))
+    assert any(matvec_differs)
+
+
 def test_gradients_reach_query_tokens_and_history():
     rng = _rng(6)
     tokens = Tensor(rng.standard_normal((2, 5)), trainable=True)

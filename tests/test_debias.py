@@ -153,7 +153,7 @@ def test_fairness_loss_inactive_below_margin():
     sub = _make_subspace([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     z = Tensor(_unit([0.1, 0.1, 1.0])[None], trainable=True)
     loss = fairness_loss(z, sub, mu=0.5)
-    assert loss.item() == 0.0
+    assert float(loss.data[0]) == 0.0
     grads = backward(loss)
     np.testing.assert_array_equal(grads[z], 0.0)
 
@@ -163,7 +163,7 @@ def test_fairness_loss_single_template_frozen_value():
     # unit vector with cosine exactly 0.9 against the template
     z = np.array([[0.9, math.sqrt(1.0 - 0.81)]])
     loss = fairness_loss(z, sub, mu=0.3)
-    assert abs(loss.item() - 0.6) < 1e-12
+    assert abs(float(loss.data[0]) - 0.6) < 1e-12
 
 
 def test_fairness_loss_matches_scalar_reference():
@@ -247,7 +247,7 @@ def test_task_loss_single_sample_is_zero():
     z = Tensor(rng.normal(size=(1, 8)))
     t = _unit(rng.normal(size=8))[None]
     loss = task_loss(z, z, t, temperature=0.07)
-    assert abs(loss.item()) < 1e-12
+    assert abs(float(loss.data)) < 1e-12
 
 
 def test_task_loss_uniform_logits_frozen_value():
@@ -257,7 +257,7 @@ def test_task_loss_uniform_logits_frozen_value():
     z = Tensor(np.stack([u, u]))
     targets = np.stack([v, v])
     loss = task_loss(z, z, targets, temperature=0.5)
-    assert abs(loss.item() - 2.0 * math.log(2.0)) < 1e-12
+    assert abs(float(loss.data) - 2.0 * math.log(2.0)) < 1e-12
 
 
 def test_task_loss_matches_scalar_reference():
@@ -269,7 +269,7 @@ def test_task_loss_matches_scalar_reference():
     tau = 0.07
     got = task_loss(Tensor(zd), Tensor(zr), targets, tau)
     want = _task_loss_reference(zd, zr, targets, tau)
-    assert abs(got.item() - want) < 1e-10
+    assert abs(float(got.data) - want) < 1e-10
 
 
 def test_task_loss_gradients():
@@ -289,12 +289,12 @@ def test_joint_loss_lambda_zero():
     task = Tensor(1.25)
     fair = Tensor([0.5, 0.7])
     out = joint_loss(task, fair, lam1=0.0)
-    assert out.item() == 1.25
+    assert float(out.data) == 1.25
 
 
 def test_joint_loss_frozen_value():
     out = joint_loss(Tensor(1.0), Tensor([0.5, 0.5]), lam1=2.0)
-    assert abs(out.item() - 2.0) < 1e-12
+    assert abs(float(out.data) - 2.0) < 1e-12
 
 
 def test_joint_loss_additivity_random():
@@ -304,7 +304,7 @@ def test_joint_loss_additivity_random():
         fair = rng.uniform(0.0, 1.0, size=4)
         lam1 = float(rng.uniform(0.0, 3.0))
         out = joint_loss(Tensor(task), Tensor(fair), lam1)
-        assert abs(out.item() - (task + lam1 * float(np.mean(fair)))) < 1e-12
+        assert abs(float(out.data) - (task + lam1 * float(np.mean(fair)))) < 1e-12
 
 
 # ---------------------------------------------------------------------------

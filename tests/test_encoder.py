@@ -472,6 +472,19 @@ def test_load_arrays_rejects_non_finite_array():
         ps.load_arrays(arrays)
 
 
+def test_load_arrays_writes_nothing_when_a_later_array_is_bad():
+    # tokens0 and tokens1 come before tokens2; a load that wrote each
+    # array as it checked it left them replaced by seed 2's values.
+    cfg = EncoderConfig()
+    ps = PromptSet.initialize(cfg, seed=1)
+    before = ps.to_arrays()
+    arrays = PromptSet.initialize(cfg, seed=2).to_arrays()
+    arrays["tokens2"][0, 0] = np.inf
+    with pytest.raises(NonFiniteError, match="'tokens2'"):
+        ps.load_arrays(arrays)
+    assert all(np.array_equal(t.data, before[name]) for name, t in ps.parameters().items())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EncoderConfig(embed_dim=30, heads=4)

@@ -72,8 +72,7 @@ def brute_accuracy_gap(preds, labels, groups):
 
 def brute_eod_global(client_rows):
     tprs = []
-    excluded = []
-    for i, rows in enumerate(client_rows):
+    for rows in client_rows:
         per_group = {}
         for g in (0, 1):
             pos = [r for r in rows if r[2] == g and r[1] == 1]
@@ -81,13 +80,11 @@ def brute_eod_global(client_rows):
                 per_group = None
                 break
             per_group[g] = sum(1 for r in pos if r[0] == 1) / len(pos)
-        if per_group is None:
-            excluded.append(i)
-        else:
+        if per_group is not None:
             tprs.append(per_group)
     mean_g = sum(t[0] for t in tprs) / len(tprs)
     mean_h = sum(t[1] for t in tprs) / len(tprs)
-    return abs(mean_g - mean_h), excluded
+    return abs(mean_g - mean_h)
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +98,12 @@ def test_confusion_all_correct_has_no_errors():
     for g in (0, 1):
         assert conf.counts[g, 0, 1] == 0  # no false positives
         assert conf.counts[g, 1, 0] == 0  # no false negatives
-    assert conf.total == 6
+    assert conf.counts.sum() == 6
 
 
 def test_confusion_empty_input_is_all_zero():
     conf = confusion_by_group([], [], [])
-    assert conf.total == 0
+    assert conf.counts.sum() == 0
     np.testing.assert_array_equal(conf.counts, 0)
 
 
@@ -227,23 +224,21 @@ def _conf_with_tprs(tpr0_num, tpr0_den, tpr1_num, tpr1_den):
 def test_eod_global_frozen_two_clients():
     c1 = _conf_with_tprs(2, 2, 1, 2)  # TPRs 1.0 / 0.5
     c2 = _conf_with_tprs(1, 2, 1, 2)  # TPRs 0.5 / 0.5
-    value, excluded = eod_global([c1, c2])
-    assert value == 0.25
-    assert excluded == []
+    assert eod_global([c1, c2]) == 0.25
 
 
 def test_eod_global_zero_when_all_equal():
     confs = [_conf_with_tprs(3, 4, 3, 4) for _ in range(3)]
-    value, excluded = eod_global(confs)
-    assert value == 0.0 and excluded == []
+    assert eod_global(confs) == 0.0
 
 
 def test_eod_global_excludes_degenerate_clients():
-    good = _conf_with_tprs(2, 2, 2, 2)
+    c1 = _conf_with_tprs(2, 2, 1, 2)  # TPRs 1.0 / 0.5
+    c2 = _conf_with_tprs(1, 2, 1, 2)  # TPRs 0.5 / 0.5
     bad = GroupConfusion(np.zeros((2, 2, 2), dtype=np.int64))  # no positives anywhere
-    value, excluded = eod_global([good, bad, good])
-    assert excluded == [1]
-    assert value == 0.0
+    no_g1 = _conf_with_tprs(1, 1, 0, 0)  # no positives in group 1
+    # counted with TPRs 0 / 0 (bad) or 1 / 0 (no_g1), either would move the gap off 0.25
+    assert eod_global([c1, bad, c2]) == eod_global([c1, no_g1, c2]) == eod_global([c1, c2]) == 0.25
     with pytest.raises(ValueError):
         eod_global([bad])
     with pytest.raises(ValueError):
@@ -261,10 +256,11 @@ def test_eod_global_matches_raw_recomputation():
         groups = np.array([0, 1, 1, 0] * (n // 4))
         client_rows.append(_rows(preds, labels, groups))
         confs.append(confusion_by_group(preds, labels, groups))
-    got_value, got_excluded = eod_global(confs)
-    want_value, want_excluded = brute_eod_global(client_rows)
-    assert got_value == want_value
-    assert got_excluded == want_excluded
+    # a fourth client with no positives in group 1 sits out of both
+    preds, labels, groups = np.array([1, 0, 1, 0]), np.array([1, 1, 0, 0]), np.array([0, 0, 1, 1])
+    client_rows.append(_rows(preds, labels, groups))
+    confs.append(confusion_by_group(preds, labels, groups))
+    assert eod_global(confs) == brute_eod_global(client_rows)
 
 
 # ---------------------------------------------------------------------------
