@@ -1,11 +1,13 @@
 """Demographic-subspace debiasing and the training losses.
 
 The sensitive directions are estimated once from the demographic text
-prompts, image embeddings are split into a bias component (inside the
-subspace) and a debiased remainder (orthogonal complement), and the
-losses combine a hinge that caps similarity to any demographic prompt
-with a two-term (image-to-text and text-to-image) contrastive
-alignment objective.
+prompts, image embeddings keep only their debiased remainder (the
+orthogonal complement of the subspace), and the losses combine a hinge
+that caps similarity to any demographic prompt with a two-term
+(image-to-text and text-to-image) contrastive alignment objective.
+``project_out`` and the three losses each record one tape node whose
+VJP repeats the numpy operations and gradient order of the generic
+kernels they were once composed from.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import tensor as T
 from .svd import top_right_singular_vectors
-from .tensor import Tensor
+from .tensor import Tensor, _lift, _log_softmax, _log_softmax_vjp, _node, _unit, _unit_vjp
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,22 @@ def build_subspace(encoder, templates: Sequence[str], k: int = 1) -> Demographic
     return DemographicSubspace(basis=top_right_singular_vectors(rows, k), templates=rows)
 
 
-def project_out(z: Tensor | np.ndarray, sub: DemographicSubspace) -> tuple[Tensor, Tensor]:
-    """Split (B, d) embeddings into (debiased, bias) parts against the subspace.
+def project_out(z: Tensor | np.ndarray, sub: DemographicSubspace) -> Tensor:
+    """The (..., B, d) embeddings minus their orthogonal projection onto
+    the basis rows, as one differentiable node.
 
-    The bias part is the orthogonal projection onto the basis rows,
-    and the split is differentiable. debiased + bias reconstructs the
-    input up to rounding: the subtraction and the addition each round,
-    so some elements come back an ulp off.
+    ``z`` is listed as a parent twice, the direct path first and the
+    projection second, so the sweep adds the two gradient parts to
+    ``z``'s slot in the order the composed kernels did.
     """
-    z = z if isinstance(z, Tensor) else Tensor(z)
-    coeffs = T.matmul(z, Tensor(sub.basis.T))
-    bias = T.matmul(coeffs, Tensor(sub.basis))
-    return T.sub(z, bias), bias
+    z = _lift(z)
+    basis = sub.basis
+    out = z.data - (z.data @ basis.T) @ basis
+
+    def vjp(g):
+        return g, ((-g) @ basis.T) @ basis
+
+    return _node(out, (z, z), vjp, "project_out")
 
 
 def fairness_loss(z_debiased: Tensor | np.ndarray, sub: DemographicSubspace,
@@ -70,11 +75,19 @@ def fairness_loss(z_debiased: Tensor | np.ndarray, sub: DemographicSubspace,
     over categories of max(0, cos - mu). The gradient vanishes once every
     cosine is at or below the margin.
     """
-    unit = T.l2_normalize(z_debiased)  # raises on a zero-norm row
+    x = _lift(z_debiased)
+    unit, norm = _unit(x.data)  # raises on a zero-norm row
     if unit.ndim < 2:
         raise ValueError(f"fairness_loss needs (..., B, d) embeddings, got {unit.shape}")
-    cos = T.matmul(unit, Tensor(sub.templates.T))
-    return T.reduce_sum(T.relu(T.sub(cos, Tensor(float(mu)))), axis=-1)
+    templates = sub.templates
+    margin = unit @ templates.T - float(mu)
+    out = np.add.reduce(np.maximum(margin, 0.0), axis=-1)
+
+    def vjp(g):
+        g_cos = np.where(margin > 0.0, np.expand_dims(g, -1), 0.0)
+        return (_unit_vjp(g_cos @ templates, unit, norm),)
+
+    return _node(out, (x,), vjp, "fairness_loss")
 
 
 def task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
@@ -87,22 +100,38 @@ def task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
     embeddings and ``targets`` are (B, d) with B >= 1, or (C, B, d) for C
     stacked clients, each with its own (B, B) logits and loss.
     """
+    z_debiased, z_raw = _lift(z_debiased), _lift(z_raw)
     targets = np.asarray(targets, dtype=np.float64)
-    text = Tensor(targets.swapaxes(-1, -2))
     inv_t = 1.0 / float(temperature)
-    diag = np.arange(targets.shape[-2])
+    n = targets.shape[-2]
+    diag = np.arange(n)
+    # (unit rows, norms, log-probabilities, softmax axis) for each term
+    terms = []
+    for x, axis in ((z_debiased, -1), (z_raw, -2)):
+        unit, norm = _unit(x.data)
+        terms.append((unit, norm, _log_softmax((unit @ targets.swapaxes(-1, -2)) * inv_t, axis), axis))
+    term1, term2 = (-(np.add.reduce(lp[..., diag, diag], axis=-1) / n) for _, _, lp, _ in terms)
 
-    image_rows = T.l2_normalize(z_debiased)
-    logits_i2t = T.scale(T.matmul(image_rows, text), inv_t)
-    term1 = T.scale(T.reduce_mean(T.take_per_row(T.log_softmax(logits_i2t, axis=-1), diag),
-                                  axis=-1), -1.0)
+    def vjp(g):
+        g_diag = np.expand_dims(-g * (1.0 / n), -1)
+        grads = []
+        for unit, norm, lp, axis in terms:
+            g_lp = np.zeros_like(lp)
+            g_lp[..., diag, diag] = g_diag
+            g_unit = (_log_softmax_vjp(g_lp, lp, axis) * inv_t) @ targets
+            grads.append(_unit_vjp(g_unit, unit, norm))
+        return tuple(grads)
 
-    logits_t2i = T.scale(T.matmul(T.l2_normalize(z_raw), text), inv_t)
-    term2 = T.scale(T.reduce_mean(T.take_per_row(T.log_softmax(logits_t2i, axis=-2), diag),
-                                  axis=-1), -1.0)
-    return T.add(term1, term2)
+    return _node(term1 + term2, (z_debiased, z_raw), vjp, "task_loss")
 
 
 def joint_loss(task: Tensor, fair_per_sample: Tensor, lam1: float) -> Tensor:
     """Combine task and (..., B) fairness terms: task + lam1 * mean(fair)."""
-    return T.add(task, T.scale(T.reduce_mean(fair_per_sample, axis=-1), float(lam1)))
+    task, fair = _lift(task), _lift(fair_per_sample)
+    lam1, n = float(lam1), fair.shape[-1]
+    out = task.data + np.add.reduce(fair.data, axis=-1) / n * lam1
+
+    def vjp(g):
+        return g, np.broadcast_to(np.expand_dims(g * lam1 * (1.0 / n), -1), fair.shape).copy()
+
+    return _node(out, (task, fair), vjp, "joint_loss")

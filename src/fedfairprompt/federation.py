@@ -25,7 +25,7 @@ from itertools import groupby
 import numpy as np
 
 from . import tensor as T
-from .tensor import NonFiniteError, Tensor, _ensure_finite, _node
+from .tensor import NonFiniteError, Tensor, _ensure_finite, _log_softmax, _log_softmax_vjp, _node
 from .config import Config
 from .data import (
     Dataset,
@@ -132,7 +132,7 @@ class PromptedModel:
         z = self.encoder.encode_image(rows, prompts, cdfp_enabled=self.cdfp_enabled)
         if self.subspace is None:
             return z, z
-        return z, project_out(z, self.subspace)[0]
+        return z, project_out(z, self.subspace)
 
     def local_loss(self, prompts: PromptSet, rows: np.ndarray, targets: np.ndarray,
                    mu: float, lam1: float) -> Tensor:
@@ -336,20 +336,28 @@ def refinement_loss(
     masks = []
     for g in (0, 1):
         sel = (groups == g).astype(np.float64)
-        count = float(sel.sum())
-        masks.append(Tensor(sel / count))
+        masks.append(sel / float(sel.sum()))
     z, z_debiased = model.embed(prompts, features)
     emb = z if z_debiased is z else T.l2_normalize(z_debiased)
-    logits = T.scale(
-        T.matmul(emb, Tensor(model.class_text.T)), 1.0 / float(model.temperature)
-    )
-    nll = T.scale(
-        T.reduce_mean(T.take_per_row(T.log_softmax(logits, axis=1), labels)), -1.0
-    )
-    correct_prob = T.take_per_row(T.softmax(logits, axis=1), labels)
-    group_means = [T.reduce_sum(T.mul(correct_prob, m)) for m in masks]
-    gap = T.abs_value(T.sub(group_means[0], group_means[1]))
-    return T.add(nll, T.scale(gap, float(lam2)))
+    inv_t, lam2, class_text = 1.0 / float(model.temperature), float(lam2), model.class_text
+    rows, labels = np.arange(emb.shape[0]), np.asarray(labels, dtype=np.int64)
+    logits = (emb.data @ class_text.T) * inv_t
+    logp = _log_softmax(logits, 1)
+    probs = T.softmax(Tensor(logits, checked=False), axis=1).data
+    correct = probs[rows, labels]
+    gap = np.add.reduce(correct * masks[0]) - np.add.reduce(correct * masks[1])
+    nll = -(np.add.reduce(logp[rows, labels]) / rows.size)
+
+    def vjp(g):
+        g_gap = g * lam2 * np.sign(gap)
+        g_probs, g_logp = np.zeros_like(probs), np.zeros_like(logp)
+        g_probs[rows, labels] = g_gap * masks[0] + (-g_gap) * masks[1]
+        g_logp[rows, labels] = -g * (1.0 / rows.size)
+        g_logits = (_log_softmax_vjp(g_logp, logp, 1)
+                    + probs * (g_probs - np.add.reduce(g_probs * probs, axis=1, keepdims=True)))
+        return ((g_logits * inv_t) @ class_text,)
+
+    return _node(nll + np.abs(gap) * lam2, (emb,), vjp, "refinement_loss")
 
 
 def server_refine(

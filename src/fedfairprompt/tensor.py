@@ -1,17 +1,18 @@
 """Dense float64 tensors with taped reverse-mode gradients.
 
-The kernel vocabulary is deliberately small: matmul, elementwise
-add/sub/mul, scalar scale, softmax, log-softmax, layer norm without
-affine terms, GELU, reshape, reductions, L2 normalization, relu
-(hinge), abs, a per-row gather, and one fused kernel for an encoder
-block's whole attention sublayer over a shared prompt prefix
-(prompted_attention). Every kernel is pure (identical inputs give
-bit-identical outputs) and records just enough structure to replay the
-chain rule. Gradients flow only into tensors created with
-``trainable=True``; everything else is a frozen constant and its
-subgraph is skipped during backprop. Kernels trust their operands and
-state what they require; finiteness is checked at the boundaries, not
-per kernel: see ``Tensor`` and ``backward``.
+The kernel vocabulary is deliberately small: matmul, elementwise add,
+softmax, layer norm without affine terms, GELU, reshape, L2
+normalization, and one fused kernel for an encoder block's whole
+attention sublayer over a shared prompt prefix (prompted_attention).
+The loss heads in ``debias`` and ``federation`` are one node each,
+built on the private forward/VJP pairs here (``_unit``/``_unit_vjp``
+and ``_log_softmax``/``_log_softmax_vjp``). Every kernel is pure
+(identical inputs give bit-identical outputs) and records just enough
+structure to replay the chain rule. Gradients flow only into tensors
+created with ``trainable=True``; everything else is a frozen constant
+and its subgraph is skipped during backprop. Kernels trust their
+operands and state what they require; finiteness is checked at the
+boundaries, not per kernel: see ``Tensor`` and ``backward``.
 
 On small sequences a node costs more in call overhead than in
 arithmetic, so kernels call ``np.add.reduce``, ``np.maximum.reduce`` and
@@ -31,20 +32,11 @@ __all__ = [
     "matmul",
     "prompted_attention",
     "add",
-    "sub",
-    "mul",
-    "scale",
     "softmax",
-    "log_softmax",
     "layernorm",
     "gelu",
-    "relu",
-    "abs_value",
     "l2_normalize",
     "reshape",
-    "reduce_sum",
-    "reduce_mean",
-    "take_per_row",
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -204,65 +196,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), vjp, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = a.data - b.data
-    na, nb = a.needs_grad, b.needs_grad
-    ash, bsh = a.data.shape, b.data.shape
-
-    def vjp(g):
-        return (_unbroadcast(g, ash) if na else None,
-                _unbroadcast(-g, bsh) if nb else None)
-
-    return _node(out, (a, b), vjp, "sub")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    ad, bd = a.data, b.data
-    out = ad * bd
-    na, nb = a.needs_grad, b.needs_grad
-
-    def vjp(g):
-        return (_unbroadcast(g * bd, ad.shape) if na else None,
-                _unbroadcast(g * ad, bd.shape) if nb else None)
-
-    return _node(out, (a, b), vjp, "mul")
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    x = _lift(x)
-    c = float(c)
-    out = x.data * c
-
-    def vjp(g):
-        return (g * c,)
-
-    return _node(out, (x,), vjp, "scale")
-
-
-def relu(x: Tensor) -> Tensor:
-    x = _lift(x)
-    xd = x.data
-    out = np.maximum(xd, 0.0)
-
-    def vjp(g):
-        return (np.where(xd > 0.0, g, 0.0),)
-
-    return _node(out, (x,), vjp, "relu")
-
-
-def abs_value(x: Tensor) -> Tensor:
-    x = _lift(x)
-    xd = x.data
-    out = np.abs(xd)
-
-    def vjp(g):
-        return (g * np.sign(xd),)
-
-    return _node(out, (x,), vjp, "abs")
-
-
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = _lift(x)
@@ -301,20 +234,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), vjp, "matmul")
 
 
-def l2_normalize(x: Tensor) -> Tensor:
-    """Normalize the last axis to unit Euclidean norm.
-
-    A (near-)zero-norm slice is an error rather than a silent rescale.
-    """
-    x = _lift(x)
-    norm = np.sqrt(np.add.reduce(x.data * x.data, axis=-1, keepdims=True))
+def _unit(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Last-axis unit rows: (output, norm). A (near-)zero-norm slice is
+    an error rather than a silent rescale."""
+    norm = np.sqrt(np.add.reduce(xd * xd, axis=-1, keepdims=True))
     if np.any(norm <= 1e-30):
         raise ValueError("l2_normalize: zero-norm slice")
-    out = x.data / norm
+    return xd / norm, norm
+
+
+def _unit_vjp(g: np.ndarray, out: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    return (g - out * np.add.reduce(g * out, axis=-1, keepdims=True)) / norm
+
+
+def l2_normalize(x: Tensor) -> Tensor:
+    """Normalize the last axis to unit Euclidean norm."""
+    x = _lift(x)
+    out, norm = _unit(x.data)
 
     def vjp(g):
-        inner = np.add.reduce(g * out, axis=-1, keepdims=True)
-        return ((g - out * inner) / norm,)
+        return (_unit_vjp(g, out, norm),)
 
     return _node(out, (x,), vjp, "l2_normalize")
 
@@ -337,17 +276,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(out, (x,), vjp, "softmax")
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+def _log_softmax(xd: np.ndarray, axis: int) -> np.ndarray:
     """Log-softmax along a non-empty ``axis``."""
-    x = _lift(x)
-    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
-    out = shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
-    p = np.exp(out)
+    shifted = xd - np.maximum.reduce(xd, axis=axis, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
 
-    def vjp(g):
-        return (g - p * np.add.reduce(g, axis=axis, keepdims=True),)
 
-    return _node(out, (x,), vjp, "log_softmax")
+def _log_softmax_vjp(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    return g - np.exp(out) * np.add.reduce(g, axis=axis, keepdims=True)
 
 
 def _ln(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,49 +381,3 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         return (g.reshape(x.shape),)
 
     return _node(out, (x,), vjp, "reshape")
-
-
-# ---------------------------------------------------------------------------
-# reductions and gathers
-
-
-def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    x = _lift(x)
-    out = np.asarray(np.add.reduce(x.data, axis=axis))
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
-
-    return _node(out, (x,), vjp, "reduce_sum")
-
-
-def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
-    """Mean over every element of a non-empty tensor, or along ``axis``."""
-    x = _lift(x)
-    count = x.data.size if axis is None else x.shape[axis]
-    out = np.asarray(np.add.reduce(x.data, axis=axis) / count)
-    inv = 1.0 / count
-
-    def vjp(g):
-        g = g * inv if axis is None else np.expand_dims(g * inv, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
-
-    return _node(out, (x,), vjp, "reduce_mean")
-
-
-def take_per_row(m: Tensor, cols: np.ndarray) -> Tensor:
-    """out[..., i] = m[..., i, cols[i]]: one in-range column per row of
-    the last two axes of ``m``."""
-    m = _lift(m)
-    cols = np.asarray(cols, dtype=np.int64)
-    rows = np.arange(m.shape[-2])
-    out = m.data[..., rows, cols]
-
-    def vjp(g):
-        full = np.zeros_like(m.data)
-        full[..., rows, cols] = g
-        return (full,)
-
-    return _node(out, (m,), vjp, "take_per_row")

@@ -1,5 +1,14 @@
 """Kernels and formulas that only the test references use.
 
+``sub``, ``mul``, ``scale``, ``relu``, ``abs_value``, ``log_softmax``,
+``reduce_sum``, ``reduce_mean`` and ``take_per_row`` are the generic
+kernels the loss heads were built from. ``composed_project_out``,
+``composed_task_loss``, ``composed_fairness_loss``,
+``composed_joint_loss`` and ``composed_refinement_loss`` rebuild each
+head from them: the compositions the fused heads in ``debias`` and
+``federation`` are held to, bit for bit. Tests also use them as probes
+(``reduce_sum(mul(z, probe))``).
+
 ``concat``, ``tile_leading``, ``slice_axis`` and ``swap_axes`` build
 the full-row encoder reference. ``project_heads``,
 ``project_prefixed_heads`` and ``merge_heads`` are the per-head
@@ -21,7 +30,182 @@ import numpy as np
 
 from fedfairprompt import tensor as T
 from fedfairprompt.data import SyntheticSpec, _group_pattern, _label_pattern
-from fedfairprompt.tensor import Tensor, _lift, _node
+from fedfairprompt.debias import DemographicSubspace
+from fedfairprompt.tensor import Tensor, _lift, _node, _unbroadcast
+
+
+# ---------------------------------------------------------------------------
+# generic kernels the loss heads were built from
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _lift(a), _lift(b)
+    out = a.data - b.data
+    na, nb = a.needs_grad, b.needs_grad
+    ash, bsh = a.data.shape, b.data.shape
+
+    def vjp(g):
+        return (_unbroadcast(g, ash) if na else None,
+                _unbroadcast(-g, bsh) if nb else None)
+
+    return _node(out, (a, b), vjp, "sub")
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _lift(a), _lift(b)
+    ad, bd = a.data, b.data
+    out = ad * bd
+    na, nb = a.needs_grad, b.needs_grad
+
+    def vjp(g):
+        return (_unbroadcast(g * bd, ad.shape) if na else None,
+                _unbroadcast(g * ad, bd.shape) if nb else None)
+
+    return _node(out, (a, b), vjp, "mul")
+
+
+def scale(x: Tensor, c: float) -> Tensor:
+    x = _lift(x)
+    c = float(c)
+    out = x.data * c
+
+    def vjp(g):
+        return (g * c,)
+
+    return _node(out, (x,), vjp, "scale")
+
+
+def relu(x: Tensor) -> Tensor:
+    x = _lift(x)
+    xd = x.data
+    out = np.maximum(xd, 0.0)
+
+    def vjp(g):
+        return (np.where(xd > 0.0, g, 0.0),)
+
+    return _node(out, (x,), vjp, "relu")
+
+
+def abs_value(x: Tensor) -> Tensor:
+    x = _lift(x)
+    xd = x.data
+    out = np.abs(xd)
+
+    def vjp(g):
+        return (g * np.sign(xd),)
+
+    return _node(out, (x,), vjp, "abs")
+
+
+def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Log-softmax along a non-empty ``axis``."""
+    x = _lift(x)
+    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
+    out = shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
+    p = np.exp(out)
+
+    def vjp(g):
+        return (g - p * np.add.reduce(g, axis=axis, keepdims=True),)
+
+    return _node(out, (x,), vjp, "log_softmax")
+
+
+def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
+    x = _lift(x)
+    out = np.asarray(np.add.reduce(x.data, axis=axis))
+
+    def vjp(g):
+        if axis is None:
+            return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
+
+    return _node(out, (x,), vjp, "reduce_sum")
+
+
+def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
+    """Mean over every element of a non-empty tensor, or along ``axis``."""
+    x = _lift(x)
+    count = x.data.size if axis is None else x.shape[axis]
+    out = np.asarray(np.add.reduce(x.data, axis=axis) / count)
+    inv = 1.0 / count
+
+    def vjp(g):
+        g = g * inv if axis is None else np.expand_dims(g * inv, axis)
+        return (np.broadcast_to(g, x.shape).copy(),)
+
+    return _node(out, (x,), vjp, "reduce_mean")
+
+
+def take_per_row(m: Tensor, cols: np.ndarray) -> Tensor:
+    """out[..., i] = m[..., i, cols[i]]: one in-range column per row of
+    the last two axes of ``m``."""
+    m = _lift(m)
+    cols = np.asarray(cols, dtype=np.int64)
+    rows = np.arange(m.shape[-2])
+    out = m.data[..., rows, cols]
+
+    def vjp(g):
+        full = np.zeros_like(m.data)
+        full[..., rows, cols] = g
+        return (full,)
+
+    return _node(out, (m,), vjp, "take_per_row")
+
+
+# ---------------------------------------------------------------------------
+# the loss heads as compositions of those kernels
+
+
+def composed_project_out(z: Tensor, subspace: DemographicSubspace) -> Tensor:
+    """``debias.project_out``: 3 tape nodes."""
+    z = _lift(z)
+    coeffs = T.matmul(z, Tensor(subspace.basis.T))
+    return sub(z, T.matmul(coeffs, Tensor(subspace.basis)))
+
+
+def composed_fairness_loss(z_debiased: Tensor, subspace: DemographicSubspace, mu: float) -> Tensor:
+    """``debias.fairness_loss``: 5 tape nodes."""
+    cos = T.matmul(T.l2_normalize(z_debiased), Tensor(subspace.templates.T))
+    return reduce_sum(relu(sub(cos, Tensor(float(mu)))), axis=-1)
+
+
+def composed_task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
+                       temperature: float) -> Tensor:
+    """``debias.task_loss``: 15 tape nodes."""
+    targets = np.asarray(targets, dtype=np.float64)
+    text = Tensor(targets.swapaxes(-1, -2))
+    inv_t = 1.0 / float(temperature)
+    diag = np.arange(targets.shape[-2])
+    terms = []
+    for x, axis in ((z_debiased, -1), (z_raw, -2)):
+        logits = scale(T.matmul(T.l2_normalize(x), text), inv_t)
+        picked = take_per_row(log_softmax(logits, axis=axis), diag)
+        terms.append(scale(reduce_mean(picked, axis=-1), -1.0))
+    return T.add(*terms)
+
+
+def composed_joint_loss(task: Tensor, fair_per_sample: Tensor, lam1: float) -> Tensor:
+    """``debias.joint_loss``: 3 tape nodes."""
+    return T.add(task, scale(reduce_mean(fair_per_sample, axis=-1), float(lam1)))
+
+
+def composed_refinement_loss(model, prompts, features: np.ndarray, labels: np.ndarray,
+                             groups: np.ndarray, lam2: float) -> Tensor:
+    """``federation.refinement_loss``: 17 tape nodes after the projection
+    (16 without DSOP, which has no re-normalization)."""
+    groups = np.asarray(groups)
+    masks = []
+    for g in (0, 1):
+        sel = (groups == g).astype(np.float64)
+        masks.append(Tensor(sel / float(sel.sum())))
+    z, z_debiased = model.embed(prompts, features)
+    emb = z if z_debiased is z else T.l2_normalize(z_debiased)
+    logits = scale(T.matmul(emb, Tensor(model.class_text.T)), 1.0 / float(model.temperature))
+    nll = scale(reduce_mean(take_per_row(log_softmax(logits, axis=1), labels)), -1.0)
+    correct_prob = take_per_row(T.softmax(logits, axis=1), labels)
+    group_means = [reduce_sum(mul(correct_prob, m)) for m in masks]
+    gap = abs_value(sub(group_means[0], group_means[1]))
+    return T.add(nll, scale(gap, float(lam2)))
 
 
 def concat(parts: list[Tensor] | tuple[Tensor, ...], axis: int = 0) -> Tensor:

@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-import fedfairprompt.tensor as T
 from fedfairprompt.debias import (
     DemographicSubspace,
     build_subspace,
@@ -23,6 +22,7 @@ from fedfairprompt.encoder import EncoderConfig, VisionEncoder
 from fedfairprompt.tensor import Tensor, backward
 
 from gradcheck import assert_grads_match
+import plumbing as P
 
 
 def _unit(v):
@@ -90,17 +90,15 @@ def test_build_subspace_full_rank_spans_templates():
 
 def test_project_out_axis_aligned_case():
     sub = _make_subspace([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
-    deb, bias = project_out(np.array([[3.0, 4.0, 0.0]]), sub)
+    deb = project_out(np.array([[3.0, 4.0, 0.0]]), sub)
     np.testing.assert_array_equal(deb.data, [[0.0, 4.0, 0.0]])
-    np.testing.assert_array_equal(bias.data, [[3.0, 0.0, 0.0]])
 
 
 def test_project_out_orthogonal_input_passes_through():
     sub = _make_subspace([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
     z = np.array([[0.0, 2.0, -1.0]])
-    deb, bias = project_out(z, sub)
+    deb = project_out(z, sub)
     np.testing.assert_allclose(deb.data, z, atol=1e-15)
-    np.testing.assert_allclose(bias.data, 0.0, atol=1e-15)
 
 
 def test_project_out_properties_random():
@@ -109,21 +107,17 @@ def test_project_out_properties_random():
     basis = _random_orthonormal(rng, k, d)
     sub = _make_subspace(basis, rng.normal(size=(4, d)))
     z = rng.normal(size=(6, d))
-    deb, bias = project_out(z, sub)
-    # exact decomposition
-    np.testing.assert_allclose(deb.data + bias.data, z, atol=1e-12)
+    deb = project_out(z, sub)
+    # exact decomposition against the removed part, computed independently
+    np.testing.assert_allclose(deb.data + (z @ basis.T) @ basis, z, atol=1e-12)
     # debiased part orthogonal to every basis row
     residual = deb.data @ basis.T
     assert np.max(np.abs(residual)) <= 1e-10 * np.linalg.norm(z)
     # idempotence
-    deb2, bias2 = project_out(deb, sub)
-    np.testing.assert_allclose(deb2.data, deb.data, atol=1e-12)
-    np.testing.assert_allclose(bias2.data, 0.0, atol=1e-12)
+    np.testing.assert_allclose(project_out(deb, sub).data, deb.data, atol=1e-12)
     # batch equals the per-row loop
     for i in range(z.shape[0]):
-        di, bi = project_out(z[i : i + 1], sub)
-        np.testing.assert_allclose(di.data[0], deb.data[i], atol=1e-13)
-        np.testing.assert_allclose(bi.data[0], bias.data[i], atol=1e-13)
+        np.testing.assert_allclose(project_out(z[i : i + 1], sub).data[0], deb.data[i], atol=1e-13)
 
 
 def test_project_out_shape_mismatch():
@@ -139,8 +133,8 @@ def test_project_out_gradients():
     leaf = Tensor(rng.normal(size=(3, 6)), trainable=True)
 
     def run():
-        deb, bias = project_out(leaf, sub)
-        return T.reduce_sum(T.add(T.mul(deb, deb), bias))
+        deb = project_out(leaf, sub)
+        return P.reduce_sum(P.mul(deb, deb))
 
     assert_grads_match(run, [leaf])
 
@@ -217,7 +211,7 @@ def test_fairness_loss_gradient_off_kinks():
         if np.min(np.abs(cos - mu)) > 5e-2:
             break
     leaf = Tensor(z, trainable=True)
-    assert_grads_match(lambda: T.reduce_sum(fairness_loss(leaf, sub, mu)), [leaf])
+    assert_grads_match(lambda: P.reduce_sum(fairness_loss(leaf, sub, mu)), [leaf])
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +302,93 @@ def test_joint_loss_additivity_random():
 
 
 # ---------------------------------------------------------------------------
+# fused heads against their compositions in plumbing, bit for bit
+#
+# Golden prompts catch a changed gradient order only on the machine they
+# were written on; these hold each head to the kernels it was built from
+# on any machine. Inputs are stacked like a lockstep step (C = 3 clients)
+# and unit scale, with DSOP on and the hinge active (mu = 0).
+
+
+def _stacked_case(seed):
+    rng = np.random.default_rng(seed)
+    c, b, d = 3, 6, 8
+    z = rng.normal(size=(c, b, d))
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    targets = rng.normal(size=(c, b, d))
+    targets /= np.linalg.norm(targets, axis=-1, keepdims=True)
+    templates = np.stack([_unit(rng.normal(size=d)) for _ in range(3)])
+    sub = _make_subspace(_random_orthonormal(rng, 2, d), templates)
+    return rng, z, targets, sub
+
+
+def _assert_bitwise_equal(fused, composed, leaves, probe=None):
+    assert np.array_equal(fused.data, composed.data)
+    if probe is not None:
+        fused, composed = (P.reduce_sum(P.mul(out, probe)) for out in (fused, composed))
+    got, want = backward(fused), backward(composed)
+    assert set(got) == set(want) == set(leaves)
+    for leaf in leaves:
+        assert np.array_equal(got[leaf], want[leaf])
+
+
+def test_project_out_equals_its_composition_bit_for_bit():
+    rng, z, _, sub = _stacked_case(50)
+    leaf = Tensor(z, trainable=True)
+    probe = Tensor(rng.normal(size=z.shape))
+    fused = project_out(leaf, sub)
+    assert fused.parents == (leaf, leaf)
+    _assert_bitwise_equal(fused, P.composed_project_out(leaf, sub), [leaf], probe)
+
+
+def test_fairness_loss_equals_its_composition_bit_for_bit():
+    rng, z, _, sub = _stacked_case(51)
+    leaf = Tensor(project_out(z, sub).data, trainable=True)
+    cos = (leaf.data / np.linalg.norm(leaf.data, axis=-1, keepdims=True)) @ sub.templates.T
+    assert (cos > 0.0).any() and (cos < 0.0).any()  # the hinge is active and inactive
+    probe = Tensor(rng.normal(size=z.shape[:-1]))
+    _assert_bitwise_equal(fairness_loss(leaf, sub, 0.0), P.composed_fairness_loss(leaf, sub, 0.0),
+                          [leaf], probe)
+
+
+def test_task_loss_equals_its_composition_bit_for_bit():
+    _, z, targets, sub = _stacked_case(52)
+    raw = Tensor(z, trainable=True)
+    deb = Tensor(project_out(z, sub).data, trainable=True)
+    _assert_bitwise_equal(task_loss(deb, raw, targets, 0.07),
+                          P.composed_task_loss(deb, raw, targets, 0.07), [deb, raw])
+    # without DSOP both terms read the same tensor
+    _assert_bitwise_equal(task_loss(raw, raw, targets, 0.07),
+                          P.composed_task_loss(raw, raw, targets, 0.07), [raw])
+
+
+def test_joint_loss_equals_its_composition_bit_for_bit():
+    rng = np.random.default_rng(53)
+    task = Tensor(rng.normal(size=3), trainable=True)
+    fair = Tensor(rng.uniform(0.0, 2.0, size=(3, 6)), trainable=True)
+    _assert_bitwise_equal(joint_loss(task, fair, 0.7), P.composed_joint_loss(task, fair, 0.7),
+                          [task, fair])
+
+
+@pytest.mark.parametrize("seed", range(54, 59))
+def test_local_objective_gradient_at_z_equals_its_composition(seed):
+    # Under DSOP ``z`` gets three gradient parts, summed as (task term two
+    # + the projection's direct path) + its projected path. Adding the
+    # projection's two parts inside its node changes the sum's rounding.
+    _, z, targets, sub = _stacked_case(seed)
+    leaf = Tensor(z, trainable=True)
+
+    def objective(project, task, fair, joint):
+        deb = project(leaf, sub)
+        return joint(task(deb, leaf, targets, 0.07), fair(deb, sub, 0.0), 0.5)
+
+    fused = objective(project_out, task_loss, fairness_loss, joint_loss)
+    composed = objective(P.composed_project_out, P.composed_task_loss,
+                         P.composed_fairness_loss, P.composed_joint_loss)
+    _assert_bitwise_equal(fused, composed, [leaf])
+
+
+# ---------------------------------------------------------------------------
 # end-to-end differentiability through the encoder
 
 
@@ -325,7 +406,7 @@ def test_losses_backpropagate_into_prompts():
 
     def run():
         z = enc.encode_image(e0, prompts)
-        deb, _ = project_out(z, sub)
+        deb = project_out(z, sub)
         fair = fairness_loss(deb, sub, mu=0.3)
         task = task_loss(deb, z, targets, cfg.temperature)
         return joint_loss(task, fair, lam1=1.0)

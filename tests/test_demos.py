@@ -1,7 +1,8 @@
 """The fast demos run to completion against the current API.
 
-Demos 05 and 06 train for minutes and write under ``runs/``; they stay
-out of this suite.
+Demos 05 and 06 train federations (about 14 s and 10 s on one core)
+and write under ``runs/`` in the working directory; they stay out of
+this suite, and CI runs them in a step of their own.
 """
 
 import os

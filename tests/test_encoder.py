@@ -26,9 +26,10 @@ from fedfairprompt.encoder import (
     VisionEncoder,
 )
 from fedfairprompt.debias import build_subspace
-from fedfairprompt.federation import PromptedModel
+from fedfairprompt.federation import PromptedModel, refinement_loss
 from fedfairprompt.tensor import NonFiniteError, Tensor, backward
 from gradcheck import assert_grads_match
+import plumbing as P
 from plumbing import concat, slice_axis, swap_axes, tile_leading
 
 SMALL = EncoderConfig(embed_dim=8, layers=2, heads=2, image_size=16, patch_size=8, prompt_tokens=2, seed=11)
@@ -200,8 +201,8 @@ def test_pruned_forward_matches_full_row_reference(tokens, batch, rows, cdfp, mi
         return
     _assert_rel_close(z.data, ref.data)
 
-    grads = backward(T.reduce_sum(T.mul(z, probe)))
-    ref_grads = backward(T.reduce_sum(T.mul(ref, probe)))
+    grads = backward(P.reduce_sum(P.mul(z, probe)))
+    ref_grads = backward(P.reduce_sum(P.mul(ref, probe)))
     assert set(grads) == set(ref_grads)
     assert all(t in grads for t in ps.tokens)
     for leaf, g in ref_grads.items():
@@ -236,8 +237,10 @@ def test_default_forward_tape_size_is_pinned():
 
 
 def test_lockstep_step_tape_size_matches_one_client():
-    # A client step under fvlfp records 64 nodes; stacking three clients
-    # on a leading axis records the same 64, one per-client loss vector.
+    # A client step under fvlfp records 42 nodes: the 38 of the forward
+    # and one per loss head (projection, task, hinge, joint). Stacking
+    # three clients on a leading axis records the same 42, one
+    # per-client loss vector.
     cfg = EncoderConfig()
     enc = VisionEncoder(cfg)
     model = PromptedModel(enc, np.stack([enc.encode_text(s) for s in CLASS_TEMPLATES]),
@@ -249,7 +252,21 @@ def test_lockstep_step_tape_size_matches_one_client():
     one = model.local_loss(ps, e0[0], targets[0], mu=0.3, lam1=0.5)
     stacked = model.local_loss(ps.map(lambda a: np.stack([a] * 3)), e0, targets, mu=0.3, lam1=0.5)
     assert one.shape == () and stacked.shape == (3,)
-    assert _tape_nodes(one) == _tape_nodes(stacked) == 64
+    assert _tape_nodes(one) == _tape_nodes(stacked) == 42
+
+
+def test_refinement_step_tape_size_is_pinned():
+    # The 38 nodes of the forward, the projection, the re-normalization
+    # of the debiased rows and the refinement head.
+    cfg = EncoderConfig()
+    enc = VisionEncoder(cfg)
+    model = PromptedModel(enc, np.stack([enc.encode_text(s) for s in CLASS_TEMPLATES]),
+                          cfg.temperature, subspace=build_subspace(enc, GROUP_TEMPLATES))
+    e0 = enc.embed_patches(_rng(41).random((16, cfg.image_size, cfg.image_size)))
+    labels, groups = _rng(42).integers(0, 2, size=16), np.repeat([0, 1], 8)
+    loss = refinement_loss(model, PromptSet.initialize(cfg, seed=43), e0, labels, groups, lam2=1.0)
+    assert loss.shape == ()
+    assert _tape_nodes(loss) == 41
 
 
 def test_batched_forward_matches_per_sample():
@@ -333,7 +350,7 @@ def test_gradients_flow_only_to_prompt_leaves_and_match_fd():
 
     def loss():
         z = enc.encode_image(e0, ps)
-        return T.reduce_sum(T.mul(z, Tensor(probe)))
+        return P.reduce_sum(P.mul(z, Tensor(probe)))
 
     grads = backward(loss())
     leaves = list(ps.parameters().values())
@@ -346,7 +363,7 @@ def test_queries_get_no_gradient_when_mixing_disabled():
     e0 = enc.embed_patches(_rng(19).random((1, 16, 16)))
     ps = _random_prompts(SMALL, seed=20)
     z = enc.encode_image(e0, ps, cdfp_enabled=False)
-    grads = backward(T.reduce_sum(z))
+    grads = backward(P.reduce_sum(z))
     assert all(q not in grads for q in ps.queries)
     assert all(t in grads for t in ps.tokens)
 

@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 from fedfairprompt import federation
-from fedfairprompt import tensor as T
 from fedfairprompt.config import METHODS, Config
 from fedfairprompt.data import Dataset, SyntheticSpec, generate_synthetic, save_embeddings
-from fedfairprompt.debias import build_subspace
+from fedfairprompt.debias import build_subspace, project_out
 from fedfairprompt.encoder import (
     CLASS_TEMPLATES,
     GROUP_TEMPLATES,
@@ -43,9 +42,10 @@ from fedfairprompt.federation import (
     server_refine,
 )
 from fedfairprompt.metrics import MetricRecord, eod_global
-from fedfairprompt.tensor import NonFiniteError, Tensor
+from fedfairprompt.tensor import NonFiniteError, Tensor, backward
 
 from gradcheck import assert_grads_match
+import plumbing as P
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +295,24 @@ def test_refinement_loss_gradients_reach_all_prompt_parameters():
     assert_grads_match(loss, prompts.parameters().values(), step=1e-4)
 
 
+@pytest.mark.parametrize("dsop", [True, False])
+def test_refinement_loss_equals_its_composition_bit_for_bit(encoder, class_text, enc_cfg, dsop):
+    # The head alone, on unit-scale (B, d) rows standing in for the
+    # encoder's output; refinement runs on one batch, so nothing is stacked.
+    rng = np.random.default_rng(60)
+    z = rng.normal(size=(12, enc_cfg.embed_dim))
+    leaf = Tensor(z / np.linalg.norm(z, axis=-1, keepdims=True), trainable=True)
+    subspace = build_subspace(encoder, GROUP_TEMPLATES, k=1) if dsop else None
+    model = SimpleNamespace(
+        class_text=class_text, temperature=enc_cfg.temperature,
+        embed=lambda _ps, _rows: (leaf, project_out(leaf, subspace) if dsop else leaf))
+    labels, groups = rng.integers(0, 2, size=12), np.repeat([0, 1], 6)
+    fused = refinement_loss(model, None, None, labels, groups, lam2=0.7)
+    composed = P.composed_refinement_loss(model, None, None, labels, groups, lam2=0.7)
+    assert np.array_equal(fused.data, composed.data)
+    assert np.array_equal(backward(fused)[leaf], backward(composed)[leaf])
+
+
 def _refine_config(**over):
     base = dict(lambda2=1.0, refine_lr=1e-3, refine_batch=32)
     base.update(over)
@@ -461,7 +479,7 @@ def test_non_finite_gradient_names_client_and_step(enc_cfg):
 
     def loss(ps, _picks):
         # finite forward (about leaf * 1e100); backward overflows to 1e400
-        return T.reduce_sum(T.scale(T.scale(T.mul(ps.tokens[0], 1e-300), 1e200), 1e200))
+        return P.reduce_sum(P.scale(P.scale(P.mul(ps.tokens[0], 1e-300), 1e200), 1e200))
 
     errors = federation._fit(stub, prompts, loss, [[("at step 3", None)]], 1e-3, ["client 7"])
     assert list(errors) == [0]
@@ -481,9 +499,9 @@ def test_a_failing_stacked_step_is_replayed_client_by_client(enc_cfg):
     def loss(ps, picks):
         members = [i for i, _ in picks]
         groups.append(members)
-        scaled = T.mul(ps.tokens[0], Tensor(factor[members].reshape(-1, 1, 1)))
-        return T.reduce_sum(T.scale(T.scale(scaled, 1e200), 1e200)) if 1 in members else \
-            T.reduce_sum(scaled)
+        scaled = P.mul(ps.tokens[0], Tensor(factor[members].reshape(-1, 1, 1)))
+        return P.reduce_sum(P.scale(P.scale(scaled, 1e200), 1e200)) if 1 in members else \
+            P.reduce_sum(scaled)
 
     schedules = [[("at step 0", None)], [("at step 0", None)]]
     errors = federation._fit(stub, stacked, loss, schedules, 1e-3, ["client 0", "client 1"],

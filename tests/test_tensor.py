@@ -2,7 +2,9 @@
 
 Forward values are checked against independent references (triple-loop
 matmul, per-scalar formulas); gradients against central finite
-differences via the shared checker.
+differences via the shared checker. The generic kernels in
+``tests/plumbing.py``, which other tests use as probes and as the loss
+heads' references, are checked here the same way.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fedfairprompt import tensor as T
 from fedfairprompt.crosslayer import apply_cross_layer
 from fedfairprompt.tensor import NonFiniteError, Tensor, backward
 from gradcheck import assert_grads_match
+import plumbing as P
 from plumbing import (
     composed_attention,
     concat,
@@ -113,7 +116,7 @@ def test_softmax_empty_axis_rejected():
 def test_log_softmax_consistent_with_softmax():
     rng = _rng(4)
     x = rng.standard_normal((4, 6)) * 12.0
-    ls = T.log_softmax(Tensor(x), axis=1).data
+    ls = P.log_softmax(Tensor(x), axis=1).data
     sm = T.softmax(Tensor(x), axis=1).data
     np.testing.assert_allclose(np.exp(ls), sm, rtol=1e-12, atol=1e-14)
 
@@ -156,7 +159,7 @@ def test_l2_normalize_unit_rows_and_zero_error():
 
 def test_take_per_row_picks():
     m = Tensor(np.arange(12.0).reshape(3, 4))
-    got = T.take_per_row(m, np.array([0, 3, 1]))
+    got = P.take_per_row(m, np.array([0, 3, 1]))
     assert np.array_equal(got.data, [0.0, 7.0, 9.0])
 
 
@@ -194,8 +197,8 @@ def test_head_kernels_equal_their_composition_bit_for_bit():
     fused = project_heads(x, w, 4)
     composed = _split_heads(T.matmul(x, w), 4)
     assert np.array_equal(fused.data, composed.data)
-    grad = backward(T.reduce_sum(T.mul(fused, probe)))[x]
-    assert np.array_equal(grad, backward(T.reduce_sum(T.mul(composed, probe)))[x])
+    grad = backward(P.reduce_sum(P.mul(fused, probe)))[x]
+    assert np.array_equal(grad, backward(P.reduce_sum(P.mul(composed, probe)))[x])
 
     wo = Tensor(rng.standard_normal((12, 7)))
     y = Tensor(rng.standard_normal((3, 4, 5, 3)), trainable=True)
@@ -203,8 +206,8 @@ def test_head_kernels_equal_their_composition_bit_for_bit():
     fused = merge_heads(y, wo)
     composed = T.matmul(_merged(y), wo)
     assert np.array_equal(fused.data, composed.data)
-    grad = backward(T.reduce_sum(T.mul(fused, probe)))[y]
-    assert np.array_equal(grad, backward(T.reduce_sum(T.mul(composed, probe)))[y])
+    grad = backward(P.reduce_sum(P.mul(fused, probe)))[y]
+    assert np.array_equal(grad, backward(P.reduce_sum(P.mul(composed, probe)))[y])
 
 
 def _tiled_prefix_composition(p: Tensor, x: Tensor, w: Tensor, heads: int) -> Tensor:
@@ -227,8 +230,8 @@ def test_prefixed_heads_match_tiled_concat_composition(k):
     assert fused.shape == composed.shape == (4, 3, k + 5, 4)
     scale = np.abs(composed.data).max()
     assert np.abs(fused.data - composed.data).max() <= 1e-12 * scale
-    grads = backward(T.reduce_sum(T.mul(fused, probe)))
-    ref = backward(T.reduce_sum(T.mul(composed, probe)))
+    grads = backward(P.reduce_sum(P.mul(fused, probe)))
+    ref = backward(P.reduce_sum(P.mul(composed, probe)))
     for leaf in (p, x):
         assert grads[leaf].shape == leaf.shape
         scale = np.abs(ref[leaf]).max(initial=0.0)
@@ -250,8 +253,8 @@ def test_prompted_attention_equals_its_composition_bit_for_bit(cls_only, state_t
     composed = composed_attention(prefix, state, *weights, heads, cls_only)
     assert fused.parents == (prefix, state)
     assert np.array_equal(fused.data, composed.data)
-    grads = backward(T.reduce_sum(T.mul(fused, probe)))
-    ref = backward(T.reduce_sum(T.mul(composed, probe)))
+    grads = backward(P.reduce_sum(P.mul(fused, probe)))
+    ref = backward(P.reduce_sum(P.mul(composed, probe)))
     assert set(grads) == set(ref) == ({prefix, state} if state_trainable else {prefix})
     for leaf, g in ref.items():
         assert np.array_equal(grads[leaf], g)
@@ -281,7 +284,7 @@ def test_non_finite_inputs_are_rejected():
         # matmul overflows to inf; backward rejects the loss and names
         # matmul, the first op with a non-finite output, not gelu after it
         with pytest.raises(NonFiniteError, match="'matmul'"):
-            backward(T.reduce_sum(T.gelu(T.matmul(big, big))))
+            backward(P.reduce_sum(T.gelu(T.matmul(big, big))))
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +294,13 @@ def test_non_finite_inputs_are_rejected():
 def test_backward_requires_scalar_output():
     x = Tensor(np.ones((2, 2)), trainable=True)
     with pytest.raises(ValueError):
-        backward(T.scale(x, 2.0))
+        backward(P.scale(x, 2.0))
 
 
 def test_backward_reaches_only_trainable_leaves():
     w = Tensor(np.ones((2, 2)), trainable=True, name="w")
     frozen = Tensor(np.full((2, 2), 3.0), name="frozen")
-    out = T.reduce_sum(T.matmul(w, frozen))
+    out = P.reduce_sum(T.matmul(w, frozen))
     grads = backward(out)
     assert set(grads) == {w}
     assert frozen not in grads
@@ -307,7 +310,7 @@ def test_backward_reaches_only_trainable_leaves():
 def test_backward_accumulates_through_shared_nodes():
     x = Tensor([2.0, 3.0], trainable=True)
     y = T.add(x, x)  # diamond: x used twice
-    out = T.reduce_sum(T.mul(y, y))
+    out = P.reduce_sum(P.mul(y, y))
     grads = backward(out)
     # d/dx sum((2x)^2) = 8x
     np.testing.assert_allclose(grads[x], 8.0 * x.data, rtol=1e-12)
@@ -317,7 +320,7 @@ def test_backward_releases_the_tape_of_a_kept_loss():
     x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), trainable=True)
     hidden = T.gelu(T.matmul(x, Tensor(np.ones((3, 4)))))
     alive = weakref.ref(hidden.data)
-    loss = T.reduce_sum(hidden)
+    loss = P.reduce_sum(hidden)
     del hidden
     assert alive() is not None  # held by the tape of ``loss``
     grads = backward(loss)
@@ -328,7 +331,7 @@ def test_backward_releases_the_tape_of_a_kept_loss():
 
 def test_second_backward_over_a_released_tape_raises():
     x = Tensor([1.0, 2.0], trainable=True)
-    loss = T.reduce_sum(T.mul(x, x))
+    loss = P.reduce_sum(P.mul(x, x))
     np.testing.assert_array_equal(backward(loss)[x], [2.0, 4.0])
     with pytest.raises(ValueError, match="released by an earlier backward"):
         backward(loss)
@@ -356,11 +359,11 @@ def test_tape_walk_visits_each_node_once_across_paths_of_different_depth():
         # ``hub`` is read directly and again three frozen-weight layers
         # further down, so the two paths to it differ in depth; the
         # broadcasting (3, 1) and (4,) leaves cover both sum-down cases.
-        hub = T.add(T.mul(x, col), row)
+        hub = T.add(P.mul(x, col), row)
         deep = hub
         for _ in range(3):
             deep = T.gelu(T.add(T.matmul(deep, w), shift))
-        return T.reduce_sum(T.mul(T.add(hub, deep), T.sub(hub, shift)))
+        return P.reduce_sum(P.mul(T.add(hub, deep), P.sub(hub, shift)))
 
     out = loss()
     calls = {}
@@ -391,16 +394,16 @@ def test_gradients_match_finite_differences_per_kernel():
     w = Tensor(rng.standard_normal((4, 5)), trainable=True)
     bias = Tensor(rng.standard_normal(5), trainable=True)
 
-    assert_grads_match(lambda: T.reduce_sum(T.mul(T.matmul(x, w), T.matmul(x, w))), [x, w])
-    assert_grads_match(lambda: T.reduce_mean(T.add(T.matmul(x, w), bias)), [x, w, bias])
-    assert_grads_match(lambda: T.reduce_sum(T.softmax(x, axis=1)), [x])
+    assert_grads_match(lambda: P.reduce_sum(P.mul(T.matmul(x, w), T.matmul(x, w))), [x, w])
+    assert_grads_match(lambda: P.reduce_mean(T.add(T.matmul(x, w), bias)), [x, w, bias])
+    assert_grads_match(lambda: P.reduce_sum(T.softmax(x, axis=1)), [x])
     assert_grads_match(
-        lambda: T.reduce_sum(T.mul(T.softmax(x, axis=1), Tensor(rng.standard_normal((3, 4)) * 0 + np.arange(12.0).reshape(3, 4)))),
+        lambda: P.reduce_sum(P.mul(T.softmax(x, axis=1), Tensor(rng.standard_normal((3, 4)) * 0 + np.arange(12.0).reshape(3, 4)))),
         [x],
     )
-    assert_grads_match(lambda: T.reduce_sum(T.log_softmax(x, axis=0)), [x])
-    assert_grads_match(lambda: T.reduce_sum(T.gelu(x)), [x])
-    assert_grads_match(lambda: T.reduce_sum(T.l2_normalize(x)), [x])
+    assert_grads_match(lambda: P.reduce_sum(P.log_softmax(x, axis=0)), [x])
+    assert_grads_match(lambda: P.reduce_sum(T.gelu(x)), [x])
+    assert_grads_match(lambda: P.reduce_sum(T.l2_normalize(x)), [x])
 
     prefix = Tensor(rng.standard_normal((2, 4)), trainable=True)
     state = Tensor(rng.standard_normal((2, 3, 4)), trainable=True)
@@ -408,7 +411,7 @@ def test_gradients_match_finite_differences_per_kernel():
     for cls_only, rows in ((False, 3), (True, 1)):
         probe = Tensor(rng.standard_normal((2, rows, 4)))
         assert_grads_match(
-            lambda: T.reduce_sum(T.mul(
+            lambda: P.reduce_sum(P.mul(
                 T.prompted_attention(prefix, state, *weights, 2, cls_only), probe)),
             [prefix, state],
         )
@@ -418,7 +421,7 @@ def test_gradients_match_finite_differences_per_kernel():
     query = Tensor(rng.standard_normal(4), trainable=True)
     probe2 = Tensor(rng.standard_normal((2, 4)))
     assert_grads_match(
-        lambda: T.reduce_sum(T.mul(apply_cross_layer(tokens, history, query), probe2)),
+        lambda: P.reduce_sum(P.mul(apply_cross_layer(tokens, history, query), probe2)),
         [tokens, query, *history],
     )
 
@@ -428,16 +431,16 @@ def test_gradients_match_finite_differences_composites():
     x = Tensor(rng.standard_normal((2, 3, 4)), trainable=True)
     # A plain sum of layer-norm rows is constant, so a probe weights them.
     ln_probe = Tensor(rng.standard_normal((2, 3, 4)))
-    assert_grads_match(lambda: T.reduce_sum(T.mul(T.layernorm(x), ln_probe)), [x])
+    assert_grads_match(lambda: P.reduce_sum(P.mul(T.layernorm(x), ln_probe)), [x])
 
     a = Tensor(rng.standard_normal(6) + 3.0, trainable=True)  # keep relu/abs off kinks
     b = Tensor(rng.standard_normal(6) - 3.0, trainable=True)
-    assert_grads_match(lambda: T.reduce_sum(T.relu(T.mul(a, a))), [a])
-    assert_grads_match(lambda: T.reduce_sum(T.abs_value(b)), [b])
+    assert_grads_match(lambda: P.reduce_sum(P.relu(P.mul(a, a))), [a])
+    assert_grads_match(lambda: P.reduce_sum(P.abs_value(b)), [b])
 
     m = Tensor(rng.standard_normal((4, 3)), trainable=True)
     idx = np.array([0, 2, 1, 2])
-    assert_grads_match(lambda: T.reduce_mean(T.take_per_row(m, idx)), [m])
+    assert_grads_match(lambda: P.reduce_mean(P.take_per_row(m, idx)), [m])
 
     p = Tensor(rng.standard_normal((2, 4)), trainable=True)
     q = Tensor(rng.standard_normal((3, 4)), trainable=True)
@@ -445,28 +448,28 @@ def test_gradients_match_finite_differences_composites():
     def stitched():
         joined = concat([T.reshape(p, (1, 2, 4)), T.reshape(q, (1, 3, 4))], axis=1)
         sliced = slice_axis(joined, 1, 1, 5)
-        return T.reduce_sum(T.mul(sliced, sliced))
+        return P.reduce_sum(P.mul(sliced, sliced))
 
     assert_grads_match(stitched, [p, q])
     tiled_probe = Tensor(rng.standard_normal((3, 2, 4)))
-    assert_grads_match(lambda: T.reduce_sum(T.mul(tile_leading(p, 3), tiled_probe)), [p])
+    assert_grads_match(lambda: P.reduce_sum(P.mul(tile_leading(p, 3), tiled_probe)), [p])
 
     s = Tensor(rng.standard_normal((3, 2, 3)), trainable=True)
     probe = Tensor(rng.standard_normal((3, 2, 3)))
-    assert_grads_match(lambda: T.reduce_sum(T.mul(swap_axes(s, 0, 2), probe)), [s])
+    assert_grads_match(lambda: P.reduce_sum(P.mul(swap_axes(s, 0, 2), probe)), [s])
 
     h = Tensor(rng.standard_normal((2, 3, 4)), trainable=True)
     wh = Tensor(rng.standard_normal((4, 6)))
     probe4 = Tensor(rng.standard_normal((2, 2, 3, 3)))
-    assert_grads_match(lambda: T.reduce_sum(T.mul(project_heads(h, wh, 2), probe4)), [h])
+    assert_grads_match(lambda: P.reduce_sum(P.mul(project_heads(h, wh, 2), probe4)), [h])
     heads4 = Tensor(rng.standard_normal((2, 2, 3, 3)), trainable=True)
     wm = Tensor(rng.standard_normal((6, 4)))
     probe3 = Tensor(rng.standard_normal((2, 3, 4)))
-    assert_grads_match(lambda: T.reduce_sum(T.mul(merge_heads(heads4, wm), probe3)), [heads4])
+    assert_grads_match(lambda: P.reduce_sum(P.mul(merge_heads(heads4, wm), probe3)), [heads4])
     prefix = Tensor(rng.standard_normal((2, 4)), trainable=True)
     probe5 = Tensor(rng.standard_normal((2, 2, 5, 3)))
     assert_grads_match(
-        lambda: T.reduce_sum(T.mul(project_prefixed_heads(prefix, h, wh, 2), probe5)), [prefix, h]
+        lambda: P.reduce_sum(P.mul(project_prefixed_heads(prefix, h, wh, 2), probe5)), [prefix, h]
     )
 
 
