@@ -16,10 +16,11 @@ on the (K, d) block and are broadcast over the batch. Queries, the
 output projection and the MLP run only for the rows the next step
 reads: CLS and the patch rows, or CLS alone in the last block. A
 block's whole attention sublayer is one tape node
-(``tensor.prompted_attention``); its MLP is five more.
+(``tensor.prompted_attention``); its MLP is five more, and the head
+after the last block one more.
 
-The backbone holds only the weights the forward reads: its layer norms
-have no affine terms and its MLP has no biases.
+The backbone holds only the weights the forward reads, as frozen
+arrays: its layer norms have no affine terms and its MLP has no biases.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import tensor as T
 from .crosslayer import apply_cross_layer
-from .tensor import Tensor, _ensure_finite
+from .tensor import Tensor, _ensure_finite, _ln, _ln_vjp, _node, _unit, _unit_vjp
 
 
 @dataclass(frozen=True)
@@ -232,19 +233,17 @@ class VisionEncoder:
         self.config = config
         self.backbone = FrozenBackbone(config) if backbone is None else backbone
         b = self.backbone
-        # Frozen constants reused across forward passes. Per layer: the
-        # attention weights as plain arrays, which cannot receive a
-        # gradient, with the attention scale folded into the query
-        # weights once; then the MLP weights, pre-wrapped as Tensors.
+        # Frozen arrays reused across forward passes. Per layer: the
+        # attention weights, with the attention scale folded into the
+        # query weights once, then the MLP weights.
         head_dim = config.embed_dim // config.heads
         self._cls_row = (b.cls + b.pos[0]).reshape(1, -1)
         self._patch_pos = b.pos[1:]
         self._layer_consts = [
-            ((w["wq"] * head_dim**-0.5, w["wk"], w["wv"], w["wo"]),
-             Tensor(w["w1"]), Tensor(w["w2"]))
+            ((w["wq"] * head_dim**-0.5, w["wk"], w["wv"], w["wo"]), w["w1"], w["w2"])
             for w in b.layers
         ]
-        self._out_proj = Tensor(b.out_proj)
+        self._out_proj = b.out_proj
         for arr in [self._cls_row] + [attention[0] for attention, _, _ in self._layer_consts]:
             arr.setflags(write=False)
 
@@ -347,5 +346,18 @@ class VisionEncoder:
                 used = apply_cross_layer(used, history, prompts.queries[layer - 1])
             history.append(used)
 
-        cls_final = T.reshape(state, data.shape[:-2] + (cfg.embed_dim,))
-        return T.l2_normalize(T.matmul(T.layernorm(cls_final), self._out_proj))
+        return _head(state, self._out_proj)
+
+
+def _head(state: Tensor, out_proj: np.ndarray) -> Tensor:
+    """The (..., B, 1, d) CLS rows, layer-normed, times ``out_proj`` and
+    scaled to unit norm, as one node: (..., B, d) unit rows, bit-identical
+    to the reshape, layernorm, matmul and L2 kernels it fuses."""
+    rows, inv = _ln(state.data.reshape(state.shape[:-2] + state.shape[-1:]))
+    out, norm = _unit(rows @ out_proj)
+
+    def vjp(g):
+        g_rows = _unit_vjp(g, out, norm) @ out_proj.swapaxes(-1, -2)
+        return (_ln_vjp(g_rows, rows, inv).reshape(state.shape),)
+
+    return _node(out, (state,), vjp, "encoder_head")

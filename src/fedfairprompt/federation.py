@@ -25,7 +25,8 @@ from itertools import groupby
 import numpy as np
 
 from . import tensor as T
-from .tensor import NonFiniteError, Tensor, _ensure_finite, _log_softmax, _log_softmax_vjp, _node
+from .tensor import (NonFiniteError, Tensor, _ensure_finite, _log_softmax, _log_softmax_vjp,
+                     _node, _unit, _unit_vjp)
 from .config import Config
 from .data import (
     Dataset,
@@ -330,7 +331,8 @@ def refinement_loss(
     ``lam2`` times the absolute gap between the groups' mean
     correct-class probabilities (the differentiable stand-in for the
     hard accuracy gap; reports always show the hard metric). The batch
-    must contain both groups or the gap term is undefined.
+    must contain both groups or the gap term is undefined. Under DSOP
+    the debiased rows are re-normalized to unit norm inside the node.
     """
     groups = np.asarray(groups)
     masks = []
@@ -338,12 +340,12 @@ def refinement_loss(
         sel = (groups == g).astype(np.float64)
         masks.append(sel / float(sel.sum()))
     z, z_debiased = model.embed(prompts, features)
-    emb = z if z_debiased is z else T.l2_normalize(z_debiased)
+    emb, norm = (z.data, None) if z_debiased is z else _unit(z_debiased.data)
     inv_t, lam2, class_text = 1.0 / float(model.temperature), float(lam2), model.class_text
     rows, labels = np.arange(emb.shape[0]), np.asarray(labels, dtype=np.int64)
-    logits = (emb.data @ class_text.T) * inv_t
+    logits = (emb @ class_text.T) * inv_t
     logp = _log_softmax(logits, 1)
-    probs = T.softmax(Tensor(logits, checked=False), axis=1).data
+    probs = T.softmax(logits, axis=1)
     correct = probs[rows, labels]
     gap = np.add.reduce(correct * masks[0]) - np.add.reduce(correct * masks[1])
     nll = -(np.add.reduce(logp[rows, labels]) / rows.size)
@@ -355,9 +357,10 @@ def refinement_loss(
         g_logp[rows, labels] = -g * (1.0 / rows.size)
         g_logits = (_log_softmax_vjp(g_logp, logp, 1)
                     + probs * (g_probs - np.add.reduce(g_probs * probs, axis=1, keepdims=True)))
-        return ((g_logits * inv_t) @ class_text,)
+        g_emb = (g_logits * inv_t) @ class_text
+        return (g_emb if norm is None else _unit_vjp(g_emb, emb, norm),)
 
-    return _node(nll + np.abs(gap) * lam2, (emb,), vjp, "refinement_loss")
+    return _node(nll + np.abs(gap) * lam2, (z_debiased,), vjp, "refinement_loss")
 
 
 def server_refine(
@@ -370,8 +373,10 @@ def server_refine(
     """Polish fused prompts on the validation split.
 
     Runs ``config.refine_steps`` AdamW steps on ``refinement_loss`` over
-    group-balanced batches of ``config.refine_batch`` rows, so the gap
-    term is always defined. ``load_splits`` puts both groups in ``val``.
+    group-balanced batches, so the gap term is always defined: each
+    draws ``refine_batch // 2`` rows per group (one row fewer in all for
+    an odd value), or fewer if a group of ``val`` is smaller.
+    ``load_splits`` puts both groups in ``val``.
     """
     refined = prompts.copy()
     group_rows = [np.flatnonzero(val.groups == g) for g in (0, 1)]

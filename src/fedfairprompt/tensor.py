@@ -1,18 +1,20 @@
 """Dense float64 tensors with taped reverse-mode gradients.
 
-The kernel vocabulary is deliberately small: matmul, elementwise add,
-softmax, layer norm without affine terms, GELU, reshape, L2
-normalization, and one fused kernel for an encoder block's whole
-attention sublayer over a shared prompt prefix (prompted_attention).
-The loss heads in ``debias`` and ``federation`` are one node each,
-built on the private forward/VJP pairs here (``_unit``/``_unit_vjp``
-and ``_log_softmax``/``_log_softmax_vjp``). Every kernel is pure
-(identical inputs give bit-identical outputs) and records just enough
-structure to replay the chain rule. Gradients flow only into tensors
-created with ``trainable=True``; everything else is a frozen constant
-and its subgraph is skipped during backprop. Kernels trust their
-operands and state what they require; finiteness is checked at the
-boundaries, not per kernel: see ``Tensor`` and ``backward``.
+The kernels fit what a run differentiates, the prompt-dependent rows of
+a frozen encoder: ``matmul`` by a frozen weight array, ``add`` of two
+operands of one shape, layer norm without affine terms, GELU, and
+``prompted_attention``, an encoder block's whole attention sublayer
+over a shared prompt prefix. ``softmax`` is a forward-only array
+function. The encoder head and the loss heads in ``encoder``,
+``debias`` and ``federation`` are one node each, built on the private
+forward/VJP pairs here (``_ln``, ``_unit``, ``_log_softmax``). Every
+kernel is pure (identical inputs give bit-identical outputs) and
+records just enough structure to replay the chain rule. Gradients flow
+only into tensors created with ``trainable=True``; everything else is
+a frozen constant and its subgraph is skipped during backprop. Kernels
+trust their operands and state what they require; finiteness is
+checked at the boundaries, not per kernel: see ``Tensor`` and
+``backward``.
 
 On small sequences a node costs more in call overhead than in
 arithmetic, so kernels call ``np.add.reduce``, ``np.maximum.reduce`` and
@@ -35,8 +37,6 @@ __all__ = [
     "softmax",
     "layernorm",
     "gelu",
-    "l2_normalize",
-    "reshape",
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -108,19 +108,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = np.add.reduce(grad, axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = np.add.reduce(grad, axis=axes, keepdims=True)
-    return grad
-
-
 def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep from a scalar output, or from the sum of a
     vector of stacked clients' losses.
@@ -184,16 +171,13 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """Sum of two tensors of one shape."""
     a, b = _lift(a), _lift(b)
-    out = a.data + b.data
-    na, nb = a.needs_grad, b.needs_grad
-    ash, bsh = a.data.shape, b.data.shape
 
     def vjp(g):
-        return (_unbroadcast(g, ash) if na else None,
-                _unbroadcast(g, bsh) if nb else None)
+        return g, g
 
-    return _node(out, (a, b), vjp, "add")
+    return _node(a.data + b.data, (a, b), vjp, "add")
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -214,32 +198,23 @@ def gelu(x: Tensor) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy's stacked-matrix semantics.
-
-    Both operands must be at least 2-D; leading batch axes follow the
-    usual broadcast rules (weights stay 2-D, activations may carry
-    batch axes). numpy rejects differing inner dims.
-    """
-    a, b = _lift(a), _lift(b)
-    ad, bd = a.data, b.data
-    out = ad @ bd
-    na, nb = a.needs_grad, b.needs_grad
+def matmul(a: Tensor, w: np.ndarray) -> Tensor:
+    """Rows (..., n, k) times a frozen (k, m) weight array; only the rows
+    receive a gradient. numpy rejects differing inner dims."""
+    a = _lift(a)
 
     def vjp(g):
-        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape) if na else None
-        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape) if nb else None
-        return (ga, gb)
+        return (g @ w.swapaxes(-1, -2),)
 
-    return _node(out, (a, b), vjp, "matmul")
+    return _node(a.data @ w, (a,), vjp, "matmul")
 
 
 def _unit(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Last-axis unit rows: (output, norm). A (near-)zero-norm slice is
+    """Last-axis unit rows: (output, norm). A (near-)zero-norm row is
     an error rather than a silent rescale."""
     norm = np.sqrt(np.add.reduce(xd * xd, axis=-1, keepdims=True))
     if np.any(norm <= 1e-30):
-        raise ValueError("l2_normalize: zero-norm slice")
+        raise ValueError(f"zero-norm row at index {np.argwhere(norm[..., 0] <= 1e-30)[0].tolist()}")
     return xd / norm, norm
 
 
@@ -247,33 +222,14 @@ def _unit_vjp(g: np.ndarray, out: np.ndarray, norm: np.ndarray) -> np.ndarray:
     return (g - out * np.add.reduce(g * out, axis=-1, keepdims=True)) / norm
 
 
-def l2_normalize(x: Tensor) -> Tensor:
-    """Normalize the last axis to unit Euclidean norm."""
-    x = _lift(x)
-    out, norm = _unit(x.data)
-
-    def vjp(g):
-        return (_unit_vjp(g, out, norm),)
-
-    return _node(out, (x,), vjp, "l2_normalize")
-
-
 # ---------------------------------------------------------------------------
 # normalization and attention nonlinearities
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along a non-empty ``axis``."""
-    x = _lift(x)
-    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / np.add.reduce(e, axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = np.add.reduce(g * out, axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _node(out, (x,), vjp, "softmax")
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax of an array along a non-empty ``axis``; records no node."""
+    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def _log_softmax(xd: np.ndarray, axis: int) -> np.ndarray:
@@ -339,9 +295,7 @@ def prompted_attention(prefix: Tensor, state: Tensor, wq: np.ndarray, wk: np.nda
         out[..., k:, :] = (h @ w).reshape(*lead, batch, n, heads, c).swapaxes(-3, -2)
     m = 1 if cls_only else n
     q4 = (h[..., :m, :] @ wq).reshape(*lead, batch, m, heads, c).swapaxes(-3, -2)
-    # Wrapped by _node, not Tensor(), so no finiteness check runs here:
-    # non-finite values are caught at the boundaries, as everywhere else.
-    probs = softmax(_node(q4 @ k4.swapaxes(-2, -1), (), None, "scores")).data
+    probs = softmax(q4 @ k4.swapaxes(-2, -1))
     out = state.data[..., :m, :] + (probs @ v4).swapaxes(-3, -2).reshape(*lead, batch, m, e) @ wo
     n_prefix, n_state = prefix.needs_grad, state.needs_grad
 
@@ -367,17 +321,3 @@ def prompted_attention(prefix: Tensor, state: Tensor, wq: np.ndarray, wk: np.nda
         return g_prefix, g_state
 
     return _node(out, (prefix, state), vjp, "prompted_attention")
-
-
-# ---------------------------------------------------------------------------
-# shape plumbing
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    x = _lift(x)
-    out = x.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(x.shape),)
-
-    return _node(out, (x,), vjp, "reshape")

@@ -1,13 +1,20 @@
 """Kernels and formulas that only the test references use.
 
-``sub``, ``mul``, ``scale``, ``relu``, ``abs_value``, ``log_softmax``,
-``reduce_sum``, ``reduce_mean`` and ``take_per_row`` are the generic
-kernels the loss heads were built from. ``composed_project_out``,
+``add``, ``matmul``, ``softmax``, ``l2_normalize`` and ``reshape`` are
+the general tape's kernels: broadcasting sums, gradients for both
+matmul operands, a differentiable softmax. The pipeline only ever
+differentiates prompt-dependent rows against frozen weights, so
+``fedfairprompt.tensor`` keeps specialised ``add``, ``matmul`` and
+``softmax`` and fuses the rest into its heads. ``composed_head``
+rebuilds the encoder head from them. ``sub``, ``mul``, ``scale``,
+``relu``, ``abs_value``, ``log_softmax``, ``reduce_sum``,
+``reduce_mean`` and ``take_per_row`` are the generic kernels the loss
+heads were built from. ``composed_project_out``,
 ``composed_task_loss``, ``composed_fairness_loss``,
 ``composed_joint_loss`` and ``composed_refinement_loss`` rebuild each
-head from them: the compositions the fused heads in ``debias`` and
-``federation`` are held to, bit for bit. Tests also use them as probes
-(``reduce_sum(mul(z, probe))``).
+head from them: the compositions the fused heads in ``encoder``,
+``debias`` and ``federation`` are held to, bit for bit. Tests also use
+them as probes (``reduce_sum(mul(z, probe))``).
 
 ``concat``, ``tile_leading``, ``slice_axis`` and ``swap_axes`` build
 the full-row encoder reference. ``project_heads``,
@@ -31,7 +38,92 @@ import numpy as np
 from fedfairprompt import tensor as T
 from fedfairprompt.data import SyntheticSpec, _group_pattern, _label_pattern
 from fedfairprompt.debias import DemographicSubspace
-from fedfairprompt.tensor import Tensor, _lift, _node, _unbroadcast
+from fedfairprompt.tensor import Tensor, _lift, _node, _unit, _unit_vjp
+
+
+# ---------------------------------------------------------------------------
+# the general tape's kernels, which the pipeline's specialised ones replace
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
+    return grad
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _lift(a), _lift(b)
+    out = a.data + b.data
+    na, nb = a.needs_grad, b.needs_grad
+    ash, bsh = a.data.shape, b.data.shape
+
+    def vjp(g):
+        return (_unbroadcast(g, ash) if na else None,
+                _unbroadcast(g, bsh) if nb else None)
+
+    return _node(out, (a, b), vjp, "add")
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product with numpy's stacked-matrix semantics.
+
+    Both operands must be at least 2-D; leading batch axes follow the
+    usual broadcast rules (weights stay 2-D, activations may carry
+    batch axes). numpy rejects differing inner dims.
+    """
+    a, b = _lift(a), _lift(b)
+    ad, bd = a.data, b.data
+    out = ad @ bd
+    na, nb = a.needs_grad, b.needs_grad
+
+    def vjp(g):
+        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape) if na else None
+        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape) if nb else None
+        return (ga, gb)
+
+    return _node(out, (a, b), vjp, "matmul")
+
+
+def l2_normalize(x: Tensor) -> Tensor:
+    """Normalize the last axis to unit Euclidean norm."""
+    x = _lift(x)
+    out, norm = _unit(x.data)
+
+    def vjp(g):
+        return (_unit_vjp(g, out, norm),)
+
+    return _node(out, (x,), vjp, "l2_normalize")
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along a non-empty ``axis``."""
+    x = _lift(x)
+    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / np.add.reduce(e, axis=axis, keepdims=True)
+
+    def vjp(g):
+        inner = np.add.reduce(g * out, axis=axis, keepdims=True)
+        return (out * (g - inner),)
+
+    return _node(out, (x,), vjp, "softmax")
+
+
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    x = _lift(x)
+    out = x.data.reshape(shape)
+
+    def vjp(g):
+        return (g.reshape(x.shape),)
+
+    return _node(out, (x,), vjp, "reshape")
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +248,23 @@ def take_per_row(m: Tensor, cols: np.ndarray) -> Tensor:
 # the loss heads as compositions of those kernels
 
 
+def composed_head(state: Tensor, out_proj: np.ndarray) -> Tensor:
+    """``encoder._head``: 4 tape nodes."""
+    state = _lift(state)
+    rows = reshape(state, state.shape[:-2] + state.shape[-1:])
+    return l2_normalize(matmul(T.layernorm(rows), Tensor(out_proj)))
+
+
 def composed_project_out(z: Tensor, subspace: DemographicSubspace) -> Tensor:
     """``debias.project_out``: 3 tape nodes."""
     z = _lift(z)
-    coeffs = T.matmul(z, Tensor(subspace.basis.T))
-    return sub(z, T.matmul(coeffs, Tensor(subspace.basis)))
+    coeffs = matmul(z, Tensor(subspace.basis.T))
+    return sub(z, matmul(coeffs, Tensor(subspace.basis)))
 
 
 def composed_fairness_loss(z_debiased: Tensor, subspace: DemographicSubspace, mu: float) -> Tensor:
     """``debias.fairness_loss``: 5 tape nodes."""
-    cos = T.matmul(T.l2_normalize(z_debiased), Tensor(subspace.templates.T))
+    cos = matmul(l2_normalize(z_debiased), Tensor(subspace.templates.T))
     return reduce_sum(relu(sub(cos, Tensor(float(mu)))), axis=-1)
 
 
@@ -178,15 +277,15 @@ def composed_task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
     diag = np.arange(targets.shape[-2])
     terms = []
     for x, axis in ((z_debiased, -1), (z_raw, -2)):
-        logits = scale(T.matmul(T.l2_normalize(x), text), inv_t)
+        logits = scale(matmul(l2_normalize(x), text), inv_t)
         picked = take_per_row(log_softmax(logits, axis=axis), diag)
         terms.append(scale(reduce_mean(picked, axis=-1), -1.0))
-    return T.add(*terms)
+    return add(*terms)
 
 
 def composed_joint_loss(task: Tensor, fair_per_sample: Tensor, lam1: float) -> Tensor:
     """``debias.joint_loss``: 3 tape nodes."""
-    return T.add(task, scale(reduce_mean(fair_per_sample, axis=-1), float(lam1)))
+    return add(task, scale(reduce_mean(fair_per_sample, axis=-1), float(lam1)))
 
 
 def composed_refinement_loss(model, prompts, features: np.ndarray, labels: np.ndarray,
@@ -199,13 +298,13 @@ def composed_refinement_loss(model, prompts, features: np.ndarray, labels: np.nd
         sel = (groups == g).astype(np.float64)
         masks.append(Tensor(sel / float(sel.sum())))
     z, z_debiased = model.embed(prompts, features)
-    emb = z if z_debiased is z else T.l2_normalize(z_debiased)
-    logits = scale(T.matmul(emb, Tensor(model.class_text.T)), 1.0 / float(model.temperature))
+    emb = z if z_debiased is z else l2_normalize(z_debiased)
+    logits = scale(matmul(emb, Tensor(model.class_text.T)), 1.0 / float(model.temperature))
     nll = scale(reduce_mean(take_per_row(log_softmax(logits, axis=1), labels)), -1.0)
-    correct_prob = take_per_row(T.softmax(logits, axis=1), labels)
+    correct_prob = take_per_row(softmax(logits, axis=1), labels)
     group_means = [reduce_sum(mul(correct_prob, m)) for m in masks]
     gap = abs_value(sub(group_means[0], group_means[1]))
-    return T.add(nll, scale(gap, float(lam2)))
+    return add(nll, scale(gap, float(lam2)))
 
 
 def concat(parts: list[Tensor] | tuple[Tensor, ...], axis: int = 0) -> Tensor:
@@ -319,8 +418,8 @@ def composed_attention(prefix: Tensor, state: Tensor, wq, wk, wv, wo, heads: int
     if cls_only:
         state, h = slice_axis(state, 1, 0, 1), slice_axis(h, 1, 0, 1)
     q4 = project_heads(h, wq, heads)
-    attn = T.softmax(T.matmul(q4, swap_axes(k4, 2, 3)), axis=-1)
-    return T.add(state, merge_heads(T.matmul(attn, v4), wo))
+    attn = softmax(matmul(q4, swap_axes(k4, 2, 3)), axis=-1)
+    return add(state, merge_heads(matmul(attn, v4), wo))
 
 
 def one_shot_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

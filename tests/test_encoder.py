@@ -24,6 +24,7 @@ from fedfairprompt.encoder import (
     FrozenBackbone,
     PromptSet,
     VisionEncoder,
+    _head,
 )
 from fedfairprompt.debias import build_subspace
 from fedfairprompt.federation import PromptedModel, refinement_loss
@@ -134,16 +135,16 @@ def _full_row_layer(enc, seq, idx):
     batch, length, d = seq.shape
     heads, head_dim = cfg.heads, d // cfg.heads
     h = T.layernorm(seq)
-    q = T.matmul(h, Tensor(w["wq"] * head_dim**-0.5))
-    k = T.matmul(h, Tensor(w["wk"]))
-    v = T.matmul(h, Tensor(w["wv"]))
-    split = lambda x: swap_axes(T.reshape(x, (batch, length, heads, head_dim)), 1, 2)
+    q = P.matmul(h, Tensor(w["wq"] * head_dim**-0.5))
+    k = P.matmul(h, Tensor(w["wk"]))
+    v = P.matmul(h, Tensor(w["wv"]))
+    split = lambda x: swap_axes(P.reshape(x, (batch, length, heads, head_dim)), 1, 2)
     q4, k4, v4 = split(q), split(k), split(v)
-    attn = T.softmax(T.matmul(q4, swap_axes(k4, 2, 3)), axis=-1)
-    ctx = T.reshape(swap_axes(T.matmul(attn, v4), 1, 2), (batch, length, d))
-    seq = T.add(seq, T.matmul(ctx, Tensor(w["wo"])))
-    inner = T.matmul(T.layernorm(seq), Tensor(w["w1"]))
-    return T.add(seq, T.matmul(T.gelu(inner), Tensor(w["w2"])))
+    attn = P.softmax(P.matmul(q4, swap_axes(k4, 2, 3)), axis=-1)
+    ctx = P.reshape(swap_axes(P.matmul(attn, v4), 1, 2), (batch, length, d))
+    seq = P.add(seq, P.matmul(ctx, Tensor(w["wo"])))
+    inner = P.matmul(T.layernorm(seq), Tensor(w["w1"]))
+    return P.add(seq, P.matmul(T.gelu(inner), Tensor(w["w2"])))
 
 
 def _full_row_encode(enc, e0, prompts, cdfp_enabled=True, mixed_history=True):
@@ -167,8 +168,7 @@ def _full_row_encode(enc, e0, prompts, cdfp_enabled=True, mixed_history=True):
              slice_axis(seq, 1, 1 + k, 1 + k + width)],
             axis=1,
         )
-    cls_final = T.reshape(slice_axis(seq, 1, 0, 1), (batch, cfg.embed_dim))
-    return T.l2_normalize(T.matmul(T.layernorm(cls_final), Tensor(bb.out_proj)))
+    return P.composed_head(slice_axis(seq, 1, 0, 1), bb.out_proj)
 
 
 def _assert_rel_close(got, want, rel=1e-12):
@@ -209,6 +209,26 @@ def test_pruned_forward_matches_full_row_reference(tokens, batch, rows, cdfp, mi
         _assert_rel_close(grads[leaf], g)
 
 
+@pytest.mark.parametrize("batch", [1, 5, 16])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_head_equals_its_composition_bit_for_bit(lead, batch):
+    # Unit-scale CLS rows, unstacked and stacked over C = 3 clients. A
+    # head whose gemm ran on the rows flattened to (C·B, d) would differ
+    # from the stacked products in the last bits on some of these draws
+    # (on x86-64 OpenBLAS, on every stacked draw with B = 1).
+    cfg = EncoderConfig()
+    out_proj = FrozenBackbone(cfg).out_proj
+    for seed in range(10):
+        rng = _rng(50 + seed)
+        state = Tensor(rng.standard_normal(lead + (batch, 1, cfg.embed_dim)), trainable=True)
+        probe = Tensor(rng.standard_normal(lead + (batch, cfg.embed_dim)))
+        fused, composed = _head(state, out_proj), P.composed_head(state, out_proj)
+        assert fused.parents == (state,)
+        assert np.array_equal(fused.data, composed.data)
+        grad = backward(P.reduce_sum(P.mul(fused, probe)))[state]
+        assert np.array_equal(grad, backward(P.reduce_sum(P.mul(composed, probe)))[state])
+
+
 def _tape_nodes(output):
     # Distinct tensors that need a gradient, reachable through .parents.
     seen, todo = set(), [output]
@@ -225,21 +245,21 @@ def test_default_forward_tape_size_is_pinned():
     # 6 nodes per block: the attention sublayer, LN2, two MLP matmuls,
     # GELU and the residual. Block 1's state is constant, but its
     # prompt block is not, so its attention is on the tape too. Then 4
-    # nodes after the last block and the 4 token leaves; mixing adds
-    # one node and one query leaf per layer above the first. The
-    # full-row forward records 151 and 115.
+    # The head after the last block is one node, then the 4 token
+    # leaves; mixing adds one node and one query leaf per layer above
+    # the first. The full-row forward records 151 and 115.
     cfg = EncoderConfig()
     enc = VisionEncoder(cfg)
     e0 = enc.embed_patches(_rng(36).random((16, cfg.image_size, cfg.image_size)))
     ps = PromptSet.initialize(cfg, seed=37)
-    assert _tape_nodes(enc.encode_image(e0, ps)) == 38
-    assert _tape_nodes(enc.encode_image(e0, ps, cdfp_enabled=False)) == 32
+    assert _tape_nodes(enc.encode_image(e0, ps)) == 35
+    assert _tape_nodes(enc.encode_image(e0, ps, cdfp_enabled=False)) == 29
 
 
 def test_lockstep_step_tape_size_matches_one_client():
-    # A client step under fvlfp records 42 nodes: the 38 of the forward
+    # A client step under fvlfp records 39 nodes: the 35 of the forward
     # and one per loss head (projection, task, hinge, joint). Stacking
-    # three clients on a leading axis records the same 42, one
+    # three clients on a leading axis records the same 39, one
     # per-client loss vector.
     cfg = EncoderConfig()
     enc = VisionEncoder(cfg)
@@ -252,12 +272,12 @@ def test_lockstep_step_tape_size_matches_one_client():
     one = model.local_loss(ps, e0[0], targets[0], mu=0.3, lam1=0.5)
     stacked = model.local_loss(ps.map(lambda a: np.stack([a] * 3)), e0, targets, mu=0.3, lam1=0.5)
     assert one.shape == () and stacked.shape == (3,)
-    assert _tape_nodes(one) == _tape_nodes(stacked) == 42
+    assert _tape_nodes(one) == _tape_nodes(stacked) == 39
 
 
 def test_refinement_step_tape_size_is_pinned():
-    # The 38 nodes of the forward, the projection, the re-normalization
-    # of the debiased rows and the refinement head.
+    # The 35 nodes of the forward, the projection and the refinement
+    # head, which re-normalizes the debiased rows itself.
     cfg = EncoderConfig()
     enc = VisionEncoder(cfg)
     model = PromptedModel(enc, np.stack([enc.encode_text(s) for s in CLASS_TEMPLATES]),
@@ -266,7 +286,7 @@ def test_refinement_step_tape_size_is_pinned():
     labels, groups = _rng(42).integers(0, 2, size=16), np.repeat([0, 1], 8)
     loss = refinement_loss(model, PromptSet.initialize(cfg, seed=43), e0, labels, groups, lam2=1.0)
     assert loss.shape == ()
-    assert _tape_nodes(loss) == 41
+    assert _tape_nodes(loss) == 37
 
 
 def test_batched_forward_matches_per_sample():
@@ -315,8 +335,7 @@ def _promptless_encode(enc, e0):
     seq = Tensor(np.concatenate([cls_rows, e0 + bb.pos[1:]], axis=1))
     for idx in range(cfg.layers):
         seq = _full_row_layer(enc, seq, idx)
-    cls_final = T.reshape(slice_axis(seq, 1, 0, 1), (batch, cfg.embed_dim))
-    return T.l2_normalize(T.matmul(T.layernorm(cls_final), Tensor(bb.out_proj)))
+    return P.composed_head(slice_axis(seq, 1, 0, 1), bb.out_proj)
 
 
 def test_zero_prompts_match_promptless_pass_under_neutralized_attention():
@@ -402,10 +421,10 @@ def test_every_array_the_forward_reads_is_read_only():
     # Nothing in a run can change the frozen weights in place, the two
     # derived in VisionEncoder (the CLS row and the scaled wq) included.
     enc = VisionEncoder(SMALL)
-    arrays = list(enc.backbone._iter_arrays()) + [enc._cls_row, enc._patch_pos, enc._out_proj.data]
+    arrays = list(enc.backbone._iter_arrays()) + [enc._cls_row, enc._patch_pos, enc._out_proj]
     for attention, w1, w2 in enc._layer_consts:
         assert len(attention) == 4
-        arrays += [*attention, w1.data, w2.data]
+        arrays += [*attention, w1, w2]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0

@@ -3,8 +3,8 @@
 Forward values are checked against independent references (triple-loop
 matmul, per-scalar formulas); gradients against central finite
 differences via the shared checker. The generic kernels in
-``tests/plumbing.py``, which other tests use as probes and as the loss
-heads' references, are checked here the same way.
+``tests/plumbing.py``, which other tests use as probes and as the
+encoder and loss heads' references, are checked here the same way.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def test_matmul_small_frozen_value():
-    out = T.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0, 6.0], [7.0, 8.0]]))
+    out = T.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]]))
     assert np.array_equal(out.data, [[19.0, 22.0], [43.0, 50.0]])
 
 
@@ -63,7 +63,7 @@ def test_matmul_matches_triple_loop():
     for m, k, n in [(3, 4, 5), (1, 7, 2), (6, 1, 3)]:
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
-        got = T.matmul(Tensor(a), Tensor(b)).data
+        got = T.matmul(Tensor(a), b).data
         np.testing.assert_allclose(got, _matmul_loops(a, b), rtol=1e-13, atol=1e-13)
 
 
@@ -71,12 +71,12 @@ def test_matmul_batched_matches_per_slice():
     rng = _rng(2)
     a = rng.standard_normal((4, 3, 5))
     w = rng.standard_normal((5, 2))
-    got = T.matmul(Tensor(a), Tensor(w)).data
+    got = T.matmul(Tensor(a), w).data
     for i in range(4):
         np.testing.assert_allclose(got[i], _matmul_loops(a[i], w), rtol=1e-13, atol=1e-13)
     b4 = rng.standard_normal((2, 3, 5, 4))
     c4 = rng.standard_normal((2, 3, 4, 6))
-    got4 = T.matmul(Tensor(b4), Tensor(c4)).data
+    got4 = P.matmul(Tensor(b4), Tensor(c4)).data
     for i in range(2):
         for j in range(3):
             np.testing.assert_allclose(
@@ -86,18 +86,18 @@ def test_matmul_batched_matches_per_slice():
 
 def test_matmul_rejects_mismatched_inner_dims():
     with pytest.raises(ValueError):
-        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+        T.matmul(Tensor(np.ones((2, 3))), np.ones((4, 2)))
 
 
 def test_softmax_uniform_on_equal_logits():
-    out = T.softmax(Tensor([0.0, 0.0]))
-    assert np.array_equal(out.data, [0.5, 0.5])
+    out = T.softmax(np.array([0.0, 0.0]))
+    assert np.array_equal(out, [0.5, 0.5])
 
 
 def test_softmax_matches_scalar_formula_and_sums_to_one():
     rng = _rng(3)
     x = rng.standard_normal((5, 7)) * 30.0  # large spread exercises max-shift
-    got = T.softmax(Tensor(x), axis=-1).data
+    got = T.softmax(x, axis=-1)
     for i in range(5):
         e = [math.exp(v - max(x[i])) for v in x[i]]
         s = sum(e)
@@ -110,15 +110,24 @@ def test_softmax_matches_scalar_formula_and_sums_to_one():
 
 def test_softmax_empty_axis_rejected():
     with pytest.raises(ValueError):
-        T.softmax(Tensor(np.zeros((3, 0))), axis=-1)
+        T.softmax(np.zeros((3, 0)), axis=-1)
 
 
 def test_log_softmax_consistent_with_softmax():
     rng = _rng(4)
     x = rng.standard_normal((4, 6)) * 12.0
     ls = P.log_softmax(Tensor(x), axis=1).data
-    sm = T.softmax(Tensor(x), axis=1).data
+    sm = T.softmax(x, axis=1)
     np.testing.assert_allclose(np.exp(ls), sm, rtol=1e-12, atol=1e-14)
+
+
+def test_softmax_equals_the_taped_softmax_bit_for_bit():
+    # The forward-only array function and the general tape's node
+    # compute the same numpy operations.
+    rng = _rng(11)
+    for shape, axis in (((4, 6), 1), ((3, 2, 5, 7), -1), ((5, 3), 0)):
+        x = rng.standard_normal(shape) * 8.0
+        assert np.array_equal(T.softmax(x, axis=axis), P.softmax(Tensor(x), axis=axis).data)
 
 
 def test_layernorm_constant_row_returns_zeros():
@@ -150,11 +159,14 @@ def test_gelu_matches_erf_formula():
 def test_l2_normalize_unit_rows_and_zero_error():
     rng = _rng(6)
     x = rng.standard_normal((5, 8))
-    out = T.l2_normalize(Tensor(x)).data
+    out = P.l2_normalize(Tensor(x)).data
     np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-12)
     np.testing.assert_allclose(out, x / np.linalg.norm(x, axis=-1, keepdims=True), rtol=1e-13)
     with pytest.raises(ValueError):
-        T.l2_normalize(Tensor(np.zeros(4)))
+        P.l2_normalize(Tensor(np.zeros(4)))
+    x[3] = 0.0
+    with pytest.raises(ValueError, match=r"zero-norm row at index \[3\]"):
+        P.l2_normalize(Tensor(x))
 
 
 def test_take_per_row_picks():
@@ -166,7 +178,7 @@ def test_take_per_row_picks():
 def test_shape_plumbing_round_trips():
     rng = _rng(7)
     x = rng.standard_normal((2, 3, 4))
-    assert np.array_equal(T.reshape(Tensor(x), (6, 4)).data, x.reshape(6, 4))
+    assert np.array_equal(P.reshape(Tensor(x), (6, 4)).data, x.reshape(6, 4))
     assert np.array_equal(swap_axes(Tensor(x), 0, 1).data, np.swapaxes(x, 0, 1))
     sl = slice_axis(Tensor(x), 1, 1, 3)
     assert np.array_equal(sl.data, x[:, 1:3, :])
@@ -181,12 +193,12 @@ def test_shape_plumbing_round_trips():
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     batch, n, e = x.shape
-    return swap_axes(T.reshape(x, (batch, n, heads, e // heads)), 1, 2)
+    return swap_axes(P.reshape(x, (batch, n, heads, e // heads)), 1, 2)
 
 
 def _merged(x: Tensor) -> Tensor:
     batch, heads, n, c = x.shape
-    return T.reshape(swap_axes(x, 1, 2), (batch, n, heads * c))
+    return P.reshape(swap_axes(x, 1, 2), (batch, n, heads * c))
 
 
 def test_head_kernels_equal_their_composition_bit_for_bit():
@@ -195,7 +207,7 @@ def test_head_kernels_equal_their_composition_bit_for_bit():
     x = Tensor(rng.standard_normal((3, 5, 8)), trainable=True)
     probe = Tensor(rng.standard_normal((3, 4, 5, 3)))
     fused = project_heads(x, w, 4)
-    composed = _split_heads(T.matmul(x, w), 4)
+    composed = _split_heads(P.matmul(x, w), 4)
     assert np.array_equal(fused.data, composed.data)
     grad = backward(P.reduce_sum(P.mul(fused, probe)))[x]
     assert np.array_equal(grad, backward(P.reduce_sum(P.mul(composed, probe)))[x])
@@ -204,7 +216,7 @@ def test_head_kernels_equal_their_composition_bit_for_bit():
     y = Tensor(rng.standard_normal((3, 4, 5, 3)), trainable=True)
     probe = Tensor(rng.standard_normal((3, 5, 7)))
     fused = merge_heads(y, wo)
-    composed = T.matmul(_merged(y), wo)
+    composed = P.matmul(_merged(y), wo)
     assert np.array_equal(fused.data, composed.data)
     grad = backward(P.reduce_sum(P.mul(fused, probe)))[y]
     assert np.array_equal(grad, backward(P.reduce_sum(P.mul(composed, probe)))[y])
@@ -213,8 +225,8 @@ def test_head_kernels_equal_their_composition_bit_for_bit():
 def _tiled_prefix_composition(p: Tensor, x: Tensor, w: Tensor, heads: int) -> Tensor:
     batch = x.shape[0]
     k, d = p.shape
-    proj = project_heads(T.reshape(p, (1, k, d)), w, heads)
-    tiled = tile_leading(T.reshape(proj, proj.shape[1:]), batch)
+    proj = project_heads(P.reshape(p, (1, k, d)), w, heads)
+    tiled = tile_leading(P.reshape(proj, proj.shape[1:]), batch)
     return concat([tiled, project_heads(x, w, heads)], axis=2)
 
 
@@ -268,11 +280,11 @@ def test_kernels_are_bit_identical_across_calls():
     rng = _rng(8)
     a = rng.standard_normal((6, 6))
     b = rng.standard_normal((6, 6))
-    first = T.matmul(Tensor(a), Tensor(b)).data
-    second = T.matmul(Tensor(a.copy()), Tensor(b.copy())).data
+    first = T.matmul(Tensor(a), b).data
+    second = T.matmul(Tensor(a.copy()), b.copy()).data
     assert np.array_equal(first, second)
-    s1 = T.softmax(Tensor(a)).data
-    s2 = T.softmax(Tensor(a.copy())).data
+    s1 = T.softmax(a)
+    s2 = T.softmax(a.copy())
     assert np.array_equal(s1, s2)
 
 
@@ -284,7 +296,7 @@ def test_non_finite_inputs_are_rejected():
         # matmul overflows to inf; backward rejects the loss and names
         # matmul, the first op with a non-finite output, not gelu after it
         with pytest.raises(NonFiniteError, match="'matmul'"):
-            backward(P.reduce_sum(T.gelu(T.matmul(big, big))))
+            backward(P.reduce_sum(T.gelu(T.matmul(big, big.data))))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +312,7 @@ def test_backward_requires_scalar_output():
 def test_backward_reaches_only_trainable_leaves():
     w = Tensor(np.ones((2, 2)), trainable=True, name="w")
     frozen = Tensor(np.full((2, 2), 3.0), name="frozen")
-    out = P.reduce_sum(T.matmul(w, frozen))
+    out = P.reduce_sum(P.matmul(w, frozen))
     grads = backward(out)
     assert set(grads) == {w}
     assert frozen not in grads
@@ -318,7 +330,7 @@ def test_backward_accumulates_through_shared_nodes():
 
 def test_backward_releases_the_tape_of_a_kept_loss():
     x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), trainable=True)
-    hidden = T.gelu(T.matmul(x, Tensor(np.ones((3, 4)))))
+    hidden = T.gelu(T.matmul(x, np.ones((3, 4))))
     alive = weakref.ref(hidden.data)
     loss = P.reduce_sum(hidden)
     del hidden
@@ -359,10 +371,10 @@ def test_tape_walk_visits_each_node_once_across_paths_of_different_depth():
         # ``hub`` is read directly and again three frozen-weight layers
         # further down, so the two paths to it differ in depth; the
         # broadcasting (3, 1) and (4,) leaves cover both sum-down cases.
-        hub = T.add(P.mul(x, col), row)
+        hub = P.add(P.mul(x, col), row)
         deep = hub
         for _ in range(3):
-            deep = T.gelu(T.add(T.matmul(deep, w), shift))
+            deep = T.gelu(P.add(T.matmul(deep, w.data), shift))
         return P.reduce_sum(P.mul(T.add(hub, deep), P.sub(hub, shift)))
 
     out = loss()
@@ -385,7 +397,7 @@ def test_repr_tells_params_tape_nodes_and_constants_apart():
     frozen = Tensor(np.ones((3, 4)), name="frozen")
     assert repr(w) == "Tensor 'w'(param, shape=(2, 3))"
     assert repr(frozen) == "Tensor 'frozen'(const, shape=(3, 4))"
-    assert repr(T.matmul(w, frozen)) == "Tensor 'matmul'(node, shape=(2, 4))"
+    assert repr(T.matmul(w, frozen.data)) == "Tensor 'matmul'(node, shape=(2, 4))"
 
 
 def test_gradients_match_finite_differences_per_kernel():
@@ -394,16 +406,16 @@ def test_gradients_match_finite_differences_per_kernel():
     w = Tensor(rng.standard_normal((4, 5)), trainable=True)
     bias = Tensor(rng.standard_normal(5), trainable=True)
 
-    assert_grads_match(lambda: P.reduce_sum(P.mul(T.matmul(x, w), T.matmul(x, w))), [x, w])
-    assert_grads_match(lambda: P.reduce_mean(T.add(T.matmul(x, w), bias)), [x, w, bias])
-    assert_grads_match(lambda: P.reduce_sum(T.softmax(x, axis=1)), [x])
+    assert_grads_match(lambda: P.reduce_sum(P.mul(P.matmul(x, w), P.matmul(x, w))), [x, w])
+    assert_grads_match(lambda: P.reduce_mean(P.add(P.matmul(x, w), bias)), [x, w, bias])
+    assert_grads_match(lambda: P.reduce_sum(P.softmax(x, axis=1)), [x])
     assert_grads_match(
-        lambda: P.reduce_sum(P.mul(T.softmax(x, axis=1), Tensor(rng.standard_normal((3, 4)) * 0 + np.arange(12.0).reshape(3, 4)))),
+        lambda: P.reduce_sum(P.mul(P.softmax(x, axis=1), Tensor(rng.standard_normal((3, 4)) * 0 + np.arange(12.0).reshape(3, 4)))),
         [x],
     )
     assert_grads_match(lambda: P.reduce_sum(P.log_softmax(x, axis=0)), [x])
     assert_grads_match(lambda: P.reduce_sum(T.gelu(x)), [x])
-    assert_grads_match(lambda: P.reduce_sum(T.l2_normalize(x)), [x])
+    assert_grads_match(lambda: P.reduce_sum(P.l2_normalize(x)), [x])
 
     prefix = Tensor(rng.standard_normal((2, 4)), trainable=True)
     state = Tensor(rng.standard_normal((2, 3, 4)), trainable=True)
@@ -424,6 +436,15 @@ def test_gradients_match_finite_differences_per_kernel():
         lambda: P.reduce_sum(P.mul(apply_cross_layer(tokens, history, query), probe2)),
         [tokens, query, *history],
     )
+
+    # The pipeline's own matmul (a frozen array weight) and add (one shape).
+    rng = _rng(17)
+    frozen = rng.standard_normal((4, 5))
+    y = Tensor(rng.standard_normal((3, 4)), trainable=True)
+    probe35 = Tensor(rng.standard_normal((3, 5)))
+    probe34 = Tensor(rng.standard_normal((3, 4)))
+    assert_grads_match(lambda: P.reduce_sum(P.mul(T.matmul(x, frozen), probe35)), [x])
+    assert_grads_match(lambda: P.reduce_sum(P.mul(T.add(x, P.mul(y, y)), probe34)), [x, y])
 
 
 def test_gradients_match_finite_differences_composites():
@@ -446,7 +467,7 @@ def test_gradients_match_finite_differences_composites():
     q = Tensor(rng.standard_normal((3, 4)), trainable=True)
 
     def stitched():
-        joined = concat([T.reshape(p, (1, 2, 4)), T.reshape(q, (1, 3, 4))], axis=1)
+        joined = concat([P.reshape(p, (1, 2, 4)), P.reshape(q, (1, 3, 4))], axis=1)
         sliced = slice_axis(joined, 1, 1, 5)
         return P.reduce_sum(P.mul(sliced, sliced))
 
