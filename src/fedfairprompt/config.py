@@ -65,8 +65,14 @@ class Config:
 
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            _require(kind != "float" or math.isfinite(value), name, "must be finite", value)
+            value, (types, noun) = getattr(self, name), _KINDS[kind]
+            _require(isinstance(value, types) and not isinstance(value, bool), name,
+                     f"must be {noun}", value)
+            if kind == "float":  # stored as a float, so config.txt reads back the same text
+                _require(math.isfinite(value), name, "must be finite", value)
+                object.__setattr__(self, name, float(value))
+            _require(kind != "str" or value == value.strip() and not any(c in value for c in "#\r\n"),
+                     name, "must hold no '#', line break or edge blank; config.txt drops them", value)
         _require(self.method in METHODS, "method", f"must be one of {METHODS}", self.method)
         _require(self.master_seed >= 0, "master_seed", "must be >= 0", self.master_seed)
         _require(self.clients >= 1, "clients", "must be >= 1", self.clients)
@@ -119,6 +125,8 @@ def _require(ok: bool, field_name: str, rule: str, value) -> None:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
+# the values each declared type accepts (never a bool), and their name
+_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a real number"), "str": (str, "text")}
 
 
 def parse_value(key: str, raw: str):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _node
+from .tensor import Tensor, _node, _softmax_vjp, softmax
 
 
 def apply_cross_layer(tokens: Tensor, history: list[Tensor], query: Tensor) -> Tensor:
@@ -27,13 +27,12 @@ def apply_cross_layer(tokens: Tensor, history: list[Tensor], query: Tensor) -> T
     # queries stay too close to zero to show it; a unit-scale test does.
     qs, cs = q.reshape(-1, q.shape[-1]), contexts.reshape(-1, *contexts.shape[-2:])
     logits = np.array([[qc @ c for c in cc] for qc, cc in zip(qs, cs)]).reshape(contexts.shape[:-1])
-    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
-    w = e / np.add.reduce(e, axis=-1, keepdims=True)
+    w = softmax(logits)
     out = tokens.data + np.add.reduce(blocks * w[..., None, None], axis=-3)
 
     def vjp(g):
         gw = np.add.reduce(blocks * g[..., None, :, :], axis=(-2, -1))
-        glogits = w * (gw - np.add.reduce(gw * w, axis=-1, keepdims=True))
+        glogits = _softmax_vjp(gw, w)
         # d(logit_i)/d(block_i) spreads query / K over the block's K rows.
         gblocks = (w[..., None, None] * g[..., None, :, :]
                    + (glogits[..., None] * q[..., None, :])[..., None, :] / blocks.shape[-2])

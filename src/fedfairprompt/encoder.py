@@ -21,6 +21,7 @@ after the last block one more.
 
 The backbone holds only the weights the forward reads, as frozen
 arrays: its layer norms have no affine terms and its MLP has no biases.
+Each encoder embeds ``CLASS_TEMPLATES`` once, as read-only class rows.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class EncoderConfig:
     image_size: int = 32
     patch_size: int = 8
     prompt_tokens: int = 2
-    temperature: float = 0.07
     seed: int = 7
     mlp_ratio: int = 2
 
@@ -60,8 +60,6 @@ class EncoderConfig:
             )
         if self.prompt_tokens < 1:
             raise ValueError("prompt_tokens must be >= 1")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
 
     @property
     def patch_count(self) -> int:
@@ -77,7 +75,6 @@ class FrozenBackbone:
     """Seeded weight bank for the image and text towers; never trained."""
 
     def __init__(self, config: EncoderConfig):
-        self.config = config
         d = config.embed_dim
         rng = np.random.Generator(np.random.PCG64(config.seed))
         scale = d**-0.5
@@ -203,9 +200,8 @@ class PromptSet:
             t.data = new[name]
 
     def map(self, fn) -> "PromptSet":
-        """Fresh trainable leaves holding ``fn`` of each array, unchecked:
-        a non-finite prompt fails the forward that reads it."""
-        return PromptSet(*[[Tensor(fn(t.data), True, t.name, checked=False) for t in ts]
+        """Fresh trainable leaves holding ``fn`` of each array."""
+        return PromptSet(*[[Tensor(fn(t.data), True, t.name) for t in ts]
                            for ts in (self.tokens, self.queries)])
 
     def copy(self) -> "PromptSet":
@@ -218,6 +214,8 @@ CLASS_TEMPLATES = (
     "a photo of a person who is not smiling",
 )
 GROUP_TEMPLATES = ("a photo of a man", "a photo of a woman")
+# Logit temperature of image-text similarities, CLIP's initial value.
+TEMPERATURE = 0.07
 
 
 # Images per gemm in ``embed_patches``: 4,000 images peak at 18.5 MB of
@@ -244,7 +242,8 @@ class VisionEncoder:
             for w in b.layers
         ]
         self._out_proj = b.out_proj
-        for arr in [self._cls_row] + [attention[0] for attention, _, _ in self._layer_consts]:
+        self.class_text = np.stack([self.encode_text(s) for s in CLASS_TEMPLATES])  # class i: row i
+        for arr in [self._cls_row, self.class_text, *(a[0] for a, _, _ in self._layer_consts)]:
             arr.setflags(write=False)
 
     # -- frozen towers ------------------------------------------------

@@ -7,9 +7,10 @@ weighted under FPF, equal weights otherwise), refine the fused prompts
 on the server under FPF, then evaluate the new global prompts on the
 held-out test set.
 
-The frozen half of the pipeline is one :class:`PromptedModel`: the
-encoder, the class text rows, and the method's CDFP and DSOP switches.
-Every stage takes that object plus the prompt set it adapts.
+The frozen half of the pipeline is one :class:`PromptedModel`, built
+from a config by ``PromptedModel.for_config``: the encoder (with its
+class text rows), the demographic subspace under DSOP, and the CDFP
+switch. Every stage takes that object plus the prompt set it adapts.
 
 All randomness is derived from (master_seed, purpose, round, client),
 so any execution order of the per-client work produces identical
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import (NonFiniteError, Tensor, _ensure_finite, _log_softmax, _log_softmax_vjp,
-                     _node, _unit, _unit_vjp)
+                     _node, _softmax_vjp, _unit, _unit_vjp)
 from .config import Config
 from .data import (
     Dataset,
@@ -44,7 +45,7 @@ from .debias import (
     project_out,
     task_loss,
 )
-from .encoder import CLASS_TEMPLATES, GROUP_TEMPLATES, EncoderConfig, PromptSet, VisionEncoder
+from .encoder import GROUP_TEMPLATES, TEMPERATURE, EncoderConfig, PromptSet, VisionEncoder
 from .metrics import (
     GroupConfusion,
     MetricRecord,
@@ -120,10 +121,16 @@ class PromptedModel:
     """
 
     encoder: VisionEncoder
-    class_text: np.ndarray  # (C, d) unit rows, class index = row index
-    temperature: float
     subspace: DemographicSubspace | None = None
     cdfp_enabled: bool = True
+
+    @classmethod
+    def for_config(cls, config: Config) -> "PromptedModel":
+        """The frozen model a run of ``config`` adapts."""
+        encoder = VisionEncoder(encoder_config(config))
+        subspace = (build_subspace(encoder, GROUP_TEMPLATES, k=config.subspace_rank)
+                    if config.dsop_enabled else None)
+        return cls(encoder, subspace, config.cdfp_enabled)
 
     def embed(self, prompts: PromptSet, rows: np.ndarray) -> tuple[Tensor, Tensor]:
         """Unit image embeddings and their debiased part, (z, z_debiased).
@@ -140,7 +147,7 @@ class PromptedModel:
         """Client objective: the contrastive task loss, plus ``lam1``
         times the fairness hinge when a subspace is set."""
         z, z_debiased = self.embed(prompts, rows)
-        task = task_loss(z_debiased, z, targets, self.temperature)
+        task = task_loss(z_debiased, z, targets, TEMPERATURE)
         if self.subspace is None:
             return task
         return joint_loss(task, fairness_loss(z_debiased, self.subspace, mu), lam1)
@@ -161,9 +168,8 @@ def predict(model: PromptedModel, prompts: PromptSet, features: np.ndarray) -> n
     way to it, which layernorm would otherwise turn into finite zeros.
     """
     # Constant views of the prompts, so the forward records no tape.
-    # _node skips Tensor()'s finiteness pass: NaN prompts fail below.
-    frozen = PromptSet([_node(t.data, (), None, t.name) for t in prompts.tokens],
-                       [_node(q.data, (), None, q.name) for q in prompts.queries])
+    frozen = PromptSet([Tensor(t.data, name=t.name) for t in prompts.tokens],
+                       [Tensor(q.data, name=q.name) for q in prompts.queries])
     preds = []
     with np.errstate(over="raise"):
         for lo in range(0, features.shape[0], _EVAL_CHUNK):
@@ -172,7 +178,7 @@ def predict(model: PromptedModel, prompts: PromptSet, features: np.ndarray) -> n
             except FloatingPointError as exc:
                 raise NonFiniteError(f"eval embeddings: {exc}") from None
             _ensure_finite(z.data, "eval embeddings")
-            preds.append(np.argmax(z.data @ model.class_text.T, axis=1))
+            preds.append(np.argmax(z.data @ model.encoder.class_text.T, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
@@ -276,8 +282,8 @@ def client_update(
 
     def loss(ps, picks):
         rows = np.stack([ranked[i].features[b] for i, b in picks])
-        labels = np.stack([ranked[i].labels[b] for i, b in picks])
-        return model.local_loss(ps, rows, model.class_text[labels], config.mu, config.lambda1)
+        targets = model.encoder.class_text[np.stack([ranked[i].labels[b] for i, b in picks])]
+        return model.local_loss(ps, rows, targets, config.mu, config.lambda1)
 
     seq_rows = size * (1 + prompts.token_count + shards[0].features.shape[1])
     who = [f"client {s.client_id}" for s in ranked]
@@ -341,11 +347,11 @@ def refinement_loss(
         masks.append(sel / float(sel.sum()))
     z, z_debiased = model.embed(prompts, features)
     emb, norm = (z.data, None) if z_debiased is z else _unit(z_debiased.data)
-    inv_t, lam2, class_text = 1.0 / float(model.temperature), float(lam2), model.class_text
+    inv_t, lam2, class_text = 1.0 / TEMPERATURE, float(lam2), model.encoder.class_text
     rows, labels = np.arange(emb.shape[0]), np.asarray(labels, dtype=np.int64)
     logits = (emb @ class_text.T) * inv_t
     logp = _log_softmax(logits, 1)
-    probs = T.softmax(logits, axis=1)
+    probs = T.softmax(logits)
     correct = probs[rows, labels]
     gap = np.add.reduce(correct * masks[0]) - np.add.reduce(correct * masks[1])
     nll = -(np.add.reduce(logp[rows, labels]) / rows.size)
@@ -355,8 +361,7 @@ def refinement_loss(
         g_probs, g_logp = np.zeros_like(probs), np.zeros_like(logp)
         g_probs[rows, labels] = g_gap * masks[0] + (-g_gap) * masks[1]
         g_logp[rows, labels] = -g * (1.0 / rows.size)
-        g_logits = (_log_softmax_vjp(g_logp, logp, 1)
-                    + probs * (g_probs - np.add.reduce(g_probs * probs, axis=1, keepdims=True)))
+        g_logits = _log_softmax_vjp(g_logp, logp, 1) + _softmax_vjp(g_probs, probs)
         g_emb = (g_logits * inv_t) @ class_text
         return (g_emb if norm is None else _unit_vjp(g_emb, emb, norm),)
 
@@ -464,19 +469,9 @@ def load_splits(config: Config, encoder: VisionEncoder | None = None
 
 def run_federation(config: Config) -> FairnessReport:
     """Full multi-round run; returns the complete (or flagged) report."""
-    enc_cfg = encoder_config(config)
-    encoder = VisionEncoder(enc_cfg)
-    backbone_hash = encoder.backbone_hash()
-    model = PromptedModel(
-        encoder=encoder,
-        class_text=np.stack([encoder.encode_text(s) for s in CLASS_TEMPLATES]),
-        temperature=enc_cfg.temperature,
-        subspace=(build_subspace(encoder, GROUP_TEMPLATES, k=config.subspace_rank)
-                  if config.dsop_enabled else None),
-        cdfp_enabled=config.cdfp_enabled,
-    )
-
-    train, val, test = load_splits(config, encoder)
+    model = PromptedModel.for_config(config)
+    backbone_hash = model.encoder.backbone_hash()
+    train, val, test = load_splits(config, model.encoder)
     partition = dirichlet_partition(
         train, config.clients, config.alpha, seed=derive_seed(config.master_seed, _SEED_PARTITION)
     )
@@ -487,7 +482,7 @@ def run_federation(config: Config) -> FairnessReport:
     del train  # the rounds read only the shard copies
 
     global_prompts = PromptSet.initialize(
-        enc_cfg, seed=derive_seed(config.master_seed, _SEED_PROMPTS)
+        model.encoder.config, seed=derive_seed(config.master_seed, _SEED_PROMPTS)
     )
     initial_record, _ = evaluate_prompts(model, global_prompts, test)
     rounds = [RoundRecord(0, [], [], [], initial_record)]

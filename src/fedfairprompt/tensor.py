@@ -5,16 +5,16 @@ a frozen encoder: ``matmul`` by a frozen weight array, ``add`` of two
 operands of one shape, layer norm without affine terms, GELU, and
 ``prompted_attention``, an encoder block's whole attention sublayer
 over a shared prompt prefix. ``softmax`` is a forward-only array
-function. The encoder head and the loss heads in ``encoder``,
-``debias`` and ``federation`` are one node each, built on the private
-forward/VJP pairs here (``_ln``, ``_unit``, ``_log_softmax``). Every
+function. The encoder head, the cross-layer mixing and the loss heads
+are one node each, built on the private forward/VJP pairs here
+(``_ln``, ``_unit``, ``_log_softmax``, ``softmax``/``_softmax_vjp``). Every
 kernel is pure (identical inputs give bit-identical outputs) and
 records just enough structure to replay the chain rule. Gradients flow
 only into tensors created with ``trainable=True``; everything else is
 a frozen constant and its subgraph is skipped during backprop. Kernels
-trust their operands and state what they require; finiteness is
-checked at the boundaries, not per kernel: see ``Tensor`` and
-``backward``.
+and ``Tensor`` trust their operands; finiteness is checked once, at the
+boundaries: input rows by ``data.Dataset``, the loss and leaf gradients
+by ``backward``, eval embeddings and loaded prompts by their readers.
 
 On small sequences a node costs more in call overhead than in
 arithmetic, so kernels call ``np.add.reduce``, ``np.maximum.reduce`` and
@@ -61,11 +61,8 @@ class Tensor:
 
     __slots__ = ("data", "trainable", "needs_grad", "parents", "vjp", "name")
 
-    def __init__(self, data, trainable: bool = False, name: str = "", checked: bool = True):
-        arr = np.asarray(data, dtype=np.float64)
-        if checked:
-            _ensure_finite(arr, f"tensor '{name}'" if name else "tensor")
-        self.data = arr
+    def __init__(self, data, trainable: bool = False, name: str = ""):
+        self.data = np.asarray(data, dtype=np.float64)
         self.trainable = bool(trainable)
         self.needs_grad = self.trainable
         self.parents: tuple[Tensor, ...] = ()
@@ -75,10 +72,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     def __repr__(self) -> str:
         tag = f" '{self.name}'" if self.name else ""
@@ -232,6 +225,11 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
+def _softmax_vjp(g: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Gradient at the logits of a last-axis softmax with output ``probs``."""
+    return probs * (g - np.add.reduce(g * probs, axis=-1, keepdims=True))
+
+
 def _log_softmax(xd: np.ndarray, axis: int) -> np.ndarray:
     """Log-softmax along a non-empty ``axis``."""
     shifted = xd - np.maximum.reduce(xd, axis=axis, keepdims=True)
@@ -303,7 +301,7 @@ def prompted_attention(prefix: Tensor, state: Tensor, wq: np.ndarray, wk: np.nda
         g_ctx = (g @ wo.T).reshape(*lead, batch, m, heads, c).swapaxes(-3, -2)
         g_probs = g_ctx @ v4.swapaxes(-1, -2)
         g_v4 = probs.swapaxes(-1, -2) @ g_ctx
-        gs = probs * (g_probs - np.add.reduce(g_probs * probs, axis=-1, keepdims=True))
+        gs = _softmax_vjp(g_probs, probs)
         g_k4 = (q4.swapaxes(-1, -2) @ gs).swapaxes(-2, -1)
         g_prefix = g_state = None
         if n_prefix:

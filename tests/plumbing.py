@@ -38,6 +38,7 @@ import numpy as np
 from fedfairprompt import tensor as T
 from fedfairprompt.data import SyntheticSpec, _group_pattern, _label_pattern
 from fedfairprompt.debias import DemographicSubspace
+from fedfairprompt.encoder import TEMPERATURE
 from fedfairprompt.tensor import Tensor, _lift, _node, _unit, _unit_vjp
 
 
@@ -299,7 +300,7 @@ def composed_refinement_loss(model, prompts, features: np.ndarray, labels: np.nd
         masks.append(Tensor(sel / float(sel.sum())))
     z, z_debiased = model.embed(prompts, features)
     emb = z if z_debiased is z else l2_normalize(z_debiased)
-    logits = scale(matmul(emb, Tensor(model.class_text.T)), 1.0 / float(model.temperature))
+    logits = scale(matmul(emb, Tensor(model.encoder.class_text.T)), 1.0 / TEMPERATURE)
     nll = scale(reduce_mean(take_per_row(log_softmax(logits, axis=1), labels)), -1.0)
     correct_prob = take_per_row(softmax(logits, axis=1), labels)
     group_means = [reduce_sum(mul(correct_prob, m)) for m in masks]
@@ -335,11 +336,11 @@ def tile_leading(x: Tensor, n: int) -> Tensor:
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     x = _lift(x)
-    axis = axis % x.ndim
+    axis = axis % x.data.ndim
     n = x.shape[axis]
     if not (0 <= start <= stop <= n):
         raise ValueError(f"slice [{start}:{stop}] outside axis of length {n}")
-    index = tuple(slice(None) if i != axis else slice(start, stop) for i in range(x.ndim))
+    index = tuple(slice(None) if i != axis else slice(start, stop) for i in range(x.data.ndim))
     out = x.data[index]
 
     def vjp(g):

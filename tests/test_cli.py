@@ -138,6 +138,18 @@ def test_report_prints_finished_summary(tmp_path, capsys):
     assert "Federation run summary" in printed
 
 
+def test_report_of_a_failed_run_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "--config", _cfg_file(tmp_path, lr=1e200), "--method",
+          "fedavg_baseline", *_tiny_flags(out)])
+    capsys.readouterr()
+    rc = main(["report", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Federation run summary" in captured.out
+    assert captured.err.startswith("run failed: round 1: ")
+
+
 def test_report_missing_dir_exits_two(tmp_path, capsys):
     rc = main(["report", "--out", str(tmp_path / "nope")])
     assert rc == 2
@@ -160,6 +172,17 @@ def test_sweep_axis_prints_comparison_table(tmp_path, capsys):
     assert rc == 0
     assert "clients=2" in out and "clients=3" in out
     assert "phi_eq" in out
+
+
+def test_sweep_axis_with_a_failed_cell_exits_one(tmp_path, capsys):
+    # alpha=-1 fails validation inside its cell; the alpha=0.5 cell runs
+    rc = main(["sweep", "--config", _cfg_file(tmp_path), "--method", "fedavg_baseline",
+               "--axis", "alpha", "--values=-1,0.5", "--replicates", "1",
+               *_tiny_flags(tmp_path / "sw")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "sweep over alpha had failed cells" in captured.err
+    assert "| a_b | failed | 0." in captured.out
 
 
 def test_sweep_needs_exactly_one_mode(tmp_path, capsys):
@@ -190,6 +213,22 @@ def test_sweep_preset_honours_config_and_flags(tmp_path, capsys):
     assert "clients=3" in lines  # flag
     assert "n_train=160" in lines  # config file
     assert "lr=0.002" in lines  # the preset's own override
+
+
+def test_sweep_preset_over_an_axis_exits_one_on_a_failed_cell(tmp_path, capsys):
+    # table5 sweeps clients over 5 and 20; 16 training rows cover 5
+    # clients but not 20, so that cell fails and its siblings still run
+    out = tmp_path / "pre"
+    rc = main(["sweep", "--preset", "table5", "--config", _cfg_file(tmp_path, n_train=16),
+               "--rounds", "1", "--replicates", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "preset table5 had failed cells" in captured.err
+    rows = [line for line in captured.out.splitlines() if line.startswith("| fvlfp |")]
+    assert rows[0].startswith("| fvlfp | clients=5 | 0.")
+    assert rows[1] == "| fvlfp | clients=20 | " + " | ".join(["failed"] * 5) + " |"
+    assert (out / "table5" / "fvlfp" / "clients=5" / "rep0" / "rounds.csv").exists()
+    assert not (out / "table5" / "fvlfp" / "clients=20").exists()
 
 
 def test_sweep_rejects_unknown_preset(tmp_path):

@@ -148,6 +148,40 @@ def test_every_float_field_must_be_finite():
             dataclasses.replace(Config(), **{name: float("inf")})
 
 
+@pytest.mark.parametrize("field,value,rule", [
+    ("rounds", 1.5, "must be an integer"),
+    ("batch_size", 2.0, "must be an integer"),
+    ("clients", True, "must be an integer"),
+    ("master_seed", "3", "must be an integer"),
+    ("lr", "0.1", "must be a real number"),
+    ("alpha", False, "must be a real number"),
+    ("method", 5, "must be text"),
+    ("out_dir", None, "must be text"),
+])
+def test_value_of_the_wrong_type_is_rejected_with_name(field, value, rule):
+    # Config(rounds=1.5) used to be accepted and the run then died in range()
+    with pytest.raises(ValueError, match=f"config field '{field}' {rule}"):
+        dataclasses.replace(Config(), **{field: value})
+
+
+def test_typed_override_of_the_wrong_type_is_rejected_with_name():
+    with pytest.raises(ValueError, match="config field 'rounds' must be an integer, got 1.5"):
+        parse_config(overrides={"rounds": 1.5})
+
+
+def test_a_float_field_stores_an_integer_as_a_float():
+    cfg = dataclasses.replace(Config(), alpha=2, lambda1=0)
+    assert type(cfg.alpha) is float and type(cfg.lambda1) is float
+    assert "alpha=2.0\n" in config_lines(cfg)
+
+
+@pytest.mark.parametrize("value", ["runs/a#b", "runs/a\nb", "runs/a\rb", " runs", "runs\t"])
+def test_text_that_config_txt_cannot_carry_is_rejected(value):
+    # out_dir=runs/a#b used to be written to config.txt and read back as runs/a
+    with pytest.raises(ValueError, match="config field 'out_dir' must hold no '#'"):
+        dataclasses.replace(Config(), out_dir=value)
+
+
 def test_train_count_must_cover_clients():
     with pytest.raises(ValueError, match="n_train"):
         dataclasses.replace(Config(), n_train=3, clients=5)
@@ -189,6 +223,7 @@ def _variant_configs():
                               lr=5e-3, rounds=1)
     yield dataclasses.replace(Config(), lambda2=0.5, minority_attenuation=0.0,
                               out_dir="elsewhere")
+    yield dataclasses.replace(Config(), alpha=2, out_dir="runs/a b=c", data_dir="../d")
 
 
 def test_config_lines_reparse_to_equal_config(tmp_path):

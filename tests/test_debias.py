@@ -18,7 +18,7 @@ from fedfairprompt.debias import (
     project_out,
     task_loss,
 )
-from fedfairprompt.encoder import EncoderConfig, VisionEncoder
+from fedfairprompt.encoder import TEMPERATURE, EncoderConfig, VisionEncoder
 from fedfairprompt.tensor import Tensor, backward
 
 from gradcheck import assert_grads_match
@@ -408,7 +408,7 @@ def test_losses_backpropagate_into_prompts():
         z = enc.encode_image(e0, prompts)
         deb = project_out(z, sub)
         fair = fairness_loss(deb, sub, mu=0.3)
-        task = task_loss(deb, z, targets, cfg.temperature)
+        task = task_loss(deb, z, targets, TEMPERATURE)
         return joint_loss(task, fair, lam1=1.0)
 
     leaves = list(prompts.parameters().values())

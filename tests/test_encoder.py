@@ -17,6 +17,7 @@ from scipy.special import erf
 
 from fedfairprompt import tensor as T
 from fedfairprompt.crosslayer import apply_cross_layer
+from fedfairprompt.config import Config
 from fedfairprompt.encoder import (
     CLASS_TEMPLATES,
     GROUP_TEMPLATES,
@@ -26,7 +27,6 @@ from fedfairprompt.encoder import (
     VisionEncoder,
     _head,
 )
-from fedfairprompt.debias import build_subspace
 from fedfairprompt.federation import PromptedModel, refinement_loss
 from fedfairprompt.tensor import NonFiniteError, Tensor, backward
 from gradcheck import assert_grads_match
@@ -261,13 +261,11 @@ def test_lockstep_step_tape_size_matches_one_client():
     # and one per loss head (projection, task, hinge, joint). Stacking
     # three clients on a leading axis records the same 39, one
     # per-client loss vector.
-    cfg = EncoderConfig()
-    enc = VisionEncoder(cfg)
-    model = PromptedModel(enc, np.stack([enc.encode_text(s) for s in CLASS_TEMPLATES]),
-                          cfg.temperature, subspace=build_subspace(enc, GROUP_TEMPLATES))
+    model = PromptedModel.for_config(Config(method="fvlfp"))
+    enc, cfg = model.encoder, model.encoder.config
     e0 = enc.embed_patches(_rng(38).random((3, 16, cfg.image_size, cfg.image_size)).reshape(
         48, cfg.image_size, cfg.image_size)).reshape(3, 16, cfg.patch_count, cfg.embed_dim)
-    targets = model.class_text[_rng(39).integers(0, 2, size=(3, 16))]
+    targets = enc.class_text[_rng(39).integers(0, 2, size=(3, 16))]
     ps = PromptSet.initialize(cfg, seed=40)
     one = model.local_loss(ps, e0[0], targets[0], mu=0.3, lam1=0.5)
     stacked = model.local_loss(ps.map(lambda a: np.stack([a] * 3)), e0, targets, mu=0.3, lam1=0.5)
@@ -278,10 +276,8 @@ def test_lockstep_step_tape_size_matches_one_client():
 def test_refinement_step_tape_size_is_pinned():
     # The 35 nodes of the forward, the projection and the refinement
     # head, which re-normalizes the debiased rows itself.
-    cfg = EncoderConfig()
-    enc = VisionEncoder(cfg)
-    model = PromptedModel(enc, np.stack([enc.encode_text(s) for s in CLASS_TEMPLATES]),
-                          cfg.temperature, subspace=build_subspace(enc, GROUP_TEMPLATES))
+    model = PromptedModel.for_config(Config(method="fvlfp"))
+    enc, cfg = model.encoder, model.encoder.config
     e0 = enc.embed_patches(_rng(41).random((16, cfg.image_size, cfg.image_size)))
     labels, groups = _rng(42).integers(0, 2, size=16), np.repeat([0, 1], 8)
     loss = refinement_loss(model, PromptSet.initialize(cfg, seed=43), e0, labels, groups, lam2=1.0)
@@ -418,10 +414,12 @@ def test_backbone_hash_is_stable_and_seed_sensitive():
 
 
 def test_every_array_the_forward_reads_is_read_only():
-    # Nothing in a run can change the frozen weights in place, the two
-    # derived in VisionEncoder (the CLS row and the scaled wq) included.
+    # Nothing in a run can change the frozen weights in place, the three
+    # derived in VisionEncoder (the CLS row, the scaled wq and the class
+    # text rows) included.
     enc = VisionEncoder(SMALL)
-    arrays = list(enc.backbone._iter_arrays()) + [enc._cls_row, enc._patch_pos, enc._out_proj]
+    arrays = list(enc.backbone._iter_arrays()) + [enc._cls_row, enc._patch_pos, enc._out_proj,
+                                                   enc.class_text]
     for attention, w1, w2 in enc._layer_consts:
         assert len(attention) == 4
         arrays += [*attention, w1, w2]
@@ -432,8 +430,7 @@ def test_every_array_the_forward_reads_is_read_only():
 
 def _frozen_outputs(enc, img, ps):
     e0 = enc.embed_patches(img)
-    text = [enc.encode_text(s) for s in CLASS_TEMPLATES]
-    return [e0, enc.encode_image(e0, ps).data, *text]
+    return [e0, enc.encode_image(e0, ps).data, *enc.class_text]
 
 
 def test_backbone_holds_exactly_the_weights_the_forward_reads():
@@ -508,6 +505,17 @@ def test_load_arrays_rejects_non_finite_array():
         ps.load_arrays(arrays)
 
 
+def test_load_arrays_rejects_an_array_of_the_wrong_shape():
+    ps = PromptSet.initialize(EncoderConfig(seed=27), seed=28)
+    before = ps.to_arrays()
+    arrays = PromptSet.initialize(EncoderConfig(seed=27), seed=29).to_arrays()
+    arrays["query2"] = arrays["query2"][:-1]
+    with pytest.raises(ValueError, match=re.escape("array for 'query2' has shape (31,), "
+                                                   "expected (32,)")):
+        ps.load_arrays(arrays)
+    assert all(np.array_equal(t.data, before[name]) for name, t in ps.parameters().items())
+
+
 def test_load_arrays_writes_nothing_when_a_later_array_is_bad():
     # tokens0 and tokens1 come before tokens2; a load that wrote each
     # array as it checked it left them replaced by seed 2's values.
@@ -526,7 +534,5 @@ def test_config_validation():
         EncoderConfig(embed_dim=30, heads=4)
     with pytest.raises(ValueError):
         EncoderConfig(image_size=30, patch_size=8)
-    with pytest.raises(ValueError):
-        EncoderConfig(temperature=0.0)
     with pytest.raises(ValueError):
         EncoderConfig(prompt_tokens=0)

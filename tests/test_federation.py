@@ -18,7 +18,6 @@ from fedfairprompt.config import METHODS, Config
 from fedfairprompt.data import Dataset, SyntheticSpec, generate_synthetic, save_embeddings
 from fedfairprompt.debias import build_subspace, project_out
 from fedfairprompt.encoder import (
-    CLASS_TEMPLATES,
     GROUP_TEMPLATES,
     EncoderConfig,
     PromptSet,
@@ -59,13 +58,8 @@ def encoder(enc_cfg):
 
 
 @pytest.fixture(scope="module")
-def class_text(encoder):
-    return np.stack([encoder.encode_text(s) for s in CLASS_TEMPLATES])
-
-
-@pytest.fixture(scope="module")
-def model(encoder, class_text, enc_cfg):
-    return PromptedModel(encoder, class_text, enc_cfg.temperature)
+def model(encoder):
+    return PromptedModel(encoder)
 
 
 @pytest.fixture(scope="module")
@@ -238,22 +232,13 @@ def test_client_update_is_pure_and_deterministic(model, val_split, enc_cfg):
     assert all(np.array_equal(prompts.to_arrays()[k], before[k]) for k in before)
 
 
-def _method_model(encoder, class_text, enc_cfg, method):
-    config = Config(method=method)
-    return PromptedModel(
-        encoder, class_text, enc_cfg.temperature,
-        subspace=build_subspace(encoder, GROUP_TEMPLATES) if config.dsop_enabled else None,
-        cdfp_enabled=config.cdfp_enabled,
-    )
-
-
 @pytest.mark.parametrize("batch_size", [1, 8, 16])
 @pytest.mark.parametrize("method", METHODS)
 def test_lockstep_client_update_matches_one_call_per_shard(
-        encoder, class_text, enc_cfg, val_split, method, batch_size):
+        enc_cfg, val_split, method, batch_size):
     # 5, 19 and 33 rows: different step counts and, at batch 8 and 16,
     # short last batches that run in their own group
-    model = _method_model(encoder, class_text, enc_cfg, method)
+    model = PromptedModel.for_config(Config(method=method))
     shards = [_shard(model, i, n, 40 + i) for i, n in enumerate((5, 19, 33))]
     prompts = PromptSet.initialize(enc_cfg, seed=41, sigma=0.5)
     config = Config(method=method, batch_size=batch_size, lr=2e-2, master_seed=3)
@@ -274,19 +259,18 @@ def test_lockstep_client_update_matches_one_call_per_shard(
 def _tiny_refine_setup():
     cfg = EncoderConfig(layers=2, prompt_tokens=1, heads=2)
     encoder = VisionEncoder(cfg)
-    class_text = np.stack([encoder.encode_text(s) for s in CLASS_TEMPLATES])
     data = generate_synthetic(SyntheticSpec(n=6, seed=21, spurious_strength=0.0))
     features = encoder.embed_patches(data.features)
     groups = np.array([0, 0, 0, 1, 1, 1])
-    return cfg, encoder, class_text, features, data.labels, groups
+    return cfg, encoder, features, data.labels, groups
 
 
 def test_refinement_loss_gradients_reach_all_prompt_parameters():
-    cfg, encoder, class_text, features, labels, groups = _tiny_refine_setup()
+    cfg, encoder, features, labels, groups = _tiny_refine_setup()
     prompts = PromptSet.initialize(cfg, seed=8)
     subspace = build_subspace(encoder, GROUP_TEMPLATES, k=1)
 
-    model = PromptedModel(encoder, class_text, cfg.temperature, subspace=subspace)
+    model = PromptedModel(encoder, subspace)
 
     def loss():
         return refinement_loss(model, prompts, features, labels, groups, lam2=0.7)
@@ -296,7 +280,7 @@ def test_refinement_loss_gradients_reach_all_prompt_parameters():
 
 
 @pytest.mark.parametrize("dsop", [True, False])
-def test_refinement_loss_equals_its_composition_bit_for_bit(encoder, class_text, enc_cfg, dsop):
+def test_refinement_loss_equals_its_composition_bit_for_bit(encoder, enc_cfg, dsop):
     # The head alone, on unit-scale (B, d) rows standing in for the
     # encoder's output; refinement runs on one batch, so nothing is stacked.
     rng = np.random.default_rng(60)
@@ -304,7 +288,7 @@ def test_refinement_loss_equals_its_composition_bit_for_bit(encoder, class_text,
     leaf = Tensor(z / np.linalg.norm(z, axis=-1, keepdims=True), trainable=True)
     subspace = build_subspace(encoder, GROUP_TEMPLATES, k=1) if dsop else None
     model = SimpleNamespace(
-        class_text=class_text, temperature=enc_cfg.temperature,
+        encoder=encoder,
         embed=lambda _ps, _rows: (leaf, project_out(leaf, subspace) if dsop else leaf))
     labels, groups = rng.integers(0, 2, size=12), np.repeat([0, 1], 6)
     fused = refinement_loss(model, None, None, labels, groups, lam2=0.7)
@@ -363,10 +347,10 @@ def test_server_refine_reduces_its_objective(model, val_split, enc_cfg):
     assert objective(refined) < objective(prompts)
 
 
-def test_wo_cdfp_returns_every_query_byte_identical(encoder, class_text, enc_cfg, val_split):
+def test_wo_cdfp_returns_every_query_byte_identical(enc_cfg, val_split):
     # Without cross-layer mixing no query gets a gradient, so none gets a
     # step or weight decay: nonzero queries come back exactly as given.
-    model = _method_model(encoder, class_text, enc_cfg, "wo-cdfp")
+    model = PromptedModel.for_config(Config(method="wo-cdfp"))
     prompts = PromptSet.initialize(enc_cfg, seed=7)
     rng = np.random.default_rng(7)
     for q in prompts.queries:
@@ -523,7 +507,8 @@ def test_a_failing_client_is_named_after_the_clients_before_it_train(model, val_
     shards[1] = dataclasses.replace(shards[1], features=features)
     config = Config(batch_size=8, lr=2e-3)
     with pytest.raises(FederationError,
-                       match=r"^client 1: non-finite values in tensor \(batch offset \d+\)$"):
+                       match=r"^client 1: non-finite loss; first non-finite output is from "
+                             r"'prompted_attention' \(batch offset \d+\)$"):
         client_update(*shards, model=model, prompts=PromptSet.initialize(enc_cfg, seed=6),
                       val=val_split, round_index=1, config=config)
 
@@ -578,6 +563,14 @@ def test_non_finite_evaluation_becomes_flagged_failure(monkeypatch):
     assert rep.incomplete
     assert [r.round for r in rep.rounds] == [0, 1]
     assert rep.failure == "round 2: non-finite values in eval embeddings"
+
+
+def test_failed_refinement_becomes_flagged_failure():
+    # a refinement step this size overflows the layernorm on the next forward
+    rep = run_federation(_tiny_config(refine_lr=1e200))
+    assert rep.incomplete and [r.round for r in rep.rounds] == [0]
+    assert re.match(r"^round 1: server refinement: overflow encountered in \w+ at step 1$",
+                    rep.failure), rep.failure
 
 
 def test_report_prompts_are_the_last_recorded_rounds(monkeypatch):

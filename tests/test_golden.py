@@ -32,11 +32,9 @@ import numpy as np
 import pytest
 
 from fedfairprompt.config import METHODS, Config
-from fedfairprompt.debias import build_subspace
-from fedfairprompt.encoder import CLASS_TEMPLATES, GROUP_TEMPLATES, PromptSet, VisionEncoder
+from fedfairprompt.encoder import PromptSet
 from fedfairprompt.federation import (
     PromptedModel,
-    encoder_config,
     evaluate_prompts,
     load_splits,
     predict,
@@ -197,19 +195,11 @@ def test_saved_prompts_reproduce_the_last_global_record(out_dirs, tmp_path, meth
     if method in RESCORE_ROUNDS:
         config, run_dir = replace(config, rounds=RESCORE_ROUNDS[method]), tmp_path
         emit_report(run_federation(config), str(run_dir))
-    encoder = VisionEncoder(encoder_config(config))
-    model = PromptedModel(
-        encoder=encoder,
-        class_text=np.stack([encoder.encode_text(s) for s in CLASS_TEMPLATES]),
-        temperature=encoder.config.temperature,
-        subspace=(build_subspace(encoder, GROUP_TEMPLATES, k=config.subspace_rank)
-                  if config.dsop_enabled else None),
-        cdfp_enabled=config.cdfp_enabled,
-    )
-    prompts = PromptSet.initialize(encoder.config)
+    model = PromptedModel.for_config(config)
+    prompts = PromptSet.initialize(model.encoder.config)
     with np.load(os.path.join(run_dir, "prompts.npz")) as saved:
         prompts.load_arrays({name: saved[name] for name in saved.files})
-    test = load_splits(config, encoder)[2]
+    test = load_splits(config, model.encoder)[2]
     assert np.unique(predict(model, prompts, test.features)).tolist() == [0, 1]
     record, _ = evaluate_prompts(model, prompts, test)
     with open(os.path.join(run_dir, "report.json"), encoding="utf-8") as fh:
