@@ -142,7 +142,8 @@ def _parser() -> argparse.ArgumentParser:
     _add_common_flags(sw)
     sw.add_argument("--preset", choices=sorted(PRESETS), help="named table preset")
     sw.add_argument("--axis", choices=SWEEP_AXES, help="config field to sweep")
-    sw.add_argument("--values", metavar="V1,V2,...", help="swept values")
+    sw.add_argument("--values", metavar="V1,V2,...",
+                    help="swept values; write --values=-1,0.5 when the first is negative")
     sw.add_argument("--replicates", type=int, default=3, metavar="R",
                     help="replicates per cell (default 3)")
     sw.set_defaults(func=_cmd_sweep)

@@ -16,8 +16,8 @@ on the (K, d) block and are broadcast over the batch. Queries, the
 output projection and the MLP run only for the rows the next step
 reads: CLS and the patch rows, or CLS alone in the last block. A
 block's whole attention sublayer is one tape node
-(``tensor.prompted_attention``); its MLP is five more, and the head
-after the last block one more.
+(``tensor.prompted_attention``), its MLP sublayer one more (``_mlp``),
+and the head after the last block one more (``_head``).
 
 The backbone holds only the weights the forward reads, as frozen
 arrays: its layer norms have no affine terms and its MLP has no biases.
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tensor as T
 from .crosslayer import apply_cross_layer
-from .tensor import Tensor, _ensure_finite, _ln, _ln_vjp, _node, _unit, _unit_vjp
+from .tensor import Tensor, _ensure_finite, _gelu_vjp, _ln_vjp, _node, _unit, _unit_vjp
 
 
 @dataclass(frozen=True)
@@ -291,11 +291,11 @@ class VisionEncoder:
         (B, n, d) ``state`` rows, returning the new state rows (CLS alone
         when ``cls_only``). The attention sublayer is one
         ``prompted_attention`` node: keys and values come from every
-        row, queries only from the returned ones. The MLP runs on the
-        returned rows through layernorm, matmul, GELU and add nodes."""
+        row, queries only from the returned ones. The MLP sublayer is
+        one ``_mlp`` node on the returned rows."""
         attention, w1, w2 = self._layer_consts[idx]
         rows = T.prompted_attention(prompt, state, *attention, self.config.heads, cls_only)
-        return T.add(rows, T.matmul(T.gelu(T.matmul(T.layernorm(rows), w1)), w2))
+        return _mlp(rows, w1, w2)
 
     def encode_image(
         self,
@@ -348,11 +348,28 @@ class VisionEncoder:
         return _head(state, self._out_proj)
 
 
+def _mlp(rows: Tensor, w1: np.ndarray, w2: np.ndarray) -> Tensor:
+    """A pre-LN MLP sublayer with its residual, as one node:
+    ``rows + gelu(layernorm(rows) @ w1) @ w2``, bit-identical to the
+    layernorm, matmul, GELU, matmul and add kernels it fuses."""
+    h, inv = T.layernorm(rows.data)
+    u = T.matmul(h, w1)
+    a, cdf = T.gelu(u)
+    out = rows.data + T.matmul(a, w2)
+
+    def vjp(g):
+        # The residual's ``g`` reaches ``rows`` before the LN2 branch's.
+        g_u = _gelu_vjp(g @ w2.T, u, cdf)
+        return (g + _ln_vjp(g_u @ w1.T, h, inv),)
+
+    return _node(out, (rows,), vjp, "encoder_mlp")
+
+
 def _head(state: Tensor, out_proj: np.ndarray) -> Tensor:
     """The (..., B, 1, d) CLS rows, layer-normed, times ``out_proj`` and
     scaled to unit norm, as one node: (..., B, d) unit rows, bit-identical
     to the reshape, layernorm, matmul and L2 kernels it fuses."""
-    rows, inv = _ln(state.data.reshape(state.shape[:-2] + state.shape[-1:]))
+    rows, inv = T.layernorm(state.data.reshape(state.shape[:-2] + state.shape[-1:]))
     out, norm = _unit(rows @ out_proj)
 
     def vjp(g):

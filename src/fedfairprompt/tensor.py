@@ -1,20 +1,21 @@
 """Dense float64 tensors with taped reverse-mode gradients.
 
-The kernels fit what a run differentiates, the prompt-dependent rows of
-a frozen encoder: ``matmul`` by a frozen weight array, ``add`` of two
-operands of one shape, layer norm without affine terms, GELU, and
-``prompted_attention``, an encoder block's whole attention sublayer
-over a shared prompt prefix. ``softmax`` is a forward-only array
-function. The encoder head, the cross-layer mixing and the loss heads
-are one node each, built on the private forward/VJP pairs here
-(``_ln``, ``_unit``, ``_log_softmax``, ``softmax``/``_softmax_vjp``). Every
-kernel is pure (identical inputs give bit-identical outputs) and
-records just enough structure to replay the chain rule. Gradients flow
-only into tensors created with ``trainable=True``; everything else is
-a frozen constant and its subgraph is skipped during backprop. Kernels
-and ``Tensor`` trust their operands; finiteness is checked once, at the
-boundaries: input rows by ``data.Dataset``, the loss and leaf gradients
-by ``backward``, eval embeddings and loaded prompts by their readers.
+The tape records only what a run differentiates, the prompt-dependent
+rows of a frozen encoder, as one node per stage: ``prompted_attention``
+here, an encoder block's whole attention sublayer over a shared prompt
+prefix, and the encoder's MLP and head, the cross-layer mixing and the
+loss heads elsewhere. They are built on the forward/VJP pairs here:
+``layernorm``/``_ln_vjp``, ``gelu``/``_gelu_vjp``, ``softmax``/
+``_softmax_vjp``, ``_unit`` and ``_log_softmax``. ``layernorm``,
+``gelu``, ``softmax`` and ``matmul`` are public forward-only array
+functions and record no node. Every kernel is pure (identical inputs
+give bit-identical outputs) and records just enough structure to
+replay the chain rule. Gradients flow only into tensors created with
+``trainable=True``; everything else is a frozen constant and its
+subgraph is skipped during backprop. Kernels and ``Tensor`` trust their
+operands; finiteness is checked once, at the boundaries: input rows by
+``data.Dataset``, the loss and leaf gradients by ``backward``, eval
+embeddings and loaded prompts by their readers.
 
 On small sequences a node costs more in call overhead than in
 arithmetic, so kernels call ``np.add.reduce``, ``np.maximum.reduce`` and
@@ -33,7 +34,6 @@ __all__ = [
     "backward",
     "matmul",
     "prompted_attention",
-    "add",
     "softmax",
     "layernorm",
     "gelu",
@@ -160,46 +160,24 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and arithmetic kernels
+# elementwise functions and linear algebra
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Sum of two tensors of one shape."""
-    a, b = _lift(a), _lift(b)
-
-    def vjp(g):
-        return g, g
-
-    return _node(a.data + b.data, (a, b), vjp, "add")
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (erf-based) GELU: (output, normal CDF of ``x``)."""
+    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    return x * cdf, cdf
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
-    x = _lift(x)
-    xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd / _SQRT2))
-    out = xd * cdf
-
-    def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
-        return (g * (cdf + xd * pdf),)
-
-    return _node(out, (x,), vjp, "gelu")
+def _gelu_vjp(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    return g * (cdf + x * pdf)
 
 
-# ---------------------------------------------------------------------------
-# linear algebra
-
-
-def matmul(a: Tensor, w: np.ndarray) -> Tensor:
-    """Rows (..., n, k) times a frozen (k, m) weight array; only the rows
-    receive a gradient. numpy rejects differing inner dims."""
-    a = _lift(a)
-
-    def vjp(g):
-        return (g @ w.swapaxes(-1, -2),)
-
-    return _node(a.data @ w, (a,), vjp, "matmul")
+def matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w``. The MLP calls it rather than ``@`` only so that the
+    benchmark's ``tensor.matmul`` span still records its two products."""
+    return a @ w
 
 
 def _unit(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +218,7 @@ def _log_softmax_vjp(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     return g - np.exp(out) * np.add.reduce(g, axis=axis, keepdims=True)
 
 
-def _ln(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def layernorm(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Last-axis layer norm without affine: (output, 1 / deviation)."""
     d = xd.shape[-1]
     xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
@@ -253,17 +231,6 @@ def _ln_vjp(g: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndarray:
     d = out.shape[-1]
     return inv * (g - np.add.reduce(g, axis=-1, keepdims=True) / d
                   - out * (np.add.reduce(g * out, axis=-1, keepdims=True) / d))
-
-
-def layernorm(x: Tensor) -> Tensor:
-    """Per-slice (last axis) zero-mean unit-variance, with no affine."""
-    x = _lift(x)
-    out, inv = _ln(x.data)
-
-    def vjp(g):
-        return (_ln_vjp(g, out, inv),)
-
-    return _node(out, (x,), vjp, "layernorm")
 
 
 def prompted_attention(prefix: Tensor, state: Tensor, wq: np.ndarray, wk: np.ndarray,
@@ -285,8 +252,8 @@ def prompted_attention(prefix: Tensor, state: Tensor, wq: np.ndarray, wk: np.nda
     *lead, batch, n, _ = state.shape
     k, e = prefix.shape[-2], wk.shape[1]
     c = e // heads
-    p, p_inv = _ln(prefix.data)
-    h, h_inv = _ln(state.data)
+    p, p_inv = layernorm(prefix.data)
+    h, h_inv = layernorm(state.data)
     k4, v4 = np.empty((*lead, batch, heads, k + n, c)), np.empty((*lead, batch, heads, k + n, c))
     for w, out in ((wk, k4), (wv, v4)):
         out[..., :k, :] = (p @ w).reshape(*lead, 1, k, heads, c).swapaxes(-3, -2)

@@ -1,20 +1,23 @@
 """Kernels and formulas that only the test references use.
 
-``add``, ``matmul``, ``softmax``, ``l2_normalize`` and ``reshape`` are
-the general tape's kernels: broadcasting sums, gradients for both
-matmul operands, a differentiable softmax. The pipeline only ever
-differentiates prompt-dependent rows against frozen weights, so
-``fedfairprompt.tensor`` keeps specialised ``add``, ``matmul`` and
-``softmax`` and fuses the rest into its heads. ``composed_head``
-rebuilds the encoder head from them. ``sub``, ``mul``, ``scale``,
-``relu``, ``abs_value``, ``log_softmax``, ``reduce_sum``,
-``reduce_mean`` and ``take_per_row`` are the generic kernels the loss
-heads were built from. ``composed_project_out``,
-``composed_task_loss``, ``composed_fairness_loss``,
-``composed_joint_loss`` and ``composed_refinement_loss`` rebuild each
-head from them: the compositions the fused heads in ``encoder``,
-``debias`` and ``federation`` are held to, bit for bit. Tests also use
-them as probes (``reduce_sum(mul(z, probe))``).
+``add``, ``matmul``, ``layernorm``, ``gelu``, ``softmax``,
+``l2_normalize`` and ``reshape`` are the general tape's kernels:
+broadcasting sums, gradients for both matmul operands, a node each for
+layer norm, GELU and a differentiable softmax. The pipeline only ever
+differentiates prompt-dependent rows against frozen weights, one node
+per stage, so ``fedfairprompt.tensor`` keeps ``layernorm``, ``gelu``,
+``matmul`` and ``softmax`` as forward-only array functions beside
+their VJPs, and the stages fuse the rest. ``composed_mlp`` and
+``composed_head`` rebuild the encoder's MLP sublayer and head from
+them. ``sub``, ``mul``, ``scale``, ``relu``, ``abs_value``,
+``log_softmax``, ``reduce_sum``, ``reduce_mean`` and ``take_per_row``
+are the generic kernels the loss heads were built from.
+``composed_project_out``, ``composed_task_loss``,
+``composed_fairness_loss``, ``composed_joint_loss`` and
+``composed_refinement_loss`` rebuild each head from them: the
+compositions the fused nodes in ``encoder``, ``debias`` and
+``federation`` are held to, bit for bit. Tests also use them as probes
+(``reduce_sum(mul(z, probe))``).
 
 ``concat``, ``tile_leading``, ``slice_axis`` and ``swap_axes`` build
 the full-row encoder reference. ``project_heads``,
@@ -39,7 +42,7 @@ from fedfairprompt import tensor as T
 from fedfairprompt.data import SyntheticSpec, _group_pattern, _label_pattern
 from fedfairprompt.debias import DemographicSubspace
 from fedfairprompt.encoder import TEMPERATURE
-from fedfairprompt.tensor import Tensor, _lift, _node, _unit, _unit_vjp
+from fedfairprompt.tensor import Tensor, _gelu_vjp, _lift, _ln_vjp, _node, _unit, _unit_vjp
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +93,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (ga, gb)
 
     return _node(out, (a, b), vjp, "matmul")
+
+
+def layernorm(x: Tensor) -> Tensor:
+    """Per-slice (last axis) zero-mean unit-variance, with no affine."""
+    x = _lift(x)
+    out, inv = T.layernorm(x.data)
+
+    def vjp(g):
+        return (_ln_vjp(g, out, inv),)
+
+    return _node(out, (x,), vjp, "layernorm")
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact (erf-based) GELU."""
+    x = _lift(x)
+    xd = x.data
+    out, cdf = T.gelu(xd)
+
+    def vjp(g):
+        return (_gelu_vjp(g, xd, cdf),)
+
+    return _node(out, (x,), vjp, "gelu")
 
 
 def l2_normalize(x: Tensor) -> Tensor:
@@ -249,11 +275,18 @@ def take_per_row(m: Tensor, cols: np.ndarray) -> Tensor:
 # the loss heads as compositions of those kernels
 
 
+def composed_mlp(rows: Tensor, w1: np.ndarray, w2: np.ndarray) -> Tensor:
+    """``encoder._mlp``: 5 tape nodes."""
+    rows = _lift(rows)
+    inner = matmul(layernorm(rows), Tensor(w1))
+    return add(rows, matmul(gelu(inner), Tensor(w2)))
+
+
 def composed_head(state: Tensor, out_proj: np.ndarray) -> Tensor:
     """``encoder._head``: 4 tape nodes."""
     state = _lift(state)
     rows = reshape(state, state.shape[:-2] + state.shape[-1:])
-    return l2_normalize(matmul(T.layernorm(rows), Tensor(out_proj)))
+    return l2_normalize(matmul(layernorm(rows), Tensor(out_proj)))
 
 
 def composed_project_out(z: Tensor, subspace: DemographicSubspace) -> Tensor:
@@ -413,7 +446,7 @@ def composed_attention(prefix: Tensor, state: Tensor, wq, wk, wv, wo, heads: int
                        cls_only: bool) -> Tensor:
     """``tensor.prompted_attention`` as the composition of single kernels
     the encoder recorded before it was fused: 11 tape nodes."""
-    p, h = T.layernorm(prefix), T.layernorm(state)
+    p, h = layernorm(prefix), layernorm(state)
     k4 = project_prefixed_heads(p, h, wk, heads)
     v4 = project_prefixed_heads(p, h, wv, heads)
     if cls_only:

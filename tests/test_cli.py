@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from fedfairprompt import harness
 from fedfairprompt.cli import main
 from fedfairprompt.config import parse_config
 from fedfairprompt.data import Dataset, load_embeddings, save_embeddings
@@ -183,6 +184,29 @@ def test_sweep_axis_with_a_failed_cell_exits_one(tmp_path, capsys):
     assert rc == 1
     assert "sweep over alpha had failed cells" in captured.err
     assert "| a_b | failed | 0." in captured.out
+
+
+def test_sweep_values_starting_with_a_negative_number_need_the_equals_form(
+        tmp_path, capsys, monkeypatch):
+    # After a space, argparse reads "-1,-2" as a flag and exits 2 itself.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--axis", "alpha", "--values", "-1,-2", "--out", str(tmp_path / "sw")])
+    assert exc.value.code == 2
+    assert "--values: expected one argument" in capsys.readouterr().err
+    # Written with "=", each value reaches Config's field check in its own
+    # cell; the failed cells make the sweep exit 1.
+    results = []
+
+    def recorded_sweep(*args, **kwargs):
+        results.append(harness.sweep(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr("fedfairprompt.cli.sweep", recorded_sweep)
+    rc = main(["sweep", "--axis", "alpha", "--values=-1,-2", "--replicates", "1",
+               "--out", str(tmp_path / "sw")])
+    assert rc == 1
+    assert [cell.error for cell in results[0].cells] == [
+        f"ValueError: config field 'alpha' must be > 0, got {v}" for v in (-1.0, -2.0)]
 
 
 def test_sweep_needs_exactly_one_mode(tmp_path, capsys):

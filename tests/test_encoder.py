@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from fedfairprompt import tensor as T
 from fedfairprompt.crosslayer import apply_cross_layer
 from fedfairprompt.config import Config
 from fedfairprompt.encoder import (
@@ -26,6 +25,7 @@ from fedfairprompt.encoder import (
     PromptSet,
     VisionEncoder,
     _head,
+    _mlp,
 )
 from fedfairprompt.federation import PromptedModel, refinement_loss
 from fedfairprompt.tensor import NonFiniteError, Tensor, backward
@@ -134,7 +134,7 @@ def _full_row_layer(enc, seq, idx):
     cfg, w = enc.config, enc.backbone.layers[idx]
     batch, length, d = seq.shape
     heads, head_dim = cfg.heads, d // cfg.heads
-    h = T.layernorm(seq)
+    h = P.layernorm(seq)
     q = P.matmul(h, Tensor(w["wq"] * head_dim**-0.5))
     k = P.matmul(h, Tensor(w["wk"]))
     v = P.matmul(h, Tensor(w["wv"]))
@@ -143,8 +143,7 @@ def _full_row_layer(enc, seq, idx):
     attn = P.softmax(P.matmul(q4, swap_axes(k4, 2, 3)), axis=-1)
     ctx = P.reshape(swap_axes(P.matmul(attn, v4), 1, 2), (batch, length, d))
     seq = P.add(seq, P.matmul(ctx, Tensor(w["wo"])))
-    inner = P.matmul(T.layernorm(seq), Tensor(w["w1"]))
-    return P.add(seq, P.matmul(T.gelu(inner), Tensor(w["w2"])))
+    return P.composed_mlp(seq, w["w1"], w["w2"])
 
 
 def _full_row_encode(enc, e0, prompts, cdfp_enabled=True, mixed_history=True):
@@ -229,6 +228,28 @@ def test_head_equals_its_composition_bit_for_bit(lead, batch):
         assert np.array_equal(grad, backward(P.reduce_sum(P.mul(composed, probe)))[state])
 
 
+@pytest.mark.parametrize("rows", [17, 1])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_mlp_equals_its_composition_bit_for_bit(lead, rows):
+    # The default block's weights on unit-scale rows: 17 rows (CLS and
+    # 16 patches) and CLS alone, unstacked and stacked over C = 3 clients.
+    cfg = EncoderConfig()
+    w = FrozenBackbone(cfg).layers[0]
+    for seed in range(10):
+        rng = _rng(60 + seed)
+        x = Tensor(rng.standard_normal(lead + (4, rows, cfg.embed_dim)), trainable=True)
+        probe = Tensor(rng.standard_normal(x.shape))
+        fused, composed = _mlp(x, w["w1"], w["w2"]), P.composed_mlp(x, w["w1"], w["w2"])
+        assert fused.parents == (x,)
+        assert np.array_equal(fused.data, composed.data)
+        grad = backward(P.reduce_sum(P.mul(fused, probe)))[x]
+        assert np.array_equal(grad, backward(P.reduce_sum(P.mul(composed, probe)))[x])
+    # A constant input records no node to sweep.
+    frozen = _mlp(Tensor(x.data), w["w1"], w["w2"])
+    assert frozen.parents == () and not frozen.needs_grad
+    assert np.array_equal(frozen.data, fused.data)
+
+
 def _tape_nodes(output):
     # Distinct tensors that need a gradient, reachable through .parents.
     seen, todo = set(), [output]
@@ -242,24 +263,24 @@ def _tape_nodes(output):
 
 
 def test_default_forward_tape_size_is_pinned():
-    # 6 nodes per block: the attention sublayer, LN2, two MLP matmuls,
-    # GELU and the residual. Block 1's state is constant, but its
-    # prompt block is not, so its attention is on the tape too. Then 4
-    # The head after the last block is one node, then the 4 token
-    # leaves; mixing adds one node and one query leaf per layer above
-    # the first. The full-row forward records 151 and 115.
+    # 2 nodes per block, 8 in all: the attention sublayer and the MLP
+    # sublayer. Block 1's state is constant, but its prompt block is
+    # not, so both its nodes are on the tape too. Then 1 for the head
+    # and the 4 token leaves: 13. Mixing adds one node and one query
+    # leaf per layer above the first: 19. The full-row forward records
+    # 121 and 115.
     cfg = EncoderConfig()
     enc = VisionEncoder(cfg)
     e0 = enc.embed_patches(_rng(36).random((16, cfg.image_size, cfg.image_size)))
     ps = PromptSet.initialize(cfg, seed=37)
-    assert _tape_nodes(enc.encode_image(e0, ps)) == 35
-    assert _tape_nodes(enc.encode_image(e0, ps, cdfp_enabled=False)) == 29
+    assert _tape_nodes(enc.encode_image(e0, ps)) == 19
+    assert _tape_nodes(enc.encode_image(e0, ps, cdfp_enabled=False)) == 13
 
 
 def test_lockstep_step_tape_size_matches_one_client():
-    # A client step under fvlfp records 39 nodes: the 35 of the forward
+    # A client step under fvlfp records 23 nodes: the 19 of the forward
     # and one per loss head (projection, task, hinge, joint). Stacking
-    # three clients on a leading axis records the same 39, one
+    # three clients on a leading axis records the same 23, one
     # per-client loss vector.
     model = PromptedModel.for_config(Config(method="fvlfp"))
     enc, cfg = model.encoder, model.encoder.config
@@ -270,19 +291,19 @@ def test_lockstep_step_tape_size_matches_one_client():
     one = model.local_loss(ps, e0[0], targets[0], mu=0.3, lam1=0.5)
     stacked = model.local_loss(ps.map(lambda a: np.stack([a] * 3)), e0, targets, mu=0.3, lam1=0.5)
     assert one.shape == () and stacked.shape == (3,)
-    assert _tape_nodes(one) == _tape_nodes(stacked) == 39
+    assert _tape_nodes(one) == _tape_nodes(stacked) == 23
 
 
 def test_refinement_step_tape_size_is_pinned():
-    # The 35 nodes of the forward, the projection and the refinement
-    # head, which re-normalizes the debiased rows itself.
+    # 21 nodes: the 19 of the forward, the projection and the
+    # refinement head, which re-normalizes the debiased rows itself.
     model = PromptedModel.for_config(Config(method="fvlfp"))
     enc, cfg = model.encoder, model.encoder.config
     e0 = enc.embed_patches(_rng(41).random((16, cfg.image_size, cfg.image_size)))
     labels, groups = _rng(42).integers(0, 2, size=16), np.repeat([0, 1], 8)
     loss = refinement_loss(model, PromptSet.initialize(cfg, seed=43), e0, labels, groups, lam2=1.0)
     assert loss.shape == ()
-    assert _tape_nodes(loss) == 37
+    assert _tape_nodes(loss) == 21
 
 
 def test_batched_forward_matches_per_sample():

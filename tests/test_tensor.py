@@ -4,7 +4,8 @@ Forward values are checked against independent references (triple-loop
 matmul, per-scalar formulas); gradients against central finite
 differences via the shared checker. The generic kernels in
 ``tests/plumbing.py``, which other tests use as probes and as the
-encoder and loss heads' references, are checked here the same way.
+encoder and loss heads' references, are checked here the same way, and
+so are the fused stage nodes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 from fedfairprompt import tensor as T
 from fedfairprompt.crosslayer import apply_cross_layer
+from fedfairprompt.encoder import _mlp
 from fedfairprompt.tensor import NonFiniteError, Tensor, backward
 from gradcheck import assert_grads_match
 import plumbing as P
@@ -54,8 +56,8 @@ def _matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def test_matmul_small_frozen_value():
-    out = T.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]]))
-    assert np.array_equal(out.data, [[19.0, 22.0], [43.0, 50.0]])
+    out = T.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]]))
+    assert np.array_equal(out, [[19.0, 22.0], [43.0, 50.0]])
 
 
 def test_matmul_matches_triple_loop():
@@ -63,7 +65,7 @@ def test_matmul_matches_triple_loop():
     for m, k, n in [(3, 4, 5), (1, 7, 2), (6, 1, 3)]:
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
-        got = T.matmul(Tensor(a), b).data
+        got = T.matmul(a, b)
         np.testing.assert_allclose(got, _matmul_loops(a, b), rtol=1e-13, atol=1e-13)
 
 
@@ -71,7 +73,7 @@ def test_matmul_batched_matches_per_slice():
     rng = _rng(2)
     a = rng.standard_normal((4, 3, 5))
     w = rng.standard_normal((5, 2))
-    got = T.matmul(Tensor(a), w).data
+    got = T.matmul(a, w)
     for i in range(4):
         np.testing.assert_allclose(got[i], _matmul_loops(a[i], w), rtol=1e-13, atol=1e-13)
     b4 = rng.standard_normal((2, 3, 5, 4))
@@ -86,7 +88,7 @@ def test_matmul_batched_matches_per_slice():
 
 def test_matmul_rejects_mismatched_inner_dims():
     with pytest.raises(ValueError):
-        T.matmul(Tensor(np.ones((2, 3))), np.ones((4, 2)))
+        T.matmul(np.ones((2, 3)), np.ones((4, 2)))
 
 
 def test_softmax_uniform_on_equal_logits():
@@ -131,15 +133,15 @@ def test_softmax_equals_the_taped_softmax_bit_for_bit():
 
 
 def test_layernorm_constant_row_returns_zeros():
-    out = T.layernorm(Tensor(np.full((3, 4), 7.0)))
-    np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
+    out, _ = T.layernorm(np.full((3, 4), 7.0))
+    np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
 
 def test_layernorm_matches_scalar_reference():
     rng = _rng(5)
     x = rng.standard_normal((2, 6))
     eps = 1e-5
-    got = T.layernorm(Tensor(x)).data
+    got, _ = T.layernorm(x)
     for i in range(2):
         mu = sum(x[i]) / 6
         var = sum((v - mu) ** 2 for v in x[i]) / 6
@@ -150,7 +152,7 @@ def test_layernorm_matches_scalar_reference():
 
 def test_gelu_matches_erf_formula():
     xs = np.array([-3.0, -0.5, 0.0, 0.7, 2.4])
-    got = T.gelu(Tensor(xs)).data
+    got, _ = T.gelu(xs)
     for x, g in zip(xs, got):
         ref = 0.5 * x * (1.0 + math.erf(x / math.sqrt(2.0)))
         assert abs(g - ref) < 1e-14
@@ -280,8 +282,8 @@ def test_kernels_are_bit_identical_across_calls():
     rng = _rng(8)
     a = rng.standard_normal((6, 6))
     b = rng.standard_normal((6, 6))
-    first = T.matmul(Tensor(a), b).data
-    second = T.matmul(Tensor(a.copy()), b.copy()).data
+    first = T.matmul(a, b)
+    second = T.matmul(a.copy(), b.copy())
     assert np.array_equal(first, second)
     s1 = T.softmax(a)
     s2 = T.softmax(a.copy())
@@ -294,7 +296,7 @@ def test_non_finite_inputs_are_rejected():
         # matmul overflows to inf; backward rejects the loss and names
         # matmul, the first op with a non-finite output, not gelu after it
         with pytest.raises(NonFiniteError, match="'matmul'"):
-            backward(P.reduce_sum(T.gelu(T.matmul(big, big.data))))
+            backward(P.reduce_sum(P.gelu(P.matmul(big, Tensor(big.data)))))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +321,7 @@ def test_backward_reaches_only_trainable_leaves():
 
 def test_backward_accumulates_through_shared_nodes():
     x = Tensor([2.0, 3.0], trainable=True)
-    y = T.add(x, x)  # diamond: x used twice
+    y = P.add(x, x)  # diamond: x used twice
     out = P.reduce_sum(P.mul(y, y))
     grads = backward(out)
     # d/dx sum((2x)^2) = 8x
@@ -328,7 +330,7 @@ def test_backward_accumulates_through_shared_nodes():
 
 def test_backward_releases_the_tape_of_a_kept_loss():
     x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), trainable=True)
-    hidden = T.gelu(T.matmul(x, np.ones((3, 4))))
+    hidden = P.gelu(P.matmul(x, Tensor(np.ones((3, 4)))))
     alive = weakref.ref(hidden.data)
     loss = P.reduce_sum(hidden)
     del hidden
@@ -372,8 +374,8 @@ def test_tape_walk_visits_each_node_once_across_paths_of_different_depth():
         hub = P.add(P.mul(x, col), row)
         deep = hub
         for _ in range(3):
-            deep = T.gelu(P.add(T.matmul(deep, w.data), shift))
-        return P.reduce_sum(P.mul(T.add(hub, deep), P.sub(hub, shift)))
+            deep = P.gelu(P.add(P.matmul(deep, w), shift))
+        return P.reduce_sum(P.mul(P.add(hub, deep), P.sub(hub, shift)))
 
     out = loss()
     calls = {}
@@ -395,7 +397,7 @@ def test_repr_tells_params_tape_nodes_and_constants_apart():
     frozen = Tensor(np.ones((3, 4)), name="frozen")
     assert repr(w) == "Tensor 'w'(param, shape=(2, 3))"
     assert repr(frozen) == "Tensor 'frozen'(const, shape=(3, 4))"
-    assert repr(T.matmul(w, frozen.data)) == "Tensor 'matmul'(node, shape=(2, 4))"
+    assert repr(P.matmul(w, frozen)) == "Tensor 'matmul'(node, shape=(2, 4))"
 
 
 def test_gradients_match_finite_differences_per_kernel():
@@ -410,7 +412,7 @@ def test_gradients_match_finite_differences_per_kernel():
     ramp = Tensor(np.arange(12.0).reshape(3, 4))
     assert_grads_match(lambda: P.reduce_sum(P.mul(P.softmax(x, axis=1), ramp)), [x])
     assert_grads_match(lambda: P.reduce_sum(P.log_softmax(x, axis=0)), [x])
-    assert_grads_match(lambda: P.reduce_sum(T.gelu(x)), [x])
+    assert_grads_match(lambda: P.reduce_sum(P.gelu(x)), [x])
     assert_grads_match(lambda: P.reduce_sum(P.l2_normalize(x)), [x])
 
     # The attention and cross-layer checks draw from their own generator,
@@ -440,14 +442,16 @@ def test_gradients_match_finite_differences_per_kernel():
         [tokens, query, *history],
     )
 
-    # The pipeline's own matmul (a frozen array weight) and add (one shape).
-    rng = _rng(17)
-    frozen = rng.standard_normal((4, 5))
-    y = Tensor(rng.standard_normal((3, 4)), trainable=True)
-    probe35 = Tensor(rng.standard_normal((3, 5)))
-    probe34 = Tensor(rng.standard_normal((3, 4)))
-    assert_grads_match(lambda: P.reduce_sum(P.mul(T.matmul(x, frozen), probe35)), [x])
-    assert_grads_match(lambda: P.reduce_sum(P.mul(T.add(x, P.mul(y, y)), probe34)), [x, y])
+    # The encoder's MLP sublayer, on its own generator too, with weights
+    # at the backbone's scale. Over 40 seeds of these draws the worst
+    # relative error is 4.4e-6 at step 1e-4; at the default step, or
+    # with unit-scale weights, some seeds miss the tolerance.
+    rng = _rng(19)
+    rows = Tensor(rng.standard_normal((2, 3, 4)), trainable=True)
+    w1, w2 = rng.standard_normal((4, 8)) * 4**-0.5, rng.standard_normal((8, 4)) * 8**-0.5
+    probe3 = Tensor(rng.standard_normal((2, 3, 4)))
+    assert_grads_match(lambda: P.reduce_sum(P.mul(_mlp(rows, w1, w2), probe3)), [rows],
+                       step=1e-4)
 
 
 def test_gradients_match_finite_differences_composites():
@@ -455,7 +459,7 @@ def test_gradients_match_finite_differences_composites():
     x = Tensor(rng.standard_normal((2, 3, 4)), trainable=True)
     # A plain sum of layer-norm rows is constant, so a probe weights them.
     ln_probe = Tensor(rng.standard_normal((2, 3, 4)))
-    assert_grads_match(lambda: P.reduce_sum(P.mul(T.layernorm(x), ln_probe)), [x])
+    assert_grads_match(lambda: P.reduce_sum(P.mul(P.layernorm(x), ln_probe)), [x])
 
     a = Tensor(rng.standard_normal(6) + 3.0, trainable=True)  # keep relu/abs off kinks
     b = Tensor(rng.standard_normal(6) - 3.0, trainable=True)
