@@ -91,20 +91,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if args.preset:
         result = run_preset(args.preset, config, args.replicates)
-        print(result.table(), end="")
-        if result.failed:
-            print(f"preset {args.preset} had failed cells", file=sys.stderr)
-            return 1
-        return 0
-    if not args.values:
-        raise ValueError("--axis needs --values (comma separated)")
-    values = [parse_value(args.axis, v) for v in args.values.split(",")]
-    result = sweep(config, args.axis, values, replicates=args.replicates)
+        sweeps, what = result.sweeps.values(), f"preset {args.preset}"
+    else:
+        if not args.values:
+            raise ValueError("--axis needs --values (comma separated)")
+        values = [parse_value(args.axis, v) for v in args.values.split(",")]
+        result = sweep(config, args.axis, values, replicates=args.replicates)
+        sweeps, what = [result], f"sweep over {args.axis}"
     print(result.table(), end="")
-    if result.failed:
-        print(f"sweep over {args.axis} had failed cells", file=sys.stderr)
-        return 1
-    return 0
+    if not result.failed:
+        return 0
+    for swept in sweeps:
+        for cell in swept.cells:
+            if cell.failed:  # a raised error, or the failure of a flagged run
+                print(f"{swept.axis}={cell.value} replicate {cell.replicate}: {cell.error}",
+                      file=sys.stderr)
+    print(f"{what} had failed cells", file=sys.stderr)
+    return 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -19,6 +19,7 @@ results.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -66,8 +67,8 @@ from .report import FairnessReport, RoundRecord
 _EVAL_CHUNK = 64
 
 # Sequence rows (CLS, prompt, patch) in one stacked walk: 2 synth clients,
-# 10 ingest. At 13 KB of tape a row, 5 synth clients lifted fvlfp-synth's
-# peak RSS from 91.5 to 99 MB; 2 keep it under the set-up's peak.
+# 10 ingest. At 13 KB of tape a row, the walks set fvlfp-synth's peak
+# RSS: 84.9 MB at 2 synth clients, 88.6 at 3 and 95.7 at 5.
 _STACK_ROWS = 640
 
 # purpose tags for seed derivation; never reuse a number
@@ -103,12 +104,18 @@ def client_stream(master_seed: int, round_index: int, client_id: int) -> np.rand
 
 @dataclass(frozen=True)
 class ClientShard:
-    """One client's embedded training rows and their annotations."""
+    """One client's rows of the embedded training split.
+
+    Every shard of a run holds the same read-only ``features`` (n, rows,
+    d), ``labels`` and ``groups`` arrays of the one split, and its own
+    sorted ``index`` into them, so the split's rows are never copied.
+    """
 
     client_id: int
-    features: np.ndarray  # (n, rows, d)
+    features: np.ndarray
     labels: np.ndarray
     groups: np.ndarray
+    index: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -272,11 +279,12 @@ def client_update(
     A failure raises the error a serial pass over the shards would raise.
     """
     # largest first; a stable sort keeps equal shards in order
-    ranked = sorted(shards, key=lambda shard: -shard.labels.shape[0])
+    ranked = sorted(shards, key=lambda shard: -shard.index.size)
     stacked = prompts.map(lambda a: np.stack([a] * len(ranked)))
     size = config.batch_size
-    orders = [client_stream(config.master_seed, round_index, s.client_id).permutation(
-        s.labels.shape[0]) for s in ranked]
+    # each batch's shard positions, mapped to rows of the shared split
+    orders = [s.index[client_stream(config.master_seed, round_index, s.client_id).permutation(
+        s.index.size)] for s in ranked]
     schedules = [[(f"(batch offset {lo})", o[lo : lo + size]) for lo in range(0, o.size, size)]
                  for o in orders]
 
@@ -467,19 +475,41 @@ def load_splits(config: Config, encoder: VisionEncoder | None = None
     return train, val, test
 
 
+# glibc's mallopt parameter numbers (malloc.h), and the value both get
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_PINNED_THRESHOLD = 32 * 2**20
+
+
+def pin_allocator() -> None:
+    """Fix the C allocator's mmap and trim thresholds at 32 MiB.
+
+    glibc raises both on the fly when the process frees a large mmapped
+    chunk, and that decides whether each walk's temporaries go back to
+    the kernel and fault in again. Pinned, a run allocates the same way
+    whatever set-up happened to free before it. A silent no-op where
+    the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _PINNED_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _PINNED_THRESHOLD)
+
+
 def run_federation(config: Config) -> FairnessReport:
     """Full multi-round run; returns the complete (or flagged) report."""
+    pin_allocator()
     model = PromptedModel.for_config(config)
     backbone_hash = model.encoder.backbone_hash()
     train, val, test = load_splits(config, model.encoder)
     partition = dirichlet_partition(
         train, config.clients, config.alpha, seed=derive_seed(config.master_seed, _SEED_PARTITION)
     )
-    shards = [
-        ClientShard(i, train.features[idx], train.labels[idx], train.groups[idx])
-        for i, idx in enumerate(partition)
-    ]
-    del train  # the rounds read only the shard copies
+    shards = [ClientShard(i, train.features, train.labels, train.groups, idx)
+              for i, idx in enumerate(partition)]
 
     global_prompts = PromptSet.initialize(
         model.encoder.config, seed=derive_seed(config.master_seed, _SEED_PROMPTS)

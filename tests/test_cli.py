@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from fedfairprompt import harness
 from fedfairprompt.cli import main
 from fedfairprompt.config import parse_config
 from fedfairprompt.data import Dataset, load_embeddings, save_embeddings
@@ -176,18 +175,34 @@ def test_sweep_axis_prints_comparison_table(tmp_path, capsys):
 
 
 def test_sweep_axis_with_a_failed_cell_exits_one(tmp_path, capsys):
-    # alpha=-1 fails validation inside its cell; the alpha=0.5 cell runs
+    # alpha=-1 fails validation inside its cell; the alpha=0.5 cell runs,
+    # and stderr names the failed cell and its cause
     rc = main(["sweep", "--config", _cfg_file(tmp_path), "--method", "fedavg_baseline",
                "--axis", "alpha", "--values=-1,0.5", "--replicates", "1",
                *_tiny_flags(tmp_path / "sw")])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "sweep over alpha had failed cells" in captured.err
+    assert captured.err.splitlines() == [
+        "alpha=-1.0 replicate 0: ValueError: config field 'alpha' must be > 0, got -1.0",
+        "sweep over alpha had failed cells",
+    ]
     assert "| a_b | failed | 0." in captured.out
 
 
-def test_sweep_values_starting_with_a_negative_number_need_the_equals_form(
-        tmp_path, capsys, monkeypatch):
+def test_sweep_names_the_failure_of_a_flagged_run(tmp_path, capsys):
+    # each run ends flagged (see test_failed_run_exits_one); the cause is
+    # the report's failure, one line per replicate
+    rc = main(["sweep", "--config", _cfg_file(tmp_path, lr=1e200), "--method",
+               "fedavg_baseline", "--axis", "mu", "--values", "0.1", "--replicates", "2",
+               *_tiny_flags(tmp_path / "sw")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert [line.split(": round 1: ")[0] for line in err[:2]] == [
+        "mu=0.1 replicate 0", "mu=0.1 replicate 1"]
+    assert err[2:] == ["sweep over mu had failed cells"]
+
+
+def test_sweep_values_starting_with_a_negative_number_need_the_equals_form(tmp_path, capsys):
     # After a space, argparse reads "-1,-2" as a flag and exits 2 itself.
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--axis", "alpha", "--values", "-1,-2", "--out", str(tmp_path / "sw")])
@@ -195,18 +210,28 @@ def test_sweep_values_starting_with_a_negative_number_need_the_equals_form(
     assert "--values: expected one argument" in capsys.readouterr().err
     # Written with "=", each value reaches Config's field check in its own
     # cell; the failed cells make the sweep exit 1.
-    results = []
-
-    def recorded_sweep(*args, **kwargs):
-        results.append(harness.sweep(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr("fedfairprompt.cli.sweep", recorded_sweep)
     rc = main(["sweep", "--axis", "alpha", "--values=-1,-2", "--replicates", "1",
                "--out", str(tmp_path / "sw")])
     assert rc == 1
-    assert [cell.error for cell in results[0].cells] == [
-        f"ValueError: config field 'alpha' must be > 0, got {v}" for v in (-1.0, -2.0)]
+    assert capsys.readouterr().err.splitlines()[:2] == [
+        f"alpha={v} replicate 0: ValueError: config field 'alpha' must be > 0, got {v}"
+        for v in (-1.0, -2.0)]
+
+
+def test_sweep_axis_needs_values(tmp_path, capsys):
+    rc = main(["sweep", "--axis", "alpha", "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert "--axis needs --values" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("mode", [["--axis", "alpha", "--values", "0.5"],
+                                  ["--preset", "table1"]])
+def test_sweep_needs_a_replicate(tmp_path, capsys, mode):
+    rc = main(["sweep", *mode, "--replicates", "0", "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert "replicates must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
 
 
 def test_sweep_needs_exactly_one_mode(tmp_path, capsys):

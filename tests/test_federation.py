@@ -8,6 +8,7 @@ finite-difference oracle.
 
 import dataclasses
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -205,9 +206,9 @@ def test_predict_is_independent_of_the_eval_chunk_size(monkeypatch, model, enc_c
 
 
 def _shard(model, client_id, n, seed):
-    data = generate_synthetic(SyntheticSpec(n=n, seed=seed))
-    return ClientShard(client_id, model.encoder.embed_patches(data.features), data.labels,
-                       data.groups)
+    # a shard of all n rows of its own split
+    data = generate_synthetic(SyntheticSpec(n=n, seed=seed), model.encoder.embed_patches)
+    return ClientShard(client_id, data.features, data.labels, data.groups, np.arange(n))
 
 
 def test_client_update_is_pure_and_deterministic(model, val_split, enc_cfg):
@@ -250,6 +251,22 @@ def test_lockstep_client_update_matches_one_call_per_shard(
         assert all(np.array_equal(a[k], b[k]) for k in a), (method, shard.client_id)
         assert record == alone_record
         assert np.array_equal(conf.counts, alone_conf.counts)
+
+
+def test_an_index_view_trains_like_a_copy_of_its_rows(model, val_split, enc_cfg):
+    # the batches read the split's rows through the shard's index, in the
+    # order a copy of those rows would give them
+    data = generate_synthetic(SyntheticSpec(n=40, seed=45), model.encoder.embed_patches)
+    idx = np.sort(np.random.default_rng(45).choice(40, size=19, replace=False))
+    view = ClientShard(1, data.features, data.labels, data.groups, idx)
+    copy = ClientShard(1, data.features[idx], data.labels[idx], data.groups[idx], np.arange(19))
+    common = dict(model=model, prompts=PromptSet.initialize(enc_cfg, seed=45, sigma=0.5),
+                  val=val_split, round_index=1, config=Config(batch_size=8, lr=2e-2))
+    [(a, a_record, _)] = client_update(view, **common)
+    [(b, b_record, _)] = client_update(copy, **common)
+    a, b = a.to_arrays(), b.to_arrays()
+    assert all(np.array_equal(a[k], b[k]) for k in a)
+    assert a_record == b_record
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +453,83 @@ def test_methods_disagree_once_trained():
     assert full.rounds[-1].global_record != base.rounds[-1].global_record
 
 
+def _record_train_split(monkeypatch) -> dict:
+    """Make run_federation's ``load_splits`` also keep its training split
+    in the returned dict, under ``"train"``."""
+    seen = {}
+    real_load = federation.load_splits
+
+    def load(*args, **kwargs):
+        splits = real_load(*args, **kwargs)
+        seen["train"] = splits[0]
+        return splits
+
+    monkeypatch.setattr(federation, "load_splits", load)
+    return seen
+
+
+def test_every_shard_indexes_the_one_training_split(monkeypatch):
+    seen = _record_train_split(monkeypatch)
+    real_update = federation.client_update
+
+    def update(*shards, **kwargs):
+        seen["shards"] = shards
+        return real_update(*shards, **kwargs)
+
+    monkeypatch.setattr(federation, "client_update", update)
+    assert not run_federation(_tiny_config(rounds=1)).incomplete
+    train, shards = seen["train"], seen["shards"]
+    assert [s.client_id for s in shards] == [0, 1, 2]
+    for s in shards:
+        for mine, split in ((s.features, train.features), (s.labels, train.labels),
+                            (s.groups, train.groups)):
+            assert np.shares_memory(mine, split)
+        assert np.array_equal(s.index, np.sort(s.index))
+    assert np.array_equal(np.sort(np.concatenate([s.index for s in shards])),
+                          np.arange(len(train)))
+
+
+def test_set_up_peak_stays_near_the_training_rows(monkeypatch):
+    # A default-size run with no rounds holds the embedded training rows
+    # once; the val and test pools, Dataset's finiteness masks and one
+    # block's temporaries come on top. Shards copied out of the live
+    # split peaked at 2.47x.
+    seen = _record_train_split(monkeypatch)
+    run_federation(Config(rounds=0, n_train=8, n_val=8, n_test=8))  # warm the caches
+    tracemalloc.start()
+    try:
+        run_federation(Config(rounds=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / seen["train"].features.nbytes
+    assert ratio <= 1.75, ratio
+
+
+def test_pin_allocator_fixes_both_thresholds(monkeypatch):
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+    monkeypatch.setattr(federation.ctypes, "CDLL", lambda name: libc)
+    federation.pin_allocator()
+    assert calls == [(-3, 32 * 2**20), (-1, 32 * 2**20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: SimpleNamespace(), _no_c_library],
+                         ids=["no-mallopt", "no-libc"])
+def test_pin_allocator_without_mallopt_is_a_silent_no_op(monkeypatch, cdll):
+    pinned = run_federation(_tiny_config(rounds=1))
+    monkeypatch.setattr(federation.ctypes, "CDLL", cdll)
+    assert federation.pin_allocator() is None
+    unpinned = run_federation(_tiny_config(rounds=1))
+    assert not unpinned.incomplete
+    assert unpinned.rounds == pinned.rounds
+    assert all(np.array_equal(unpinned.prompts[k], a) for k, a in pinned.prompts.items())
+
+
 def test_non_finite_loss_becomes_flagged_failure():
     rep = run_federation(_tiny_config(lr=1e18, rounds=3))
     assert rep.incomplete
@@ -503,7 +597,7 @@ def test_a_failing_client_is_named_after_the_clients_before_it_train(model, val_
     # the batch that read the row, as a serial pass would.
     shards = [_shard(model, 0, 24, 50), _shard(model, 1, 24, 51)]
     features = shards[1].features.copy()
-    features[5, 0, 0] = np.inf
+    features[shards[1].index[5], 0, 0] = np.inf
     shards[1] = dataclasses.replace(shards[1], features=features)
     config = Config(batch_size=8, lr=2e-3)
     with pytest.raises(FederationError,

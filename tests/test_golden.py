@@ -18,13 +18,19 @@ that wrote the file, as ``golden_machine.json`` describes it (numpy and
 scipy versions, BLAS build, the CPU features numpy dispatches on), the
 comparison is exact, so it sees a one-ulp change. Elsewhere it allows
 1e-12 absolute: numpy's SIMD dispatch level alone moved the prompts by
-up to 2.5e-15. A change that moves the prompts on purpose rewrites both
+up to 2.5e-15. The description includes the kernel family OpenBLAS
+picked at load time, which ``OPENBLAS_CORETYPE`` can override on the
+same CPU. A change that moves the prompts on purpose rewrites both
 files with ``python tests/test_golden.py`` and says why.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -91,10 +97,25 @@ GOLDEN_MACHINE = os.path.join(HERE, "golden_machine.json")
 PROMPT_TOLERANCE = 1e-12
 
 
+def openblas_core() -> str | None:
+    """The kernel family numpy's bundled OpenBLAS runs (``SkylakeX``,
+    ``Haswell``, ...), or None when numpy bundles no such library."""
+    here = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(here, os.pardir, "numpy.libs", "libscipy_openblas*"))
+                       + glob.glob(os.path.join(here, ".dylibs", "libscipy_openblas*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = (), ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def machine() -> dict:
     """What sets the last bits of the prompts: library versions, the BLAS
-    build and the CPU features numpy dispatches on (a private name, so a
-    numpy without it never counts as the same machine)."""
+    build and kernel, and the CPU features numpy dispatches on (a private
+    name, so a numpy without it never counts as the same machine)."""
     import scipy
 
     try:
@@ -103,7 +124,8 @@ def machine() -> dict:
         cpu_features = None
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}", "cpu_features": cpu_features}
+            "blas": f"{blas.get('name')} {blas.get('version')}", "openblas_core": openblas_core(),
+            "cpu_features": cpu_features}
 
 
 def write_golden_prompts(path: str = GOLDEN_PROMPTS) -> None:
@@ -161,13 +183,13 @@ def test_golden_rounds_differ_between_methods():
         assert GOLDEN[a]["rounds.csv"] != GOLDEN[b]["rounds.csv"], (a, b)
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_final_prompts_match_golden_prompts(out_dirs, method):
+def compare_prompts(method: str, got: dict) -> str:
+    """Check one config's final prompts against the golden file: exactly on
+    the golden machine, within ``PROMPT_TOLERANCE`` elsewhere. Returns
+    which comparison ran, ``"exact"`` or ``"1e-12"``."""
     with np.load(GOLDEN_PROMPTS) as golden:
         want = {key.split(".", 1)[1]: golden[key] for key in golden.files
                 if key.split(".", 1)[0] == method}
-    with np.load(os.path.join(out_dirs[method], "prompts.npz")) as produced_prompts:
-        got = {name: produced_prompts[name] for name in produced_prompts.files}
     assert want and sorted(got) == sorted(want)
     moved = {name: float(np.abs(got[name] - arr).max()) for name, arr in want.items()}
     with open(GOLDEN_MACHINE, encoding="utf-8") as fh:
@@ -176,6 +198,32 @@ def test_final_prompts_match_golden_prompts(out_dirs, method):
         assert all(np.array_equal(got[name], arr) for name, arr in want.items()), (
             f"{method} prompts moved on the golden machine: {moved}")
     assert max(moved.values()) <= PROMPT_TOLERANCE, f"{method} prompts moved: {moved}"
+    return "exact" if exact else f"{PROMPT_TOLERANCE:g}"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_final_prompts_match_golden_prompts(out_dirs, method):
+    with np.load(os.path.join(out_dirs[method], "prompts.npz")) as produced_prompts:
+        got = {name: produced_prompts[name] for name in produced_prompts.files}
+    compare_prompts(method, got)
+
+
+def test_another_blas_kernel_compares_at_the_tolerance():
+    # OPENBLAS_CORETYPE swaps the kernel on the same CPU and moves the
+    # last bits of the prompts; the fingerprint must see it and fall
+    # back to the tolerance rather than fail the exact comparison.
+    if openblas_core() is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    code = ("import test_golden as g\n"
+            "from fedfairprompt.federation import run_federation\n"
+            "prompts = run_federation(g._golden_config('fvlfp')).prompts\n"
+            "print(g.openblas_core(), g.compare_prompts('fvlfp', prompts))\n")
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join([src, HERE]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["Haswell", "1e-12"]
 
 
 # The golden fedavg_baseline run predicts one class on every test row,

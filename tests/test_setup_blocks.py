@@ -4,9 +4,9 @@
 of samples at a time, so no full-size temporary is made; given an
 encoder, ``load_splits`` embeds each block of pixels as it is drawn, so
 no split's pixels are held whole. The bytes must be those of the
-one-shot formulas in ``plumbing``. The golden configs use fewer
-training samples than one block, so the full-size default set-up is
-pinned here: the digests were taken from the one-shot code.
+one-shot formulas in ``plumbing``. The golden configs draw only a few
+blocks of samples, so the full-size default set-up is pinned here: the
+digests were taken from the one-shot code.
 """
 
 import hashlib
@@ -47,6 +47,9 @@ FULL_SIZE = {
 
 B_DATA = data._BLOCK
 B_ENC = encoder._BLOCK
+# sample counts a few blocks in, one short of, on and one past a block
+# boundary, and three into a later block
+N_DATA = [1, 4 * B_DATA - 1, 4 * B_DATA, 4 * B_DATA + 1, 8 * B_DATA + 3]
 
 
 def _sha(arr: np.ndarray) -> str:
@@ -64,7 +67,7 @@ def test_full_size_splits_and_embeddings_are_pinned():
 
 
 @pytest.mark.parametrize("sigma", [0.3, 0.0])
-@pytest.mark.parametrize("n", [1, B_DATA - 1, B_DATA, B_DATA + 1, 2 * B_DATA + 3])
+@pytest.mark.parametrize("n", N_DATA)
 def test_generate_synthetic_matches_one_shot_across_blocks(n, sigma):
     spec = SyntheticSpec(n=n, noise_sigma=sigma, seed=5)
     pixels, labels, groups = one_shot_synthetic(spec)
@@ -125,7 +128,7 @@ def test_streamed_splits_reproduce_the_pinned_embeddings():
         assert got == FULL_SIZE[name][1:], name
 
 
-@pytest.mark.parametrize("n", [0, 1, B_DATA - 1, B_DATA, B_DATA + 1, 2 * B_DATA + 3])
+@pytest.mark.parametrize("n", [0, *N_DATA])
 def test_streamed_rows_match_one_shot_embedding(n):
     enc = VisionEncoder(EncoderConfig(seed=4))
     spec = SyntheticSpec(n=n, seed=5)
@@ -139,10 +142,11 @@ def test_streamed_rows_match_one_shot_embedding(n):
 
 def test_streamed_split_peak_stays_near_its_rows():
     # the rows, plus one block's pixels, noise, patch copy and rows, plus
-    # Dataset's isfinite mask; drawing the pixels first and then calling
-    # embed_patches peaks at 3.1x the rows (51.3 MB)
+    # Dataset's isfinite mask: 1.14x at 64 samples a block, 1.40x at 256;
+    # drawing the pixels first and then calling embed_patches peaks at
+    # 3.1x the rows (51.3 MB)
     enc = VisionEncoder(EncoderConfig())
     generate_synthetic(SyntheticSpec(n=2), enc.embed_patches)
     peak, ds = _traced_peak(lambda: generate_synthetic(SyntheticSpec(n=4000), enc.embed_patches))
     ratio = peak / ds.features.nbytes
-    assert ratio <= 1.5, ratio
+    assert ratio <= 1.2, ratio
