@@ -27,7 +27,7 @@ rows = enc.embed_patches(data.features)
 print("patch rows:", rows.shape, "(batch, tokens, dim)")
 
 prompts = PromptSet.initialize(cfg, seed=42)
-print(f"prompt stack: {prompts.depth} layers x {prompts.token_count} tokens,"
+print(f"prompt stack: {len(prompts.tokens)} layers x {prompts.token_count} tokens,"
       f" {sum(t.data.size for t in prompts.tokens) + sum(q.data.size for q in prompts.queries)} trainable floats")
 
 # Forward pass returns one embedding per image: the final CLS row,

@@ -41,11 +41,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> Config:
-    overrides = {}
-    for flag, field, _text in _FLAGS:
-        raw = getattr(args, flag)
-        if raw is not None:
-            overrides[field] = parse_value(field, raw)
+    overrides = {field: getattr(args, flag) for flag, field, _text in _FLAGS
+                 if getattr(args, flag) is not None}
     return parse_config(args.config, overrides)
 
 

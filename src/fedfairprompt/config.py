@@ -74,6 +74,7 @@ class Config:
             _require(kind != "str" or value == value.strip() and not any(c in value for c in "#\r\n"),
                      name, "must hold no '#', line break or edge blank; config.txt drops them", value)
         _require(self.method in METHODS, "method", f"must be one of {METHODS}", self.method)
+        _require(self.out_dir != "", "out_dir", "must not be empty", self.out_dir)
         _require(self.master_seed >= 0, "master_seed", "must be >= 0", self.master_seed)
         _require(self.clients >= 1, "clients", "must be >= 1", self.clients)
         _require(self.rounds >= 0, "rounds", "must be >= 0", self.rounds)

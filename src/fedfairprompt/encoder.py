@@ -28,47 +28,38 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import tensor as T
 from .crosslayer import apply_cross_layer
+from .data import _IMAGE_SIZE, _PATCH
 from .tensor import Tensor, _ensure_finite, _gelu_vjp, _ln_vjp, _node, _unit, _unit_vjp
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Shapes and constants of the frozen encoder."""
+    """The frozen encoder: a fixed shape, and the three values a run sets.
 
-    embed_dim: int = 32
-    layers: int = 4
-    heads: int = 4
-    image_size: int = 32
-    patch_size: int = 8
+    The shape is one set of class constants: four blocks of width 32
+    with four heads, over the 32-pixel images ``data`` draws, cut into
+    sixteen 8-pixel patches. A run sets only the weight ``seed``, the
+    MLP's ``mlp_ratio`` and the ``prompt_tokens`` per block, which
+    ``Config`` checks.
+    """
+
+    embed_dim: ClassVar[int] = 32
+    layers: ClassVar[int] = 4
+    heads: ClassVar[int] = 4
+    image_size: ClassVar[int] = _IMAGE_SIZE
+    patch_size: ClassVar[int] = _PATCH
+    patch_count: ClassVar[int] = (_IMAGE_SIZE // _PATCH) ** 2
+    patch_pixels: ClassVar[int] = _PATCH * _PATCH
+
     prompt_tokens: int = 2
     seed: int = 7
     mlp_ratio: int = 2
-
-    def __post_init__(self):
-        if self.embed_dim < 1 or self.layers < 1 or self.heads < 1:
-            raise ValueError("embed_dim, layers and heads must be positive")
-        if self.embed_dim % self.heads != 0:
-            raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.image_size % self.patch_size != 0:
-            raise ValueError(
-                f"patch size {self.patch_size} does not tile image size {self.image_size}"
-            )
-        if self.prompt_tokens < 1:
-            raise ValueError("prompt_tokens must be >= 1")
-
-    @property
-    def patch_count(self) -> int:
-        side = self.image_size // self.patch_size
-        return side * side
-
-    @property
-    def patch_pixels(self) -> int:
-        return self.patch_size * self.patch_size
 
 
 class FrozenBackbone:
@@ -126,25 +117,27 @@ class PromptSet:
     layer l+1; ``queries[l-1]`` scores the blocks below layer l. These
     tensors are exactly the trainable leaves of the whole pipeline.
     Clients in lockstep stack theirs: (C, K, d) blocks, (C, d) queries.
+    A set holds one block per ``EncoderConfig.layers`` of width
+    ``EncoderConfig.embed_dim``, so it fits the one frozen encoder.
     """
 
     tokens: list[Tensor]
     queries: list[Tensor]
 
     def __post_init__(self):
-        if not self.tokens:
-            raise ValueError("PromptSet needs at least one token block")
-        shape = self.tokens[0].shape
+        depth, shape = len(self.tokens), self.tokens[0].shape if self.tokens else ()
+        if depth != EncoderConfig.layers or shape[-1:] != (EncoderConfig.embed_dim,):
+            raise ValueError(
+                f"prompt set ({depth} blocks of shape {shape}) does not match the encoder "
+                f"({EncoderConfig.layers} layers, d={EncoderConfig.embed_dim})"
+            )
         if len(shape) not in (2, 3) or shape[-2] < 1:
             raise ValueError(f"token blocks must be (K, d) or (C, K, d) with K >= 1, got {shape}")
         for t in self.tokens:
             if t.shape != shape:
                 raise ValueError("all token blocks must share one shape")
-        if len(self.queries) != len(self.tokens) - 1:
-            raise ValueError(
-                f"{len(self.tokens)} blocks need {len(self.tokens) - 1} queries, "
-                f"got {len(self.queries)}"
-            )
+        if len(self.queries) != depth - 1:
+            raise ValueError(f"{depth} blocks need {depth - 1} queries, got {len(self.queries)}")
         for q in self.queries:
             if q.shape != shape[:-2] + shape[-1:]:
                 raise ValueError(f"query shape {q.shape} != {shape[:-2] + shape[-1:]}")
@@ -152,14 +145,6 @@ class PromptSet:
     @property
     def token_count(self) -> int:
         return self.tokens[0].shape[-2]
-
-    @property
-    def dim(self) -> int:
-        return self.tokens[0].shape[-1]
-
-    @property
-    def depth(self) -> int:
-        return len(self.tokens)
 
     @staticmethod
     def initialize(config: EncoderConfig, seed: int = 0, sigma: float = 0.02) -> "PromptSet":
@@ -279,10 +264,7 @@ class VisionEncoder:
             raise ValueError("cannot encode empty text")
         pooled = np.mean([self._token_vector(t) for t in tokens], axis=0)
         out = pooled @ self.backbone.text_proj
-        norm = np.linalg.norm(out)
-        if norm <= 1e-30:
-            raise ValueError(f"degenerate text embedding for {text!r}")
-        return out / norm
+        return out / np.linalg.norm(out)
 
     # -- prompt-threaded image forward ---------------------------------
 
@@ -322,11 +304,6 @@ class VisionEncoder:
         if data.ndim != len(lead) + 3 or data.shape[:-3] != lead or data.shape[-1] != cfg.embed_dim:
             raise ValueError(f"expected ({'C, ' * len(lead)}B, J, {cfg.embed_dim}) patch rows, "
                              f"got {data.shape}")
-        if prompts.depth != cfg.layers or prompts.dim != cfg.embed_dim:
-            raise ValueError(
-                f"prompt set ({prompts.depth} layers, d={prompts.dim}) does not match "
-                f"encoder ({cfg.layers} layers, d={cfg.embed_dim})"
-            )
         if data.shape[-2] == cfg.patch_count:
             data = data + self._patch_pos
 

@@ -394,12 +394,11 @@ def server_refine(
     refined = prompts.copy()
     group_rows = [np.flatnonzero(val.groups == g) for g in (0, 1)]
     per = min(config.refine_batch // 2, group_rows[0].size, group_rows[1].size)
-    batch_groups = np.repeat(np.array([0, 1]), per)
 
     def loss(ps, picks):
         idx = picks[0][1]
-        return refinement_loss(model, ps, val.features[idx], val.labels[idx],
-                               batch_groups, config.lambda2)
+        return refinement_loss(model, ps, val.features[idx], val.labels[idx], val.groups[idx],
+                               config.lambda2)
 
     batches = [
         (f"at step {step}",
@@ -413,7 +412,7 @@ def server_refine(
 
 
 def encoder_config(config: Config) -> EncoderConfig:
-    """The frozen encoder's shape and seed under ``config``."""
+    """The frozen encoder's seed, MLP ratio and prompt count under ``config``."""
     return EncoderConfig(seed=config.encoder_seed, mlp_ratio=config.mlp_ratio,
                          prompt_tokens=config.prompt_tokens)
 
@@ -422,7 +421,7 @@ def _load_split(config: Config, name: str) -> Dataset:
     """One ingested split, rejected up front if no run could use it."""
     path = os.path.join(config.data_dir, f"{name}.emb")
     data = load_embeddings(path)
-    dim, want = data.features.shape[2], encoder_config(config).embed_dim
+    dim, want = data.features.shape[2], EncoderConfig.embed_dim
     if dim != want:
         raise ValueError(f"{path}: embedding dim {dim} != encoder embed_dim {want}")
     if name == "train" and len(data) < config.clients:
@@ -548,6 +547,5 @@ def run_federation(config: Config) -> FairnessReport:
         backbone_hash=backbone_hash,
         rounds=rounds,
         prompts=global_prompts.to_arrays(),
-        incomplete=bool(failure),
         failure=failure,
     )

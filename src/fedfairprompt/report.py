@@ -42,14 +42,18 @@ class RoundRecord:
 class FairnessReport:
     """Complete record of one federation run. ``prompts`` holds the global
     prompts the last recorded round evaluated (round 0: the initial
-    ones), as ``PromptSet.to_arrays()`` gives them."""
+    ones), as ``PromptSet.to_arrays()`` gives them. A run that ended
+    early carries its diagnostic in ``failure`` and is ``incomplete``."""
 
     config: Config
     backbone_hash: str
     rounds: list[RoundRecord]
     prompts: dict[str, np.ndarray] = field(default_factory=dict)
-    incomplete: bool = False
     failure: str = ""
+
+    @property
+    def incomplete(self) -> bool:
+        return bool(self.failure)
 
     @property
     def config_hash(self) -> str:

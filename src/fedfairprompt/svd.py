@@ -17,10 +17,8 @@ _RANK_TOL = 1e-10  # singular values at or below this share of the largest count
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
-    for x in v:
-        if abs(x) > _SIGN_EPS:
-            return -v if x < 0.0 else v
-    return v
+    # a unit vector in d dimensions has a coordinate of at least 1/sqrt(d)
+    return -v if v[np.argmax(np.abs(v) > _SIGN_EPS)] < 0.0 else v
 
 
 def top_right_singular_vectors(m: np.ndarray, k: int) -> np.ndarray:

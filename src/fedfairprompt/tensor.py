@@ -246,7 +246,7 @@ def prompted_attention(prefix: Tensor, state: Tensor, wq: np.ndarray, wk: np.nda
     The weights are frozen arrays, the attention scale folded into
     ``wq``. Value and gradients are bit-identical to the per-kernel
     composition: same numpy operations, gradients summed in the tape's
-    order. ``heads`` divides d, as ``EncoderConfig`` requires.
+    order. ``heads`` divides d, as in ``EncoderConfig``'s fixed shape.
     """
     prefix, state = _lift(prefix), _lift(state)
     *lead, batch, n, _ = state.shape

@@ -71,6 +71,16 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "learning_rate" in err
 
 
+def test_empty_out_dir_exits_two_before_any_round(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("fedfairprompt.cli.run_experiment", no_run)
+    rc = main(["run", "--out", ""])
+    assert rc == 2
+    assert "config field 'out_dir' must not be empty" in capsys.readouterr().err
+
+
 def test_failed_run_exits_one(tmp_path, capsys):
     # lr this size overflows the layernorm variance on the next forward
     rc = main(["run", "--config", _cfg_file(tmp_path, lr=1e200),

@@ -83,6 +83,8 @@ def test_unknown_key_rejected_in_file(tmp_path):
 def test_unknown_key_rejected_in_overrides():
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config(None, {"nope": "1"})
+    with pytest.raises(ValueError, match="unknown config key 'nope'"):
+        parse_config(overrides={"nope": 1})
 
 
 def test_malformed_line_carries_line_number(tmp_path):
@@ -122,6 +124,7 @@ def test_type_error_carries_line_number(tmp_path):
         ("spurious_strength", 1.5),
         ("minority_attenuation", 1.0),
         ("prompt_tokens", 0),
+        ("out_dir", ""),  # it used to train every round, then fail to write the report
     ],
 )
 def test_invalid_field_rejected_with_name(field, value):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from fedfairprompt.crosslayer import apply_cross_layer
-from fedfairprompt.encoder import EncoderConfig, PromptSet, VisionEncoder
+from fedfairprompt.encoder import PromptSet
 from fedfairprompt.tensor import Tensor, backward
 from gradcheck import assert_grads_match
 import plumbing as P
@@ -122,15 +124,20 @@ def test_gradients_reach_query_tokens_and_history():
 
 def test_shape_validation():
     # the mixing trusts its shapes: PromptSet fixes the block and query
-    # shapes, and encode_image matches the prompt set to the encoder
-    block = Tensor(np.zeros((2, 4)))
+    # shapes, and matches its depth and width to the fixed encoder
+    block, query = Tensor(np.zeros((2, 32))), Tensor(np.zeros(32))
     with pytest.raises(ValueError, match="share one shape"):
-        PromptSet(tokens=[block, Tensor(np.zeros((3, 4)))], queries=[Tensor(np.zeros(4))])
+        PromptSet(tokens=[block] * 3 + [Tensor(np.zeros((3, 32)))], queries=[query] * 3)
     with pytest.raises(ValueError, match="query shape"):
-        PromptSet(tokens=[block, block], queries=[Tensor(np.zeros(5))])
+        PromptSet(tokens=[block] * 4, queries=[query] * 2 + [Tensor(np.zeros(5))])
     with pytest.raises(ValueError, match="queries"):
-        PromptSet(tokens=[block, block], queries=[])
-    cfg = EncoderConfig(embed_dim=8, layers=2, heads=2, image_size=16, patch_size=8)
-    other = PromptSet.initialize(EncoderConfig(embed_dim=8, layers=3, heads=2), seed=0)
-    with pytest.raises(ValueError, match="does not match"):
-        VisionEncoder(cfg).encode_image(np.zeros((1, 4, 8)), other)
+        PromptSet(tokens=[block] * 4, queries=[])
+    with pytest.raises(ValueError, match=re.escape("prompt set (3 blocks of shape (2, 32)) does "
+                                                   "not match the encoder (4 layers, d=32)")):
+        PromptSet(tokens=[block] * 3, queries=[query] * 2)
+    with pytest.raises(ValueError, match=re.escape("prompt set (4 blocks of shape (2, 8)) does "
+                                                   "not match the encoder (4 layers, d=32)")):
+        PromptSet(tokens=[Tensor(np.zeros((2, 8)))] * 4, queries=[Tensor(np.zeros(8))] * 3)
+    with pytest.raises(ValueError, match=re.escape("prompt set (0 blocks of shape ()) does not "
+                                                   "match the encoder (4 layers, d=32)")):
+        PromptSet([], [])

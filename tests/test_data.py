@@ -1,5 +1,6 @@
 """Synthetic data, partitioning and embedding-format contracts."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -241,6 +242,26 @@ def test_embeddings_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ValueError, match=":2:"):
         load_embeddings(str(bad_label))
 
+    # numpy's reader takes the row and Dataset rejects the group, so the
+    # line-by-line pass names it
+    bad_group = tmp_path / "g.txt"
+    bad_group.write_text("dim=2 count=1\n0,2,1.0,2.0\n")
+    with pytest.raises(ValueError, match=":2: label/group must be 0 or 1"):
+        load_embeddings(str(bad_group))
+
+    for header, message in (("dim=x count=1", ":1: non-integer dim/count in header"),
+                            ("dim=0 count=0", ":1: dim must be >= 1 and count >= 0")):
+        bad_header.write_text(header + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_embeddings(str(bad_header))
+
+
+def test_embeddings_empty_file_is_rejected(tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty file"):
+        load_embeddings(str(path))
+
 
 def _decimal_spellings(rng, n):
     """Hand-written decimal strings: shortest repr, 25 significant
@@ -332,6 +353,12 @@ def test_save_embeddings_rejects_pixel_datasets(tmp_path):
         save_embeddings(ds, str(tmp_path / "no.txt"))
 
 
+def test_save_embeddings_needs_one_row_per_sample(tmp_path):
+    ds = Dataset(features=np.zeros((2, 2, 4)), labels=[0, 1], groups=[0, 1], kind="features")
+    with pytest.raises(ValueError, match="one feature row per sample"):
+        save_embeddings(ds, str(tmp_path / "no.txt"))
+
+
 # ---------------------------------------------------------------------------
 # dataset plumbing
 
@@ -355,3 +382,5 @@ def test_dataset_validation():
         Dataset(features=np.zeros((2, 1, 4)), labels=[0, 1], groups=[0, 1], kind="foo")
     with pytest.raises(ValueError):
         Dataset(features=np.full((1, 1, 2), np.nan), labels=[0], groups=[0])
+    with pytest.raises(ValueError, match="one entry per sample"):
+        Dataset(features=np.zeros((2, 1, 4)), labels=[0], groups=[0, 1])

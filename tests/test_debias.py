@@ -395,11 +395,10 @@ def test_local_objective_gradient_at_z_equals_its_composition(seed):
 def test_losses_backpropagate_into_prompts():
     from fedfairprompt.encoder import PromptSet
 
-    cfg = EncoderConfig(embed_dim=8, layers=2, heads=2, image_size=16,
-                        patch_size=8, prompt_tokens=2, seed=11)
+    cfg = EncoderConfig(prompt_tokens=2, seed=11)
     enc = VisionEncoder(cfg)
     rng = np.random.default_rng(2)
-    e0 = enc.embed_patches(rng.normal(size=(3, 16, 16)))
+    e0 = enc.embed_patches(rng.normal(size=(3, 32, 32)))
     prompts = PromptSet.initialize(cfg, seed=4)
     sub = build_subspace(enc, ["a photo of a man", "a photo of a woman"], k=1)
     targets = np.stack([enc.encode_text("a photo of a person who is smiling")] * 3)

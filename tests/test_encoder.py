@@ -8,6 +8,7 @@ block, plus determinism, freezing, tape size and template contracts.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -33,7 +34,7 @@ from gradcheck import assert_grads_match
 import plumbing as P
 from plumbing import concat, slice_axis, swap_axes, tile_leading
 
-SMALL = EncoderConfig(embed_dim=8, layers=2, heads=2, image_size=16, patch_size=8, prompt_tokens=2, seed=11)
+SMALL = EncoderConfig(prompt_tokens=2, seed=11)
 
 
 def _rng(seed=0):
@@ -101,7 +102,7 @@ def _random_prompts(cfg, seed=0, sigma=0.5):
 def test_forward_matches_numpy_oracle_with_and_without_mixing():
     enc = VisionEncoder(SMALL)
     rng = _rng(1)
-    img = rng.random((1, 16, 16))
+    img = rng.random((1, 32, 32))
     e0 = enc.embed_patches(img)
     ps = _random_prompts(SMALL, seed=2)
     blocks = [t.data for t in ps.tokens]
@@ -309,7 +310,7 @@ def test_refinement_step_tape_size_is_pinned():
 def test_batched_forward_matches_per_sample():
     enc = VisionEncoder(SMALL)
     rng = _rng(6)
-    imgs = rng.random((3, 16, 16))
+    imgs = rng.random((3, 32, 32))
     ps = _random_prompts(SMALL, seed=7)
     z_batch = enc.encode_image(enc.embed_patches(imgs), ps)
     for i in range(3):
@@ -356,13 +357,12 @@ def _promptless_encode(enc, e0):
 
 
 def test_zero_prompts_match_promptless_pass_under_neutralized_attention():
-    cfg = EncoderConfig(embed_dim=8, layers=1, heads=2, image_size=16, patch_size=8,
-                        prompt_tokens=2, seed=15)
+    cfg = EncoderConfig(prompt_tokens=2, seed=15)
     backbone = FrozenBackbone(cfg)
     for w in backbone.layers:
         w["wv"] = np.zeros_like(w["wv"])  # attention writes nothing back
     enc = VisionEncoder(cfg, backbone=backbone)
-    img = _rng(16).random((1, 16, 16))
+    img = _rng(16).random((1, 32, 32))
     e0 = enc.embed_patches(img)
 
     zero_ps = PromptSet.initialize(cfg, seed=0, sigma=0.0)
@@ -380,7 +380,7 @@ def test_zero_prompts_match_promptless_pass_under_neutralized_attention():
 def test_gradients_flow_only_to_prompt_leaves_and_match_fd():
     enc = VisionEncoder(SMALL)
     rng = _rng(17)
-    e0 = enc.embed_patches(rng.random((2, 16, 16)))
+    e0 = enc.embed_patches(rng.random((2, 32, 32)))
     ps = _random_prompts(SMALL, seed=18, sigma=0.3)
     probe = rng.standard_normal((2, SMALL.embed_dim))
 
@@ -396,7 +396,7 @@ def test_gradients_flow_only_to_prompt_leaves_and_match_fd():
 
 def test_queries_get_no_gradient_when_mixing_disabled():
     enc = VisionEncoder(SMALL)
-    e0 = enc.embed_patches(_rng(19).random((1, 16, 16)))
+    e0 = enc.embed_patches(_rng(19).random((1, 32, 32)))
     ps = _random_prompts(SMALL, seed=20)
     z = enc.encode_image(e0, ps, cdfp_enabled=False)
     grads = backward(P.reduce_sum(z))
@@ -455,7 +455,7 @@ def _frozen_outputs(enc, img, ps):
 
 
 def test_backbone_holds_exactly_the_weights_the_forward_reads():
-    img = _rng(44).random((2, 16, 16))
+    img = _rng(44).random((2, 32, 32))
     ps = _random_prompts(SMALL, seed=45)
     reference = FrozenBackbone(SMALL)
     for layer in reference.layers:
@@ -483,7 +483,7 @@ def test_templates_exact_strings():
 def test_prompt_set_shapes_copy_and_round_trip():
     cfg = EncoderConfig(seed=27)
     ps = PromptSet.initialize(cfg, seed=28)
-    assert ps.depth == cfg.layers and ps.token_count == 2 and ps.dim == 32
+    assert [t.shape for t in ps.tokens] == [(2, 32)] * cfg.layers and ps.token_count == 2
     assert all(np.all(q.data == 0.0) for q in ps.queries)  # uniform mixing at init
     assert all(t.trainable for t in ps.tokens)
 
@@ -500,19 +500,24 @@ def test_prompt_set_shapes_copy_and_round_trip():
 
 
 def test_prompt_set_rejects_an_empty_token_block():
-    empty = [Tensor(np.zeros((0, 8)), trainable=True) for _ in range(2)]
+    empty = [Tensor(np.zeros((0, 32)), trainable=True) for _ in range(4)]
+    queries = [Tensor(np.zeros(32), trainable=True) for _ in range(3)]
     with pytest.raises(ValueError, match="K >= 1"):
-        PromptSet(tokens=empty, queries=[Tensor(np.zeros(8), trainable=True)])
+        PromptSet(tokens=empty, queries=queries)
 
 
-@pytest.mark.parametrize("saved, loaded, missing, unexpected",
-                         [(4, 3, [], ["query3", "tokens3"]), (3, 4, ["query3", "tokens3"], [])])
-def test_load_arrays_requires_exactly_the_sets_names(saved, loaded, missing, unexpected):
-    # A 4-layer file used to load into a 3-layer set, dropping layer 3, and
-    # the reverse raised a bare KeyError. Now both raise, writing nothing.
-    arrays = PromptSet.initialize(EncoderConfig(seed=27, layers=saved), seed=28).to_arrays()
-    ps = PromptSet.initialize(EncoderConfig(seed=27, layers=loaded), seed=29)
+@pytest.mark.parametrize("missing, unexpected",
+                         [([], ["query4", "tokens4"]), (["query3", "tokens3"], [])])
+def test_load_arrays_requires_exactly_the_sets_names(missing, unexpected):
+    # A 5-layer file used to load into the 4-layer set, dropping layer 4,
+    # and a 3-layer file raised a bare KeyError. Now both raise, writing
+    # nothing; the names are checked before any array is read.
+    ps = PromptSet.initialize(EncoderConfig(seed=27), seed=29)
     before = ps.to_arrays()
+    arrays = PromptSet.initialize(EncoderConfig(seed=27), seed=28).to_arrays()
+    for name in missing:
+        del arrays[name]
+    arrays.update({name: arrays["tokens0"] for name in unexpected})
     with pytest.raises(ValueError, match=re.escape(f"missing {missing}, unexpected {unexpected}")):
         ps.load_arrays(arrays)
     assert all(np.array_equal(t.data, before[name]) for name, t in ps.parameters().items())
@@ -551,9 +556,20 @@ def test_load_arrays_writes_nothing_when_a_later_array_is_bad():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EncoderConfig(embed_dim=30, heads=4)
-    with pytest.raises(ValueError):
-        EncoderConfig(image_size=30, patch_size=8)
-    with pytest.raises(ValueError):
-        EncoderConfig(prompt_tokens=0)
+    # The shape is fixed: a run sets only the seed, the MLP ratio and the
+    # prompt count, and Config checks those.
+    assert [f.name for f in dataclasses.fields(EncoderConfig)] == ["prompt_tokens", "seed",
+                                                                   "mlp_ratio"]
+    with pytest.raises(TypeError):
+        EncoderConfig(embed_dim=8)
+    assert VisionEncoder(EncoderConfig()).config.layers == 4
+
+
+def test_embed_patches_rejects_images_of_another_size():
+    with pytest.raises(ValueError, match=re.escape("expected (B, 32, 32) images, got (2, 16, 16)")):
+        VisionEncoder(SMALL).embed_patches(np.zeros((2, 16, 16)))
+
+
+def test_encode_image_rejects_rows_of_another_width():
+    with pytest.raises(ValueError, match=re.escape("expected (B, J, 32) patch rows, got (2, 16, 31)")):
+        VisionEncoder(SMALL).encode_image(np.zeros((2, 16, 31)), PromptSet.initialize(SMALL))

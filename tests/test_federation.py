@@ -274,7 +274,7 @@ def test_an_index_view_trains_like_a_copy_of_its_rows(model, val_split, enc_cfg)
 
 
 def _tiny_refine_setup():
-    cfg = EncoderConfig(layers=2, prompt_tokens=1, heads=2)
+    cfg = EncoderConfig(prompt_tokens=1)
     encoder = VisionEncoder(cfg)
     data = generate_synthetic(SyntheticSpec(n=6, seed=21, spurious_strength=0.0))
     features = encoder.embed_patches(data.features)

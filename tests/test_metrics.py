@@ -136,6 +136,8 @@ def test_confusion_validation_errors():
         GroupConfusion(np.zeros((2, 2), dtype=np.int64))
     with pytest.raises(ValueError):
         GroupConfusion(np.full((2, 2, 2), -1))
+    with pytest.raises(ValueError, match="preds must be 1-D"):
+        confusion_by_group([[1, 0]], [1, 0], [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +189,9 @@ def test_equalized_odds_empty_cell_errors():
     conf = confusion_by_group([1, 1, 0, 1], [1, 1, 0, 1], [0, 0, 1, 1])
     with pytest.raises(ValueError):
         equalized_odds(conf)  # group 0 has no negatives
+    conf = confusion_by_group([1, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 1])
+    with pytest.raises(ValueError, match="group 1 has no positive-label samples"):
+        equalized_odds(conf)
 
 
 def test_accuracy_gap_frozen():

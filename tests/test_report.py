@@ -83,6 +83,11 @@ def test_summary_of_snapshot_only_run_uses_round_zero():
     assert rep.summary()["rounds_completed"] == 0
 
 
+def test_summary_of_an_empty_report_errors():
+    with pytest.raises(ValueError, match="empty report"):
+        FairnessReport(Config(), "", rounds=[]).summary()
+
+
 # ---------------------------------------------------------------------------
 # file emission
 
@@ -165,7 +170,6 @@ def test_json_payload_carries_rounds_and_summary(tmp_path):
 
 def test_markdown_mentions_failure_when_incomplete(tmp_path):
     rep = _report()
-    rep.incomplete = True
     rep.failure = "client 3: non-finite loss"
     paths = emit_report(rep, str(tmp_path))
     with open(paths["markdown"], "r", encoding="utf-8") as fh:
