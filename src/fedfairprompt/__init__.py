@@ -11,6 +11,10 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+# numpy loads numpy.random on first use; load it here so that a run's
+# set-up never pays for the import.
+import numpy.random  # noqa: F401
+
 from .config import (
     METHODS,
     Config,

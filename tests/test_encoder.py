@@ -100,29 +100,18 @@ def _random_prompts(cfg, seed=0, sigma=0.5):
 
 
 def test_forward_matches_numpy_oracle_with_and_without_mixing():
-    enc = VisionEncoder(SMALL)
-    rng = _rng(1)
-    img = rng.random((1, 32, 32))
-    e0 = enc.embed_patches(img)
-    ps = _random_prompts(SMALL, seed=2)
-    blocks = [t.data for t in ps.tokens]
-    queries = [q.data for q in ps.queries]
-    for cdfp in (True, False):
-        z = enc.encode_image(e0, ps, cdfp_enabled=cdfp)
-        ref = _numpy_forward(enc, e0[0], blocks, queries, cdfp=cdfp)
-        np.testing.assert_allclose(z.data[0], ref, rtol=1e-10, atol=1e-12)
-
-
-def test_forward_matches_oracle_on_default_sized_config():
-    cfg = EncoderConfig(seed=3)
-    enc = VisionEncoder(cfg)
-    rng = _rng(4)
-    img = rng.random((1, 32, 32))
-    e0 = enc.embed_patches(img)
-    ps = _random_prompts(cfg, seed=5, sigma=0.3)
-    z = enc.encode_image(e0, ps)
-    ref = _numpy_forward(enc, e0[0], [t.data for t in ps.tokens], [q.data for q in ps.queries])
-    np.testing.assert_allclose(z.data[0], ref, rtol=1e-10, atol=1e-12)
+    # two weight seeds, each with its own image and prompts
+    for cfg, data_seed, sigma in ((SMALL, 1, 0.5), (EncoderConfig(seed=3), 4, 0.3)):
+        enc = VisionEncoder(cfg)
+        img = _rng(data_seed).random((1, 32, 32))
+        e0 = enc.embed_patches(img)
+        ps = _random_prompts(cfg, seed=data_seed + 1, sigma=sigma)
+        blocks = [t.data for t in ps.tokens]
+        queries = [q.data for q in ps.queries]
+        for cdfp in (True, False):
+            z = enc.encode_image(e0, ps, cdfp_enabled=cdfp)
+            ref = _numpy_forward(enc, e0[0], blocks, queries, cdfp=cdfp)
+            np.testing.assert_allclose(z.data[0], ref, rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

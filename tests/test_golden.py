@@ -14,13 +14,13 @@ same ``rounds.csv``, so their hashes would pin nothing method-specific.
 ``rounds.csv`` derives from confusion counts, so it cannot see a change
 of a few ulps in the arithmetic. The final prompts can: each config's
 ``prompts.npz`` is compared with ``golden_prompts.npz``. On the machine
-that wrote the file, as ``golden_machine.json`` describes it (numpy and
-scipy versions, BLAS build, the CPU features numpy dispatches on), the
-comparison is exact, so it sees a one-ulp change. Elsewhere it allows
-1e-12 absolute: numpy's SIMD dispatch level alone moved the prompts by
-up to 2.5e-15. The description includes the kernel family OpenBLAS
-picked at load time, which ``OPENBLAS_CORETYPE`` can override on the
-same CPU. A change that moves the prompts on purpose rewrites both
+that wrote the file, as ``golden_machine.json`` describes it (numpy
+version, the C library whose ``erfc`` builds GELU's table, BLAS build,
+the CPU features numpy dispatches on), the comparison is exact, so it
+sees a one-ulp change. Elsewhere it allows 1e-12 absolute: numpy's SIMD
+dispatch level alone moved the prompts by up to 2.5e-15. The
+description includes the kernel family OpenBLAS picked at load time,
+which ``OPENBLAS_CORETYPE`` can override on the same CPU. A change that moves the prompts on purpose rewrites both
 files with ``python tests/test_golden.py`` and says why.
 """
 
@@ -29,6 +29,7 @@ import glob
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
@@ -113,17 +114,16 @@ def openblas_core() -> str | None:
 
 
 def machine() -> dict:
-    """What sets the last bits of the prompts: library versions, the BLAS
-    build and kernel, and the CPU features numpy dispatches on (a private
-    name, so a numpy without it never counts as the same machine)."""
-    import scipy
-
+    """What sets the last bits of the prompts: numpy's version, the C
+    library (its ``erfc`` builds GELU's normal-CDF table), the BLAS build
+    and kernel, and the CPU features numpy dispatches on (a private name,
+    so a numpy without it never counts as the same machine)."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__ as cpu_features
     except ImportError:
         cpu_features = None
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
+    return {"numpy": np.__version__, "libc": " ".join(platform.libc_ver()),
             "blas": f"{blas.get('name')} {blas.get('version')}", "openblas_core": openblas_core(),
             "cpu_features": cpu_features}
 

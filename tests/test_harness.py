@@ -5,6 +5,8 @@ on tiny configurations.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +29,42 @@ def _tiny(out_dir, **over):
     )
     base.update(over)
     return Config(**base)
+
+
+# Runs with scipy made unimportable: a smoke-size fvlfp run on synthetic
+# pixels, then one on gen-data files. Prints the scipy modules loaded and
+# the modules each run_experiment loaded that the imports had not.
+_NO_SCIPY_RUNS = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule raises
+from fedfairprompt import Config, run_experiment
+from fedfairprompt.cli import main
+
+cfg, data_dir, out = sys.argv[1:]
+tiny = dict(method="fvlfp", rounds=1, clients=2, n_train=160, n_val=48, n_test=48,
+            refine_steps=2)
+gained = []
+for data in ("", data_dir):
+    if data:
+        assert main(["gen-data", "--config", cfg, "--out", data]) == 0
+    before = set(sys.modules)
+    report = run_experiment(Config(out_dir=out, data_dir=data, **tiny))
+    assert not report.incomplete, report.failure
+    gained += sorted(set(sys.modules) - before)
+print([m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None], gained)
+"""
+
+
+def test_runs_never_import_scipy_or_load_a_module(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("n_train=160\nn_val=48\nn_test=48\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUNS, str(cfg), str(tmp_path / "emb"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] []"
 
 
 def test_run_experiment_writes_outputs(tmp_path):

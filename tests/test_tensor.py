@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import ast
 import math
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from fedfairprompt import tensor as T
 from fedfairprompt.crosslayer import apply_cross_layer
@@ -156,6 +158,32 @@ def test_gelu_matches_erf_formula():
     for x, g in zip(xs, got):
         ref = 0.5 * x * (1.0 + math.erf(x / math.sqrt(2.0)))
         assert abs(g - ref) < 1e-14
+
+
+def test_gelu_cdf_matches_ndtr_and_never_decreases():
+    # A dense grid over [-12, 12], every knot of the table with both its
+    # float neighbours, and the points next to 0 and the table's ends.
+    knots = np.arange(-8.5 * 2048, 8.5 * 2048 + 1) / 2048
+    edges = np.array([0.0, 8.5, -8.5, 8.5 + 1 / 2048, -8.5 - 1 / 2048])
+    xs = np.sort(np.concatenate([
+        np.linspace(-12.0, 12.0, 1_000_001),
+        knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+        edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), [1e-300, -1e-300],
+    ]))
+    _, cdf = T.gelu(xs)
+    assert np.abs(cdf - ndtr(xs)).max() <= 6e-16
+    assert (np.diff(cdf) >= 0.0).all()
+    assert (cdf[xs < -8.5] == 0.0).all() and (cdf[xs > 8.5] == 1.0).all()
+
+
+def test_gelu_of_nan_and_extreme_inputs_raises_nothing():
+    x = np.array([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0])
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, cdf = T.gelu(x)
+    assert np.isnan(out[0])
+    assert out[1:].tolist() == [np.inf, 0.0, 1e308, 0.0, 0.0]
+    assert cdf[1:].tolist() == [1.0, 0.0, 1.0, 0.0, 0.5]
 
 
 def test_l2_normalize_unit_rows_and_zero_error():
