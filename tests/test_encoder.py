@@ -99,19 +99,25 @@ def _random_prompts(cfg, seed=0, sigma=0.5):
     return ps
 
 
+def _check_forward_against_oracle(cfg, data_seed, sigma):
+    enc = VisionEncoder(cfg)
+    img = _rng(data_seed).random((1, 32, 32))
+    e0 = enc.embed_patches(img)
+    ps = _random_prompts(cfg, seed=data_seed + 1, sigma=sigma)
+    blocks = [t.data for t in ps.tokens]
+    queries = [q.data for q in ps.queries]
+    for cdfp in (True, False):
+        z = enc.encode_image(e0, ps, cdfp_enabled=cdfp)
+        ref = _numpy_forward(enc, e0[0], blocks, queries, cdfp=cdfp)
+        np.testing.assert_allclose(z.data[0], ref, rtol=1e-10, atol=1e-12)
+
+
 def test_forward_matches_numpy_oracle_with_and_without_mixing():
-    # two weight seeds, each with its own image and prompts
-    for cfg, data_seed, sigma in ((SMALL, 1, 0.5), (EncoderConfig(seed=3), 4, 0.3)):
-        enc = VisionEncoder(cfg)
-        img = _rng(data_seed).random((1, 32, 32))
-        e0 = enc.embed_patches(img)
-        ps = _random_prompts(cfg, seed=data_seed + 1, sigma=sigma)
-        blocks = [t.data for t in ps.tokens]
-        queries = [q.data for q in ps.queries]
-        for cdfp in (True, False):
-            z = enc.encode_image(e0, ps, cdfp_enabled=cdfp)
-            ref = _numpy_forward(enc, e0[0], blocks, queries, cdfp=cdfp)
-            np.testing.assert_allclose(z.data[0], ref, rtol=1e-10, atol=1e-12)
+    _check_forward_against_oracle(SMALL, data_seed=1, sigma=0.5)
+
+
+def test_forward_matches_oracle_on_default_sized_config():
+    _check_forward_against_oracle(EncoderConfig(seed=3), data_seed=4, sigma=0.3)
 
 
 # ---------------------------------------------------------------------------
