@@ -35,7 +35,7 @@ import numpy as np
 from . import tensor as T
 from .crosslayer import apply_cross_layer
 from .data import _IMAGE_SIZE, _PATCH
-from .tensor import Tensor, _ensure_finite, _gelu_vjp, _ln_vjp, _node, _unit, _unit_vjp
+from .tensor import Tensor, _ensure_finite, _gelu_slope, _ln_vjp, _node, _unit, _unit_vjp
 
 
 @dataclass(frozen=True)
@@ -328,15 +328,17 @@ class VisionEncoder:
 def _mlp(rows: Tensor, w1: np.ndarray, w2: np.ndarray) -> Tensor:
     """A pre-LN MLP sublayer with its residual, as one node:
     ``rows + gelu(layernorm(rows) @ w1) @ w2``, bit-identical to the
-    layernorm, matmul, GELU, matmul and add kernels it fuses."""
+    layernorm, matmul, GELU, matmul and add kernels it fuses. The tape
+    keeps GELU's slope, not its input and CDF."""
     h, inv = T.layernorm(rows.data)
     u = T.matmul(h, w1)
     a, cdf = T.gelu(u)
     out = rows.data + T.matmul(a, w2)
+    slope = _gelu_slope(u, cdf) if rows.needs_grad else None
 
     def vjp(g):
         # The residual's ``g`` reaches ``rows`` before the LN2 branch's.
-        g_u = _gelu_vjp(g @ w2.T, u, cdf)
+        g_u = (g @ w2.T) * slope
         return (g + _ln_vjp(g_u @ w1.T, h, inv),)
 
     return _node(out, (rows,), vjp, "encoder_mlp")

@@ -63,12 +63,13 @@ from .report import FairnessReport, RoundRecord
 # Samples per eval chunk. On one BLAS thread a 400-sample eval took as
 # long at 64 as at 400 samples per chunk, on 16 patch rows and on one
 # feature row; 16-sample chunks of feature rows took 1.8x as long, and
-# one 400-sample chunk of them raised peak RSS by 3 MB (5%).
+# one 400-sample chunk of them raised fvlfp-ingest's peak RSS by 1.7 MB
+# (4%).
 _EVAL_CHUNK = 64
 
 # Sequence rows (CLS, prompt, patch) in one stacked walk: 2 synth clients,
-# 10 ingest. At 13 KB of tape a row, the walks set fvlfp-synth's peak
-# RSS: 84.9 MB at 2 synth clients, 88.6 at 3 and 95.7 at 5.
+# 10 ingest. At 8.6 KB of tape a row, the walks set fvlfp-synth's peak
+# RSS: 65.4 MB at 2 synth clients, 69.0 at 3 and 74.8 at 5.
 _STACK_ROWS = 640
 
 # purpose tags for seed derivation; never reuse a number
@@ -470,6 +471,7 @@ def load_splits(config: Config, encoder: VisionEncoder | None = None
         )
         picked = balanced_test_sample(pool, n, seed=derive_seed(master, pick_tag))
         splits.append(pool.subset(picked))
+        del pool  # before the next pool is drawn
     val, test = splits
     return train, val, test
 

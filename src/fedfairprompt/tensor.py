@@ -5,8 +5,9 @@ rows of a frozen encoder, as one node per stage: ``prompted_attention``
 here, an encoder block's whole attention sublayer over a shared prompt
 prefix, and the encoder's MLP and head, the cross-layer mixing and the
 loss heads elsewhere. They are built on the forward/VJP pairs here:
-``layernorm``/``_ln_vjp``, ``gelu``/``_gelu_vjp``, ``softmax``/
-``_softmax_vjp``, ``_unit`` and ``_log_softmax``. ``layernorm``,
+``layernorm``/``_ln_vjp``, ``gelu``/``_gelu_slope`` (whose VJP is
+``g * slope``, so a node keeps one array), ``softmax``/``_softmax_vjp``,
+``_unit`` and ``_log_softmax``. ``layernorm``,
 ``gelu``, ``softmax`` and ``matmul`` are public forward-only array
 functions and record no node. Every kernel is pure (identical inputs
 give bit-identical outputs) and records just enough structure to
@@ -173,22 +174,32 @@ _PHI_EDGE = 8.5
 _PHI_CELLS = 2048
 _PHI_FLOOR = -_PHI_EDGE - 1.0 / _PHI_CELLS  # left end of the zero cell
 _PHI_SHIFT = _PHI_EDGE * _PHI_CELLS + 1.0  # maps _PHI_FLOOR to cell 0
+_PHI_CHUNK = 1024  # spline cells per pass of the table build
 
 
 def _phi_table() -> tuple[np.ndarray, ...]:
     """Horner coefficients ``(c0, c1, c2, c3)`` of each cell in the
     cell's own coordinate ``u`` in [0, 1): the zero cell, the
-    ``2 * 8.5 * 2048`` spline cells, and the constant cell at 8.5."""
-    knots = np.arange(int(2 * _PHI_EDGE * _PHI_CELLS) + 1) / _PHI_CELLS - _PHI_EDGE
-    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in knots.tolist()])
-    slope = _INV_SQRT_2PI * np.exp(-0.5 * knots * knots) / _PHI_CELLS
-    step, left, right = np.diff(cdf), slope[:-1], slope[1:]
-    return tuple(np.concatenate(([0.0], c, [last])) for c, last in (
-        (cdf[:-1], cdf[-1]),
-        (left, 0.0),
-        (3.0 * step - 2.0 * left - right, 0.0),
-        (left + right - 2.0 * step, 0.0),
-    ))
+    ``2 * 8.5 * 2048`` spline cells, and the constant cell at 8.5.
+
+    The spline cells are filled ``_PHI_CHUNK`` at a time, each chunk
+    from its own knots and the first knot of the next, so no full-length
+    list or temporary outlives the build; every coefficient is
+    elementwise, so the bits equal a one-shot build."""
+    cells = int(2 * _PHI_EDGE * _PHI_CELLS)
+    c0, c1, c2, c3 = table = tuple(np.zeros(cells + 2) for _ in range(4))
+    for lo in range(0, cells, _PHI_CHUNK):
+        hi = min(lo + _PHI_CHUNK, cells)
+        knots = np.arange(lo, hi + 1) / _PHI_CELLS - _PHI_EDGE
+        cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in knots.tolist()])
+        slope = _INV_SQRT_2PI * np.exp(-0.5 * knots * knots) / _PHI_CELLS
+        step, left, right = np.diff(cdf), slope[:-1], slope[1:]
+        c0[lo + 1 : hi + 1] = cdf[:-1]
+        c1[lo + 1 : hi + 1] = left
+        c2[lo + 1 : hi + 1] = 3.0 * step - 2.0 * left - right
+        c3[lo + 1 : hi + 1] = left + right - 2.0 * step
+    c0[-1] = cdf[-1]
+    return table
 
 
 _PHI_C0, _PHI_C1, _PHI_C2, _PHI_C3 = _phi_table()
@@ -218,9 +229,11 @@ def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo * cdf, cdf
 
 
-def _gelu_vjp(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU's derivative at ``x``, ``Phi(x) + x * phi(x)``, from the CDF
+    ``gelu`` returned; the VJP is ``g * slope``."""
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return g * (cdf + x * pdf)
+    return cdf + x * pdf
 
 
 def matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -312,6 +325,8 @@ def prompted_attention(prefix: Tensor, state: Tensor, wq: np.ndarray, wk: np.nda
     probs = softmax(q4 @ k4.swapaxes(-2, -1))
     out = state.data[..., :m, :] + (probs @ v4).swapaxes(-3, -2).reshape(*lead, batch, m, e) @ wo
     n_prefix, n_state = prefix.needs_grad, state.needs_grad
+    if not n_state:  # only the state's gradient reads them
+        h = h_inv = k4 = None
 
     def vjp(g):
         g_ctx = (g @ wo.T).reshape(*lead, batch, m, heads, c).swapaxes(-3, -2)

@@ -42,7 +42,8 @@ from fedfairprompt import tensor as T
 from fedfairprompt.data import SyntheticSpec, _group_pattern, _label_pattern
 from fedfairprompt.debias import DemographicSubspace
 from fedfairprompt.encoder import TEMPERATURE
-from fedfairprompt.tensor import Tensor, _gelu_vjp, _lift, _ln_vjp, _node, _unit, _unit_vjp
+from fedfairprompt.tensor import (_INV_SQRT_2PI, Tensor, _lift, _ln_vjp, _node, _unit,
+                                  _unit_vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,8 @@ def gelu(x: Tensor) -> Tensor:
     out, cdf = T.gelu(xd)
 
     def vjp(g):
-        return (_gelu_vjp(g, xd, cdf),)
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
+        return (g * (cdf + xd * pdf),)
 
     return _node(out, (x,), vjp, "gelu")
 

@@ -491,9 +491,10 @@ def test_every_shard_indexes_the_one_training_split(monkeypatch):
 
 def test_set_up_peak_stays_near_the_training_rows(monkeypatch):
     # A default-size run with no rounds holds the embedded training rows
-    # once; the val and test pools, Dataset's finiteness masks and one
-    # block's temporaries come on top. Shards copied out of the live
-    # split peaked at 2.47x.
+    # once; one evaluation pool at a time, Dataset's finiteness masks and
+    # one block's temporaries come on top. It measures 1.50x. Shards copied
+    # out of the live split peaked at 2.47x, and holding the val pool
+    # while the test pool was drawn at 1.63x.
     seen = _record_train_split(monkeypatch)
     run_federation(Config(rounds=0, n_train=8, n_val=8, n_test=8))  # warm the caches
     tracemalloc.start()
@@ -503,7 +504,7 @@ def test_set_up_peak_stays_near_the_training_rows(monkeypatch):
     finally:
         tracemalloc.stop()
     ratio = peak / seen["train"].features.nbytes
-    assert ratio <= 1.75, ratio
+    assert ratio <= 1.6, ratio
 
 
 def test_pin_allocator_fixes_both_thresholds(monkeypatch):

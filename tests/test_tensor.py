@@ -176,6 +176,23 @@ def test_gelu_cdf_matches_ndtr_and_never_decreases():
     assert (cdf[xs < -8.5] == 0.0).all() and (cdf[xs > 8.5] == 1.0).all()
 
 
+def test_phi_table_equals_its_one_shot_build():
+    # The table is built in chunks of knots; a dropped or doubled knot at
+    # a chunk's edge must show here on any machine.
+    knots = np.arange(int(2 * T._PHI_EDGE * T._PHI_CELLS) + 1) / T._PHI_CELLS - T._PHI_EDGE
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in knots.tolist()])
+    slope = T._INV_SQRT_2PI * np.exp(-0.5 * knots * knots) / T._PHI_CELLS
+    step, left, right = np.diff(cdf), slope[:-1], slope[1:]
+    want = [np.concatenate(([0.0], c, [last])) for c, last in (
+        (cdf[:-1], cdf[-1]),
+        (left, 0.0),
+        (3.0 * step - 2.0 * left - right, 0.0),
+        (left + right - 2.0 * step, 0.0),
+    )]
+    for got, ref in zip((T._PHI_C0, T._PHI_C1, T._PHI_C2, T._PHI_C3), want):
+        assert np.array_equal(got, ref)
+
+
 def test_gelu_of_nan_and_extreme_inputs_raises_nothing():
     x = np.array([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0])
     with np.errstate(all="raise"), warnings.catch_warnings():
