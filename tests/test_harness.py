@@ -4,6 +4,7 @@ Real preset scales belong to the acceptance suite; everything here runs
 on tiny configurations.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 from fedfairprompt import federation
-from fedfairprompt.config import Config
+from fedfairprompt.config import Config, parse_config
 from fedfairprompt.harness import (
     PRESETS,
     SWEEP_AXES,
@@ -171,3 +172,93 @@ def test_unknown_preset_rejected(tmp_path):
 def test_axes_cover_spec_set():
     for axis in ("alpha", "clients", "method"):
         assert axis in SWEEP_AXES
+
+
+# (cell directory under out, master_seed in its config.txt) of every
+# preset at smoke size with two replicates, as first written. Replicate
+# r draws one sub-seed for all of a preset's methods and swept values;
+# table1 and table2 draw the same ones. A regrouping of the grid that
+# moved a cell or re-drew a seed breaks the pairing, and shows here.
+_PRESET_CELLS = {
+    "table1": [
+        ("table1/fedavg_baseline/method=fedavg_baseline/rep0", 286917177),
+        ("table1/fedavg_baseline/method=fedavg_baseline/rep1", 2706538929),
+        ("table1/fvlfp/method=fvlfp/rep0", 286917177),
+        ("table1/fvlfp/method=fvlfp/rep1", 2706538929),
+    ],
+    "table2": [
+        ("table2/fvlfp/method=fvlfp/rep0", 286917177),
+        ("table2/fvlfp/method=fvlfp/rep1", 2706538929),
+        ("table2/wo-cdfp/method=wo-cdfp/rep0", 286917177),
+        ("table2/wo-cdfp/method=wo-cdfp/rep1", 2706538929),
+        ("table2/wo-dsop/method=wo-dsop/rep0", 286917177),
+        ("table2/wo-dsop/method=wo-dsop/rep1", 2706538929),
+        ("table2/wo-fpf/method=wo-fpf/rep0", 286917177),
+        ("table2/wo-fpf/method=wo-fpf/rep1", 2706538929),
+    ],
+    "table3_4": [
+        ("table3_4/fedavg_baseline/alpha=0.1/rep0", 3619698374),
+        ("table3_4/fedavg_baseline/alpha=0.1/rep1", 3382909886),
+        ("table3_4/fedavg_baseline/alpha=1.0/rep0", 3619698374),
+        ("table3_4/fedavg_baseline/alpha=1.0/rep1", 3382909886),
+        ("table3_4/fedavg_baseline/alpha=100.0/rep0", 3619698374),
+        ("table3_4/fedavg_baseline/alpha=100.0/rep1", 3382909886),
+        ("table3_4/fvlfp/alpha=0.1/rep0", 3619698374),
+        ("table3_4/fvlfp/alpha=0.1/rep1", 3382909886),
+        ("table3_4/fvlfp/alpha=1.0/rep0", 3619698374),
+        ("table3_4/fvlfp/alpha=1.0/rep1", 3382909886),
+        ("table3_4/fvlfp/alpha=100.0/rep0", 3619698374),
+        ("table3_4/fvlfp/alpha=100.0/rep1", 3382909886),
+    ],
+    "table5": [
+        ("table5/fvlfp/clients=20/rep0", 1349218077),
+        ("table5/fvlfp/clients=20/rep1", 2823444498),
+        ("table5/fvlfp/clients=5/rep0", 1349218077),
+        ("table5/fvlfp/clients=5/rep1", 2823444498),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_CELLS))
+def test_preset_cells_keep_their_directories_and_sub_seeds(tmp_path, name):
+    smoke = Config(n_train=160, n_val=48, n_test=48, rounds=1, refine_steps=2,
+                   out_dir=str(tmp_path))
+    run_preset(name, smoke, replicates=2)
+    cells = [
+        (path.parent.relative_to(tmp_path).as_posix(), parse_config(str(path)).master_seed)
+        for path in tmp_path.rglob("config.txt")
+    ]
+    assert sorted(cells) == _PRESET_CELLS[name]
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+# Relations between runs. Each holds exactly; one that fails is a
+# finding about how the pipeline composes, never a tolerance to widen.
+
+
+def _one_client(out_dir, **over):
+    return _tiny(out_dir, clients=1, rounds=2, lr=2e-3, master_seed=3, **over)
+
+
+def test_fpf_reduces_to_its_ablation_with_one_client_and_no_refinement(tmp_path):
+    # One client's score-weighted fusion is that client's prompts, and
+    # zero refinement steps leave them as they are: fvlfp is wo-fpf.
+    hashes = set()
+    for method in ("fvlfp", "wo-fpf"):
+        out = tmp_path / method
+        run_experiment(_one_client(out, method=method, refine_steps=0))
+        hashes.add((_sha256(out / "rounds.csv"), _sha256(out / "prompts.npz")))
+    assert len(hashes) == 1
+
+
+def test_heterogeneity_is_unreachable_with_one_client(tmp_path):
+    # The Dirichlet draw splits the rows among clients; one client gets
+    # them all, whatever alpha.
+    sweep(_one_client(tmp_path, method="fvlfp"), "alpha", (0.1, 0.5, 100.0), replicates=1)
+    hashes = {_sha256(tmp_path / f"alpha={a}" / "rep0" / "rounds.csv")
+              for a in (0.1, 0.5, 100.0)}
+    assert len(hashes) == 1
