@@ -1,19 +1,22 @@
-"""Sweep one axis of the experiment grid and read the combined table.
+"""Sweep one axis of the experiment grid and read its table.
 
 A sweep holds everything fixed except one axis (client count here) and
 repeats each cell with paired replicate seeds: replicate r of every
 cell shares its data, partition draw, and prompt init, so differences
-down a column are the axis's doing, not seed luck. A failed cell is
+between the rows are the axis's doing, not seed luck. A failed cell is
 recorded and skipped; its siblings still run.
 
-The same machinery backs the shipped presets (table1, table2, table3_4,
-table5) and the command line:
+The shipped presets (table1, table2, table3_4, table5) run through the
+same grid: their cells are each method at each swept value. Every grid
+writes one markdown table, one row per (method, cell), with each
+metric's mean over the replicates that completed. The command line
+prints the same table:
 
     fedfairprompt sweep --axis clients --values 3,6 --out runs/x
     fedfairprompt sweep --preset table1 --out runs/table1
 """
 
-from fedfairprompt import Config, sweep
+from fedfairprompt import Config, grid_table, sweep
 
 base = Config(
     method="fvlfp",
@@ -27,17 +30,13 @@ base = Config(
     refine_steps=5,
 )
 
-result = sweep(base, axis="clients", values=(3, 6), replicates=2)
+cells = sweep(base, axis="clients", values=(3, 6), replicates=2)
 
-print(f"axis: {result.axis}, values: {result.values}, failed cells: {result.failed}")
-for cell in result.cells:
+print(f"failed cells: {sum(cell.failed for cell in cells)} of {len(cells)}")
+for cell in cells:
     state = "failed: " + cell.error if cell.failed else "ok"
-    print(f"  clients={cell.value} rep={cell.replicate} seed={cell.report.config.master_seed if cell.report else '-'} [{state}]")
+    seed = cell.report.config.master_seed if cell.report else "-"
+    print(f"  {cell.label} rep={cell.replicate} seed={seed} [{state}]")
 
-print("\nper-value means over replicates:")
-for v in result.values:
-    m = result.mean_summary(v)
-    print(f"  clients={v}: A_B={m['a_b']:.3f} phi_eq={m['phi_eq']:.3f}")
-
-print("\ncombined markdown table:\n")
-print(result.table())
+print("\nmeans over replicates, also in runs/demo06/sweep_clients.md:\n")
+print(grid_table(cells))

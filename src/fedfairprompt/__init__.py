@@ -59,7 +59,7 @@ from .federation import (
     run_federation,
     server_refine,
 )
-from .harness import PRESETS, run_experiment, run_preset, sweep
+from .harness import PRESETS, grid_table, run_experiment, run_preset, sweep
 from .metrics import (
     GroupConfusion,
     MetricRecord,

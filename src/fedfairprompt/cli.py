@@ -17,7 +17,7 @@ from .config import Config, parse_config, parse_value
 from .data import Dataset, save_embeddings
 from .encoder import VisionEncoder
 from .federation import encoder_config, load_splits
-from .harness import PRESETS, SWEEP_AXES, run_experiment, run_preset, sweep
+from .harness import PRESETS, SWEEP_AXES, grid_table, run_experiment, run_preset, sweep
 from .metrics import METRIC_NAMES
 
 # (CLI flag, Config field, help text)
@@ -87,22 +87,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweep needs exactly one of --preset or --axis/--values")
     config = _build_config(args)
     if args.preset:
-        result = run_preset(args.preset, config, args.replicates)
-        sweeps, what = result.sweeps.values(), f"preset {args.preset}"
+        result, what = run_preset(args.preset, config, args.replicates), f"preset {args.preset}"
     else:
         if not args.values:
             raise ValueError("--axis needs --values (comma separated)")
         values = [parse_value(args.axis, v) for v in args.values.split(",")]
         result = sweep(config, args.axis, values, replicates=args.replicates)
-        sweeps, what = [result], f"sweep over {args.axis}"
-    print(result.table(), end="")
-    if not result.failed:
+        what = f"sweep over {args.axis}"
+    print(grid_table(result), end="")
+    failed = [cell for cell in result if cell.failed]  # a raised error, or a flagged run
+    for cell in failed:
+        print(f"{cell.label} replicate {cell.replicate}: {cell.error}", file=sys.stderr)
+    if not failed:
         return 0
-    for swept in sweeps:
-        for cell in swept.cells:
-            if cell.failed:  # a raised error, or the failure of a flagged run
-                print(f"{swept.axis}={cell.value} replicate {cell.replicate}: {cell.error}",
-                      file=sys.stderr)
     print(f"{what} had failed cells", file=sys.stderr)
     return 1
 

@@ -1,11 +1,15 @@
-"""Experiment harness: single runs, axis sweeps, and the table presets.
+"""Experiment harness: single runs, and one grid behind the axis sweeps
+and the table presets.
 
-A sweep holds everything constant except one axis and a replicate
-index. Replicate sub-seeds are derived from (master_seed, axis,
-replicate) only, never from the swept value, so the cells of one
-replicate are paired: same data, same partition draw (where the config
-allows), same prompt init, different treatment. Re-running any single
-cell in isolation reproduces its row bit for bit.
+A grid runs a list of cells, each a label ``<axis>=<value>`` with the
+config fields it overrides, and repeats every cell over replicate
+indices. Replicate sub-seeds are derived from (master_seed, axis,
+replicate) only, never from the cell, so the cells of one replicate
+are paired: same data, same partition draw (where the config allows),
+same prompt init, different treatment. A sweep's cells are the values
+of one axis; a preset's are its methods times its swept values. Either
+is summarised in one markdown table, one row per (method, cell).
+Re-running any single cell in isolation reproduces its row bit for bit.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ _AXIS_TAGS = {axis: 1000 + i for i, axis in enumerate(SWEEP_AXES)}
 
 @dataclass(frozen=True)
 class CellResult:
-    """One sweep cell: the swept value, replicate index, and outcome."""
+    """One run of a grid cell: its label, method, replicate and outcome."""
 
-    value: object
+    label: str  # "<axis>=<value>"
+    method: str
     replicate: int
     report: FairnessReport | None
     error: str = ""
@@ -40,47 +45,30 @@ class CellResult:
         return self.report is None or self.report.incomplete
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    axis: str
-    values: tuple
-    cells: tuple[CellResult, ...]
+def grid_table(cells) -> str:
+    """Markdown table, one row per (method, cell label): each summary
+    metric's mean over the replicates that completed, or "failed" where
+    none did."""
+    rows: dict[tuple[str, str], list] = {}
+    for c in cells:
+        done = rows.setdefault((c.method, c.label), [])
+        if not c.failed:
+            done.append(c.report.summary())
+    lines = [
+        "| method | cell | " + " | ".join(METRIC_NAMES) + " |",
+        "| --- | --- |" + " --- |" * len(METRIC_NAMES),
+    ]
+    for (method, label), done in rows.items():
+        means = [f"{np.mean([r[m] for r in done]):.4f}" if done else "failed"
+                 for m in METRIC_NAMES]
+        lines.append(f"| {method} | {label} | " + " | ".join(means) + " |")
+    return "\n".join(lines) + "\n"
 
-    @property
-    def failed(self) -> bool:
-        return any(c.failed for c in self.cells)
 
-    def mean_summary(self, value) -> dict[str, float]:
-        """Across-replicate means of the summary metrics at one value,
-        over the cells that did not fail."""
-        rows = [
-            c.report.summary()
-            for c in self.cells
-            if c.value == value and not c.failed
-        ]
-        if not rows:
-            raise ValueError(f"no completed cells at {self.axis}={value!r}")
-        return {m: float(np.mean([r[m] for r in rows])) for m in METRIC_NAMES}
-
-    def table(self) -> str:
-        """Markdown comparison table, one column per swept value."""
-        header = [f"{self.axis}={v}" for v in self.values]
-        lines = [
-            "| metric | " + " | ".join(header) + " |",
-            "| --- |" + " --- |" * len(header),
-        ]
-        columns = []
-        for v in self.values:
-            try:
-                columns.append(self.mean_summary(v))
-            except ValueError:
-                columns.append(None)
-        for metric in METRIC_NAMES:
-            cells = [
-                "failed" if col is None else f"{col[metric]:.4f}" for col in columns
-            ]
-            lines.append(f"| {metric} | " + " | ".join(cells) + " |")
-        return "\n".join(lines) + "\n"
+def _write(path: str, text: str) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def run_experiment(config: Config) -> FairnessReport:
@@ -90,50 +78,55 @@ def run_experiment(config: Config) -> FairnessReport:
     return report
 
 
-def _cell_dir(base: str, axis: str, value, replicate: int) -> str:
-    return os.path.join(base, f"{axis}={value}", f"rep{replicate}")
+def grid(config: Config, axis: str, cells, replicates: int) -> tuple[CellResult, ...]:
+    """Run each cell ``replicates`` times; failures never abort siblings.
 
-
-def sweep(config: Config, axis: str, values, replicates: int = 3) -> SweepResult:
-    """One run per (value, replicate); failures never abort siblings."""
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis '{axis}'; expected one of {SWEEP_AXES}")
-    values = tuple(values)
-    if not values:
-        raise ValueError("sweep needs at least one value")
+    A cell is ``(subdir, overrides)``: the config fields it sets on top
+    of ``config``, ``axis`` among them, and the directory its label
+    ``<axis>=<value>`` sits in. Replicate r of every cell takes the
+    sub-seed ``derive_seed(master_seed, axis tag, r)`` and writes to
+    ``out_dir/subdir/<axis>=<value>/rep<r>``.
+    """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    cells = []
-    for value in values:
+    results = []
+    for subdir, overrides in cells:
+        label = f"{axis}={overrides[axis]}"
+        method = overrides.get("method", config.method)
         for rep_index in range(replicates):
             sub_seed = derive_seed(config.master_seed, _AXIS_TAGS[axis], rep_index)
             try:
                 cell_cfg = replace(
                     config,
                     master_seed=sub_seed,
-                    out_dir=_cell_dir(config.out_dir, axis, value, rep_index),
-                    **{axis: value},
+                    out_dir=os.path.join(config.out_dir, subdir, label, f"rep{rep_index}"),
+                    **overrides,
                 )
                 report = run_experiment(cell_cfg)
                 error = report.failure
             except Exception as exc:  # isolate the cell, keep siblings running
                 report, error = None, f"{type(exc).__name__}: {exc}"
-            cells.append(
-                CellResult(value=value, replicate=rep_index, report=report, error=error)
-            )
-    result = SweepResult(axis=axis, values=values, cells=tuple(cells))
-    os.makedirs(config.out_dir, exist_ok=True)
-    table_path = os.path.join(config.out_dir, f"sweep_{axis}.md")
-    with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(result.table())
-    return result
+            results.append(CellResult(label, method, rep_index, report, error))
+    return tuple(results)
+
+
+def sweep(config: Config, axis: str, values, replicates: int = 3) -> tuple[CellResult, ...]:
+    """One run per (value, replicate), tabled in ``out_dir/sweep_<axis>.md``."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis '{axis}'; expected one of {SWEEP_AXES}")
+    values = tuple(values)
+    if not values:
+        raise ValueError("sweep needs at least one value")
+    cells = grid(config, axis, [("", {axis: v}) for v in values], replicates)
+    _write(os.path.join(config.out_dir, f"sweep_{axis}.md"), grid_table(cells))
+    return cells
 
 
 # Table reproduction presets. Each entry: base config overrides, the
-# methods to compare, and the single swept axis with its values (method
-# sweeps leave axis None). Scales are calibrated so every preset's
-# directional claim is measurable inside its runtime budget; table1
-# runs the paper's full desk-scale setting.
+# methods to compare, and the single swept axis with its values (a
+# method comparison leaves axis None). Scales are calibrated so every
+# preset's directional claim is measurable inside its runtime budget;
+# table1 runs the paper's full desk-scale setting.
 _TABLE1_TUNING = dict(lr=2e-3)
 _SWEEP_SCALE = dict(lr=2e-3, n_train=2000, spurious_strength=0.9)
 
@@ -165,63 +158,24 @@ PRESETS: dict[str, dict] = {
 }
 
 
-@dataclass(frozen=True)
-class PresetResult:
-    name: str
-    sweeps: dict[str, SweepResult]  # keyed by method
-
-    @property
-    def failed(self) -> bool:
-        return any(s.failed for s in self.sweeps.values())
-
-    def table(self) -> str:
-        """Combined markdown table: one row per (method, swept value)."""
-        lines = [
-            "| method | cell | " + " | ".join(METRIC_NAMES) + " |",
-            "| --- | --- |" + " --- |" * len(METRIC_NAMES),
-        ]
-        for method, sw in self.sweeps.items():
-            for value in sw.values:
-                label = f"{sw.axis}={value}"
-                try:
-                    row = sw.mean_summary(value)
-                    cells = [f"{row[m]:.4f}" for m in METRIC_NAMES]
-                except ValueError:
-                    cells = ["failed"] * len(METRIC_NAMES)
-                lines.append(f"| {method} | {label} | " + " | ".join(cells) + " |")
-        return "\n".join(lines) + "\n"
-
-
-def run_preset(name: str, config: Config, replicates: int = 3) -> PresetResult:
-    """Run one named preset; per-method sweeps land in subdirectories.
+def run_preset(name: str, config: Config, replicates: int = 3) -> tuple[CellResult, ...]:
+    """Run one named preset, tabled in ``out_dir/<name>/summary.md``.
 
     Every cell starts from ``config`` with the preset's overrides, its
-    method and its swept value applied on top; results go under
-    ``config.out_dir/<name>``.
+    method and its swept value applied on top; its runs go under
+    ``out_dir/<name>/<method>``. A method comparison pairs its cells on
+    the ``method`` axis, so table1 and table2 share their sub-seeds.
     """
     if name not in PRESETS:
         raise ValueError(f"unknown preset '{name}'; expected one of {sorted(PRESETS)}")
     spec = PRESETS[name]
-    out_dir = config.out_dir
-    sweeps: dict[str, SweepResult] = {}
-    for method in spec["methods"]:
-        base = replace(
-            config,
-            method=method,
-            out_dir=os.path.join(out_dir, name, method),
-            **spec["overrides"],
-        )
-        if spec["axis"] is None:
-            # a single-point "sweep" over the method axis keeps the cell
-            # layout and pairing identical to the real axis sweeps
-            sweeps[method] = sweep(base, "method", (method,), replicates)
-        else:
-            sweeps[method] = sweep(base, spec["axis"], spec["values"], replicates)
-    result = PresetResult(name=name, sweeps=sweeps)
-    preset_dir = os.path.join(out_dir, name)
-    os.makedirs(preset_dir, exist_ok=True)
-    with open(
-        os.path.join(preset_dir, "summary.md"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        fh.write(f"# preset {name}\n\n" + result.table())
+    axis = spec["axis"] or "method"
+    cells = [
+        (os.path.join(name, method), {"method": method, axis: value})
+        for method in spec["methods"]
+        for value in spec["values"] or (method,)
+    ]
+    result = grid(replace(config, **spec["overrides"]), axis, cells, replicates)
+    _write(os.path.join(config.out_dir, name, "summary.md"),
+           f"# preset {name}\n\n" + grid_table(result))
     return result

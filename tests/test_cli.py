@@ -196,7 +196,9 @@ def test_sweep_axis_with_a_failed_cell_exits_one(tmp_path, capsys):
         "alpha=-1.0 replicate 0: ValueError: config field 'alpha' must be > 0, got -1.0",
         "sweep over alpha had failed cells",
     ]
-    assert "| a_b | failed | 0." in captured.out
+    failed_row, done_row = captured.out.splitlines()[2:]
+    assert failed_row == "| fedavg_baseline | alpha=-1.0 | " + " | ".join(["failed"] * 5) + " |"
+    assert done_row.startswith("| fedavg_baseline | alpha=0.5 | 0.")
 
 
 def test_sweep_names_the_failure_of_a_flagged_run(tmp_path, capsys):

@@ -16,7 +16,7 @@ from fedfairprompt.config import Config, parse_config
 from fedfairprompt.harness import (
     PRESETS,
     SWEEP_AXES,
-    PresetResult,
+    grid_table,
     run_experiment,
     run_preset,
     sweep,
@@ -87,9 +87,9 @@ def test_sweep_rejects_empty_values(tmp_path):
 
 def test_sweep_cells_are_paired_across_values(tmp_path):
     result = sweep(_tiny(tmp_path / "sw"), "alpha", (0.5, 100.0), replicates=2)
-    assert len(result.cells) == 4
+    assert len(result) == 4
     by_rep = {}
-    for cell in result.cells:
+    for cell in result:
         assert not cell.failed
         by_rep.setdefault(cell.replicate, set()).add(
             cell.report.config.master_seed
@@ -111,20 +111,13 @@ def test_sweep_cell_outputs_live_in_disjoint_directories(tmp_path):
 def test_failed_cell_does_not_abort_siblings(tmp_path):
     # alpha=-1 fails config validation inside its own cell
     result = sweep(_tiny(tmp_path / "sw"), "alpha", (-1.0, 0.5), replicates=1)
-    assert result.failed
-    bad = [c for c in result.cells if c.value == -1.0][0]
-    good = [c for c in result.cells if c.value == 0.5][0]
-    assert bad.failed and "alpha" in bad.error
-    assert not good.failed
-    table = result.table()
-    assert "failed" in table
-    assert "alpha=0.5" in table
-
-
-def test_mean_summary_errors_when_value_has_no_completed_cells(tmp_path):
-    result = sweep(_tiny(tmp_path / "sw"), "alpha", (-1.0,), replicates=1)
-    with pytest.raises(ValueError, match="no completed cells"):
-        result.mean_summary(-1.0)
+    bad, good = result
+    assert bad.label == "alpha=-1.0" and bad.failed and "alpha" in bad.error
+    assert good.label == "alpha=0.5" and not good.failed
+    rows = grid_table(result).splitlines()[2:]
+    assert rows[0] == "| fedavg_baseline | alpha=-1.0 | " + " | ".join(["failed"] * 5) + " |"
+    assert rows[1].startswith("| fedavg_baseline | alpha=0.5 | 0.")
+    assert (tmp_path / "sw" / "sweep_alpha.md").read_text() == grid_table(result)
 
 
 def test_runs_that_fail_part_way_are_left_out_of_the_means(tmp_path, monkeypatch):
@@ -136,18 +129,14 @@ def test_runs_that_fail_part_way_are_left_out_of_the_means(tmp_path, monkeypatch
     monkeypatch.setattr(federation, "server_refine", broken_refine)
     cfg = _tiny(tmp_path / "sw", method="fvlfp", rounds=2)
     result = sweep(cfg, "method", ("fvlfp",), replicates=1)
-    cell = result.cells[0]
+    cell = result[0]
     assert cell.report is not None and cell.report.incomplete and cell.failed
-    with pytest.raises(ValueError, match="no completed cells"):
-        result.mean_summary("fvlfp")
-    assert "| a_b | failed |" in result.table()
-    preset_table = PresetResult(name="table1", sweeps={"fvlfp": result}).table()
-    assert "| fvlfp | method=fvlfp | " + " | ".join(["failed"] * 5) + " |" in preset_table
+    assert "| fvlfp | method=fvlfp | " + " | ".join(["failed"] * 5) + " |" in grid_table(result)
 
 
 def test_single_value_sweep_matches_direct_run(tmp_path):
     result = sweep(_tiny(tmp_path / "sw"), "alpha", (0.5,), replicates=1)
-    cell = result.cells[0]
+    cell = result[0]
     rerun = run_experiment(cell.report.config)
     assert rerun.summary() == cell.report.summary()
 
@@ -258,7 +247,8 @@ def test_fpf_reduces_to_its_ablation_with_one_client_and_no_refinement(tmp_path)
 def test_heterogeneity_is_unreachable_with_one_client(tmp_path):
     # The Dirichlet draw splits the rows among clients; one client gets
     # them all, whatever alpha.
-    sweep(_one_client(tmp_path, method="fvlfp"), "alpha", (0.1, 0.5, 100.0), replicates=1)
+    sweep(_one_client(tmp_path, method="fvlfp", refine_steps=2), "alpha", (0.1, 0.5, 100.0),
+          replicates=1)
     hashes = {_sha256(tmp_path / f"alpha={a}" / "rep0" / "rounds.csv")
               for a in (0.1, 0.5, 100.0)}
     assert len(hashes) == 1
