@@ -28,7 +28,7 @@ print("patch rows:", rows.shape, "(batch, tokens, dim)")
 
 prompts = PromptSet.initialize(cfg, seed=42)
 print(f"prompt stack: {len(prompts.tokens)} layers x {prompts.token_count} tokens,"
-      f" {sum(t.data.size for t in prompts.tokens) + sum(q.data.size for q in prompts.queries)} trainable floats")
+      f" {prompts.flat.size} trainable floats in one vector")
 
 # Forward pass returns one embedding per image: the final CLS row,
 # layer-normed and projected into the shared text space.

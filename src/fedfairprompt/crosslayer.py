@@ -22,11 +22,14 @@ def apply_cross_layer(tokens: Tensor, history: list[Tensor], query: Tensor) -> T
     blocks = np.stack([h.data for h in history], axis=-3)  # (..., n, K, d)
     contexts = np.add.reduce(blocks, axis=-2) / blocks.shape[-2]  # (..., n, d), the mean rows
     q = query.data
-    # One dot per (client, context): the mat-vec contexts @ q rounds
-    # differently (up to 3.8e-15 on a 3-round fvlfp run). The golden runs'
-    # queries stay too close to zero to show it; a unit-scale test does.
+    # One (1, d) @ (d, 1) product per logit and one (1, n) @ (n, d) per
+    # client's query gradient: numpy computes each product of a batched
+    # matmul with the dot or gemv a lone ``q @ c`` takes, so the bits match
+    # a loop over clients. The mat-vec contexts @ q rounds differently (up
+    # to 3.8e-15 on a 3-round fvlfp run). The golden runs' queries stay too
+    # close to zero to show it; a unit-scale test does.
     qs, cs = q.reshape(-1, q.shape[-1]), contexts.reshape(-1, *contexts.shape[-2:])
-    logits = np.array([[qc @ c for c in cc] for qc, cc in zip(qs, cs)]).reshape(contexts.shape[:-1])
+    logits = np.matmul(cs[:, :, None, :], qs[:, None, :, None]).reshape(contexts.shape[:-1])
     w = softmax(logits)
     out = tokens.data + np.add.reduce(blocks * w[..., None, None], axis=-3)
 
@@ -36,7 +39,7 @@ def apply_cross_layer(tokens: Tensor, history: list[Tensor], query: Tensor) -> T
         # d(logit_i)/d(block_i) spreads query / K over the block's K rows.
         gblocks = (w[..., None, None] * g[..., None, :, :]
                    + (glogits[..., None] * q[..., None, :])[..., None, :] / blocks.shape[-2])
-        gq = np.array([gl @ c for gl, c in zip(glogits.reshape(len(qs), -1), cs)]).reshape(q.shape)
+        gq = np.matmul(glogits.reshape(len(cs), 1, -1), cs).reshape(q.shape)
         return (g, *gblocks.swapaxes(0, -3), gq)  # one (..., K, d) block per context
 
     return _node(out, (tokens, *history, query), vjp, "apply_cross_layer")

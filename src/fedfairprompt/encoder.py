@@ -109,85 +109,77 @@ class FrozenBackbone:
         return h.hexdigest()
 
 
-@dataclass
 class PromptSet:
-    """Trainable prompt state: per-layer token blocks and mixing queries.
+    """Trainable prompt state: one float64 vector, read as per-layer
+    token blocks and mixing queries.
 
-    ``tokens[l]`` is the (K, d) block inserted into the sequence feeding
-    layer l+1; ``queries[l-1]`` scores the blocks below layer l. These
-    tensors are exactly the trainable leaves of the whole pipeline.
-    Clients in lockstep stack theirs: (C, K, d) blocks, (C, d) queries.
-    A set holds one block per ``EncoderConfig.layers`` of width
-    ``EncoderConfig.embed_dim``, so it fits the one frozen encoder.
+    ``flat`` is (P,), or (C, P) for C clients in lockstep, with
+    P = 4·K·d + 3·d: the four (K, d) token blocks, then the three (d,)
+    queries, in the order ``to_arrays`` names them. ``tokens[l]`` is
+    the block inserted into the sequence feeding layer l+1;
+    ``queries[l-1]`` scores the blocks below layer l. Each is a
+    ``Tensor`` that views its span of ``flat``, so the optimizer and
+    fusion act on ``flat`` whole, and a write to a leaf must go through
+    its ``data``. These leaves are the only trainable state of the
+    pipeline; ``trainable=False`` makes them constants.
     """
 
-    tokens: list[Tensor]
-    queries: list[Tensor]
-
-    def __post_init__(self):
-        depth, shape = len(self.tokens), self.tokens[0].shape if self.tokens else ()
-        if depth != EncoderConfig.layers or shape[-1:] != (EncoderConfig.embed_dim,):
-            raise ValueError(
-                f"prompt set ({depth} blocks of shape {shape}) does not match the encoder "
-                f"({EncoderConfig.layers} layers, d={EncoderConfig.embed_dim})"
-            )
-        if len(shape) not in (2, 3) or shape[-2] < 1:
-            raise ValueError(f"token blocks must be (K, d) or (C, K, d) with K >= 1, got {shape}")
-        for t in self.tokens:
-            if t.shape != shape:
-                raise ValueError("all token blocks must share one shape")
-        if len(self.queries) != depth - 1:
-            raise ValueError(f"{depth} blocks need {depth - 1} queries, got {len(self.queries)}")
-        for q in self.queries:
-            if q.shape != shape[:-2] + shape[-1:]:
-                raise ValueError(f"query shape {q.shape} != {shape[:-2] + shape[-1:]}")
-
-    @property
-    def token_count(self) -> int:
-        return self.tokens[0].shape[-2]
+    def __init__(self, flat: np.ndarray, trainable: bool = True):
+        flat = np.asarray(flat, dtype=np.float64)
+        depth, d = EncoderConfig.layers, EncoderConfig.embed_dim
+        size = flat.shape[-1] if flat.ndim in (1, 2) else 0
+        k, rest = divmod(size - (depth - 1) * d, depth * d)
+        if k < 1 or rest:
+            raise ValueError(f"prompt vector of shape {flat.shape} does not fit the encoder: "
+                             f"it needs (P,) or (C, P), P = {depth}·K·{d} + {depth - 1}·{d}, K >= 1")
+        self.flat, self.token_count = flat, k
+        tokens_end = depth * k * d
+        spans = np.split(flat, [*range(k * d, tokens_end + 1, k * d),
+                                *range(tokens_end + d, flat.shape[-1], d)], axis=-1)
+        self.tokens = [Tensor(s.reshape(flat.shape[:-1] + (k, d)), trainable, f"tokens{l}")
+                       for l, s in enumerate(spans[:depth])]
+        self.queries = [Tensor(s, trainable, f"query{l}") for l, s in enumerate(spans[depth:], 1)]
+        self.leaves = self.tokens + self.queries  # in flat order
 
     @staticmethod
     def initialize(config: EncoderConfig, seed: int = 0, sigma: float = 0.02) -> "PromptSet":
         """Seeded normal token blocks; zero queries (uniform mixing)."""
-        k, d = config.prompt_tokens, config.embed_dim
         rng = np.random.Generator(np.random.PCG64(seed))
-        tokens = [
-            Tensor(rng.standard_normal((k, d)) * sigma, trainable=True, name=f"tokens{l}")
-            for l in range(config.layers)
-        ]
-        queries = [
-            Tensor(np.zeros(d), trainable=True, name=f"query{l}")
-            for l in range(1, config.layers)
-        ]
-        return PromptSet(tokens=tokens, queries=queries)
+        d = config.embed_dim
+        tokens = rng.standard_normal(config.layers * config.prompt_tokens * d) * sigma
+        return PromptSet(np.concatenate([tokens, np.zeros((config.layers - 1) * d)]))
 
-    def parameters(self) -> dict[str, Tensor]:
-        named = {f"tokens{l}": t for l, t in enumerate(self.tokens)}
-        named.update({f"query{l + 1}": q for l, q in enumerate(self.queries)})
-        return named
+    def gradient(self, grads: dict[Tensor, np.ndarray]) -> np.ndarray:
+        """The gradient of the leading span of ``flat`` whose leaves
+        ``grads`` holds, as ``tensor.backward`` returns it: their
+        entries, flattened and joined in flat order. Tokens lead, so a
+        loss that mixes no layers, and so reaches no query, trains the
+        token blocks alone. A leaf missing inside the span raises."""
+        lead = self.flat.shape[:-1]
+        return np.concatenate([grads[t].reshape(lead + (-1,)) for t in self.leaves[: len(grads)]],
+                              axis=-1)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.parameters().items()}
+        return {t.name: t.data.copy() for t in self.leaves}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy in one finite array of each leaf's shape, under exactly its names."""
-        named = self.parameters()
-        missing, unexpected = named.keys() - arrays.keys(), arrays.keys() - named.keys()
+        names = {t.name for t in self.leaves}
+        missing, unexpected = names - arrays.keys(), arrays.keys() - names
         if missing or unexpected:
             raise ValueError(f"prompts missing {sorted(missing)}, unexpected {sorted(unexpected)}")
         # check every array before the first write, so a bad one changes no leaf
-        new = {name: np.asarray(arrays[name], dtype=np.float64).copy() for name in named}
-        for name, t in named.items():
-            if new[name].shape != t.shape:
-                raise ValueError(f"array for '{name}' has shape {new[name].shape}, expected {t.shape}")
-            _ensure_finite(new[name], f"array for '{name}'")
-        for name, t in named.items():
-            t.data = new[name]
+        new = [np.asarray(arrays[t.name], dtype=np.float64) for t in self.leaves]
+        for t, a in zip(self.leaves, new):
+            if a.shape != t.shape:
+                raise ValueError(f"array for '{t.name}' has shape {a.shape}, expected {t.shape}")
+            _ensure_finite(a, f"array for '{t.name}'")
+        for t, a in zip(self.leaves, new):
+            t.data[...] = a
 
     def map(self, fn) -> "PromptSet":
-        """Fresh trainable leaves holding ``fn`` of each array."""
-        return PromptSet(*[[Tensor(fn(t.data), True, t.name) for t in ts]
-                           for ts in (self.tokens, self.queries)])
+        """A trainable set on ``fn(flat)``."""
+        return PromptSet(fn(self.flat))
 
     def copy(self) -> "PromptSet":
         return self.map(np.copy)

@@ -160,11 +160,6 @@ class PromptedModel:
             return task
         return joint_loss(task, fairness_loss(z_debiased, self.subspace, mu), lam1)
 
-    def trainable(self, prompts: PromptSet) -> list[Tensor]:
-        """The prompt leaves that receive gradient under this model: the
-        token blocks, then the mixing queries when cross-layer mixing runs."""
-        return prompts.tokens + (prompts.queries if self.cdfp_enabled else [])
-
 
 def predict(model: PromptedModel, prompts: PromptSet, features: np.ndarray) -> np.ndarray:
     """Class predictions by nearest class template in embedding space.
@@ -176,8 +171,7 @@ def predict(model: PromptedModel, prompts: PromptSet, features: np.ndarray) -> n
     way to it, which layernorm would otherwise turn into finite zeros.
     """
     # Constant views of the prompts, so the forward records no tape.
-    frozen = PromptSet([Tensor(t.data, name=t.name) for t in prompts.tokens],
-                       [Tensor(q.data, name=q.name) for q in prompts.queries])
+    frozen = PromptSet(prompts.flat, trainable=False)
     preds = []
     with np.errstate(over="raise"):
         for lo in range(0, features.shape[0], _EVAL_CHUNK):
@@ -216,21 +210,22 @@ def score_from_record(record: MetricRecord) -> float:
     return record.a_b * (1.0 - record.phi_eq)
 
 
-def _fit(model: PromptedModel, prompts: PromptSet, loss, schedules, lr: float,
-         who: list[str], per_walk: int = 1) -> dict[int, str]:
+def _fit(prompts: PromptSet, loss, schedules, lr: float, who: list[str],
+         per_walk: int = 1) -> dict[int, str]:
     """AdamW in place, from fresh moments, on one prompt set or on one per
     schedule stacked on a leading axis. Member i takes a step per ``(where,
     batch)`` of ``schedules[i]``; at each step, runs of consecutive members
     whose batches share a shape go in groups of at most ``per_walk``
     through one ``loss(group_prompts, [(member, batch), ...])`` on a slice
-    of the stack, one backward from its sum and one ``adamw_step`` on views
-    of the slice's leaves and their moments. A member whose forward
+    of the stack, one backward from its sum and one ``adamw_step`` on the
+    slice's rows of ``flat`` and of their moments, over the leading span
+    the loss reached (``PromptSet.gradient``): all of it, or the token
+    blocks alone without cross-layer mixing. A member whose forward
     overflows, or whose loss or gradient is not finite, stops: a failed
     group replays the step member by member, so each error names
     ``who[i]`` and ``where`` as a lone run would. Returns those errors.
     """
-    params = [p.data for p in model.trainable(prompts)]
-    m, v = [np.zeros_like(a) for a in params], [np.zeros_like(a) for a in params]
+    m, v = np.zeros_like(prompts.flat), np.zeros_like(prompts.flat)
     errors: dict[int, str] = {}
 
     def run(step: int, group: list[int]) -> None:
@@ -247,8 +242,9 @@ def _fit(model: PromptedModel, prompts: PromptSet, loss, schedules, lr: float,
             else:
                 errors[group[0]] = f"{who[group[0]]}: {exc} {schedules[group[0]][step][0]}"
             return
-        adamw_step([a[sel] for a in params], [reached[p] for p in model.trainable(ps)],
-                   [a[sel] for a in m], [a[sel] for a in v], step + 1, lr)
+        grad = ps.gradient(reached)
+        span = (sel, slice(grad.shape[-1]))
+        adamw_step(prompts.flat[span], grad, m[span], v[span], step + 1, lr)
 
     # An overflow in the forward raises: layernorm would turn it into
     # finite zeros. backward rejects a diverging gradient by name.
@@ -296,7 +292,7 @@ def client_update(
 
     seq_rows = size * (1 + prompts.token_count + shards[0].features.shape[1])
     who = [f"client {s.client_id}" for s in ranked]
-    errors = _fit(model, stacked, loss, schedules, config.lr, who, max(1, _STACK_ROWS // seq_rows))
+    errors = _fit(stacked, loss, schedules, config.lr, who, max(1, _STACK_ROWS // seq_rows))
     updates = []
     for shard in shards:
         i = [s is shard for s in ranked].index(True)
@@ -319,17 +315,15 @@ def fusion_weights(scores) -> np.ndarray:
 
 
 def fuse_prompts(prompt_sets: list[PromptSet], weights) -> PromptSet:
-    """Weighted elementwise sum of client prompt sets.
+    """Weighted elementwise sum of client prompt sets, ``w0·flat0 +
+    w1·flat1 + …`` in client order.
 
     ``weights`` come from :func:`fusion_weights`, one per set, used as given.
     """
-    fused = {name: weights[0] * arr for name, arr in prompt_sets[0].to_arrays().items()}
+    fused = weights[0] * prompt_sets[0].flat
     for w, ps in zip(weights[1:], prompt_sets[1:]):
-        for name, arr in ps.to_arrays().items():
-            fused[name] = fused[name] + w * arr
-    out = prompt_sets[0].copy()
-    out.load_arrays(fused)
-    return out
+        fused = fused + w * ps.flat
+    return PromptSet(fused)
 
 
 def refinement_loss(
@@ -406,7 +400,7 @@ def server_refine(
          np.concatenate([rng.choice(rows, size=per, replace=False) for rows in group_rows]))
         for step in range(config.refine_steps)
     ]
-    errors = _fit(model, refined, loss, [batches], config.refine_lr, ["server refinement"])
+    errors = _fit(refined, loss, [batches], config.refine_lr, ["server refinement"])
     if errors:
         raise FederationError(errors[0])
     return refined

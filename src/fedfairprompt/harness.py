@@ -85,13 +85,18 @@ def grid(config: Config, axis: str, cells, replicates: int) -> tuple[CellResult,
     of ``config``, ``axis`` among them, and the directory its label
     ``<axis>=<value>`` sits in. Replicate r of every cell takes the
     sub-seed ``derive_seed(master_seed, axis tag, r)`` and writes to
-    ``out_dir/subdir/<axis>=<value>/rep<r>``.
+    ``out_dir/subdir/<axis>=<value>/rep<r>``. Two cells that would share
+    that directory (``0.5`` and ``0.50``) raise before any run.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    cells = [(subdir, f"{axis}={overrides[axis]}", overrides) for subdir, overrides in cells]
+    where = [os.path.join(subdir, label) for subdir, label, _ in cells]
+    repeated = sorted({w for w in where if where.count(w) > 1})
+    if repeated:
+        raise ValueError(f"repeated grid cell {repeated}: its runs would share one directory")
     results = []
-    for subdir, overrides in cells:
-        label = f"{axis}={overrides[axis]}"
+    for subdir, label, overrides in cells:
         method = overrides.get("method", config.method)
         for rep_index in range(replicates):
             sub_seed = derive_seed(config.master_seed, _AXIS_TAGS[axis], rep_index)

@@ -230,6 +230,15 @@ def test_sweep_values_starting_with_a_negative_number_need_the_equals_form(tmp_p
         for v in (-1.0, -2.0)]
 
 
+def test_sweep_rejects_a_repeated_value_before_any_run(tmp_path, capsys):
+    rc = main(["sweep", "--axis", "alpha", "--values", "0.5,0.50", "--replicates", "1",
+               "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: repeated grid cell ['alpha=0.5']: its runs would share one directory\n")
+    assert not (tmp_path / "sw").exists()
+
+
 def test_sweep_axis_needs_values(tmp_path, capsys):
     rc = main(["sweep", "--axis", "alpha", "--out", str(tmp_path / "sw")])
     assert rc == 2

@@ -123,21 +123,13 @@ def test_gradients_reach_query_tokens_and_history():
 
 
 def test_shape_validation():
-    # the mixing trusts its shapes: PromptSet fixes the block and query
-    # shapes, and matches its depth and width to the fixed encoder
-    block, query = Tensor(np.zeros((2, 32))), Tensor(np.zeros(32))
-    with pytest.raises(ValueError, match="share one shape"):
-        PromptSet(tokens=[block] * 3 + [Tensor(np.zeros((3, 32)))], queries=[query] * 3)
-    with pytest.raises(ValueError, match="query shape"):
-        PromptSet(tokens=[block] * 4, queries=[query] * 2 + [Tensor(np.zeros(5))])
-    with pytest.raises(ValueError, match="queries"):
-        PromptSet(tokens=[block] * 4, queries=[])
-    with pytest.raises(ValueError, match=re.escape("prompt set (3 blocks of shape (2, 32)) does "
-                                                   "not match the encoder (4 layers, d=32)")):
-        PromptSet(tokens=[block] * 3, queries=[query] * 2)
-    with pytest.raises(ValueError, match=re.escape("prompt set (4 blocks of shape (2, 8)) does "
-                                                   "not match the encoder (4 layers, d=32)")):
-        PromptSet(tokens=[Tensor(np.zeros((2, 8)))] * 4, queries=[Tensor(np.zeros(8))] * 3)
-    with pytest.raises(ValueError, match=re.escape("prompt set (0 blocks of shape ()) does not "
-                                                   "match the encoder (4 layers, d=32)")):
-        PromptSet([], [])
+    # the mixing trusts its shapes: PromptSet cuts its blocks and queries
+    # from one vector of 4·K·32 + 3·32 floats, so it fixes the block and
+    # query shapes and the depth and width of the fixed encoder
+    for shape in [(96 + 128 * 2 + 1,), (96 + 128 * 2 - 32,), (3, 95 + 128), (2, 3, 224), (), (0,)]:
+        with pytest.raises(ValueError, match=re.escape(f"prompt vector of shape {shape} does "
+                                                       "not fit the encoder")):
+            PromptSet(np.zeros(shape))
+    ps = PromptSet(np.zeros((3, 96 + 128 * 2)))
+    assert [t.shape for t in ps.tokens] == [(3, 2, 32)] * 4
+    assert [q.shape for q in ps.queries] == [(3, 32)] * 3

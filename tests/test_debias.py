@@ -410,7 +410,7 @@ def test_losses_backpropagate_into_prompts():
         task = task_loss(deb, z, targets, TEMPERATURE)
         return joint_loss(task, fair, lam1=1.0)
 
-    leaves = list(prompts.parameters().values())
+    leaves = prompts.leaves
     grads = backward(run())
     assert set(grads) == set(leaves)
     assert any(np.linalg.norm(g) > 1e-12 for g in grads.values())

@@ -93,9 +93,9 @@ def _random_prompts(cfg, seed=0, sigma=0.5):
     rng = _rng(seed)
     ps = PromptSet.initialize(cfg, seed=seed)
     for t in ps.tokens:
-        t.data = rng.standard_normal(t.shape) * sigma
+        t.data[...] = rng.standard_normal(t.shape) * sigma
     for q in ps.queries:
-        q.data = rng.standard_normal(q.shape) * sigma
+        q.data[...] = rng.standard_normal(q.shape) * sigma
     return ps
 
 
@@ -380,7 +380,7 @@ def test_gradients_flow_only_to_prompt_leaves_and_match_fd():
         return P.reduce_sum(P.mul(z, Tensor(probe)))
 
     grads = backward(loss())
-    leaves = list(ps.parameters().values())
+    leaves = ps.leaves
     assert set(grads) == set(leaves)  # nothing but prompt state is trainable
     assert_grads_match(loss, leaves)
 
@@ -486,15 +486,30 @@ def test_prompt_set_shapes_copy_and_round_trip():
     assert set(arrays) == {"tokens0", "tokens1", "tokens2", "tokens3", "query1", "query2", "query3"}
     blank = PromptSet.initialize(cfg, seed=99)
     blank.load_arrays(arrays)
-    for name, t in blank.parameters().items():
-        assert np.array_equal(t.data, arrays[name])
+    for t in blank.leaves:
+        assert np.array_equal(t.data, arrays[t.name])
+        assert np.shares_memory(t.data, blank.flat)  # loaded through the views
+
+
+def test_prompt_set_leaves_are_views_of_its_vector():
+    # One vector: tokens0..tokens3 then query1..query3, in to_arrays order.
+    # A write through a leaf lands in it, and a write to it moves the leaf.
+    ps = PromptSet.initialize(EncoderConfig(), seed=3).map(lambda a: np.stack([a, -a]))
+    assert ps.flat.shape == (2, 4 * 2 * 32 + 3 * 32)
+    assert all(np.shares_memory(t.data, ps.flat) for t in ps.leaves)
+    assert [t.name for t in ps.leaves] == list(ps.to_arrays())
+    assert np.array_equal(np.concatenate([t.data.reshape(2, -1) for t in ps.leaves], axis=1),
+                          ps.flat)
+    ps.queries[1].data[1, 5] = 7.0
+    assert ps.flat[1, 4 * 2 * 32 + 32 + 5] == 7.0
+    ps.flat[0, 3] += 1.0
+    assert ps.tokens[0].data[0, 0, 3] == ps.flat[0, 3]
 
 
 def test_prompt_set_rejects_an_empty_token_block():
-    empty = [Tensor(np.zeros((0, 32)), trainable=True) for _ in range(4)]
-    queries = [Tensor(np.zeros(32), trainable=True) for _ in range(3)]
+    # Three queries' floats and no token rows: K = 0.
     with pytest.raises(ValueError, match="K >= 1"):
-        PromptSet(tokens=empty, queries=queries)
+        PromptSet(np.zeros(3 * 32))
 
 
 @pytest.mark.parametrize("missing, unexpected",
@@ -511,7 +526,7 @@ def test_load_arrays_requires_exactly_the_sets_names(missing, unexpected):
     arrays.update({name: arrays["tokens0"] for name in unexpected})
     with pytest.raises(ValueError, match=re.escape(f"missing {missing}, unexpected {unexpected}")):
         ps.load_arrays(arrays)
-    assert all(np.array_equal(t.data, before[name]) for name, t in ps.parameters().items())
+    assert all(np.array_equal(t.data, before[t.name]) for t in ps.leaves)
 
 
 def test_load_arrays_rejects_non_finite_array():
@@ -530,7 +545,7 @@ def test_load_arrays_rejects_an_array_of_the_wrong_shape():
     with pytest.raises(ValueError, match=re.escape("array for 'query2' has shape (31,), "
                                                    "expected (32,)")):
         ps.load_arrays(arrays)
-    assert all(np.array_equal(t.data, before[name]) for name, t in ps.parameters().items())
+    assert all(np.array_equal(t.data, before[t.name]) for t in ps.leaves)
 
 
 def test_load_arrays_writes_nothing_when_a_later_array_is_bad():
@@ -543,7 +558,7 @@ def test_load_arrays_writes_nothing_when_a_later_array_is_bad():
     arrays["tokens2"][0, 0] = np.inf
     with pytest.raises(NonFiniteError, match="'tokens2'"):
         ps.load_arrays(arrays)
-    assert all(np.array_equal(t.data, before[name]) for name, t in ps.parameters().items())
+    assert all(np.array_equal(t.data, before[t.name]) for t in ps.leaves)
 
 
 def test_config_validation():

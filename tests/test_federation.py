@@ -293,7 +293,7 @@ def test_refinement_loss_gradients_reach_all_prompt_parameters():
         return refinement_loss(model, prompts, features, labels, groups, lam2=0.7)
 
     # tau=0.07 softmax is stiff: a smaller step keeps truncation under tol
-    assert_grads_match(loss, prompts.parameters().values(), step=1e-4)
+    assert_grads_match(loss, prompts.leaves, step=1e-4)
 
 
 @pytest.mark.parametrize("dsop", [True, False])
@@ -371,7 +371,7 @@ def test_wo_cdfp_returns_every_query_byte_identical(enc_cfg, val_split):
     prompts = PromptSet.initialize(enc_cfg, seed=7)
     rng = np.random.default_rng(7)
     for q in prompts.queries:
-        q.data = rng.standard_normal(q.shape)
+        q.data[...] = rng.standard_normal(q.shape)
     shards = [_shard(model, i, n, 60 + i) for i, n in enumerate((9, 17))]
     tuned = [t for t, _, _ in client_update(
         *shards, model=model, prompts=prompts, val=val_split, round_index=0,
@@ -390,21 +390,21 @@ def test_one_adamw_step_per_walk_and_per_refinement_step(monkeypatch, model, val
     calls = []
     real = federation.adamw_step
 
-    def counted(params, grads, m, v, step, lr):
-        calls.append((params[0].shape, step))
-        real(params, grads, m, v, step, lr)
+    def counted(p, g, m, v, step, lr):
+        calls.append((p.shape, step))
+        real(p, g, m, v, step, lr)
 
     monkeypatch.setattr(federation, "adamw_step", counted)
     prompts = PromptSet.initialize(enc_cfg, seed=6)
     shards = [_shard(model, 0, 16, 70), _shard(model, 1, 16, 71)]
     client_update(*shards, model=model, prompts=prompts, val=val_split, round_index=0,
                   config=Config(batch_size=8, lr=2e-3))
-    block = (2, enc_cfg.prompt_tokens, enc_cfg.embed_dim)
-    assert calls == [(block, 1), (block, 2)]
+    span = (2, prompts.flat.size)  # the model mixes layers, so every float trains
+    assert calls == [(span, 1), (span, 2)]
     calls.clear()
     server_refine(model, prompts, val_split, np.random.Generator(np.random.PCG64(0)),
                   _refine_config(refine_steps=3, refine_batch=16))
-    assert calls == [(block[1:], 1), (block[1:], 2), (block[1:], 3)]
+    assert calls == [(span[1:], 1), (span[1:], 2), (span[1:], 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +554,12 @@ def test_forward_overflow_becomes_flagged_failure():
 
 def test_non_finite_gradient_names_client_and_step(enc_cfg):
     prompts = PromptSet.initialize(enc_cfg, seed=0)
-    stub = SimpleNamespace(trainable=lambda ps: ps.tokens + ps.queries)
 
     def loss(ps, _picks):
         # finite forward (about leaf * 1e100); backward overflows to 1e400
         return P.reduce_sum(P.scale(P.scale(P.mul(ps.tokens[0], 1e-300), 1e200), 1e200))
 
-    errors = federation._fit(stub, prompts, loss, [[("at step 3", None)]], 1e-3, ["client 7"])
+    errors = federation._fit(prompts, loss, [[("at step 3", None)]], 1e-3, ["client 7"])
     assert list(errors) == [0]
     assert re.match(r"^client 7: .*gradient.* at step 3$", errors[0])
 
@@ -571,7 +570,6 @@ def test_a_failing_stacked_step_is_replayed_client_by_client(enc_cfg):
     # and stops the second with the error a lone run gives.
     base = PromptSet.initialize(enc_cfg, seed=0)
     stacked = base.map(lambda a: np.stack([a, a]))
-    stub = SimpleNamespace(trainable=lambda ps: ps.tokens[:1])
     factor = np.array([1.0, 1e-300])
     groups = []
 
@@ -583,7 +581,7 @@ def test_a_failing_stacked_step_is_replayed_client_by_client(enc_cfg):
             P.reduce_sum(scaled)
 
     schedules = [[("at step 0", None)], [("at step 0", None)]]
-    errors = federation._fit(stub, stacked, loss, schedules, 1e-3, ["client 0", "client 1"],
+    errors = federation._fit(stacked, loss, schedules, 1e-3, ["client 0", "client 1"],
                              per_walk=2)
     assert groups == [[0, 1], [0], [1]]
     assert list(errors) == [1]
@@ -610,7 +608,7 @@ def test_a_failing_client_is_named_after_the_clients_before_it_train(model, val_
 
 def test_predict_rejects_non_finite_eval_embeddings(model, enc_cfg, val_split):
     prompts = PromptSet.initialize(enc_cfg, seed=0)
-    prompts.tokens[1].data = np.full(prompts.tokens[1].shape, np.nan)
+    prompts.tokens[1].data[...] = np.nan
     with pytest.raises(NonFiniteError, match="eval embeddings"):
         predict(model, prompts, val_split.features)
 
@@ -632,12 +630,13 @@ def test_predict_records_no_tape(model, enc_cfg, val_split, monkeypatch):
         predict(m, prompts, val_split.features)
     assert len(embedded) == 4
     assert not any(z.needs_grad or z.parents for z in embedded)
-    assert all(p.trainable for p in prompts.parameters().values())
+    assert all(p.trainable for p in prompts.leaves)
 
 
 def test_predict_rejects_an_overflow_on_the_way_to_the_embeddings(model, enc_cfg, val_split):
     prompts = PromptSet.initialize(enc_cfg, seed=0)
-    prompts.tokens[1].data = np.random.default_rng(0).normal(size=prompts.tokens[1].shape) * 1e200
+    prompts.tokens[1].data[...] = (np.random.default_rng(0).normal(size=prompts.tokens[1].shape)
+                                   * 1e200)
     with pytest.raises(NonFiniteError, match="eval embeddings: overflow encountered"):
         predict(model, prompts, val_split.features)
 
@@ -650,7 +649,7 @@ def test_non_finite_evaluation_becomes_flagged_failure(monkeypatch):
         calls.append(1)
         refined = refine(*args)
         if len(calls) == 2:
-            refined.tokens[2].data = np.full(refined.tokens[2].shape, np.nan)
+            refined.tokens[2].data[...] = np.nan
         return refined
 
     monkeypatch.setattr(federation, "server_refine", poisoned_refine)
@@ -676,7 +675,7 @@ def test_report_prompts_are_the_last_recorded_rounds(monkeypatch):
         refined = refine(*args)
         refined_arrays.append(refined.to_arrays())
         if len(refined_arrays) == 2:
-            refined.tokens[2].data = np.full(refined.tokens[2].shape, np.nan)
+            refined.tokens[2].data[...] = np.nan
         return refined
 
     monkeypatch.setattr(federation, "server_refine", poisoned_refine)

@@ -6,13 +6,19 @@ on tiny configurations.
 
 import hashlib
 import os
+import re
+import shutil
 import subprocess
 import sys
+
+import numpy as np
 
 import pytest
 
 from fedfairprompt import federation
+from fedfairprompt.cli import main
 from fedfairprompt.config import Config, parse_config
+from fedfairprompt.data import load_embeddings, save_embeddings
 from fedfairprompt.harness import (
     PRESETS,
     SWEEP_AXES,
@@ -83,6 +89,13 @@ def test_sweep_rejects_unknown_axis(tmp_path):
 def test_sweep_rejects_empty_values(tmp_path):
     with pytest.raises(ValueError, match="at least one"):
         sweep(_tiny(tmp_path), "alpha", ())
+
+
+def test_sweep_rejects_a_repeated_value_before_any_run(tmp_path):
+    # 0.5 and 0.50 are one cell: both runs would write alpha=0.5/rep0
+    with pytest.raises(ValueError, match=re.escape("repeated grid cell ['alpha=0.5']")):
+        sweep(_tiny(tmp_path / "sw"), "alpha", [0.5, 0.50], replicates=1)
+    assert not (tmp_path / "sw").exists()
 
 
 def test_sweep_cells_are_paired_across_values(tmp_path):
@@ -252,3 +265,46 @@ def test_heterogeneity_is_unreachable_with_one_client(tmp_path):
     hashes = {_sha256(tmp_path / f"alpha={a}" / "rep0" / "rounds.csv")
               for a in (0.1, 0.5, 100.0)}
     assert len(hashes) == 1
+
+
+@pytest.fixture(scope="module")
+def gen_data(tmp_path_factory):
+    """gen-data's three embedding files at 240/80/80 rows."""
+    root = tmp_path_factory.mktemp("gen")
+    (root / "sizes.cfg").write_text("n_train=240\nn_val=80\nn_test=80\n")
+    assert main(["gen-data", "--config", str(root / "sizes.cfg"), "--out", str(root / "emb")]) == 0
+    return root / "emb"
+
+
+def _shuffled(data_dir, split, out_dir):
+    """A copy of ``data_dir`` with the rows of ``<split>.emb`` in a seeded order."""
+    shutil.copytree(data_dir, out_dir)
+    rows = load_embeddings(str(data_dir / f"{split}.emb"))
+    order = np.random.default_rng(0).permutation(len(rows))
+    save_embeddings(rows.subset(order), str(out_dir / f"{split}.emb"))
+    return out_dir
+
+
+def _ingested_run(out_dir, data_dir, method):
+    run_experiment(Config(method=method, clients=3, rounds=2, master_seed=3, lr=2e-3,
+                          refine_steps=5, data_dir=str(data_dir), out_dir=str(out_dir)))
+    return _sha256(out_dir / "rounds.csv"), _sha256(out_dir / "prompts.npz")
+
+
+def test_evaluation_ignores_the_order_of_test_rows(tmp_path, gen_data):
+    # The test eval predicts each row on its own and counts the
+    # predictions per (label, group) cell, so row order cannot reach
+    # the metrics, and nothing else reads the test split.
+    shuffled = _shuffled(gen_data, "test", tmp_path / "emb")
+    assert (_ingested_run(tmp_path / "given", gen_data, "fvlfp")
+            == _ingested_run(tmp_path / "shuffled", shuffled, "fvlfp"))
+
+
+def test_only_refinement_reads_val_rows_by_position(tmp_path, gen_data):
+    # Without FPF the val split feeds only the clients' evals, which
+    # count predictions per cell. Known result, not a test: under fvlfp
+    # shuffling val.emb changes both files, because refinement draws its
+    # batches by row position.
+    shuffled = _shuffled(gen_data, "val", tmp_path / "emb")
+    assert (_ingested_run(tmp_path / "given", gen_data, "wo-fpf")
+            == _ingested_run(tmp_path / "shuffled", shuffled, "wo-fpf"))

@@ -9,14 +9,10 @@ import numpy as np
 from fedfairprompt.optim import BETA1, BETA2, EPS, WEIGHT_DECAY, adamw_step
 
 
-def _step(p, g, m, v, step, lr):
-    adamw_step([p], [g], [m], [v], step, lr)
-
-
 def test_zero_gradient_applies_pure_decay():
     before = np.array([1.0, -2.0, 0.5])
     p, m, v = before.copy(), np.zeros(3), np.zeros(3)
-    _step(p, np.zeros(3), m, v, 1, 0.1)
+    adamw_step(p, np.zeros(3), m, v, 1, 0.1)
     np.testing.assert_allclose(p, before * (1.0 - 0.1 * WEIGHT_DECAY), rtol=1e-15)
     assert not m.any() and not v.any()
 
@@ -26,7 +22,7 @@ def test_first_step_is_closed_form():
     # is lr * g / (|g| + EPS), about lr * sign(g); the decay reads the old p.
     before, g = np.array([3.0, -4.0]), np.array([0.7, -0.2])
     p = before.copy()
-    _step(p, g, np.zeros(2), np.zeros(2), 1, 0.05)
+    adamw_step(p, g, np.zeros(2), np.zeros(2), 1, 0.05)
     want = before - 0.05 * g / (np.abs(g) + EPS) - 0.05 * WEIGHT_DECAY * before
     np.testing.assert_allclose(p, want, rtol=0, atol=1e-14)
     np.testing.assert_allclose(p, before - 0.05 * np.sign(g) - 0.05 * WEIGHT_DECAY * before,
@@ -41,7 +37,7 @@ def test_matches_an_adam_reference_with_decoupled_decay():
     lr = 0.01
     for t in range(1, 6):
         g = rng.standard_normal(5)
-        _step(p, g, m, v, t, lr)
+        adamw_step(p, g, m, v, t, lr)
         ref_m = BETA1 * ref_m + (1 - BETA1) * g
         ref_v = BETA2 * ref_v + (1 - BETA2) * g * g
         adam = lr * (ref_m / (1 - BETA1**t)) / (np.sqrt(ref_v / (1 - BETA2**t)) + EPS)
@@ -55,7 +51,7 @@ def test_quadratic_descent_trajectory_frozen_value():
     # f(x) = 0.5*x^2, grad = x; 10 steps from 1.0 at lr 0.1.
     x, m, v = np.array([1.0]), np.zeros(1), np.zeros(1)
     for t in range(1, 11):
-        _step(x, x.copy(), m, v, t, 0.1)
+        adamw_step(x, x.copy(), m, v, t, 0.1)
     assert abs(x[0] - 0.0716955020745644) < 1e-15
 
     # Dual route: the same trajectory from a pure-python scalar loop.
@@ -78,9 +74,25 @@ def test_a_step_on_views_writes_only_their_rows_bit_for_bit():
     m, v = rng.standard_normal((3, 4)) * 0.1, rng.random((3, 4)) * 0.1
     lone = [a[1:].copy() for a in (stack, m, v)]
     before = [a.copy() for a in (stack, m, v)]
-    _step(stack[1:], g, m[1:], v[1:], 3, 0.02)
-    _step(lone[0], g, lone[1], lone[2], 3, 0.02)
+    adamw_step(stack[1:], g, m[1:], v[1:], 3, 0.02)
+    adamw_step(lone[0], g, lone[1], lone[2], 3, 0.02)
     for got, want, old in zip((stack, m, v), lone, before):
         assert np.array_equal(got[1:], want)
         assert np.array_equal(got[0], old[0])
         assert not np.array_equal(got[1:], old[1:])
+
+
+def test_a_step_on_joined_arrays_equals_a_step_on_each_bit_for_bit():
+    # What one prompt vector does: its seven leaves' spans take one step
+    # on the joined gradient, with the values per-leaf steps would give.
+    rng = np.random.default_rng(2)
+    sizes = [64] * 4 + [32] * 3
+    leaves = [[rng.standard_normal(n) * s for n in sizes] for s in (1.0, 1.0, 0.1)]
+    leaves.append([rng.random(n) * 0.1 for n in sizes])  # p, g, m, v
+    joined = [np.concatenate(arrays) for arrays in leaves]
+    for step in (1, 4):
+        adamw_step(*joined, step, 0.03)
+        for p, g, m, v in zip(*leaves):
+            adamw_step(p, g, m, v, step, 0.03)
+    for got, arrays in zip(joined, leaves):
+        assert np.array_equal(got, np.concatenate(arrays))
