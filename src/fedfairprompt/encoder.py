@@ -17,7 +17,9 @@ output projection and the MLP run only for the rows the next step
 reads: CLS and the patch rows, or CLS alone in the last block. A
 block's whole attention sublayer is one tape node
 (``tensor.prompted_attention``), its MLP sublayer one more (``_mlp``),
-and the head after the last block one more (``_head``).
+and the head after the last block one more (``_head``). No node keeps
+its input, so ``encode_image`` releases each stage's input once the
+stage has read it, and the tape holds only what the VJPs read.
 
 The backbone holds only the weights the forward reads, as frozen
 arrays: its layer norms have no affine terms and its MLP has no biases.
@@ -35,7 +37,8 @@ import numpy as np
 from . import tensor as T
 from .crosslayer import apply_cross_layer
 from .data import _IMAGE_SIZE, _PATCH
-from .tensor import Tensor, _ensure_finite, _gelu_slope, _ln_vjp, _node, _unit, _unit_vjp
+from .tensor import (Tensor, _ensure_finite, _gelu_slope, _ln_vjp, _node, _release, _unit,
+                     _unit_vjp)
 
 
 @dataclass(frozen=True)
@@ -119,9 +122,9 @@ class PromptSet:
     the block inserted into the sequence feeding layer l+1;
     ``queries[l-1]`` scores the blocks below layer l. Each is a
     ``Tensor`` that views its span of ``flat``, so the optimizer and
-    fusion act on ``flat`` whole, and a write to a leaf must go through
-    its ``data``. These leaves are the only trainable state of the
-    pipeline; ``trainable=False`` makes them constants.
+    fusion act on ``flat`` whole; a leaf's ``data`` is written through,
+    and rebinding it raises. These leaves are the only trainable state
+    of the pipeline; ``trainable=False`` makes them constants.
     """
 
     def __init__(self, flat: np.ndarray, trainable: bool = True):
@@ -260,17 +263,6 @@ class VisionEncoder:
 
     # -- prompt-threaded image forward ---------------------------------
 
-    def _block(self, prompt: Tensor, state: Tensor, idx: int, cls_only: bool) -> Tensor:
-        """One pre-LN block over the shared (K, d) ``prompt`` rows and the
-        (B, n, d) ``state`` rows, returning the new state rows (CLS alone
-        when ``cls_only``). The attention sublayer is one
-        ``prompted_attention`` node: keys and values come from every
-        row, queries only from the returned ones. The MLP sublayer is
-        one ``_mlp`` node on the returned rows."""
-        attention, w1, w2 = self._layer_consts[idx]
-        rows = T.prompted_attention(prompt, state, *attention, self.config.heads, cls_only)
-        return _mlp(rows, w1, w2)
-
     def encode_image(
         self,
         e0: np.ndarray,
@@ -299,14 +291,20 @@ class VisionEncoder:
         if data.shape[-2] == cfg.patch_count:
             data = data + self._patch_pos
 
-        # The CLS and patch rows: everything but the prompt block.
+        # The CLS and patch rows: everything but the prompt block. Each
+        # stage's input is released once the stage has read it.
         cls_rows = np.broadcast_to(self._cls_row, data.shape[:-2] + (1, cfg.embed_dim))
         state = Tensor(np.concatenate([cls_rows, data], axis=-2))
+        del data
         used = prompts.tokens[0]
         history = [used]
         for layer in range(1, cfg.layers + 1):
             last = layer == cfg.layers
-            state = self._block(used, state, layer - 1, cls_only=last)
+            attention, w1, w2 = self._layer_consts[layer - 1]
+            rows = T.prompted_attention(used, state, *attention, cfg.heads, cls_only=last)
+            _release(state)
+            state = _mlp(rows, w1, w2)
+            _release(rows)
             if last:
                 break
             used = prompts.tokens[layer]
@@ -314,7 +312,9 @@ class VisionEncoder:
                 used = apply_cross_layer(used, history, prompts.queries[layer - 1])
             history.append(used)
 
-        return _head(state, self._out_proj)
+        z = _head(state, self._out_proj)
+        _release(state)
+        return z
 
 
 def _mlp(rows: Tensor, w1: np.ndarray, w2: np.ndarray) -> Tensor:
@@ -340,11 +340,12 @@ def _head(state: Tensor, out_proj: np.ndarray) -> Tensor:
     """The (..., B, 1, d) CLS rows, layer-normed, times ``out_proj`` and
     scaled to unit norm, as one node: (..., B, d) unit rows, bit-identical
     to the reshape, layernorm, matmul and L2 kernels it fuses."""
-    rows, inv = T.layernorm(state.data.reshape(state.shape[:-2] + state.shape[-1:]))
+    shape = state.shape
+    rows, inv = T.layernorm(state.data.reshape(shape[:-2] + shape[-1:]))
     out, norm = _unit(rows @ out_proj)
 
     def vjp(g):
         g_rows = _unit_vjp(g, out, norm) @ out_proj.swapaxes(-1, -2)
-        return (_ln_vjp(g_rows, rows, inv).reshape(state.shape),)
+        return (_ln_vjp(g_rows, rows, inv).reshape(shape),)
 
     return _node(out, (state,), vjp, "encoder_head")

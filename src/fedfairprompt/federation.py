@@ -68,8 +68,9 @@ from .report import FairnessReport, RoundRecord
 _EVAL_CHUNK = 64
 
 # Sequence rows (CLS, prompt, patch) in one stacked walk: 2 synth clients,
-# 10 ingest. At 8.6 KB of tape a row, the walks set fvlfp-synth's peak
-# RSS: 65.4 MB at 2 synth clients, 69.0 at 3 and 74.8 at 5.
+# 10 ingest. At 7.0 KB of tape a row, the walks set a 1-round fvlfp-synth
+# run's peak RSS: 64.0 MB at 2 synth clients, 67.0 at 3 and 72.7 at 5
+# (median of three processes each).
 _STACK_ROWS = 640
 
 # purpose tags for seed derivation; never reuse a number
@@ -223,7 +224,9 @@ def _fit(prompts: PromptSet, loss, schedules, lr: float, who: list[str],
     blocks alone without cross-layer mixing. A member whose forward
     overflows, or whose loss or gradient is not finite, stops: a failed
     group replays the step member by member, so each error names
-    ``who[i]`` and ``where`` as a lone run would. Returns those errors.
+    ``who[i]`` and ``where`` as a lone run would, and a lone member's
+    non-finite loss runs its forward once more to name the first
+    non-finite leaf or op. Returns those errors.
     """
     m, v = np.zeros_like(prompts.flat), np.zeros_like(prompts.flat)
     errors: dict[int, str] = {}
@@ -231,16 +234,26 @@ def _fit(prompts: PromptSet, loss, schedules, lr: float, who: list[str],
     def run(step: int, group: list[int]) -> None:
         sel = ... if len(group) == len(schedules) else slice(group[0], group[-1] + 1)
         ps = prompts if sel is ... else prompts.map(lambda a: a[sel])
+        picks = [(i, schedules[i][step][1]) for i in group]
+        value = None
         try:
             with np.errstate(over="raise"):
-                value = loss(ps, [(i, schedules[i][step][1]) for i in group])
+                value = loss(ps, picks)
             reached = T.backward(value)
         except FloatingPointError as exc:  # NonFiniteError included
             if len(group) > 1:
                 for i in group:
                     run(step, [i])
-            else:
-                errors[group[0]] = f"{who[group[0]]}: {exc} {schedules[group[0]][step][0]}"
+                return
+            if value is not None and not np.isfinite(value.data).all():
+                # The encoder released its interior outputs, so backward
+                # could not scan them: run the forward again, checked.
+                try:
+                    with T.checked(), np.errstate(over="raise"):
+                        loss(ps, picks)
+                except NonFiniteError as named:
+                    exc = named
+            errors[group[0]] = f"{who[group[0]]}: {exc} {schedules[group[0]][step][0]}"
             return
         grad = ps.gradient(reached)
         span = (sel, slice(grad.shape[-1]))

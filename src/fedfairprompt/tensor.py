@@ -11,12 +11,17 @@ loss heads elsewhere. They are built on the forward/VJP pairs here:
 ``gelu``, ``softmax`` and ``matmul`` are public forward-only array
 functions and record no node. Every kernel is pure (identical inputs
 give bit-identical outputs) and records just enough structure to
-replay the chain rule. Gradients flow only into tensors created with
-``trainable=True``; everything else is a frozen constant and its
-subgraph is skipped during backprop. Kernels and ``Tensor`` trust their
-operands; finiteness is checked once, at the boundaries: input rows by
-``data.Dataset``, the loss and leaf gradients by ``backward``, eval
-embeddings and loaded prompts by their readers.
+replay the chain rule. The encoder's nodes keep what their VJPs read,
+never their inputs, so ``encode_image`` releases each interior output
+(``_release``) once the next stage has read it. A ``Tensor``'s data
+is written through, never rebound. Gradients flow only into tensors
+created with ``trainable=True``; everything else is a frozen constant
+and its subgraph is skipped during backprop. Kernels and ``Tensor``
+trust their operands; finiteness is checked once, at the boundaries:
+input rows by ``data.Dataset``, the loss and leaf gradients by
+``backward``, eval embeddings and loaded prompts by their readers. A
+forward whose loss is not finite is run again inside ``checked()`` to
+name the first non-finite leaf or op.
 
 On small sequences a node costs more in call overhead than in
 arithmetic, so kernels call ``np.add.reduce``, ``np.maximum.reduce`` and
@@ -26,6 +31,7 @@ a mean is ``np.add.reduce(...) / n``, bit-identical to ``ndarray.mean``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -60,10 +66,10 @@ class Tensor:
     carry a vector-Jacobian closure and are named after their op.
     """
 
-    __slots__ = ("data", "trainable", "needs_grad", "parents", "vjp", "name")
+    __slots__ = ("_data", "trainable", "needs_grad", "parents", "vjp", "name")
 
     def __init__(self, data, trainable: bool = False, name: str = ""):
-        self.data = np.asarray(data, dtype=np.float64)
+        self._data = np.asarray(data, dtype=np.float64)
         self.trainable = bool(trainable)
         self.needs_grad = self.trainable
         self.parents: tuple[Tensor, ...] = ()
@@ -71,13 +77,60 @@ class Tensor:
         self.name = name
 
     @property
+    def data(self) -> np.ndarray | None:
+        """The value, or None once the stage that owns an interior node
+        has released it (``_release``). It is written through
+        (``t.data[...] = a``), never rebound: a leaf that views a
+        ``PromptSet``'s ``flat`` must stay that view."""
+        return self._data
+
+    @data.setter
+    def data(self, value) -> None:
+        raise AttributeError(f"cannot rebind the data of {self!r}; write through it: "
+                             f"t.data[...] = value")
+
+    @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self._data.shape
 
     def __repr__(self) -> str:
         tag = f" '{self.name}'" if self.name else ""
         kind = "param" if self.trainable else "node" if self.needs_grad else "const"
         return f"Tensor{tag}({kind}, shape={self.shape})"
+
+
+def _release(t: Tensor) -> None:
+    """Drop an interior node's value once every stage that reads it has
+    run; the tape keeps the node, and its VJP keeps what it reads."""
+    t._data = None
+
+
+# Set inside ``checked()``: each recorded op checks its operands.
+_checking = False
+
+
+@contextlib.contextmanager
+def checked():
+    """Within the block, each op recorded on the tape checks its
+    trainable inputs, then its output, and raises NonFiniteError naming
+    the first that is not finite, as ``backward`` names it: run a
+    forward whose loss was not finite again inside it."""
+    global _checking
+    saved, _checking = _checking, True
+    try:
+        yield
+    finally:
+        _checking = saved
+
+
+def _check(parents: tuple[Tensor, ...], out: Tensor) -> None:
+    for t in (*(p for p in parents if p.trainable), out):
+        if not np.isfinite(t.data).all():
+            raise _non_finite_loss(t)
+
+
+def _non_finite_loss(first: Tensor) -> NonFiniteError:
+    return NonFiniteError(f"non-finite loss; first non-finite output is from '{first.name}'")
 
 
 def _lift(x) -> Tensor:
@@ -86,11 +139,13 @@ def _lift(x) -> Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
-    out.data = data
+    out._data = data
     out.trainable = False
     out.name = op
     for p in parents:
         if p.needs_grad:
+            if _checking:
+                _check(parents, out)
             out.needs_grad = True
             out.parents = parents
             out.vjp = vjp
@@ -109,8 +164,11 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
     Returns a mapping from each reachable trainable leaf to its
     gradient. Gradients of frozen tensors are absent by construction.
     Raises if ``output`` has more than one axis. Raises NonFiniteError
-    if it is not finite, naming the first recorded op with a non-finite
-    output, or if a leaf's gradient is not finite.
+    if it is not finite, naming the first leaf or recorded op whose
+    held value is not finite, or if a leaf's gradient is not finite.
+    A node whose value its stage released is not scanned: the encoder
+    releases its interior outputs, so a forward through it is named
+    exactly by running it again inside ``checked()``.
 
     Each node drops its parents and its VJP closure once the closure
     has run, and the sweep drops the node, so intermediates are freed
@@ -139,8 +197,8 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
     del seen
 
     if not np.isfinite(output.data).all():
-        first = next((n for n in order if not np.isfinite(n.data).all()), output)
-        raise NonFiniteError(f"non-finite loss; first non-finite output is from '{first.name}'")
+        raise _non_finite_loss(next((n for n in order if n.data is not None
+                                     and not np.isfinite(n.data).all()), output))
 
     grads: dict[Tensor, np.ndarray] = {output: np.ones_like(output.data)}
     leaves: dict[Tensor, np.ndarray] = {}

@@ -506,6 +506,39 @@ def test_prompt_set_leaves_are_views_of_its_vector():
     assert ps.tokens[0].data[0, 0, 3] == ps.flat[0, 3]
 
 
+def test_rebinding_a_leaf_raises_and_writing_through_it_lands_in_flat():
+    # A rebound leaf used to leave flat behind: the forward and to_arrays
+    # read the new array while the optimizer, fusion and predict read flat.
+    ps = PromptSet.initialize(EncoderConfig(), seed=3)
+    before = ps.to_arrays()
+    with pytest.raises(AttributeError, match="cannot rebind the data of Tensor 'tokens1'"):
+        ps.tokens[1].data = np.zeros((2, 32))
+    assert all(np.array_equal(t.data, before[t.name]) for t in ps.leaves)
+    ps.tokens[1].data[...] = 0.0
+    assert not ps.flat[2 * 32 : 4 * 32].any() and ps.flat[: 2 * 32].all()
+
+
+def test_encode_image_releases_every_stage_output():
+    # The state entering block 1 and each attention and MLP output are
+    # dropped once the next stage has read them; the tape keeps the
+    # nodes, the prompt leaves and mixed blocks keep their values, and
+    # the backward still runs.
+    enc = VisionEncoder(EncoderConfig())
+    ps = PromptSet.initialize(enc.config, seed=1)
+    z = enc.encode_image(_rng(5).standard_normal((3, 16, 32)), ps)
+    seen, todo, released = set(), [z], []
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node.parents)
+            if node.data is None:
+                released.append(node.name)
+    assert sorted(released) == ["", *["encoder_mlp"] * 4, *["prompted_attention"] * 4]
+    assert z.data is not None and all(t.data is not None for t in ps.leaves)
+    assert set(backward(P.reduce_sum(z))) == set(ps.leaves)
+
+
 def test_prompt_set_rejects_an_empty_token_block():
     # Three queries' floats and no token rows: K = 0.
     with pytest.raises(ValueError, match="K >= 1"):

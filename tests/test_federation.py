@@ -606,6 +606,23 @@ def test_a_failing_client_is_named_after_the_clients_before_it_train(model, val_
                       val=val_split, round_index=1, config=config)
 
 
+@pytest.mark.parametrize("method", ["fvlfp", "wo-cdfp"])
+@pytest.mark.parametrize("leaf", ["tokens0", "tokens2"])
+def test_a_non_finite_broadcast_prompt_block_is_named(val_split, enc_cfg, method, leaf):
+    # The first non-finite value is the leaf itself, whether it feeds an
+    # attention sublayer directly or through the cross-layer mixing first.
+    config = Config(method=method, batch_size=8, lr=2e-3)
+    model = PromptedModel.for_config(config)
+    shards = [_shard(model, 0, 24, 50), _shard(model, 1, 24, 51)]
+    prompts = PromptSet.initialize(enc_cfg, seed=6)
+    next(t for t in prompts.leaves if t.name == leaf).data[0, 0] = np.nan
+    with pytest.raises(FederationError,
+                       match=rf"^client 0: non-finite loss; first non-finite output is from "
+                             rf"'{leaf}' \(batch offset 0\)$"):
+        client_update(*shards, model=model, prompts=prompts, val=val_split, round_index=1,
+                      config=config)
+
+
 def test_predict_rejects_non_finite_eval_embeddings(model, enc_cfg, val_split):
     prompts = PromptSet.initialize(enc_cfg, seed=0)
     prompts.tokens[1].data[...] = np.nan

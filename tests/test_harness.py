@@ -276,13 +276,18 @@ def gen_data(tmp_path_factory):
     return root / "emb"
 
 
-def _shuffled(data_dir, split, out_dir):
-    """A copy of ``data_dir`` with the rows of ``<split>.emb`` in a seeded order."""
+def _rewritten(data_dir, split, out_dir, pick):
+    """A copy of ``data_dir`` whose ``<split>.emb`` holds the rows that
+    ``pick(row_count)`` indexes, in that order."""
     shutil.copytree(data_dir, out_dir)
     rows = load_embeddings(str(data_dir / f"{split}.emb"))
-    order = np.random.default_rng(0).permutation(len(rows))
-    save_embeddings(rows.subset(order), str(out_dir / f"{split}.emb"))
+    save_embeddings(rows.subset(pick(len(rows))), str(out_dir / f"{split}.emb"))
     return out_dir
+
+
+def _shuffled(data_dir, split, out_dir):
+    """A copy of ``data_dir`` with the rows of ``<split>.emb`` in a seeded order."""
+    return _rewritten(data_dir, split, out_dir, np.random.default_rng(0).permutation)
 
 
 def _ingested_run(out_dir, data_dir, method):
@@ -308,3 +313,12 @@ def test_only_refinement_reads_val_rows_by_position(tmp_path, gen_data):
     shuffled = _shuffled(gen_data, "val", tmp_path / "emb")
     assert (_ingested_run(tmp_path / "given", gen_data, "wo-fpf")
             == _ingested_run(tmp_path / "shuffled", shuffled, "wo-fpf"))
+
+
+def test_evaluation_ignores_doubling_every_test_row(tmp_path, gen_data):
+    # Every metric is a ratio of counts pooled over the split, and
+    # doubling each count leaves each ratio's bits as they were. The
+    # doubled split also falls into eval chunks at other rows.
+    doubled = _rewritten(gen_data, "test", tmp_path / "emb", lambda n: np.repeat(np.arange(n), 2))
+    assert (_ingested_run(tmp_path / "given", gen_data, "fvlfp")
+            == _ingested_run(tmp_path / "doubled", doubled, "fvlfp"))

@@ -36,11 +36,18 @@ import fedfairprompt
 print(peak_kb() - before)
 """
 
-STEP_CLIENTS = 2  # a default synthetic walk's clients: 640 // (16 * 19)
-# 3% over the 5,340,280 bytes (8.58 KB a row) measured on CPython 3.11
-# with numpy 2.4; keeping GELU's input and CDF, and block 1's state-side
-# arrays, read 6,492,680 (10.43 KB a row).
-TAPE_BYTES = 5_500_000
+# (stacked clients, sequence rows per sample) of the two walk shapes:
+# a default synthetic walk, 640 // (16 * 19) clients of CLS, 2 prompt
+# and 16 patch rows; and an ingest-shaped walk of one feature row.
+SYNTH_STEP = (2, 19)
+INGEST_STEP = (5, 4)
+# Bytes, measured on CPython 3.11 with numpy 2.4: 4,347,168 synthetic
+# (6.98 KB a row) and 1,561,632 ingest-shaped (4.77 KB a row). Each bound
+# lies under the reading plus one kept block output (139,264 B; 40,960
+# B), so keeping one again fails. Keeping every stage output and block
+# 1's state read 5,339,776 and 1,890,624; keeping GELU's input and CDF
+# and block 1's state-side arrays as well, 6,492,680 synthetic.
+TAPE_BYTES = {SYNTH_STEP: 4_420_000, INGEST_STEP: 1_585_000}
 
 
 def import_delta_mb() -> float:
@@ -52,18 +59,20 @@ def import_delta_mb() -> float:
     return int(proc.stdout) / 1024
 
 
-def client_step_tape() -> tuple[int, int]:
+def client_step_tape(clients: int, seq_rows: int) -> tuple[int, int]:
     """(bytes, sequence rows) of one default lockstep client step's tape:
-    what ``tracemalloc`` sees left alive by the forward of
-    ``STEP_CLIENTS`` stacked clients' default batches of patch rows,
-    until their backward. A first step warms every cache."""
+    what ``tracemalloc`` sees left alive by the forward of ``clients``
+    stacked clients' default batches of ``seq_rows``-row sequences (CLS,
+    the prompt rows and the rest patch rows), until their backward. A
+    first step warms every cache."""
     config = Config()
     model = PromptedModel.for_config(config)
     prompts = PromptSet.initialize(encoder_config(config)).map(
-        lambda a: np.stack([a] * STEP_CLIENTS))
+        lambda a: np.stack([a] * clients))
     rng = np.random.Generator(np.random.PCG64(0))
-    lead = (STEP_CLIENTS, config.batch_size)
-    rows = rng.standard_normal(lead + (EncoderConfig.patch_count, EncoderConfig.embed_dim))
+    lead = (clients, config.batch_size)
+    rows = rng.standard_normal(lead + (seq_rows - 1 - config.prompt_tokens,
+                                       EncoderConfig.embed_dim))
     targets = model.encoder.class_text[rng.integers(0, 2, lead)]
 
     def step():
@@ -78,8 +87,7 @@ def client_step_tape() -> tuple[int, int]:
         T.backward(loss)
     finally:
         tracemalloc.stop()
-    seq = 1 + config.prompt_tokens + EncoderConfig.patch_count
-    return kept, STEP_CLIENTS * config.batch_size * seq
+    return kept, clients * config.batch_size * seq_rows
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
@@ -92,7 +100,9 @@ def test_import_adds_little_resident_memory():
 
 def test_client_step_tape_is_pinned():
     # The tape holds only what the VJPs read: GELU's slope, not its input
-    # and CDF, and no state-side arrays in block 1, whose state is constant.
-    kept, rows = client_step_tape()
-    assert rows == 608
-    assert kept <= TAPE_BYTES, (kept, kept / rows / 1024)
+    # and CDF; no state-side arrays in block 1, whose state is constant;
+    # and no stage's output, each released once the next stage read it.
+    for shape, seq_rows in ((SYNTH_STEP, 608), (INGEST_STEP, 320)):
+        kept, rows = client_step_tape(*shape)
+        assert rows == seq_rows
+        assert kept <= TAPE_BYTES[shape], (shape, kept, kept / rows / 1024)
