@@ -38,14 +38,14 @@ data = generate_synthetic(SyntheticSpec(n=400, seed=3))
 rows = enc.embed_patches(data.features)
 prompts = PromptSet.initialize(EncoderConfig(seed=7), seed=0)
 emb = enc.encode_image(rows, prompts)
-clean = project_out(emb.data, sub)
+clean = project_out(emb, sub)
 # the part it removed: the orthogonal projection onto the basis rows
 removed = (emb.data @ sub.basis.T) @ sub.basis
 
 # Three invariants: the result is orthogonal to every basis row, the
 # projector is idempotent, and the pieces add back up.
 print("\nmax |basis . clean|:", float(np.abs(clean.data @ sub.basis.T).max()))
-again = project_out(clean.data, sub)
+again = project_out(clean, sub)
 print("idempotence gap:", float(np.abs(again.data - clean.data).max()))
 print("decomposition gap:", float(np.abs((clean.data + removed) - emb.data).max()))
 

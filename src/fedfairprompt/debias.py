@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .svd import top_right_singular_vectors
-from .tensor import Tensor, _lift, _log_softmax, _log_softmax_vjp, _node, _unit, _unit_vjp
+from .tensor import Tensor, _log_softmax, _log_softmax_vjp, _node, _unit, _unit_vjp
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def build_subspace(encoder, templates: Sequence[str], k: int = 1) -> Demographic
     return DemographicSubspace(basis=top_right_singular_vectors(rows, k), templates=rows)
 
 
-def project_out(z: Tensor | np.ndarray, sub: DemographicSubspace) -> Tensor:
+def project_out(z: Tensor, sub: DemographicSubspace) -> Tensor:
     """The (..., B, d) embeddings minus their orthogonal projection onto
     the basis rows, as one differentiable node.
 
@@ -57,7 +57,6 @@ def project_out(z: Tensor | np.ndarray, sub: DemographicSubspace) -> Tensor:
     projection second, so the sweep adds the two gradient parts to
     ``z``'s slot in the order the composed kernels did.
     """
-    z = _lift(z)
     basis = sub.basis
     out = z.data - (z.data @ basis.T) @ basis
 
@@ -67,16 +66,14 @@ def project_out(z: Tensor | np.ndarray, sub: DemographicSubspace) -> Tensor:
     return _node(out, (z, z), vjp, "project_out")
 
 
-def fairness_loss(z_debiased: Tensor | np.ndarray, sub: DemographicSubspace,
-                  mu: float) -> Tensor:
+def fairness_loss(z_debiased: Tensor, sub: DemographicSubspace, mu: float) -> Tensor:
     """Hinge on similarity to every demographic prompt, per sample.
 
     Takes (..., B, d) embeddings and returns the (..., B) per-sample sums
     over categories of max(0, cos - mu). The gradient vanishes once every
     cosine is at or below the margin.
     """
-    x = _lift(z_debiased)
-    unit, norm = _unit(x.data)  # raises on a zero-norm row
+    unit, norm = _unit(z_debiased.data)  # raises on a zero-norm row
     if unit.ndim < 2:
         raise ValueError(f"fairness_loss needs (..., B, d) embeddings, got {unit.shape}")
     templates = sub.templates
@@ -87,7 +84,7 @@ def fairness_loss(z_debiased: Tensor | np.ndarray, sub: DemographicSubspace,
         g_cos = np.where(margin > 0.0, np.expand_dims(g, -1), 0.0)
         return (_unit_vjp(g_cos @ templates, unit, norm),)
 
-    return _node(out, (x,), vjp, "fairness_loss")
+    return _node(out, (z_debiased,), vjp, "fairness_loss")
 
 
 def task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
@@ -100,7 +97,6 @@ def task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
     embeddings and ``targets`` are (B, d) with B >= 1, or (C, B, d) for C
     stacked clients, each with its own (B, B) logits and loss.
     """
-    z_debiased, z_raw = _lift(z_debiased), _lift(z_raw)
     targets = np.asarray(targets, dtype=np.float64)
     inv_t = 1.0 / float(temperature)
     n = targets.shape[-2]
@@ -127,11 +123,11 @@ def task_loss(z_debiased: Tensor, z_raw: Tensor, targets: np.ndarray,
 
 def joint_loss(task: Tensor, fair_per_sample: Tensor, lam1: float) -> Tensor:
     """Combine task and (..., B) fairness terms: task + lam1 * mean(fair)."""
-    task, fair = _lift(task), _lift(fair_per_sample)
-    lam1, n = float(lam1), fair.shape[-1]
-    out = task.data + np.add.reduce(fair.data, axis=-1) / n * lam1
+    lam1, shape = float(lam1), fair_per_sample.shape
+    n = shape[-1]
+    out = task.data + np.add.reduce(fair_per_sample.data, axis=-1) / n * lam1
 
     def vjp(g):
-        return g, np.broadcast_to(np.expand_dims(g * lam1 * (1.0 / n), -1), fair.shape).copy()
+        return g, np.broadcast_to(np.expand_dims(g * lam1 * (1.0 / n), -1), shape).copy()
 
-    return _node(out, (task, fair), vjp, "joint_loss")
+    return _node(out, (task, fair_per_sample), vjp, "joint_loss")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import groupby
 
@@ -222,38 +223,30 @@ def _fit(prompts: PromptSet, loss, schedules, lr: float, who: list[str],
     slice's rows of ``flat`` and of their moments, over the leading span
     the loss reached (``PromptSet.gradient``): all of it, or the token
     blocks alone without cross-layer mixing. A member whose forward
-    overflows, or whose loss or gradient is not finite, stops: a failed
-    group replays the step member by member, so each error names
-    ``who[i]`` and ``where`` as a lone run would, and a lone member's
-    non-finite loss runs its forward once more to name the first
-    non-finite leaf or op. Returns those errors.
+    overflows, or whose loss or gradient is not finite, stops. A failed
+    walk is replayed once, each member alone inside ``tensor.checked()``:
+    a member that passes keeps the same step, bit for bit, and one that
+    fails records the replay's error, naming ``who[i]``, ``where`` and,
+    for a non-finite loss, the first non-finite leaf or op. Returns those
+    errors.
     """
     m, v = np.zeros_like(prompts.flat), np.zeros_like(prompts.flat)
     errors: dict[int, str] = {}
 
-    def run(step: int, group: list[int]) -> None:
+    def run(step: int, group: list[int], named: bool = False) -> None:
         sel = ... if len(group) == len(schedules) else slice(group[0], group[-1] + 1)
         ps = prompts if sel is ... else prompts.map(lambda a: a[sel])
         picks = [(i, schedules[i][step][1]) for i in group]
-        value = None
         try:
-            with np.errstate(over="raise"):
+            with T.checked() if named else nullcontext(), np.errstate(over="raise"):
                 value = loss(ps, picks)
             reached = T.backward(value)
         except FloatingPointError as exc:  # NonFiniteError included
-            if len(group) > 1:
+            if named:
+                errors[group[0]] = f"{who[group[0]]}: {exc} {schedules[group[0]][step][0]}"
+            else:
                 for i in group:
-                    run(step, [i])
-                return
-            if value is not None and not np.isfinite(value.data).all():
-                # The encoder released its interior outputs, so backward
-                # could not scan them: run the forward again, checked.
-                try:
-                    with T.checked(), np.errstate(over="raise"):
-                        loss(ps, picks)
-                except NonFiniteError as named:
-                    exc = named
-            errors[group[0]] = f"{who[group[0]]}: {exc} {schedules[group[0]][step][0]}"
+                    run(step, [i], named=True)
             return
         grad = ps.gradient(reached)
         span = (sel, slice(grad.shape[-1]))

@@ -19,9 +19,10 @@ created with ``trainable=True``; everything else is a frozen constant
 and its subgraph is skipped during backprop. Kernels and ``Tensor``
 trust their operands; finiteness is checked once, at the boundaries:
 input rows by ``data.Dataset``, the loss and leaf gradients by
-``backward``, eval embeddings and loaded prompts by their readers. A
-forward whose loss is not finite is run again inside ``checked()`` to
-name the first non-finite leaf or op.
+``backward``, eval embeddings and loaded prompts by their readers.
+``backward`` names no op: a failed step is run again inside
+``checked()``, where each recorded op checks its trainable inputs and
+its output, to name the first non-finite leaf or op.
 
 On small sequences a node costs more in call overhead than in
 arithmetic, so kernels call ``np.add.reduce``, ``np.maximum.reduce`` and
@@ -113,8 +114,8 @@ _checking = False
 def checked():
     """Within the block, each op recorded on the tape checks its
     trainable inputs, then its output, and raises NonFiniteError naming
-    the first that is not finite, as ``backward`` names it: run a
-    forward whose loss was not finite again inside it."""
+    the first that is not finite: run a failed forward again inside it
+    to learn where its loss stopped being finite."""
     global _checking
     saved, _checking = _checking, True
     try:
@@ -126,15 +127,7 @@ def checked():
 def _check(parents: tuple[Tensor, ...], out: Tensor) -> None:
     for t in (*(p for p in parents if p.trainable), out):
         if not np.isfinite(t.data).all():
-            raise _non_finite_loss(t)
-
-
-def _non_finite_loss(first: Tensor) -> NonFiniteError:
-    return NonFiniteError(f"non-finite loss; first non-finite output is from '{first.name}'")
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+            raise NonFiniteError(f"non-finite loss; first non-finite output is from '{t.name}'")
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
@@ -164,11 +157,9 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
     Returns a mapping from each reachable trainable leaf to its
     gradient. Gradients of frozen tensors are absent by construction.
     Raises if ``output`` has more than one axis. Raises NonFiniteError
-    if it is not finite, naming the first leaf or recorded op whose
-    held value is not finite, or if a leaf's gradient is not finite.
-    A node whose value its stage released is not scanned: the encoder
-    releases its interior outputs, so a forward through it is named
-    exactly by running it again inside ``checked()``.
+    if it is not finite, or if a leaf's gradient is not finite; neither
+    names the op that made the value, which a forward run again inside
+    ``checked()`` does.
 
     Each node drops its parents and its VJP closure once the closure
     has run, and the sweep drops the node, so intermediates are freed
@@ -176,6 +167,7 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
     """
     if output.data.ndim > 1:
         raise ValueError(f"backward needs a scalar or vector output, got shape {output.shape}")
+    _ensure_finite(output.data, "loss")
 
     # Depth-first post-order over the nodes that need a gradient, each
     # expanded once: ``order`` lists every node after its parents.
@@ -195,10 +187,6 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
                 if p.needs_grad and p not in seen:
                     stack.append((p, False))
     del seen
-
-    if not np.isfinite(output.data).all():
-        raise _non_finite_loss(next((n for n in order if n.data is not None
-                                     and not np.isfinite(n.data).all()), output))
 
     grads: dict[Tensor, np.ndarray] = {output: np.ones_like(output.data)}
     leaves: dict[Tensor, np.ndarray] = {}
@@ -368,7 +356,6 @@ def prompted_attention(prefix: Tensor, state: Tensor, wq: np.ndarray, wk: np.nda
     composition: same numpy operations, gradients summed in the tape's
     order. ``heads`` divides d, as in ``EncoderConfig``'s fixed shape.
     """
-    prefix, state = _lift(prefix), _lift(state)
     *lead, batch, n, _ = state.shape
     k, e = prefix.shape[-2], wk.shape[1]
     c = e // heads

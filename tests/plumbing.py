@@ -42,8 +42,12 @@ from fedfairprompt import tensor as T
 from fedfairprompt.data import SyntheticSpec, _group_pattern, _label_pattern
 from fedfairprompt.debias import DemographicSubspace
 from fedfairprompt.encoder import TEMPERATURE
-from fedfairprompt.tensor import (_INV_SQRT_2PI, Tensor, _lift, _ln_vjp, _node, _unit,
-                                  _unit_vjp)
+from fedfairprompt.tensor import _INV_SQRT_2PI, Tensor, _ln_vjp, _node, _unit, _unit_vjp
+
+
+def _lift(x) -> Tensor:
+    """A kernel operand as a ``Tensor``: an array becomes a frozen leaf."""
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------

@@ -90,14 +90,14 @@ def test_build_subspace_full_rank_spans_templates():
 
 def test_project_out_axis_aligned_case():
     sub = _make_subspace([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
-    deb = project_out(np.array([[3.0, 4.0, 0.0]]), sub)
+    deb = project_out(Tensor(np.array([[3.0, 4.0, 0.0]])), sub)
     np.testing.assert_array_equal(deb.data, [[0.0, 4.0, 0.0]])
 
 
 def test_project_out_orthogonal_input_passes_through():
     sub = _make_subspace([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
     z = np.array([[0.0, 2.0, -1.0]])
-    deb = project_out(z, sub)
+    deb = project_out(Tensor(z), sub)
     np.testing.assert_allclose(deb.data, z, atol=1e-15)
 
 
@@ -107,7 +107,7 @@ def test_project_out_properties_random():
     basis = _random_orthonormal(rng, k, d)
     sub = _make_subspace(basis, rng.normal(size=(4, d)))
     z = rng.normal(size=(6, d))
-    deb = project_out(z, sub)
+    deb = project_out(Tensor(z), sub)
     # exact decomposition against the removed part, computed independently
     np.testing.assert_allclose(deb.data + (z @ basis.T) @ basis, z, atol=1e-12)
     # debiased part orthogonal to every basis row
@@ -117,13 +117,14 @@ def test_project_out_properties_random():
     np.testing.assert_allclose(project_out(deb, sub).data, deb.data, atol=1e-12)
     # batch equals the per-row loop
     for i in range(z.shape[0]):
-        np.testing.assert_allclose(project_out(z[i : i + 1], sub).data[0], deb.data[i], atol=1e-13)
+        np.testing.assert_allclose(project_out(Tensor(z[i : i + 1]), sub).data[0], deb.data[i],
+                                   atol=1e-13)
 
 
 def test_project_out_shape_mismatch():
     sub = _make_subspace([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
-        project_out(np.zeros((2, 4)), sub)
+        project_out(Tensor(np.zeros((2, 4))), sub)
 
 
 def test_project_out_gradients():
@@ -156,7 +157,7 @@ def test_fairness_loss_single_template_frozen_value():
     sub = _make_subspace([[1.0, 0.0]], [[1.0, 0.0]])
     # unit vector with cosine exactly 0.9 against the template
     z = np.array([[0.9, math.sqrt(1.0 - 0.81)]])
-    loss = fairness_loss(z, sub, mu=0.3)
+    loss = fairness_loss(Tensor(z), sub, mu=0.3)
     assert abs(float(loss.data[0]) - 0.6) < 1e-12
 
 
@@ -193,9 +194,9 @@ def test_fairness_loss_monotone_in_margin():
 def test_fairness_loss_errors():
     sub = _make_subspace([[1.0, 0.0]], [[1.0, 0.0]])
     with pytest.raises(ValueError):
-        fairness_loss(np.zeros((1, 2)), sub, mu=0.3)  # zero-norm input
+        fairness_loss(Tensor(np.zeros((1, 2))), sub, mu=0.3)  # zero-norm input
     with pytest.raises(ValueError):
-        fairness_loss(np.array([1.0, 0.0]), sub, mu=0.3)  # a batch axis is required
+        fairness_loss(Tensor(np.array([1.0, 0.0])), sub, mu=0.3)  # a batch axis is required
 
 
 def test_fairness_loss_gradient_off_kinks():
@@ -343,7 +344,7 @@ def test_project_out_equals_its_composition_bit_for_bit():
 
 def test_fairness_loss_equals_its_composition_bit_for_bit():
     rng, z, _, sub = _stacked_case(51)
-    leaf = Tensor(project_out(z, sub).data, trainable=True)
+    leaf = Tensor(project_out(Tensor(z), sub).data, trainable=True)
     cos = (leaf.data / np.linalg.norm(leaf.data, axis=-1, keepdims=True)) @ sub.templates.T
     assert (cos > 0.0).any() and (cos < 0.0).any()  # the hinge is active and inactive
     probe = Tensor(rng.normal(size=z.shape[:-1]))
@@ -354,7 +355,7 @@ def test_fairness_loss_equals_its_composition_bit_for_bit():
 def test_task_loss_equals_its_composition_bit_for_bit():
     _, z, targets, sub = _stacked_case(52)
     raw = Tensor(z, trainable=True)
-    deb = Tensor(project_out(z, sub).data, trainable=True)
+    deb = Tensor(project_out(Tensor(z), sub).data, trainable=True)
     _assert_bitwise_equal(task_loss(deb, raw, targets, 0.07),
                           P.composed_task_loss(deb, raw, targets, 0.07), [deb, raw])
     # without DSOP both terms read the same tensor

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from fedfairprompt import federation
+from fedfairprompt import tensor as T
 from fedfairprompt.config import METHODS, Config
 from fedfairprompt.data import Dataset, SyntheticSpec, generate_synthetic, save_embeddings
 from fedfairprompt.debias import build_subspace, project_out
@@ -539,17 +540,21 @@ def test_non_finite_loss_becomes_flagged_failure():
     assert [r.round for r in rep.rounds] == list(range(len(rep.rounds)))
 
 
-def test_forward_overflow_becomes_flagged_failure():
+@pytest.mark.parametrize("batch_size, failure, rounds", [
+    (16, "round 2: client 0: overflow encountered in multiply (batch offset 48)", [0, 1]),
+    # two 7-sample batches share one walk, and the overflow is client 1's
+    (7, "round 1: client 1: overflow encountered in multiply (batch offset 70)", [0]),
+], ids=["batch16", "batch7"])
+@pytest.mark.parametrize("method", METHODS)
+def test_forward_overflow_becomes_flagged_failure(method, batch_size, failure, rounds):
     # AdamW drives the prompts to about 1e114-1e225; layernorm's variance
     # overflows and, left alone, turns the rows into finite zeros, so the
     # run used to end complete with a_b 0.5 and every gap 0
-    rep = run_federation(Config(method="fedavg_baseline", lr=1e18, rounds=2, clients=2,
+    rep = run_federation(Config(method=method, lr=1e18, rounds=2, clients=2, batch_size=batch_size,
                                 n_train=160, n_val=48, n_test=48))
     assert rep.incomplete
-    assert rep.failure == (
-        "round 2: client 0: overflow encountered in multiply (batch offset 48)"
-    )
-    assert [r.round for r in rep.rounds] == [0, 1]
+    assert rep.failure == failure
+    assert [r.round for r in rep.rounds] == rounds
 
 
 def test_non_finite_gradient_names_client_and_step(enc_cfg):
@@ -564,30 +569,39 @@ def test_non_finite_gradient_names_client_and_step(enc_cfg):
     assert re.match(r"^client 7: .*gradient.* at step 3$", errors[0])
 
 
-def test_a_failing_stacked_step_is_replayed_client_by_client(enc_cfg):
-    # Two stacked members; only the second one's gradient overflows. The
-    # group's backward fails, and the replay keeps the first member's step
-    # and stops the second with the error a lone run gives.
+@pytest.mark.parametrize("factor, error", [
+    (1e-300, r"^client 1: .*gradient.* at step 0$"),
+    (np.nan, r"^client 1: non-finite loss; first non-finite output is from 'mul' at step 0$"),
+], ids=["gradient-overflow", "nan-loss"])
+def test_a_failing_stacked_step_is_replayed_client_by_client(enc_cfg, factor, error):
+    # Two stacked members; only the second one's step fails, by a
+    # gradient overflow or a NaN in its loss. The group's forward
+    # overflows, and one replay runs each member alone and checked: it
+    # keeps the first member's step, bit for bit, and stops the second
+    # with the error a lone run gives.
     base = PromptSet.initialize(enc_cfg, seed=0)
     stacked = base.map(lambda a: np.stack([a, a]))
-    factor = np.array([1.0, 1e-300])
-    groups = []
+    factors = np.array([1.0, factor])
+    calls = []
 
     def loss(ps, picks):
         members = [i for i, _ in picks]
-        groups.append(members)
-        scaled = P.mul(ps.tokens[0], Tensor(factor[members].reshape(-1, 1, 1)))
+        calls.append((members, T._checking))
+        scaled = P.mul(ps.tokens[0], Tensor(factors[members].reshape(-1, 1, 1)))
         return P.reduce_sum(P.scale(P.scale(scaled, 1e200), 1e200)) if 1 in members else \
             P.reduce_sum(scaled)
 
     schedules = [[("at step 0", None)], [("at step 0", None)]]
     errors = federation._fit(stacked, loss, schedules, 1e-3, ["client 0", "client 1"],
                              per_walk=2)
-    assert groups == [[0, 1], [0], [1]]
+    assert calls == [([0, 1], False), ([0], True), ([1], True)]
     assert list(errors) == [1]
-    assert re.match(r"^client 1: .*gradient.* at step 0$", errors[1])
-    assert not np.array_equal(stacked.tokens[0].data[0], base.tokens[0].data)
+    assert re.match(error, errors[1]), errors[1]
     assert np.array_equal(stacked.tokens[0].data[1], base.tokens[0].data)
+    lone = base.copy()
+    assert federation._fit(lone, loss, schedules[:1], 1e-3, ["client 0"]) == {}
+    assert not np.array_equal(lone.tokens[0].data, base.tokens[0].data)
+    assert np.array_equal(stacked.tokens[0].data[0], lone.tokens[0].data)
 
 
 def test_a_failing_client_is_named_after_the_clients_before_it_train(model, val_split, enc_cfg):

@@ -338,10 +338,13 @@ def test_kernels_are_bit_identical_across_calls():
 def test_non_finite_inputs_are_rejected():
     with np.errstate(over="ignore"):
         big = Tensor(np.full((2, 2), 1e308), trainable=True)  # finite, but sums past the float cap
-        # matmul overflows to inf; backward rejects the loss and names
-        # matmul, the first op with a non-finite output, not gelu after it
-        with pytest.raises(NonFiniteError, match="'matmul'"):
+        # matmul overflows to inf; backward rejects the loss, and the
+        # forward run inside checked() names matmul, the first op with a
+        # non-finite output, not gelu after it
+        with pytest.raises(NonFiniteError):
             backward(P.reduce_sum(P.gelu(P.matmul(big, Tensor(big.data)))))
+        with pytest.raises(NonFiniteError, match="'matmul'"), T.checked():
+            P.reduce_sum(P.gelu(P.matmul(big, Tensor(big.data))))
 
 
 # ---------------------------------------------------------------------------
