@@ -8,7 +8,6 @@ config file. Exit status is nonzero iff any run failed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -19,6 +18,7 @@ from .encoder import VisionEncoder
 from .federation import encoder_config, load_splits
 from .harness import PRESETS, SWEEP_AXES, grid_table, run_experiment, run_preset, sweep
 from .metrics import METRIC_NAMES
+from .report import read_failure
 
 # (CLI flag, Config field, help text)
 _FLAGS = (
@@ -105,17 +105,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    run_dir = args.out
-    json_path = os.path.join(run_dir, "report.json")
-    md_path = os.path.join(run_dir, "summary.md")
-    if not os.path.exists(json_path):
-        raise ValueError(f"no report.json under {run_dir}")
-    with open(json_path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    with open(md_path, "r", encoding="utf-8") as fh:
-        print(fh.read(), end="")
-    if payload.get("incomplete"):
-        print(f"run failed: {payload.get('failure', '')}", file=sys.stderr)
+    with open(os.path.join(args.out, "summary.md"), "r", encoding="utf-8") as fh:
+        text = fh.read()
+    print(text, end="")
+    failure = read_failure(text)
+    if failure:
+        print(f"run failed: {failure}", file=sys.stderr)
         return 1
     return 0
 

@@ -61,11 +61,12 @@ from .metrics import (
 from .optim import adamw_step
 from .report import FairnessReport, RoundRecord
 
-# Samples per eval chunk. On one BLAS thread a 400-sample eval took as
-# long at 64 as at 400 samples per chunk, on 16 patch rows and on one
-# feature row; 16-sample chunks of feature rows took 1.8x as long, and
-# one 400-sample chunk of them raised fvlfp-ingest's peak RSS by 1.7 MB
-# (4%).
+# Samples per eval chunk. A 400-sample eval on one BLAS thread of an
+# Intel Xeon (median of 55 interleaved calls): on 16 patch rows 68 ms at
+# 64 samples a chunk, 70 at 100 and 76 at 400; on one feature row 11.9 ms
+# at 64, 10.3 at 100, 8.3 at 400 and 22.7 at 16. One 400-sample chunk
+# raised fvlfp-ingest's peak RSS from 42.7 to 44.3 MB (4%); 64 keeps
+# that memory at about 3.6 ms more per feature-row eval.
 _EVAL_CHUNK = 64
 
 # Sequence rows (CLS, prompt, patch) in one stacked walk: 2 synth clients,

@@ -7,7 +7,6 @@ carries a wall-clock timestamp or a machine-specific value.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -20,6 +19,10 @@ CSV_HEADER = ",".join(("round", "client", *METRIC_NAMES, "score", "weight"))
 
 # headline numbers average the global record over this many final rounds
 SUMMARY_WINDOW = 5
+
+# summary.md's line for a run that ended early; the report command reads
+# the failure back from it
+FAILURE_LINE = "- **incomplete run**: "
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def _markdown_text(report: FairnessReport) -> str:
         f"- headline window: mean over last {len(report.summary_records())} rounds",
     ]
     if report.incomplete:
-        head.append(f"- **incomplete run**: {report.failure}")
+        head.append(FAILURE_LINE + report.failure)
     head += [
         "",
         "| method | A_B | Phi_A | Phi_demo | Phi_eq | F_global |",
@@ -140,35 +143,17 @@ def _markdown_text(report: FairnessReport) -> str:
     return "\n".join(head)
 
 
-def _json_payload(report: FairnessReport) -> dict:
-    return {
-        "config_hash": report.config_hash,
-        "master_seed": report.config.master_seed,
-        "backbone_hash": report.backbone_hash,
-        "incomplete": report.incomplete,
-        "failure": report.failure,
-        "summary": report.summary(),
-        "rounds": [
-            {
-                "round": rec.round,
-                "clients": [
-                    {name: getattr(m, name) for name in METRIC_NAMES}
-                    for m in rec.client_records
-                ],
-                "scores": list(rec.scores),
-                "weights": list(rec.weights),
-                "global": {
-                    name: getattr(rec.global_record, name) for name in METRIC_NAMES
-                },
-            }
-            for rec in report.rounds
-        ],
-    }
+def read_failure(summary_text: str) -> str:
+    """The failure a ``summary.md`` text records, or "" for a complete run.
+    The failure runs to the blank line before the table, so one that spans
+    lines reads back whole."""
+    _, found, rest = summary_text.partition("\n" + FAILURE_LINE)
+    return rest.rsplit("\n\n| method |", 1)[0] if found else ""
 
 
 def emit_report(report: FairnessReport, out_dir: str) -> dict[str, str]:
-    """Write rounds.csv, summary.md, config.txt, report.json and
-    prompts.npz, the final prompts (``np.load`` reads them back).
+    """Write rounds.csv, summary.md, config.txt and prompts.npz, the
+    final prompts (``np.load`` reads them back).
 
     Returns the written paths.
     """
@@ -177,14 +162,12 @@ def emit_report(report: FairnessReport, out_dir: str) -> dict[str, str]:
         "csv": os.path.join(out_dir, "rounds.csv"),
         "markdown": os.path.join(out_dir, "summary.md"),
         "config": os.path.join(out_dir, "config.txt"),
-        "json": os.path.join(out_dir, "report.json"),
         "prompts": os.path.join(out_dir, "prompts.npz"),
     }
     texts = {
         "csv": _csv_text(report),
         "markdown": _markdown_text(report),
         "config": config_lines(report.config),
-        "json": json.dumps(_json_payload(report), indent=2, sort_keys=True) + "\n",
     }
     for key, text in texts.items():
         with open(paths[key], "w", encoding="utf-8", newline="\n") as fh:

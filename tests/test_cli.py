@@ -10,6 +10,7 @@ from fedfairprompt.config import parse_config
 from fedfairprompt.data import Dataset, load_embeddings, save_embeddings
 from fedfairprompt.encoder import VisionEncoder
 from fedfairprompt.federation import encoder_config, load_splits
+from fedfairprompt.harness import run_experiment
 
 _TINY = [
     "--rounds", "1", "--clients", "2",
@@ -105,7 +106,7 @@ def test_gen_data_roundtrips_through_run(tmp_path, capsys):
     rc = main(["run", "--config", cfg, "--method", "fedavg_baseline",
                *_tiny_flags(tmp_path / "out2")])
     assert rc == 0
-    assert (tmp_path / "out2" / "report.json").exists()
+    assert (tmp_path / "out2" / "summary.md").exists()
 
 
 def test_gen_data_balances_eval_splits(tmp_path):
@@ -150,20 +151,22 @@ def test_report_prints_finished_summary(tmp_path, capsys):
 
 def test_report_of_a_failed_run_exits_one(tmp_path, capsys):
     out = tmp_path / "out"
-    main(["run", "--config", _cfg_file(tmp_path, lr=1e200), "--method",
-          "fedavg_baseline", *_tiny_flags(out)])
+    config = parse_config(_cfg_file(tmp_path, lr=1e200), {
+        "method": "fedavg_baseline", "rounds": "1", "clients": "2", "out_dir": str(out)})
+    report = run_experiment(config)
+    assert report.failure.startswith("round 1: ")
     capsys.readouterr()
     rc = main(["report", "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 1
     assert "Federation run summary" in captured.out
-    assert captured.err.startswith("run failed: round 1: ")
+    assert captured.err == f"run failed: {report.failure}\n"
 
 
 def test_report_missing_dir_exits_two(tmp_path, capsys):
     rc = main(["report", "--out", str(tmp_path / "nope")])
     assert rc == 2
-    assert "report.json" in capsys.readouterr().err
+    assert "summary.md" in capsys.readouterr().err
 
 
 def test_report_rejects_run_flags(tmp_path, capsys):

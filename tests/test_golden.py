@@ -1,4 +1,4 @@
-"""Golden determinism: every method's four artifacts hash to pinned values.
+"""Golden determinism: every method's three text artifacts hash to pinned values.
 
 A tiny fixed config per method runs end to end and its emitted files
 are compared byte for byte, through sha256, with the values below. A
@@ -24,6 +24,7 @@ which ``OPENBLAS_CORETYPE`` can override on the same CPU. A change that moves th
 files with ``python tests/test_golden.py`` and says why.
 """
 
+import csv
 import ctypes
 import glob
 import hashlib
@@ -55,31 +56,26 @@ GOLDEN = {
         "rounds.csv": "c8b8ba8b4b43d0cd14653803080e9bea9ca0029651ff06ff1924fd8fb639ab63",
         "summary.md": "70721156e0e535454595d726f5a6845a5769bda3a4c878f2af0f13a386aa31eb",
         "config.txt": "274103400c056ccfdc3b8191387a22414bb074f1e41946cb9e15fadb45242d0d",
-        "report.json": "69359036be62a73ad061ffe39fb0e22c4feb41785e0e7cff41b904cf3997d93b",
     },
     "fedavg_baseline": {
         "rounds.csv": "c2c631c9524a45e7d8428273d7c2c59f68cea7dd23b7e3d3c7773d946c63726a",
         "summary.md": "656969f4f547162a8daa51ccb974aebd736a24925a676d1c6fd16297dc409e05",
         "config.txt": "fed3ec0ee670a37a241573b4e5969e0c8edc16f7223955b006bbf08d6ace16e8",
-        "report.json": "204d80f4ae33f4e08391646ca90e03f29fdc23d6cc3c22c2a9f3ab1360c6a050",
     },
     "wo-cdfp": {
         "rounds.csv": "ec7ebc2a835e181429ba891976d8bf60f1c37e4f37fb491464327db466d135e1",
         "summary.md": "d7cc006f9c9f30798932bd3b63e6c76b056b29966e410779957e730f4bd8d65e",
         "config.txt": "be14f258707493a18dd36902527233df681565e73c9bf5c22616b2569b7fd61d",
-        "report.json": "7b58054f7118bbb82afedefca76516e52c0b6b6660ab20279f8c56b8aeb608d3",
     },
     "wo-dsop": {
         "rounds.csv": "93c63162b41eca99e5a612912d803b0ba13495ad674d568d2c055e98ab06bacb",
         "summary.md": "4b476ac2f9b37559d445844465099be6253ce72ccb4881975f3a022c82b8b44d",
         "config.txt": "bd54dbfae87c9c42e76dcf499a6bbe6c66fd91051c2989988d630eeae9f74ad2",
-        "report.json": "2bd74797e3c45e7f73d2442ee2d6d3a186231d7b33f138ebf7098fdc9e80852f",
     },
     "wo-fpf": {
         "rounds.csv": "ec236734c6a9df75310edec3ff4f25c2f563413e59a1e17acc75767b16fe23d9",
         "summary.md": "ea553bcbe1a6adaa9ae55d4b0b9609dcae43e04430fe2bdf5bf8ec5273c4cf97",
         "config.txt": "75ea92e78aca9777d04dd3da70be217d601d8d15cefd83a27731f8ba6ee49953",
-        "report.json": "b5164dc9f852afe3d3b1b1893b0fb3c6a569182d59fecb6ac8c10ab2006b6e6d",
     },
 }
 
@@ -250,12 +246,12 @@ def test_saved_prompts_reproduce_the_last_global_record(out_dirs, tmp_path, meth
     test = load_splits(config, model.encoder)[2]
     assert np.unique(predict(model, prompts, test.features)).tolist() == [0, 1]
     record, _ = evaluate_prompts(model, prompts, test)
-    with open(os.path.join(run_dir, "report.json"), encoding="utf-8") as fh:
-        last = json.load(fh)["rounds"][-1]
-    assert last["round"] == config.rounds
+    with open(os.path.join(run_dir, "rounds.csv"), encoding="utf-8") as fh:
+        last = [row for row in csv.DictReader(fh) if row["client"] == "global"][-1]
+    assert int(last["round"]) == config.rounds
     for name in METRIC_NAMES:
         if name != "f_global":
-            assert getattr(record, name) == last["global"][name], name
+            assert getattr(record, name) == float(last[name]), name
 
 
 if __name__ == "__main__":

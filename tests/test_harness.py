@@ -77,7 +77,7 @@ def test_runs_never_import_scipy_or_load_a_module(tmp_path):
 def test_run_experiment_writes_outputs(tmp_path):
     report = run_experiment(_tiny(tmp_path / "run"))
     assert not report.incomplete
-    for name in ("rounds.csv", "summary.md", "config.txt", "report.json"):
+    for name in ("rounds.csv", "summary.md", "config.txt", "prompts.npz"):
         assert (tmp_path / "run" / name).exists(), name
 
 

@@ -1,6 +1,5 @@
 """Report containers and byte-deterministic file emission."""
 
-import json
 import os
 
 import numpy as np
@@ -14,6 +13,7 @@ from fedfairprompt.report import (
     FairnessReport,
     RoundRecord,
     emit_report,
+    read_failure,
 )
 
 
@@ -94,7 +94,8 @@ def test_summary_of_an_empty_report_errors():
 
 def test_emit_writes_all_four_files(tmp_path):
     paths = emit_report(_report(), str(tmp_path))
-    for key in ("csv", "markdown", "config", "json"):
+    assert sorted(os.listdir(tmp_path)) == ["config.txt", "prompts.npz", "rounds.csv", "summary.md"]
+    for key in ("csv", "markdown", "config", "prompts"):
         assert os.path.exists(paths[key]), key
 
 
@@ -156,18 +157,6 @@ def test_emitted_config_reparses_to_recorded_hash(tmp_path):
     assert config_hash(back) == rep.config_hash
 
 
-def test_json_payload_carries_rounds_and_summary(tmp_path):
-    rep = _report(n_rounds=2)
-    paths = emit_report(rep, str(tmp_path))
-    with open(paths["json"], "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    assert payload["backbone_hash"] == rep.backbone_hash
-    assert payload["config_hash"] == rep.config_hash
-    assert len(payload["rounds"]) == 3
-    assert payload["summary"]["method"] == "fvlfp"
-    assert payload["incomplete"] is False
-
-
 def test_markdown_mentions_failure_when_incomplete(tmp_path):
     rep = _report()
     rep.failure = "client 3: non-finite loss"
@@ -176,3 +165,12 @@ def test_markdown_mentions_failure_when_incomplete(tmp_path):
         text = fh.read()
     assert "non-finite loss" in text
     assert "incomplete" in text.lower()
+
+
+@pytest.mark.parametrize("failure", ["", "round 2: client 1: overflow", "round 1: two\n\nparagraphs"])
+def test_read_failure_gives_back_the_failure_summary_md_records(tmp_path, failure):
+    rep = _report()
+    rep.failure = failure
+    paths = emit_report(rep, str(tmp_path))
+    with open(paths["markdown"], "r", encoding="utf-8") as fh:
+        assert read_failure(fh.read()) == failure
